@@ -80,7 +80,15 @@ class Dense(Layer):
         self._x = x
         return x @ self.W.value + self.b.value
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Accumulate ``W``/``b`` gradients; return the input gradient.
+
+        ``input_grad=False`` says the caller will not read it (a first
+        layer in training), so it is not computed and None comes back.
+        The parameter gradients are the same either way.
+        """
         if self._x is None:
             raise RuntimeError(f"{self.name}: backward() before forward()")
         grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -91,4 +99,4 @@ class Dense(Layer):
             )
         self.W.grad += self._x.T @ grad_out
         self.b.grad += grad_out.sum(axis=0)
-        return grad_out @ self.W.value.T
+        return grad_out @ self.W.value.T if input_grad else None

@@ -123,18 +123,26 @@ class MLP:
 
     __call__ = forward
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backpropagate; accumulates parameter grads, returns input grad."""
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Backpropagate; accumulates parameter grads, returns input grad.
+
+        Training never reads the gradient w.r.t. the network's input;
+        ``input_grad=False`` skips the first layer's share of it (its
+        widest matmul) and returns None.  Parameter grads are unchanged.
+        """
         g = np.asarray(grad_out, dtype=np.float64)
         if g.ndim == 1:
             g = g[None, :]
+        first = self._dense[0]
         for dense, act, norm in zip(
             reversed(self._dense), reversed(self._acts), reversed(self._norms)
         ):
             g = act.backward(g)
             if norm is not None:
                 g = norm.backward(g)
-            g = dense.backward(g)
+            g = dense.backward(g, input_grad=input_grad or dense is not first)
         return g
 
     # -- weight transfer -------------------------------------------------------

@@ -256,6 +256,36 @@ class ReplayCache:
                 valid[i] = True
         return frames, valid
 
+    def gather(
+        self, ticks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`has` + :meth:`get` over an int64 array of ticks.
+
+        Returns ``(present, frames, actions, rewards)`` shaped like
+        ``ticks`` (``frames`` with a trailing ``frame_width`` axis).
+        ``present[i]`` is exactly ``has(ticks[i])``.  The value arrays
+        are fancy-index copies, never views of the ring; what they hold
+        where ``present`` is False is unspecified.  The only reader that
+        knows the ring layout — Algorithm 1's batched path
+        (:meth:`~repro.replaydb.sampler.MinibatchSampler.transitions_at`)
+        goes through here.
+        """
+        ticks = np.asarray(ticks, dtype=np.int64)
+        slots = ticks % self.capacity
+        # No slot holds a tick above max_tick, and an empty ring holds
+        # only -1, so the slot test plus one lower bound (the ring
+        # horizon, or -1 for negative ticks) is the whole of has().
+        newest = -1 if self._max_tick is None else self._max_tick
+        present = (self._ticks[slots] == ticks) & (
+            ticks > max(newest - self.capacity, -1)
+        )
+        return (
+            present,
+            self._frames[slots],
+            self._actions[slots],
+            self._rewards[slots],
+        )
+
     def nbytes(self) -> int:
         """Resident memory of the cache arrays (Table 2's in-memory size)."""
         return (

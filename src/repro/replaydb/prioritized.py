@@ -15,8 +15,6 @@ transition construction).
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
 from repro.replaydb.cache import ReplayCache
@@ -129,36 +127,15 @@ class PrioritizedSampler(MinibatchSampler):
             raise SamplerStarvedError("all priorities are zero")
         probs /= total
 
-        collected = []
-        ticks: List[int] = []
-        attempts = 0
-        while len(collected) < n:
-            attempts += 1
-            if attempts > max_attempts:
-                raise SamplerStarvedError(
-                    f"could not fill a prioritized minibatch of {n}"
-                )
-            draw = self.rng.choice(
-                candidates, size=n - len(collected), p=probs
-            )
-            for t in draw:
-                tr = self.transition_at(int(t))
-                if tr is not None:
-                    collected.append(tr)
-                    ticks.append(int(t))
-        collected = collected[:n]
-        ticks_arr = np.array(ticks[:n])
+        ticks, *columns = self._fill(
+            n,
+            max_attempts,
+            lambda needed: self.rng.choice(candidates, size=needed, p=probs),
+            f"could not fill a prioritized minibatch of {n}",
+        )
 
         # Importance-sampling weights, normalised to max 1.
-        idx = ticks_arr - first
-        p_sel = probs[idx]
+        p_sel = probs[ticks - first]
         weights = (len(candidates) * p_sel) ** (-self.beta)
         weights /= weights.max()
-
-        base = Minibatch(
-            s_t=np.stack([t.s_t for t in collected]),
-            s_next=np.stack([t.s_next for t in collected]),
-            actions=np.array([t.action for t in collected], dtype=np.int64),
-            rewards=np.array([t.reward for t in collected], dtype=np.float64),
-        )
-        return PrioritizedMinibatch(base, ticks_arr, weights)
+        return PrioritizedMinibatch(Minibatch(*columns), ticks, weights)

@@ -21,7 +21,7 @@ to use it as the reward" (§3.2).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -102,6 +102,50 @@ class MinibatchSampler:
             tick=tick, s_t=s_t, s_next=s_next, action=rec.action, reward=reward
         )
 
+    def transitions_at(
+        self, ticks: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`transition_at` over candidate timestamps.
+
+        Returns ``(kept_ticks, s_t, s_next, actions, rewards)`` for the
+        candidates :meth:`transition_at` accepts, in candidate order and
+        equal to it field by field; with none accepted the observation
+        arrays are ``(0, obs_dim)``.  One
+        :meth:`~repro.replaydb.cache.ReplayCache.gather` over the
+        ``(k, S + 1)`` grid of ticks ``t-S+1 … t+1`` serves both
+        windows: columns ``[:S]`` are s_t, columns ``[1:]`` are s_{t+1}.
+        """
+        S, W = self.obs_ticks, self.cache.frame_width
+        ticks = np.asarray(ticks, dtype=np.int64)
+        grid = ticks[:, None] + np.arange(-S + 1, 2)
+        present, frames, actions, rewards = self.cache.gather(grid)
+        budget = self.missing_tolerance * S
+        ok = (
+            present[:, S - 1]
+            & present[:, S]
+            & (actions[:, S - 1] >= 0)
+            & (grid[:, 0] >= 0)
+            & (S - present[:, :S].sum(axis=1) <= budget)
+            & (S - present[:, 1:].sum(axis=1) <= budget)
+        )
+        if not ok.all():
+            ticks, present, frames = ticks[ok], present[ok], frames[ok]
+            actions, rewards = actions[ok], rewards[ok]
+        k = ticks.shape[0]
+        s_t = np.empty((k, S * W))
+        s_next = np.empty((k, S * W))
+        s_t.reshape(k, S, W)[...] = frames[:, :S]
+        s_next.reshape(k, S, W)[...] = frames[:, 1:]
+        if not present.all():
+            # Imputation is per window (a gap at the head of the s_{t+1}
+            # window is zeros there but carried forward in s_t), so the
+            # rare gapped row is rebuilt by the scalar reference.
+            for i in np.flatnonzero(~present.all(axis=1)):
+                s_t[i] = self.observation_at(int(ticks[i]))
+                s_next[i] = self.observation_at(int(ticks[i]) + 1)
+        action, reward = actions[:, S - 1].copy(), rewards[:, S].copy()
+        return ticks, s_t, s_next, action, reward
+
     # -- Algorithm 1 -----------------------------------------------------------
     def eligible_range(self) -> Optional[tuple[int, int]]:
         """Inclusive tick range candidates are drawn from, or None."""
@@ -114,6 +158,40 @@ class MinibatchSampler:
             return None
         return first, last
 
+    def _fill(
+        self,
+        n: int,
+        max_attempts: int,
+        draw: Callable[[int], np.ndarray],
+        starved: Optional[str] = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Algorithm 1's top-up loop, shared by every draw policy.
+
+        Each round asks ``draw`` for exactly as many candidate ticks as
+        are still missing (one RNG call per round), keeps the ones
+        :meth:`transitions_at` accepts, and stops at ``n`` — a round can
+        never overshoot.  Returns :meth:`transitions_at`'s columns with
+        exactly ``n`` rows; raises :class:`SamplerStarvedError`
+        (``starved``, if a subclass words it differently) when
+        ``max_attempts`` rounds do not fill them.
+        """
+        rounds = []
+        have = 0
+        for _ in range(max_attempts):
+            rounds.append(self.transitions_at(draw(n - have)))
+            have += rounds[-1][0].shape[0]
+            if have == n:
+                break
+        else:
+            raise SamplerStarvedError(
+                starved
+                or f"could not fill a minibatch of {n} after {max_attempts} "
+                f"rounds; too many incomplete timestamps"
+            )
+        if len(rounds) == 1:
+            return rounds[0]
+        return tuple(np.concatenate(column) for column in zip(*rounds))
+
     def sample_minibatch(self, n: int, max_attempts: int = 200) -> Minibatch:
         """ConstructMinibatch(n) — keep drawing until n samples collected."""
         check_positive("n", n)
@@ -123,26 +201,9 @@ class MinibatchSampler:
                 "replay DB does not yet span one full observation window"
             )
         first, last = rng_range
-        collected: list[Transition] = []
-        needed = n
-        attempts = 0
-        while needed > 0:
-            attempts += 1
-            if attempts > max_attempts:
-                raise SamplerStarvedError(
-                    f"could not fill a minibatch of {n} after {max_attempts} "
-                    f"rounds; too many incomplete timestamps"
-                )
-            ticks = self.rng.integers(first, last + 1, size=needed)
-            for t in ticks:
-                tr = self.transition_at(int(t))
-                if tr is not None:
-                    collected.append(tr)
-            needed = n - len(collected)
-        collected = collected[:n]
-        return Minibatch(
-            s_t=np.stack([t.s_t for t in collected]),
-            s_next=np.stack([t.s_next for t in collected]),
-            actions=np.array([t.action for t in collected], dtype=np.int64),
-            rewards=np.array([t.reward for t in collected], dtype=np.float64),
+        _, *columns = self._fill(
+            n,
+            max_attempts,
+            lambda needed: self.rng.integers(first, last + 1, size=needed),
         )
+        return Minibatch(*columns)

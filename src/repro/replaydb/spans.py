@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.replaydb.records import Minibatch
 from repro.replaydb.sampler import MinibatchSampler, SamplerStarvedError
 from repro.util.validation import check_positive
 
@@ -253,34 +254,17 @@ class StridedMinibatchSampler(MinibatchSampler):
                 "shared replay DB does not yet span one full observation "
                 "window in any environment"
             )
-        from repro.replaydb.records import Minibatch, Transition
-
-        lengths = np.array([last - first + 1 for first, last in spans])
+        firsts, lasts = np.array(spans).T
+        lengths = lasts - firsts + 1
         cum = np.cumsum(lengths)
-        collected: list[Transition] = []
-        needed = n
-        attempts = 0
-        while needed > 0:
-            attempts += 1
-            if attempts > max_attempts:
-                raise SamplerStarvedError(
-                    f"could not fill a minibatch of {n} after "
-                    f"{max_attempts} rounds; too many incomplete timestamps"
-                )
+        # Flat index -> global tick: add the block's first candidate
+        # tick, subtract the flat index its span starts at.
+        shift = firsts - (cum - lengths)
+
+        def draw(needed: int) -> np.ndarray:
             # Uniform over the concatenation of all candidate spans.
             flat = self.rng.integers(0, int(cum[-1]), size=needed)
-            for idx in flat:
-                b = int(np.searchsorted(cum, idx, side="right"))
-                offset_in_block = int(idx) - (int(cum[b - 1]) if b else 0)
-                t = spans[b][0] + offset_in_block
-                tr = self.transition_at(t)
-                if tr is not None:
-                    collected.append(tr)
-            needed = n - len(collected)
-        collected = collected[:n]
-        return Minibatch(
-            s_t=np.stack([t.s_t for t in collected]),
-            s_next=np.stack([t.s_next for t in collected]),
-            actions=np.array([t.action for t in collected], dtype=np.int64),
-            rewards=np.array([t.reward for t in collected], dtype=np.float64),
-        )
+            return flat + shift[np.searchsorted(cum, flat, side="right")]
+
+        _, *columns = self._fill(n, max_attempts, draw)
+        return Minibatch(*columns)

@@ -73,5 +73,5 @@ class QNetwork:
         loss, dpred = self._loss_fn(q_taken, targets)
         grad = np.zeros_like(q_all)
         grad[rows, actions] = dpred
-        self.net.backward(grad)
+        self.net.backward(grad, input_grad=False)
         return loss

@@ -284,3 +284,20 @@ class RecordView:
                 frames[j] = self._state.rec_frames[self._e, i]
                 valid[j] = True
         return frames, valid
+
+    def gather(self, ticks: np.ndarray):
+        """Batched ``has`` + ``get``; see :meth:`ReplayCache.gather
+        <repro.replaydb.cache.ReplayCache.gather>` for the contract."""
+        ticks = np.asarray(ticks, dtype=np.int64)
+        st, e, n = self._state, self._e, self._n()
+        found = np.searchsorted(st.rec_ticks[e, :n], ticks)
+        # A tick past the newest record searches to row n, which is
+        # spare capacity, not a record: ``found < n`` marks it absent
+        # and the clip keeps the (then unspecified) value reads in range.
+        rows = np.minimum(found, max(n - 1, 0))
+        return (
+            (found < n) & (st.rec_ticks[e, rows] == ticks),
+            st.rec_frames[e, rows],
+            st.rec_actions[e, rows],
+            st.rec_rewards[e, rows],
+        )

@@ -114,6 +114,28 @@ class TestQSensitivity:
         sal = q_sensitivity(agent, np.zeros(10))
         assert sal.shape == (10,)
 
+    def test_matches_hand_written_chain_rule(self):
+        """The saliency probe still gets the full input gradient (only
+        training skips it), before and after a training step."""
+        agent = make_agent()
+        obs = np.random.default_rng(2).normal(size=(5, 10))
+
+        def by_hand():
+            fc0, fc1, fc2 = agent.online.net._dense
+            h1 = np.tanh(obs @ fc0.W.value + fc0.b.value)
+            h2 = np.tanh(h1 @ fc1.W.value + fc1.b.value)
+            q = h2 @ fc2.W.value + fc2.b.value
+            g = np.zeros_like(q)
+            g[np.arange(5), np.argmax(q, axis=1)] = 1.0
+            g = (g @ fc2.W.value.T) * (1.0 - h2**2)
+            g = (g @ fc1.W.value.T) * (1.0 - h1**2)
+            return np.abs(g @ fc0.W.value.T).mean(axis=0)
+
+        np.testing.assert_allclose(q_sensitivity(agent, obs), by_hand(), rtol=1e-12)
+        agent.online.td_backward(obs, np.zeros(5, dtype=np.int64), np.ones(5))
+        agent.optimizer.step(agent.online.net.parameters())
+        np.testing.assert_allclose(q_sensitivity(agent, obs), by_hand(), rtol=1e-12)
+
     def test_does_not_leak_gradients(self):
         agent = make_agent()
         q_sensitivity(agent, np.ones((4, 10)))

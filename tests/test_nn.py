@@ -22,6 +22,8 @@ from repro.nn import (
     save_checkpoint,
     xavier_uniform,
 )
+from repro.nn.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
+from repro.nn.layers import Parameter
 
 
 class TestInitializers:
@@ -242,13 +244,15 @@ class TestLosses:
 
 
 class OptimizerMixin:
+    #: The exact keys ``state_arrays()`` holds after stepping one
+    #: parameter — the checkpoint format, so spelled out per optimiser.
+    state_keys: set
+
     def make(self):
         raise NotImplementedError
 
     def test_converges_on_quadratic(self):
         """Minimise ||x - c||^2; every optimiser must reach c."""
-        from repro.nn.layers import Parameter
-
         opt = self.make()
         c = np.array([3.0, -2.0])
         p = Parameter("x", np.zeros(2))
@@ -262,47 +266,152 @@ class OptimizerMixin:
         with pytest.raises(ValueError):
             type(self.make())(lr=0.0)
 
+    def test_state_roundtrip(self):
+        """k steps, checkpoint, restore into a fresh optimiser, k more
+        steps == 2k uninterrupted steps, bit for bit."""
+        k = 4
+        grads = np.random.default_rng(3).normal(size=(2 * k, 64))
+
+        def run(net, opt, rows):
+            for row in rows:
+                at = 0
+                for p in net.parameters():
+                    p.grad[...] = row[at : at + p.value.size].reshape(p.shape)
+                    at += p.value.size
+                opt.step(net.parameters())
+
+        straight, straight_opt = MLP([3, 4, 2], rng=0), self.make()
+        run(straight, straight_opt, grads)
+
+        first, first_opt = MLP([3, 4, 2], rng=0), self.make()
+        run(first, first_opt, grads[:k])
+        resumed_opt = self.make()
+        resumed, _ = checkpoint_from_bytes(
+            checkpoint_to_bytes(first, optimizer=first_opt),
+            optimizer=resumed_opt,
+        )
+        assert resumed_opt.steps == k
+        run(resumed, resumed_opt, grads[k:])
+
+        assert resumed_opt.steps == straight_opt.steps == 2 * k
+        for a, b in zip(straight.get_weights(), resumed.get_weights()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_state_arrays_are_detached_copies_of_declared_state(self):
+        """Capture, step, the captured dict is unchanged — and it holds
+        the documented keys only (no working memory)."""
+        opt = self.make()
+        p = Parameter("x", np.ones(3))
+        for _ in range(3):
+            p.grad[...] = p.value
+            opt.step([p])
+        captured = opt.state_arrays()
+        assert set(captured) == self.state_keys
+        frozen = {key: arr.copy() for key, arr in captured.items()}
+        p.grad[...] = -2.0
+        opt.step([p])
+        for key, arr in captured.items():
+            np.testing.assert_array_equal(arr, frozen[key])
+
 
 class TestSGD(OptimizerMixin):
+    state_keys = {"sgd.steps"}
+
     def make(self):
         return SGD(lr=0.05)
 
 
 class TestMomentum(OptimizerMixin):
+    state_keys = {"momentum.steps", "momentum.v.0"}
+
     def make(self):
         return Momentum(lr=0.01, momentum=0.9)
 
 
 class TestRMSProp(OptimizerMixin):
+    state_keys = {"rmsprop.steps", "rmsprop.sq.0"}
+
     def make(self):
         return RMSProp(lr=0.01)
 
 
 class TestAdam(OptimizerMixin):
+    state_keys = {"adam.steps", "adam.m.0", "adam.v.0"}
+
     def make(self):
         return Adam(lr=0.05)
 
     def test_steps_counter(self):
-        from repro.nn.layers import Parameter
-
         opt = Adam(lr=0.01)
         p = Parameter("x", np.zeros(2))
         opt.step([p])
         opt.step([p])
         assert opt.steps == 2
 
-    def test_state_roundtrip(self):
-        from repro.nn.layers import Parameter
+    def test_in_place_update_is_bit_equal_to_textbook(self):
+        """50 steps of the in-place update against the allocating
+        textbook expressions: equal to the last bit, through exact-zero
+        gradients and a change of parameter shapes mid-run."""
+        opt = Adam(lr=1e-3)
+        rng = np.random.default_rng(11)
 
+        def fresh(shapes):
+            params = [
+                Parameter(f"p{i}", rng.normal(size=shape))
+                for i, shape in enumerate(shapes)
+            ]
+            return (
+                params,
+                [p.value.copy() for p in params],
+                [np.zeros(shape) for shape in shapes],
+                [np.zeros(shape) for shape in shapes],
+            )
+
+        params, values, ms, vs = fresh([(7, 5), (5,)])
+        for t in range(1, 51):
+            if t == 26:
+                # A differently shaped network takes over the optimiser
+                # (moments dropped, step count kept): the scratch of the
+                # old shapes must not be reused.
+                params, values, ms, vs = fresh([(4, 9), (9,), (2,)])
+                opt.load_state_arrays({"adam.steps": np.array([25])})
+            bc1 = 1.0 - opt.beta1**t
+            bc2 = 1.0 - opt.beta2**t
+            for i, p in enumerate(params):
+                g = rng.normal(size=p.shape)
+                g[rng.random(p.shape) < 0.3] = 0.0
+                if t % 10 == 0:
+                    g[...] = 0.0
+                p.grad[...] = g
+                ms[i] = opt.beta1 * ms[i] + (1.0 - opt.beta1) * g
+                vs[i] = opt.beta2 * vs[i] + (1.0 - opt.beta2) * g**2
+                values[i] = values[i] - opt.lr * (ms[i] / bc1) / (
+                    np.sqrt(vs[i] / bc2) + opt.eps
+                )
+            opt.step(params)
+            state = opt.state_arrays()
+            for i, p in enumerate(params):
+                np.testing.assert_array_equal(p.value, values[i])
+                np.testing.assert_array_equal(state[f"adam.m.{i}"], ms[i])
+                np.testing.assert_array_equal(state[f"adam.v.{i}"], vs[i])
+        assert opt.steps == 50
+
+    def test_loads_pre_existing_checkpoint_keys(self):
+        """``adam.steps`` / ``adam.m.i`` / ``adam.v.i`` are the keys old
+        checkpoints carry; they must keep loading."""
         opt = Adam(lr=0.01)
-        p = Parameter("x", np.ones(3))
-        p.grad[...] = 1.0
-        opt.step([p])
+        opt.load_state_arrays(
+            {
+                "adam.steps": np.array([7]),
+                "adam.m.0": np.full(3, 0.5),
+                "adam.v.0": np.full(3, 0.25),
+            }
+        )
+        assert opt.steps == 7
         state = opt.state_arrays()
-        opt2 = Adam(lr=0.01)
-        opt2.load_state_arrays(state)
-        assert opt2.steps == 1
-        np.testing.assert_array_equal(opt2._m[0], opt._m[0])
+        assert list(state) == ["adam.steps", "adam.m.0", "adam.v.0"]
+        np.testing.assert_array_equal(state["adam.m.0"], np.full(3, 0.5))
+        np.testing.assert_array_equal(state["adam.v.0"], np.full(3, 0.25))
 
 
 class TestCheckpoint:

@@ -16,12 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterConfig
+from repro.env.registry import _default_workload
+from repro.env.tuning_env import EnvConfig
 from repro.replaydb.cache import ReplayCache
 from repro.replaydb.db import ReplayDB
 from repro.replaydb.prioritized import PrioritizedSampler
-from repro.replaydb.records import TickRecord
-from repro.replaydb.sampler import SamplerStarvedError
+from repro.replaydb.records import Minibatch, TickRecord
+from repro.replaydb.sampler import MinibatchSampler, SamplerStarvedError
 from repro.replaydb.spans import StridedMinibatchSampler, TickSpans
+from repro.sim.vec.config import FleetConfig
+from repro.sim.vec.state import FleetState, RecordView
 
 SETTINGS = dict(max_examples=40, deadline=None, derandomize=True)
 
@@ -287,3 +292,378 @@ class TestStridedSamplerProperties:
         sampler = self._sampler(8, [0, 1])
         with pytest.raises(SamplerStarvedError):
             sampler.sample_minibatch(2)
+
+
+# -- batched Algorithm 1 vs the scalar reference -------------------------------
+#
+# ``gather`` / ``transitions_at`` / the shared top-up loop replaced a
+# per-transition Python loop without changing a single accepted sample
+# or RNG draw.  The scalar ``has`` / ``get`` / ``transition_at`` stay in
+# the tree as the reference; the loop that used to call them lives on
+# here, and every batched result must equal it exactly.
+
+WIDTH = 3
+
+
+@st.composite
+def tick_rows(draw):
+    """A monitoring stream with gaps: ascending ``(tick, action)``.
+
+    Roughly a quarter of the ticks are dropped and a quarter of the
+    stored ones carry no action; frames and rewards are functions of
+    the tick, so a stale or shifted row can never compare equal.
+    """
+    n_ticks = draw(st.integers(4, 36))
+    fate = draw(
+        st.lists(st.integers(0, 7), min_size=n_ticks, max_size=n_ticks)
+    )
+    return [
+        (tick, -1 if f in (2, 3) else f % 3)
+        for tick, f in enumerate(fate)
+        if f not in (0, 1)
+    ]
+
+
+def _frame(tick: int) -> np.ndarray:
+    return np.array([tick + 0.5, -float(tick), 0.25 * tick])
+
+
+def _ring(rows, capacity: int) -> ReplayCache:
+    """Rows written one by one into a ring that may be shorter than the
+    stream, so dropped ticks leave stale records one capacity back."""
+    cache = ReplayCache(WIDTH, capacity=capacity)
+    for tick, action in rows:
+        cache.put(
+            TickRecord(
+                tick=tick, frame=_frame(tick), action=action, reward=tick / 8.0
+            )
+        )
+    return cache
+
+
+_FLEET_CONFIG = FleetConfig.from_env_config(
+    EnvConfig(
+        cluster=ClusterConfig(n_servers=1, n_clients=1),
+        workload_factory=_default_workload,
+    )
+)
+
+
+def _view(rows) -> RecordView:
+    """The same rows through the fleet engine's record columns."""
+    state = FleetState(_FLEET_CONFIG, seeds=[0, 1], frame_dim=WIDTH)
+    e = np.array([1])
+    for tick, action in rows:
+        state.tick[e] = tick
+        state.append_records(e, _frame(tick)[None, :], np.array([tick / 8.0]))
+        if action >= 0:
+            assert state.set_action(1, tick, action)
+    return RecordView(state, 1)
+
+
+def _store(duck: str, rows, capacity: int):
+    """``(cache duck, its backing frame storage)``."""
+    if duck == "ring":
+        cache = _ring(rows, capacity)
+        return cache, cache._frames
+    view = _view(rows)
+    return view, view._state.rec_frames
+
+
+def _reference_minibatch(sampler, n, draw, max_attempts=200):
+    """The per-transition top-up loop the batched path replaced."""
+    collected = []
+    needed = n
+    attempts = 0
+    while needed > 0:
+        attempts += 1
+        if attempts > max_attempts:
+            raise SamplerStarvedError("reference loop starved")
+        for t in draw(needed):
+            tr = sampler.transition_at(int(t))
+            if tr is not None:
+                collected.append(tr)
+        needed = n - len(collected)
+    return collected[:n]
+
+
+def _assert_batch_equals(batch, reference):
+    np.testing.assert_array_equal(
+        batch.s_t, np.stack([tr.s_t for tr in reference])
+    )
+    np.testing.assert_array_equal(
+        batch.s_next, np.stack([tr.s_next for tr in reference])
+    )
+    assert batch.actions.tolist() == [tr.action for tr in reference]
+    assert batch.rewards.tolist() == [tr.reward for tr in reference]
+    assert batch.actions.dtype == np.int64
+    assert batch.rewards.dtype == np.float64
+
+
+def _sample_both(sampler, twin, n, draw, max_attempts):
+    """Run the batched sampler and the reference loop on its twin; both
+    fill (returning ``(batch, reference)``) or both starve (None) — and
+    either way they leave their generators in the same state."""
+    try:
+        reference = _reference_minibatch(twin, n, draw, max_attempts)
+    except SamplerStarvedError:
+        reference = None
+    try:
+        batch = sampler.sample_minibatch(n, max_attempts=max_attempts)
+    except SamplerStarvedError:
+        batch = None
+    assert sampler.rng.bit_generator.state == twin.rng.bit_generator.state
+    assert (batch is None) == (reference is None)
+    if batch is None:
+        return None
+    _assert_batch_equals(batch, reference)
+    return batch, reference
+
+
+DUCKS = pytest.mark.parametrize("duck", ["ring", "view"])
+WINDOWS = dict(
+    obs_ticks=st.sampled_from([1, 3, 5, 10]),
+    tolerance=st.sampled_from([0.0, 0.2, 1.0]),
+)
+
+
+class TestBatchedGatherMatchesScalar:
+    @DUCKS
+    @given(rows=tick_rows(), capacity=st.integers(5, 40))
+    @settings(**SETTINGS)
+    def test_gather_is_has_and_get(self, duck, rows, capacity):
+        cache, storage = _store(duck, rows, capacity)
+        # Negative ticks, the evicted region, stale slots, gaps, and
+        # ticks past the newest record all lie inside this range.
+        ticks = np.arange(-capacity - 2, 36 + capacity + 2)
+        present, frames, actions, rewards = cache.gather(ticks)
+        assert present.dtype == bool
+        assert present.tolist() == [cache.has(int(t)) for t in ticks]
+        for i in np.flatnonzero(present):
+            rec = cache.get(int(ticks[i]))
+            np.testing.assert_array_equal(frames[i], rec.frame)
+            assert actions[i] == rec.action
+            assert rewards[i] == rec.reward
+        assert not np.shares_memory(frames, storage)
+        # Any index shape goes through, frames gaining a trailing axis.
+        grid = ticks[: 2 * (len(ticks) // 2)].reshape(2, -1)
+        present2, frames2, actions2, rewards2 = cache.gather(grid)
+        assert frames2.shape == grid.shape + (WIDTH,)
+        assert present2.shape == actions2.shape == rewards2.shape == grid.shape
+        np.testing.assert_array_equal(present2.ravel(), present[: grid.size])
+
+    @DUCKS
+    def test_gather_on_an_empty_store_finds_nothing(self, duck):
+        cache, _ = _store(duck, [], 8)
+        ticks = np.array([[-1, 0], [7, 8]])
+        present, frames, actions, rewards = cache.gather(ticks)
+        assert not present.any()
+        assert frames.shape == (2, 2, WIDTH)
+        assert actions.shape == rewards.shape == (2, 2)
+
+    def test_gather_after_clear_finds_nothing(self):
+        cache = _ring([(t, 1) for t in range(6)], 8)
+        cache.clear()
+        assert not cache.gather(np.arange(-2, 10))[0].any()
+
+    @DUCKS
+    @given(rows=tick_rows(), capacity=st.integers(5, 40), **WINDOWS)
+    @settings(**SETTINGS)
+    def test_transitions_at_is_filtered_transition_at(
+        self, duck, rows, capacity, obs_ticks, tolerance
+    ):
+        cache, _ = _store(duck, rows, capacity)
+        sampler = MinibatchSampler(
+            cache, obs_ticks=obs_ticks, missing_tolerance=tolerance, seed=0
+        )
+        # Every candidate twice, out of order: windows that start below
+        # tick 0, -1-action rows, gaps on either side of the tolerance.
+        span = np.arange(-3, 40)
+        candidates = np.concatenate([span, span[::-1]])
+        reference = [
+            tr
+            for t in candidates
+            if (tr := sampler.transition_at(int(t))) is not None
+        ]
+        kept, s_t, s_next, actions, rewards = sampler.transitions_at(candidates)
+        assert kept.tolist() == [tr.tick for tr in reference]
+        assert s_t.shape == s_next.shape == (len(reference), sampler.obs_dim)
+        if reference:
+            _assert_batch_equals(
+                Minibatch(s_t, s_next, actions, rewards), reference
+            )
+
+    @DUCKS
+    def test_no_accepted_candidate_keeps_the_observation_width(self, duck):
+        cache, _ = _store(duck, [(t, -1) for t in range(12)], 16)
+        sampler = MinibatchSampler(cache, obs_ticks=3, seed=0)
+        for candidates in (np.arange(12), np.array([-4, 10**6]), np.array([])):
+            kept, s_t, s_next, actions, rewards = sampler.transitions_at(
+                candidates.astype(np.int64)
+            )
+            assert s_t.shape == s_next.shape == (0, sampler.obs_dim)
+            assert kept.shape == actions.shape == rewards.shape == (0,)
+
+
+class TestBatchedSamplersMatchReferenceLoop:
+    """Equal seeds, one sampler batched and one driven by the scalar
+    loop: equal batches *and* equal generator state afterwards — the
+    property every RolloutDigest in the tree rests on."""
+
+    @DUCKS
+    @given(rows=tick_rows(), capacity=st.integers(5, 40), **WINDOWS)
+    @settings(**SETTINGS)
+    def test_uniform_sampler(self, duck, rows, capacity, obs_ticks, tolerance):
+        cache, storage = _store(duck, rows, capacity)
+        kw = dict(obs_ticks=obs_ticks, missing_tolerance=tolerance, seed=9)
+        sampler = MinibatchSampler(cache, **kw)
+        twin = MinibatchSampler(cache, **kw)
+        if sampler.eligible_range() is None:
+            with pytest.raises(SamplerStarvedError, match="does not yet span"):
+                sampler.sample_minibatch(4)
+            return
+        first, last = sampler.eligible_range()
+
+        def draw(needed):
+            return twin.rng.integers(first, last + 1, size=needed)
+
+        for n in (1, 6):
+            both = _sample_both(sampler, twin, n, draw, max_attempts=6)
+            if both is not None:
+                batch, _ = both
+                assert not np.shares_memory(batch.s_t, storage)
+                assert not np.shares_memory(batch.s_next, storage)
+                assert not np.shares_memory(batch.s_t, batch.s_next)
+
+    @given(
+        tops=st.lists(st.integers(-1, 9), min_size=1, max_size=4),
+        ahead=st.integers(12, 30),
+        dropped=st.sets(st.integers(0, 30), max_size=8),
+        **WINDOWS,
+    )
+    @settings(**SETTINGS)
+    def test_strided_sampler_with_one_block_run_ahead(
+        self, tops, ahead, dropped, obs_ticks, tolerance
+    ):
+        stride = 32
+        tops = tops + [ahead]  # e.g. the reference cluster after a checkpoint
+        cache = ReplayCache(WIDTH, capacity=stride * len(tops))
+        for block, top in enumerate(tops):
+            for t in range(top + 1):
+                if t in dropped and t != top:
+                    continue
+                cache.put(
+                    TickRecord(
+                        tick=block * stride + t,
+                        frame=_frame(block * stride + t),
+                        action=-1 if t % 5 == 4 else t % 3,
+                        reward=float(block),
+                    )
+                )
+        kw = dict(obs_ticks=obs_ticks, missing_tolerance=tolerance, seed=4)
+        spans = TickSpans.from_tops(stride, tops)
+        sampler = StridedMinibatchSampler(cache, spans, **kw)
+        twin = StridedMinibatchSampler(cache, spans, **kw)
+        candidate_spans = spans.candidate_spans(obs_ticks)
+        cum = np.cumsum([last - first + 1 for first, last in candidate_spans])
+
+        def draw(needed):
+            ticks = []
+            for idx in twin.rng.integers(0, int(cum[-1]), size=needed):
+                b = int(np.searchsorted(cum, idx, side="right"))
+                ticks.append(
+                    candidate_spans[b][0] + int(idx) - (int(cum[b - 1]) if b else 0)
+                )
+            return ticks
+
+        _sample_both(sampler, twin, 8, draw, max_attempts=6)
+
+    @given(
+        rows=tick_rows(),
+        alpha=st.sampled_from([0.0, 0.6, 1.0]),
+        feedback=st.lists(
+            st.tuples(st.integers(0, 35), st.floats(0.0, 50.0)), max_size=6
+        ),
+        **WINDOWS,
+    )
+    @settings(**SETTINGS)
+    def test_prioritized_sampler(
+        self, rows, alpha, feedback, obs_ticks, tolerance
+    ):
+        cache = _ring(rows, 64)
+        kw = dict(
+            obs_ticks=obs_ticks,
+            missing_tolerance=tolerance,
+            alpha=alpha,
+            seed=2,
+        )
+        sampler = PrioritizedSampler(cache, **kw)
+        twin = PrioritizedSampler(cache, **kw)
+        if sampler.eligible_range() is None:
+            return
+        first, last = sampler.eligible_range()
+        for tick, err in feedback:
+            for s in (sampler, twin):
+                s.update_priorities(np.array([tick]), np.array([err]))
+        candidates = np.arange(first, last + 1)
+        probs = np.array([twin.priority_of(int(t)) for t in candidates])
+        probs = probs**alpha
+        probs /= probs.sum()
+
+        def draw(needed):
+            return twin.rng.choice(candidates, size=needed, p=probs)
+
+        both = _sample_both(sampler, twin, 5, draw, max_attempts=6)
+        if both is not None:
+            batch, reference = both
+            assert batch.ticks.tolist() == [tr.tick for tr in reference]
+            weights = (len(candidates) * probs[batch.ticks - first]) ** (
+                -sampler.beta
+            )
+            np.testing.assert_array_equal(
+                batch.weights, weights / weights.max()
+            )
+
+    def test_starvation_raises_after_max_attempts_rounds(self):
+        """No row carries an action: every round rejects everything, and
+        exactly ``max_attempts`` draws of ``n`` are consumed."""
+        cache = _ring([(t, -1) for t in range(20)], 32)
+        sampler = MinibatchSampler(cache, obs_ticks=3, seed=5)
+        first, last = sampler.eligible_range()
+        with pytest.raises(
+            SamplerStarvedError,
+            match="could not fill a minibatch of 4 after 7 rounds",
+        ):
+            sampler.sample_minibatch(4, max_attempts=7)
+        rng = np.random.default_rng(5)
+        for _ in range(7):
+            rng.integers(first, last + 1, size=4)
+        assert sampler.rng.bit_generator.state == rng.bit_generator.state
+        with pytest.raises(
+            SamplerStarvedError, match="prioritized minibatch of 4"
+        ):
+            PrioritizedSampler(cache, obs_ticks=3, seed=5).sample_minibatch(
+                4, max_attempts=3
+            )
+
+    def test_batch_survives_overwriting_the_slots_it_came_from(self):
+        capacity = 16
+        cache = _ring([(t, t % 3) for t in range(capacity)], capacity)
+        batch = MinibatchSampler(cache, obs_ticks=3, seed=1).sample_minibatch(8)
+        before = [
+            a.copy()
+            for a in (batch.s_t, batch.s_next, batch.actions, batch.rewards)
+        ]
+        # One capacity later: every slot the batch was read from is
+        # rewritten in one bulk assignment.
+        ticks = np.arange(capacity, 2 * capacity)
+        cache.put_many(
+            ticks,
+            np.full((capacity, WIDTH), -99.0),
+            np.full(capacity, -99.0),
+            np.full(capacity, 2),
+        )
+        assert not cache.has(capacity - 1)
+        after = (batch.s_t, batch.s_next, batch.actions, batch.rewards)
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a, b)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Adam
+from repro.nn import MLP, Adam, mse_loss
 from repro.replaydb import MinibatchSampler, ReplayDB
 from repro.replaydb.records import Minibatch
 from repro.rl import DQNAgent, EpsilonSchedule, Hyperparameters, QNetwork, soft_update
@@ -149,6 +149,38 @@ class TestQNetwork:
         assert loss == pytest.approx(0.0)
         for p in q.net.parameters():
             np.testing.assert_allclose(p.grad, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("use_batchnorm", [False, True])
+    def test_td_backward_grads_bit_equal_to_full_backward(self, use_batchnorm):
+        """Training skips the first layer's input gradient; every
+        parameter gradient must equal the full backward pass bit for
+        bit (``MLP.backward`` with the input gradient on, as before)."""
+        rng = np.random.default_rng(5)
+        obs = rng.normal(size=(6, 5))
+        actions = rng.integers(0, 3, size=6)
+        targets = rng.normal(size=6)
+
+        q = QNetwork(MLP([5, 7, 7, 3], use_batchnorm=use_batchnorm, rng=2))
+        q.net.zero_grad()
+        loss = q.td_backward(obs, actions, targets)
+
+        ref = MLP([5, 7, 7, 3], use_batchnorm=use_batchnorm, rng=2)
+        ref.zero_grad()
+        q_all = ref.forward(obs)
+        rows = np.arange(6)
+        ref_loss, dpred = mse_loss(q_all[rows, actions], targets)
+        grad = np.zeros_like(q_all)
+        grad[rows, actions] = dpred
+        grad_in = ref.backward(grad)
+
+        assert grad_in.shape == obs.shape
+        assert loss == ref_loss
+        for mine, theirs in zip(q.net.parameters(), ref.parameters()):
+            np.testing.assert_array_equal(mine.grad, theirs.grad)
+        ref.zero_grad()
+        assert ref.backward(grad, input_grad=False) is None
+        for mine, theirs in zip(q.net.parameters(), ref.parameters()):
+            np.testing.assert_array_equal(mine.grad, theirs.grad)
 
     def test_td_backward_validates(self):
         q = QNetwork(MLP([3, 4, 2], rng=0))
