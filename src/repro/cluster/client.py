@@ -62,7 +62,7 @@ class WriteCache:
                 f"single write of {size} B exceeds cache capacity "
                 f"{self.max_dirty} B; split it first"
             )
-        ev = self.sim.event()
+        ev = Event(self.sim)
         if not self._waiters and self.dirty + size <= self.max_dirty:
             self.dirty += size
             ev.succeed()
@@ -120,6 +120,13 @@ class OSC:
         self.read_bytes_done = Counter()
         self.write_bytes_done = Counter()
         self.rpcs_sent = Counter()
+        # Registry counters this OSC feeds, looked up once rather than by
+        # formatted name on every RPC.
+        self._cluster_read = metrics.counter("cluster.bytes_read")
+        self._cluster_written = metrics.counter("cluster.bytes_written")
+        self._client_read = metrics.counter(f"client.{client_id}.bytes_read")
+        self._client_written = metrics.counter(f"client.{client_id}.bytes_written")
+        self._client_meta = metrics.counter(f"client.{client_id}.meta_ops")
 
         sim.spawn(self._flusher(), name=f"{self.node_id}->s{self.server_id}.flush")
 
@@ -128,8 +135,8 @@ class OSC:
         """Synchronous read; completes when the data has arrived."""
         reply = yield from self._data_rpc(RequestKind.READ, obj_id, offset, size)
         self.read_bytes_done.add(size)
-        self.metrics.add("cluster.bytes_read", size)
-        self.metrics.add(f"client.{self.client_id}.bytes_read", size)
+        self._cluster_read.add(size)
+        self._client_read.add(size)
         return reply
 
     def write(self, obj_id: int, offset: int, size: int) -> Generator:
@@ -141,7 +148,7 @@ class OSC:
     def meta(self, obj_id: int) -> Generator:
         """Synchronous metadata operation (stat/create/delete)."""
         reply = yield from self._data_rpc(RequestKind.META, obj_id, 0, 0)
-        self.metrics.add(f"client.{self.client_id}.meta_ops", 1)
+        self._client_meta.add(1)
         return reply
 
     def flush_barrier(self) -> Generator:
@@ -151,14 +158,12 @@ class OSC:
 
     # -- flusher pipeline --------------------------------------------------
     def _flusher(self):
+        flush_name = f"{self.node_id}->s{self.server_id}.wr"
         while True:
             chunk = yield self._flush_queue.get()
             yield self.rate_bucket.acquire(1.0)
             yield self.window.acquire()
-            self.sim.spawn(
-                self._flush_one(*chunk),
-                name=f"{self.node_id}->s{self.server_id}.wr",
-            )
+            self.sim.spawn(self._flush_one(*chunk), name=flush_name)
 
     def _flush_one(self, obj_id: int, offset: int, size: int):
         try:
@@ -169,8 +174,8 @@ class OSC:
             self.window.release()
         self.cache.commit(size)
         self.write_bytes_done.add(size)
-        self.metrics.add("cluster.bytes_written", size)
-        self.metrics.add(f"client.{self.client_id}.bytes_written", size)
+        self._cluster_written.add(size)
+        self._client_written.add(size)
         return reply
 
     # -- shared RPC plumbing -----------------------------------------------
@@ -194,14 +199,17 @@ class OSC:
         )
         req.send_time = self.sim.now
         self.rpcs_sent.add(1)
-        done = self.sim.event()
+        done = Event(self.sim)
         self._pending[req.req_id] = done
         sent = self.fabric.send(
             self.node_id, self.server.node_id, req.wire_size, req
         )
-        sent.add_callback(lambda e: self.server.deliver(e.value))
+        sent.callbacks.append(self._request_delivered)
         reply: Reply = yield done
         return reply
+
+    def _request_delivered(self, sent: Event) -> None:
+        self.server.deliver(sent.value)
 
     def on_reply(self, reply: Reply) -> None:
         """Fabric delivery callback: update PIs, wake the waiter."""

@@ -27,11 +27,16 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Sequence, Tuple
 
 from repro.cluster.rpc import Request, RequestKind
 from repro.util.units import GiB, MiB, mb_per_s
 from repro.util.validation import check_nonnegative, check_positive
+
+#: Sort key for ``(lba, request)`` pairs: by LBA alone, so equal LBAs keep
+#: arrival order (requests themselves are not orderable).
+_BY_LBA = itemgetter(0)
 
 #: A planned disk operation: the request and the busy time the disk
 #: spends on it (seconds).  Requests complete in plan order.
@@ -167,7 +172,7 @@ class HDDModel(DiskModel):
         # wrap to the lowest remaining LBA (one directional sweep).
         keyed = sorted(
             ((self.lba_of(r.obj_id, r.offset), r) for r in data_reqs),
-            key=lambda kr: kr[0],
+            key=_BY_LBA,
         )
         ahead = [kr for kr in keyed if kr[0] >= self._head]
         behind = [kr for kr in keyed if kr[0] < self._head]

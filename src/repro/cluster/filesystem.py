@@ -39,11 +39,15 @@ class FileLayout:
             raise ValueError(f"offset must be >= 0, got {offset}")
         if size <= 0:
             raise ValueError(f"size must be > 0, got {size}")
+        stripe = self.stripe_size
+        if offset % stripe + size <= stripe:
+            # Inside one stripe: the common case for small aligned I/O.
+            return [((offset // stripe) % self.n_servers, offset, size)]
         chunks: List[Chunk] = []
         pos = offset
         remaining = size
         while remaining > 0:
-            stripe_end = (pos // self.stripe_size + 1) * self.stripe_size
+            stripe_end = (pos // stripe + 1) * stripe
             take = min(remaining, stripe_end - pos)
             chunks.append((self.server_of(pos), pos, take))
             pos += take

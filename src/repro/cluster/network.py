@@ -63,14 +63,17 @@ class Link:
         """Book ``size`` bytes onto the wire; return the completion time."""
         check_nonnegative("size", size)
         now = self.sim.now
-        start = max(now, self._busy_until)
+        start = self._busy_until
+        if start < now:
+            start = now
         ser = size / self.bandwidth
-        self.stats.messages += 1
-        self.stats.bytes += size
-        self.stats.queue_delay += start - now
-        self.stats.busy_time += ser
-        self._busy_until = start + ser
-        return self._busy_until
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += size
+        stats.queue_delay += start - now
+        stats.busy_time += ser
+        self._busy_until = done = start + ser
+        return done
 
 
 class Fabric:
@@ -130,21 +133,24 @@ class Fabric:
 
         Returns an event that fires with ``payload`` on delivery.
         """
-        if src not in self._egress:
+        egress = self._egress.get(src)
+        if egress is None:
             raise KeyError(f"unregistered sender {src!r}")
-        if dst not in self._ingress:
+        ingress = self._ingress.get(dst)
+        if ingress is None:
             raise KeyError(f"unregistered receiver {dst!r}")
-        delivered = self.sim.event()
-        tx_done = self._egress[src].reserve(size)
-        ingress = self._ingress[dst]
+        sim = self.sim
+        delivered = Event(sim)
 
-        def at_receiver() -> None:
-            rx_done = ingress.reserve(size)
+        # Three events per message — end of egress serialisation plus
+        # propagation, end of ingress serialisation, delivery — and the
+        # last, zero-delay one is not overhead: it decides the order of
+        # messages whose wire times tie exactly.
+        def deliver(_ev: Event) -> None:
+            delivered.succeed(payload)
 
-            def deliver() -> None:
-                delivered.succeed(payload)
+        def at_receiver(_ev: Event) -> None:
+            sim._call_at(ingress.reserve(size), deliver)
 
-            self.sim.call_at(rx_done, deliver)
-
-        self.sim.call_at(tx_done + self.latency, at_receiver)
+        sim._call_at(egress.reserve(size) + self.latency, at_receiver)
         return delivered

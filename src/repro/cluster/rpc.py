@@ -1,7 +1,8 @@
 """RPC request/reply records exchanged between OSCs and servers.
 
-Plain dataclasses — the network layer treats them as opaque payloads with
-a wire size; the server inspects kind/offset/size for scheduling.
+Slotted dataclasses (two are built per RPC) — the network layer treats
+them as opaque payloads with a wire size; the server inspects
+kind/offset/size for scheduling.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class RequestKind(enum.Enum):
 _request_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One RPC from an OSC to its server.
 
@@ -43,7 +44,7 @@ class Request:
     size: int
     client_id: int
     server_id: int
-    req_id: int = field(default_factory=lambda: next(_request_ids))
+    req_id: int = field(default_factory=_request_ids.__next__)
     send_time: float = -1.0  # when the OSC put it on the wire
     arrive_time: float = -1.0  # when the server received it
     dequeue_time: float = -1.0  # when the server started service
@@ -63,7 +64,7 @@ class Request:
         return self.offset + self.size
 
 
-@dataclass
+@dataclass(slots=True)
 class Reply:
     """Server's response to a :class:`Request`."""
 

@@ -17,13 +17,13 @@ problem the interior optimum CAPES must find.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.cluster.disk import DiskModel
 from repro.cluster.metrics import MetricRegistry
 from repro.cluster.network import Fabric
 from repro.cluster.rpc import Reply, Request, RequestKind
-from repro.sim.engine import Simulator, Timeout
+from repro.sim.engine import Event, Simulator, Timeout
 from repro.sim.resources import Store
 from repro.util.validation import check_nonnegative, check_positive
 
@@ -59,22 +59,32 @@ class ServerNode:
         self.collapse_threshold = int(collapse_threshold)
         self.collapse_coeff = collapse_coeff_ms / 1e3
         self.queue: Store = Store(sim)
-        self._reply_sinks: dict[int, ReplySink] = {}
+        # client id -> (fabric node id, delivery callback), built once per
+        # client rather than per reply.
+        self._reply_routes: dict[int, Tuple[str, Callable[[Event], None]]] = {}
         self._in_service = 0
         self._min_process_time: Optional[float] = None
+        # Registry counters, looked up once rather than by formatted name
+        # on every RPC.
+        self._rpc_in = metrics.counter(f"server.{server_id}.rpc_in")
+        self._bytes_read = metrics.counter(f"server.{server_id}.bytes_read")
+        self._bytes_written = metrics.counter(f"server.{server_id}.bytes_written")
         fabric.register(self.node_id)
         sim.spawn(self._worker(), name=f"{self.node_id}.worker")
 
     # -- wiring ----------------------------------------------------------
     def register_client(self, client_id: int, sink: ReplySink) -> None:
         """Tell the server how to hand a delivered reply to a client."""
-        self._reply_sinks[client_id] = sink
+        self._reply_routes[client_id] = (
+            f"client-{client_id}",
+            lambda delivered: sink(delivered.value),
+        )
 
     # -- ingress -----------------------------------------------------------
     def deliver(self, request: Request) -> None:
         """Called by the client's fabric-send callback on RPC arrival."""
         request.arrive_time = self.sim.now
-        self.metrics.add(f"server.{self.server_id}.rpc_in", 1)
+        self._rpc_in.add(1)
         if request.kind is RequestKind.PING:
             # Pings are answered by the RPC service threads directly and
             # never touch the disk queue (like Lustre's OBD_PING).
@@ -123,19 +133,18 @@ class ServerNode:
 
     def _complete(self, req: Request, process_time: float) -> None:
         if req.kind is RequestKind.READ:
-            self.metrics.add(f"server.{self.server_id}.bytes_read", req.size)
+            self._bytes_read.add(req.size)
         elif req.kind is RequestKind.WRITE:
-            self.metrics.add(f"server.{self.server_id}.bytes_written", req.size)
+            self._bytes_written.add(req.size)
         self._send_reply(Reply(req, self.sim.now, process_time))
 
     def _send_reply(self, reply: Reply) -> None:
         cid = reply.request.client_id
-        sink = self._reply_sinks.get(cid)
-        if sink is None:
+        route = self._reply_routes.get(cid)
+        if route is None:
             raise KeyError(
                 f"server {self.server_id} has no reply sink for client {cid}"
             )
-        ev = self.fabric.send(
-            self.node_id, f"client-{cid}", reply.wire_size, reply
-        )
-        ev.add_callback(lambda e: sink(e.value))
+        client_node, on_delivery = route
+        sent = self.fabric.send(self.node_id, client_node, reply.wire_size, reply)
+        sent.callbacks.append(on_delivery)

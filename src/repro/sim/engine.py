@@ -1,21 +1,30 @@
 """Event heap and simulator loop.
 
 The engine follows the classic discrete-event pattern: a priority queue
-of ``(time, sequence, callback)`` entries drained in time order.  Two
-design points matter for the reproduction:
+of ``(time, sequence, event)`` entries drained in time order; firing an
+entry runs the event's callbacks.  Two design points matter for the
+reproduction:
 
 - **Determinism.**  Ties in time are broken by a monotonically increasing
-  sequence number, so two runs with the same seeds replay identically.
-  (Reproducible runs are what make the Pilot-style statistics in
-  :mod:`repro.stats` meaningful.)
-- **Cheap hot path.**  ``heapq`` on plain tuples, no per-event object
-  allocation beyond the :class:`Event` itself; the cluster model pushes
-  hundreds of thousands of events per simulated hour.
+  sequence number, allocated when the event is triggered, so two runs
+  with the same seeds replay identically.  (Reproducible runs are what
+  make the Pilot-style statistics in :mod:`repro.stats` meaningful.)
+  The heap key of every push is ``now + delay`` — also for
+  :meth:`Simulator.call_at`, whose key is ``now + (t - now)`` and not
+  ``t``; the two can differ in the last bit, and the golden digests
+  were cut with the former.
+- **Cheap hot path.**  ``heapq`` on plain tuples and one interpreter
+  frame per event: :meth:`Simulator.run` pops and dispatches in its own
+  frame, and triggering an event pushes its heap entry directly.  The
+  cluster model fires ~3 000 events per simulated second; what each
+  costs is an :class:`Event`, its callback list and its heap tuple
+  (``call_at`` adds a closure over ``fn``).  See "DES hot path" in
+  ``docs/ARCHITECTURE.md`` for the event-order contract.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.errors import SimulationError
@@ -68,22 +77,27 @@ class Event:
     # -- triggering ----------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Mark the event successful and schedule its callbacks."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError("event already triggered")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._value = value
         self._ok = True
-        self.sim._schedule(self, delay)
+        # Simulator._schedule, inlined: this is the hottest push.
+        sim = self.sim
+        heappush(sim._heap, (sim._now + delay, sim._seq, self))
+        sim._seq += 1
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
         """Mark the event failed; waiting processes will see ``exc`` raised."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError("event already triggered")
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() needs an exception, got {exc!r}")
+        self.sim._schedule(self, delay)
         self._value = exc
         self._ok = False
-        self.sim._schedule(self, delay)
         return self
 
     # -- callbacks -----------------------------------------------------
@@ -118,30 +132,31 @@ class Timeout(Event):
     __slots__ = ("delay", "_pending_value")
 
     def __init__(self, delay: float, value: Any = None, sim: Optional["Simulator"] = None):
-        if delay < 0:
-            raise SimulationError(f"negative Timeout delay: {delay}")
-        self.delay = float(delay)
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"Timeout delay must be >= 0, got {delay}")
+        self.delay = delay = float(delay)
+        self.sim = sim  # type: ignore[assignment]
+        self.callbacks = []
+        self._processed = False
         if sim is not None:
-            super().__init__(sim)
             self._value = value
             self._ok = True
-            sim._schedule(self, self.delay)
+            heappush(sim._heap, (sim._now + delay, sim._seq, self))
+            sim._seq += 1
         else:
-            # Unbound: Process._bind() completes initialisation.
-            self.sim = None  # type: ignore[assignment]
-            self.callbacks = []
+            # Unbound: _bind() completes initialisation.
             self._value = PENDING
             self._ok = None
-            self._processed = False
             self._pending_value = value
 
     def _bind(self, sim: "Simulator") -> None:
         if self.sim is not None:
             return
         self.sim = sim
-        self._value = getattr(self, "_pending_value", None)
+        self._value = self._pending_value
         self._ok = True
-        sim._schedule(self, self.delay)
+        heappush(sim._heap, (sim._now + self.delay, sim._seq, self))
+        sim._seq += 1
 
 
 class Simulator:
@@ -174,23 +189,37 @@ class Simulator:
 
     def spawn(self, gen: Generator, name: Optional[str] = None) -> "Process":
         """Run generator ``gen`` as a simulation process."""
-        from repro.sim.process import Process
-
         return Process(self, gen, name=name)
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
+        """Push ``event`` to fire ``delay`` seconds from now.
+
+        The one definition of a push: key ``now + delay`` (so ``now`` for a
+        zero delay), next sequence number.  ``Event.succeed`` and
+        ``Timeout`` inline exactly this.
+        """
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
+        heappush(self._heap, (self._now + delay, self._seq, event))
         self._seq += 1
 
     def call_at(self, t: float, fn: Callable[[], None]) -> Event:
         """Invoke ``fn()`` at absolute time ``t`` (>= now)."""
-        if t < self._now:
-            raise SimulationError(f"call_at({t}) is in the past (now={self._now})")
-        ev = self.timeout(t - self._now)
-        ev.add_callback(lambda _e: fn())
+        return self._call_at(t, lambda _e: fn())
+
+    def _call_at(self, t: float, fn: Callable[[Event], None]) -> Event:
+        """:meth:`call_at` for a callback that takes the event argument.
+
+        The heap key is ``now + (t - now)``, not ``t``: ``call_at`` has
+        always been a timeout of ``t - now``, and when ``t > 2 * now`` the
+        subtraction rounds, so the two can differ in the last bit.
+        """
+        now = self._now
+        if not t >= now:  # also rejects NaN
+            raise SimulationError(f"call_at({t}) is in the past (now={now})")
+        ev = Timeout(t - now, None, self)
+        ev.callbacks.append(fn)
         return ev
 
     # -- main loop -------------------------------------------------------
@@ -198,7 +227,7 @@ class Simulator:
         """Process the single next event."""
         if not self._heap:
             raise SimulationError("step() on empty event queue")
-        t, _seq, event = heapq.heappop(self._heap)
+        t, _seq, event = heappop(self._heap)
         self._now = t
         self._event_count += 1
         event._run_callbacks()
@@ -213,13 +242,39 @@ class Simulator:
         With ``until=None``, runs until the queue empties.  When a bound
         is given the clock is advanced exactly to it, so back-to-back
         ``run(until=...)`` calls tile time seamlessly.
+
+        Equivalent to ``while peek() <= until: step()``, dispatched in
+        this frame.  The clock is *not* cached in a local: callbacks read
+        ``sim.now``.
         """
         if until is None:
-            while self._heap:
-                self.step()
-            return
-        if until < self._now:
+            bound = float("inf")
+        elif not until >= self._now:  # also rejects NaN
             raise SimulationError(f"run(until={until}) is in the past (now={self._now})")
-        while self._heap and self._heap[0][0] <= until:
-            self.step()
-        self._now = float(until)
+        else:
+            bound = until
+        heap = self._heap
+        pop = heappop
+        fired = 0
+        try:
+            while heap and heap[0][0] <= bound:
+                self._now, _seq, event = pop(heap)
+                fired += 1
+                # Event._run_callbacks, inlined.
+                event._processed = True
+                callbacks = event.callbacks
+                event.callbacks = None
+                if callbacks:
+                    for fn in callbacks:
+                        fn(event)
+        finally:
+            # Exact even when a callback raises.
+            self._event_count += fired
+        if until is not None:
+            self._now = float(until)
+
+
+# process.py imports this module, so the cycle engine -> process -> engine
+# is resolved here, below every name process.py needs, rather than by a
+# function-local import on each spawn().
+from repro.sim.process import Process  # noqa: E402

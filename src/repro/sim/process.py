@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Iterable, List, Optional
 
-from repro.sim.engine import Event, Simulator, Timeout
+from repro.sim.engine import PENDING, Event, Simulator, Timeout
 from repro.sim.errors import Interrupted, SimulationError
 
 
@@ -34,14 +34,14 @@ class Process(Event):
             )
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         # Kick off on the next event-loop iteration at the current time.
-        start = sim.timeout(0.0)
-        start.add_callback(self._resume)
+        start = Timeout(0.0, None, sim)
+        start.callbacks.append(self._resume)
+        self._waiting_on: Event = start
 
     @property
     def is_alive(self) -> bool:
-        return not self.triggered
+        return self._value is PENDING
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupted` into the process at the current time.
@@ -49,34 +49,41 @@ class Process(Event):
         A process cannot interrupt itself, and interrupting a finished
         process is an error (matching SimPy semantics).
         """
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        wake = self.sim.timeout(0.0)
-        exc = Interrupted(cause)
+        wake = Event(self.sim)
+        wake.callbacks.append(self._deliver_interrupt)
+        wake.fail(Interrupted(cause))
 
-        def deliver(_ev: Event) -> None:
-            if self.triggered:  # finished in the meantime
-                return
-            self._step(exc, throw=True)
-
-        wake.add_callback(deliver)
+    def _deliver_interrupt(self, wake: Event) -> None:
+        if self._value is not PENDING:  # finished in the meantime
+            return
+        # The process stops waiting on whatever it yielded: were _resume
+        # left registered there, that event's value would later be sent
+        # into whichever yield the process has moved on to.
+        waiting = self._waiting_on.callbacks
+        if waiting is not None:  # not fired yet
+            waiting.remove(self._resume)
+        self._resume(wake)
 
     # -- generator driving ----------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self._step(event.value, throw=False)
-        else:
-            self._step(event.value, throw=True)
+        """Send ``event``'s value into the generator (throw it if the event
+        failed) and wait on whatever the generator yields next.
 
-    def _step(self, value: Any, *, throw: bool) -> None:
-        self._waiting_on = None
+        One frame per wake-up: slots are read directly and nothing is
+        delegated.  Do not cache the bound ``self._resume`` (or
+        ``gen.send``) on the instance — the reference cycle keeps every
+        finished per-RPC process alive until the cyclic collector runs,
+        which costs more than the attribute lookups save.
+        """
+        if self._value is not PENDING:
+            return
         try:
-            if throw:
-                target = self.gen.throw(value)
+            if event._ok:
+                target = self.gen.send(event._value)
             else:
-                target = self.gen.send(value)
+                target = self.gen.throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -88,16 +95,23 @@ class Process(Event):
                 self.fail(exc)
                 return
             raise
-        # Bind unbound timeouts created inside process code.
-        if isinstance(target, Timeout) and target.sim is None:
-            target._bind(self.sim)
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must "
-                f"yield Event/Timeout/Process instances"
-            )
+        if type(target) is not Event:  # the common case needs no check
+            if isinstance(target, Timeout):
+                # Bind unbound timeouts created inside process code.
+                if target.sim is None:
+                    target._bind(self.sim)
+            elif not isinstance(target, Event):
+                raise SimulationError(
+                    f"process {self.name!r} yielded {target!r}; processes must "
+                    f"yield Event/Timeout/Process instances"
+                )
         self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.append(self._resume)
+        else:
+            # Already processed: carry on at once, as add_callback does.
+            self._resume(target)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.is_alive else "done"

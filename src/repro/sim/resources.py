@@ -58,7 +58,7 @@ class Resource:
 
     def acquire(self) -> Event:
         """Request one slot; yield the returned event to wait for it."""
-        ev = self.sim.event()
+        ev = Event(self.sim)
         if self._in_use < self._capacity and not self._waiters:
             self._in_use += 1
             ev.succeed()
@@ -103,7 +103,7 @@ class Store:
 
     def get(self) -> Event:
         """Yield the returned event to receive the oldest item."""
-        ev = self.sim.event()
+        ev = Event(self.sim)
         if self._items:
             ev.succeed(self._items.popleft())
         else:
@@ -177,7 +177,7 @@ class TokenBucket:
                 f"cannot acquire {n} tokens from a bucket of capacity "
                 f"{self.capacity}"
             )
-        ev = self.sim.event()
+        ev = Event(self.sim)
         self._refill()
         if not self._waiters and self._tokens >= n:
             self._tokens -= n

@@ -153,6 +153,61 @@ class TestInterrupt:
         sim.run()
         assert log == [(3.0, "reconfig")]
 
+    def test_interrupted_process_that_carries_on_is_resumed_once(self):
+        """The event a process was waiting on when it was interrupted must
+        not wake it again: its value would land in a later ``yield``."""
+        sim = Simulator()
+        log = []
+
+        def stubborn():
+            try:
+                v = yield Timeout(5.0, value="first")
+                log.append(("resumed", sim.now, v))
+            except Interrupted:
+                log.append(("interrupted", sim.now))
+            v = yield Timeout(10.0, value="second")
+            log.append(("resumed", sim.now, v))
+            v = yield Timeout(10.0, value="third")
+            log.append(("resumed", sim.now, v))
+
+        p = sim.spawn(stubborn())
+
+        def interrupter():
+            yield Timeout(1.0)
+            p.interrupt()
+
+        sim.spawn(interrupter())
+        sim.run()
+        assert log == [
+            ("interrupted", 1.0),
+            ("resumed", 11.0, "second"),
+            ("resumed", 21.0, "third"),
+        ]
+        assert p.ok and not p.is_alive
+
+    def test_interrupt_leaves_other_waiters_on_the_event(self):
+        sim = Simulator()
+        shared = sim.timeout(5.0, value="shared")
+        log = []
+
+        def waiter(name):
+            try:
+                v = yield shared
+                log.append((name, sim.now, v))
+            except Interrupted:
+                log.append((name, sim.now, "interrupted"))
+
+        a = sim.spawn(waiter("a"))
+        sim.spawn(waiter("b"))
+
+        def interrupter():
+            yield Timeout(2.0)
+            a.interrupt()
+
+        sim.spawn(interrupter())
+        sim.run()
+        assert log == [("a", 2.0, "interrupted"), ("b", 5.0, "shared")]
+
     def test_interrupt_finished_process_raises(self):
         sim = Simulator()
 
