@@ -6,7 +6,10 @@ without model code behind it, the wire codec must be far off the
 critical path, one DNN training step must be milliseconds, and the
 struct-of-arrays fleet kernel (``repro.sim.vec``) must advance a
 16-cluster fleet at least 5x faster than the reference engine advances
-the same clusters one by one.
+the same clusters one by one.  Two more rows record what one fleet tick
+costs on the acting path (``vec_step_us_per_fleet_tick``) and on the
+chunked monitoring path (``vec_chunk_us_per_env_tick``); they are
+recorded, never asserted.
 
 The two event-throughput tests print and do not judge (no wall-clock
 comparison may fail a test); the gated number for the discrete-event
@@ -39,6 +42,38 @@ from repro.sim import Simulator, Timeout
 from repro.telemetry import DifferentialDecoder, DifferentialEncoder
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_collect.json"
+
+
+def _merge_bench(**rows):
+    """Read-modify-write: the collect-throughput bench owns the file's
+    other rows."""
+    bench = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
+    bench.update(rows)
+    BENCH_PATH.write_text(json.dumps(bench, indent=2) + "\n")
+
+
+def _fleet_config(n_clients):
+    """The figure benches' cluster and compressed hyperparameters."""
+    from repro.cluster import ClusterConfig
+    from repro.env import EnvConfig
+    from repro.rl import Hyperparameters
+    from repro.workloads import RandomReadWrite
+
+    def workload(cluster, seed):
+        return RandomReadWrite(
+            cluster, read_fraction=0.1, seed=seed, instances_per_client=5
+        )
+
+    return EnvConfig(
+        cluster=ClusterConfig(n_servers=2, n_clients=n_clients),
+        workload_factory=workload,
+        hp=Hyperparameters(
+            hidden_layer_size=64,
+            exploration_ticks=800,
+            sampling_ticks_per_observation=10,
+        ),
+        seed=42,
+    )
 
 
 @pytest.mark.benchmark(group="perf")
@@ -116,31 +151,14 @@ def test_perf_tick_all():
     ``BENCH_collect.json`` (read-modify-write: the collect-throughput
     bench owns the file's other rows).
     """
-    from repro.cluster import ClusterConfig
-    from repro.env import EnvConfig, StorageTuningEnv, make_env
-    from repro.rl import Hyperparameters
-    from repro.workloads import RandomReadWrite
+    from repro.env import StorageTuningEnv
+    from repro.sim.vec import FleetEnv
 
-    def workload(cluster, seed):
-        return RandomReadWrite(
-            cluster, read_fraction=0.1, seed=seed, instances_per_client=5
-        )
-
-    hp = Hyperparameters(
-        hidden_layer_size=64,
-        exploration_ticks=800,
-        sampling_ticks_per_observation=10,
-    )
-    kw = dict(
-        cluster=ClusterConfig(n_servers=2, n_clients=3),
-        workload_factory=workload,
-        hp=hp,
-        seed=42,
-    )
+    config = _fleet_config(n_clients=3)
     n_vec, vec_ticks = 16, 200
     ref_ticks = 30
 
-    fleet = make_env("sim-lustre-vec", n_envs=n_vec, **kw)
+    fleet = FleetEnv(config, n_envs=n_vec)
     fleet.reset()
     fleet.run_chunk(10)  # warm caches/JIT'd ufunc paths out of the timing
     t0 = time.perf_counter()
@@ -150,7 +168,7 @@ def test_perf_tick_all():
 
     # Reference per-env rate from one env (the N-loop is sequential, so
     # its aggregate rate equals the single-env rate).
-    env = StorageTuningEnv(EnvConfig(**kw))
+    env = StorageTuningEnv(config)
     env.reset()
     t0 = time.perf_counter()
     env.run_ticks(ref_ticks)
@@ -162,14 +180,74 @@ def test_perf_tick_all():
         f"\ntick_all: {vec_rate:.0f} env-ticks/s over {n_vec} clusters "
         f"vs {ref_rate:.1f}/s reference -> {speedup:.0f}x"
     )
-    bench = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
-    bench.update(
+    _merge_bench(
         vec_n_envs=n_vec,
         vec_ticks_per_s=round(vec_rate, 1),
         vec_collect_speedup=round(speedup, 2),
     )
-    BENCH_PATH.write_text(json.dumps(bench, indent=2) + "\n")
     assert speedup >= 5.0, (vec_rate, ref_rate)
+
+
+def test_perf_vec_step():
+    """One acting fleet tick: ``VectorEnv.step`` on the vec backend.
+
+    16 envs of the repo benchmark's shape (2 servers x 5 clients,
+    stride 8192), seeded random actions — what ``CapesTuner`` and the
+    vec evidence sweeps run, and what no ``BENCHMARK.json`` workload
+    times.  1 110 us per fleet tick with per-env actions and one fan-in
+    batch per env; the target for the fleet-wide action path and one
+    batch per step was <= 600.  Best of three 200-step blocks, printed
+    and merged into ``BENCH_collect.json``, never asserted.
+    """
+    from repro.env import VectorEnv
+
+    n_envs, steps = 16, 200
+    venv = VectorEnv.from_config(
+        _fleet_config(n_clients=5), n_envs, backend="vec", tick_stride=8192
+    )
+    venv.reset()
+    actions = np.random.default_rng(0).integers(
+        0, venv.n_actions, size=(4, steps, n_envs)
+    )
+    blocks = []
+    for block in actions:  # the first block warms up and is dropped
+        t0 = time.perf_counter()
+        for row in block:
+            venv.step(row)
+        blocks.append((time.perf_counter() - t0) / steps * 1e6)
+    venv.close()
+    step_us = min(blocks[1:])
+    print(f"\nvec step: {step_us:.0f} us per {n_envs}-env acting fleet tick")
+    _merge_bench(vec_step_us_per_fleet_tick=round(step_us, 1))
+
+
+def test_perf_vec_chunk():
+    """One chunked monitoring tick: ``FleetEnv.run_chunk(50, action=0)``.
+
+    The physics-and-bookkeeping share of ``repro collect`` (no fan-in),
+    same 16-env shape as ``test_perf_vec_step``.  24 us per env-tick
+    with gathers and per-env NULL actions; the target for slices and
+    the fleet-wide action path was <= 15.  Best of three four-chunk
+    blocks, printed and merged, never asserted.
+    """
+    from repro.sim.vec import FleetEnv
+
+    n_envs, chunk, chunks = 16, 50, 4
+    fleet = FleetEnv(_fleet_config(n_clients=5), n_envs=n_envs)
+    fleet.reset()
+    fleet.run_chunk(chunk, action=0)
+    blocks = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for _ in range(chunks):
+            fleet.run_chunk(chunk, action=0)
+        blocks.append(
+            (time.perf_counter() - t0) / (n_envs * chunk * chunks) * 1e6
+        )
+    fleet.close()
+    chunk_us = min(blocks)
+    print(f"\nvec chunk: {chunk_us:.1f} us per env-tick ({n_envs} envs)")
+    _merge_bench(vec_chunk_us_per_env_tick=round(chunk_us, 2))
 
 
 @pytest.mark.benchmark(group="perf")

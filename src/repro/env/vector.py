@@ -57,7 +57,9 @@ per-tick lockstep (the policy needs every observation) but pay no
 separate records round-trip; monitoring-only :meth:`VectorEnv.collect`
 and :meth:`VectorEnv.run_ticks` additionally run *chunked* — one
 ``run_chunk`` round-trip advances many ticks — which is pure
-transport: chunked and per-tick stepping are byte-identical.
+transport: chunked and per-tick stepping are byte-identical.  The
+``vec`` backend has no replies to unpack: it lands the whole fleet's
+new rows as *one* env-major batch per step or chunk.
 
 Determinism contract
 --------------------
@@ -729,17 +731,42 @@ class VectorEnv:
 
     def _ingest(self, i: int, packed: Optional[PackedRecords]) -> None:
         """Batch-write env ``i``'s new records into the shared DB."""
-        if self.shared_db is None or packed is None or len(packed) == 0:
+        if self.shared_db is not None and packed is not None:
+            self._land(np.full(len(packed), i), packed)
+
+    def _ingest_fleet(self) -> None:
+        """Fan in every fleet row's new records as one batch (vec).
+
+        No worker round-trips: the rows come straight off the fleet's
+        record columns.  Envs need not be in lockstep — each
+        contributes its rows after its own :meth:`_since`.
+        """
+        if self.shared_db is not None:
+            self._land(
+                *self._fleet.state.packed_since_all(
+                    [self._since(i) for i in range(self.n_envs)]
+                )
+            )
+
+    def _land(self, envs: np.ndarray, packed: PackedRecords) -> None:
+        """Land local-tick rows, env-major (``envs`` names each row's
+        env), as one batch: one ``put_many``, the frontier updates, one
+        call per listener.  Global ticks ascend strictly, so the batch
+        takes ``put_many``'s vectorised path."""
+        if len(packed) == 0:
             return
-        top = int(packed.ticks[-1])
-        if top >= self.tick_stride:
+        # Each env's newest row closes its run.
+        last = np.flatnonzero(np.diff(envs, append=self.n_envs))
+        tops = packed.ticks[last]
+        worst = tops.argmax()
+        if tops[worst] >= self.tick_stride:
             raise RuntimeError(
-                f"env {i} reached tick {top} >= tick_stride "
-                f"{self.tick_stride}; raise tick_stride to run longer "
-                f"vectorized sessions"
+                f"env {envs[last[worst]]} reached tick {tops[worst]} >= "
+                f"tick_stride {self.tick_stride}; raise tick_stride to "
+                f"run longer vectorized sessions"
             )
         global_batch = PackedRecords(
-            ticks=packed.ticks + i * self.tick_stride,
+            ticks=packed.ticks + envs * self.tick_stride,
             frames=packed.frames,
             actions=packed.actions,
             rewards=packed.rewards,
@@ -750,25 +777,10 @@ class VectorEnv:
             global_batch.rewards,
             global_batch.actions,
         )
-        self.spans.observe_top(i, top)
+        for i, top in zip(envs[last].tolist(), tops.tolist()):
+            self.spans.observe_top(i, top)
         for fn in self._ingest_listeners:
             fn(global_batch)
-
-    def _ingest_fleet(self) -> None:
-        """Fan in every fleet row's new records (vec fast paths).
-
-        No worker round-trips: the packed blocks slice straight off the
-        fleet's record arrays.
-        """
-        if self.shared_db is None:
-            return
-        for i in range(self.n_envs):
-            self._ingest(
-                i,
-                self._fleet.records_since_packed(
-                    self._since(i), env_index=i
-                ),
-            )
 
     def _sync_env(self, i: int) -> None:
         """Pull-and-ingest env ``i``'s new records (one worker round-trip).

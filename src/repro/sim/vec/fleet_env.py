@@ -33,7 +33,7 @@ from repro.replaydb.sampler import MinibatchSampler
 from repro.scenarios.scenario import ScenarioRuntime
 from repro.sim.vec.config import FleetConfig
 from repro.sim.vec.physics import tick_all
-from repro.sim.vec.state import FleetState, RecordView
+from repro.sim.vec.state import FleetState, RecordView, as_selection
 from repro.telemetry.indicators import frame_width
 
 
@@ -125,6 +125,7 @@ class FleetEnv:
                 for e in range(self.n_envs)
             ]
         warm = self.fcfg.obs_ticks
+        self.state.reserve_records(warm)  # the grace loop adds none beyond
         for _ in range(warm):
             self._advance(self._all_idx)
         budget = max(50, 10 * warm)
@@ -241,14 +242,17 @@ class FleetEnv:
         return self.state.observation(e)
 
     def _advance(self, idx: np.ndarray) -> np.ndarray:
-        """One tick for envs ``idx`` (sorted); returns their rewards."""
+        """One tick for envs ``idx`` (sorted); returns their rewards.
+
+        Record capacity must have been reserved by the caller.
+        """
         st = self.state
-        st.tick[idx] += 1
-        for e in idx:
-            rt = self._runtimes[e]
-            if rt is not None:
-                rt.on_tick(int(st.tick[e]))
-        frames, rewards = tick_all(st, idx)
+        sel = as_selection(idx)
+        st.tick[sel] += 1
+        if self.config.scenario is not None:
+            for e in idx:
+                self._runtimes[e].on_tick(int(st.tick[e]))
+        frames, rewards = tick_all(st, sel)
         p = self.fcfg.drop_probability
         if p > 0.0:
             keep = np.ones(len(idx), dtype=bool)
@@ -258,46 +262,102 @@ class FleetEnv:
                 draws = st.drop_rngs[e].random(self.fcfg.n_clients)
                 if (draws < p).any():
                     keep[j] = False
-            kept = idx[keep]
-            st.append_records(kept, frames[keep], rewards[keep])
-            st.push_frames(kept, frames[keep])
+            st.append_records(idx[keep], frames[keep], rewards[keep])
         else:
             st.append_records(idx, frames, rewards)
-            st.push_frames(idx, frames)
+        return rewards
+
+    def _run(
+        self, idx: np.ndarray, k: int, action: Optional[int]
+    ) -> np.ndarray:
+        """``k`` ticks for envs ``idx``, ``action`` (when given) performed
+        on each before every tick; rewards ``(len(idx), k)``."""
+        self._require_reset()
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        actions = None if action is None else np.full(len(idx), action)
+        self.state.reserve_records(k)
+        rewards = np.empty((len(idx), k))
+        for j in range(k):
+            if actions is not None:
+                self._perform_actions(idx, actions)
+            rewards[:, j] = self._advance(idx)
         return rewards
 
     # -- actions ---------------------------------------------------------
-    def _get_param(self, e: int, name: str) -> float:
-        st = self.state
+    def _knob(self, name: str) -> np.ndarray:
+        """The ``(n_envs,)`` state array holding parameter ``name``."""
         if name == "max_rpcs_in_flight":
-            return float(st.window[e])
+            return self.state.window
         if name == "io_rate_limit":
-            return float(st.rate[e])
+            return self.state.rate
         raise KeyError(f"unknown parameter {name!r}")
 
+    def _get_param(self, e: int, name: str) -> float:
+        return float(self._knob(name)[e])
+
     def _set_param(self, e: int, name: str, value: float) -> None:
-        st = self.state
+        knob = self._knob(name)
         # Mirrors ControlAgent's setters: the window is an integer knob.
-        if name == "max_rpcs_in_flight":
-            st.window[e] = int(round(value))
-        elif name == "io_rate_limit":
-            st.rate[e] = float(value)
-        else:
-            raise KeyError(f"unknown parameter {name!r}")
+        knob[e] = int(round(value)) if knob is self.state.window else value
 
-    def _perform_action(self, e: int, action: int) -> ActionEffect:
-        """The Interface Daemon's check/broadcast/record path, row-wise."""
-        st = self.state
+    def _perform_actions(self, idx: np.ndarray, actions):
+        """The Interface Daemon's check/broadcast/record path for envs
+        ``idx`` at once: one action each.
 
-        def get(name: str) -> float:
-            return self._get_param(e, name)
+        The whole vector is validated before anything moves.  Returns
+        ``(recorded, old, new)``: the actions as recorded (a checker
+        veto records NULL and leaves the knob) and each env's proposed
+        parameter change (NaN where the recorded action is NULL).
+        """
+        st, space = self.state, self.action_space
+        recorded = np.array(actions, dtype=np.int64)
+        bad = (recorded < 0) | (recorded >= space.n_actions)
+        if bad.any():
+            raise ValueError(
+                f"action {recorded[bad][0]} out of range "
+                f"[0, {space.n_actions})"
+            )
+        old = np.full(len(idx), np.nan)
+        new = old.copy()
+        nonnull = recorded[recorded != space.NULL_ACTION]
+        for action in sorted(set(nonnull.tolist())):
+            param, direction = space.decode(action)
+            knob = self._knob(param.name)
+            at = np.flatnonzero(recorded == action)
+            # Same expression order as ``TunableParameter.clamp``.
+            was = knob[idx[at]]
+            now = np.minimum(
+                param.high, np.maximum(param.low, was + direction * param.step)
+            )
+            if self.checker.rules:
+                passed = np.array([
+                    self.checker.check(
+                        ActionEffect(action, param.name, float(o), float(n))
+                    )
+                    for o, n in zip(was, now)
+                ])
+                recorded[at[~passed]] = space.NULL_ACTION
+                at, was, now = at[passed], was[passed], now[passed]
+            old[at], new[at] = was, now
+            moved = now != was
+            # Mirrors ControlAgent's setters: the window is an integer
+            # knob (``rint`` and ``round`` are both half-to-even).
+            value = np.rint(now) if knob is st.window else now
+            knob[idx[at[moved]]] = value[moved]
+        st.set_actions(idx, recorded)
+        return recorded, old, new
 
-        action = self.checker.filter(self.action_space, action, get)
-        effect = self.action_space.propose(action, get)
-        if not effect.is_null and effect.new_value != effect.old_value:
-            self._set_param(e, effect.parameter, effect.new_value)
-        st.set_action(e, int(st.tick[e]), action)
-        return effect
+    def _effects(self, recorded, old, new) -> List[ActionEffect]:
+        """:meth:`_perform_actions`' result as per-env effects."""
+        effects = []
+        for action, o, n in zip(recorded.tolist(), old.tolist(), new.tolist()):
+            param, _ = self.action_space.decode(action)
+            if param is None:
+                effects.append(ActionEffect(action, None, None, None))
+            else:
+                effects.append(ActionEffect(action, param.name, o, n))
+        return effects
 
     def _param_values(self, e: int) -> Dict[str, float]:
         return {
@@ -321,10 +381,10 @@ class FleetEnv:
             raise ValueError(
                 f"expected {self.n_envs} actions, got shape {actions.shape}"
             )
-        effects = [
-            self._perform_action(e, int(actions[e]))
-            for e in range(self.n_envs)
-        ]
+        effects = self._effects(
+            *self._perform_actions(self._all_idx, actions)
+        )
+        self.state.reserve_records(1)
         rewards = self._advance(self._all_idx)
         obs = self.current_observation(out=out)
         infos = [
@@ -348,16 +408,7 @@ class FleetEnv:
         observation builds.  ``k=0`` performs nothing and returns an
         empty block.
         """
-        self._require_reset()
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        rewards = np.empty((self.n_envs, k))
-        for j in range(k):
-            if action is not None:
-                for e in range(self.n_envs):
-                    self._perform_action(e, int(action))
-            rewards[:, j] = self._advance(self._all_idx)
-        return rewards
+        return self._run(self._all_idx, k, action)
 
     def run_ticks(self, n: int) -> np.ndarray:
         """Advance ``n`` ticks with no actions; rewards ``(n_envs, n)``."""
@@ -454,6 +505,7 @@ class FleetSlot:
     def __init__(self, fleet: FleetEnv, index: int):
         self.fleet = fleet
         self.index = int(index)
+        self._idx = np.array([self.index])
 
     # -- metadata mirrors -------------------------------------------------
     @property
@@ -508,8 +560,11 @@ class FleetSlot:
         fleet = self.fleet
         fleet._require_reset()
         e = self.index
-        effect = fleet._perform_action(e, action)
-        reward = float(fleet._advance(np.array([e]))[0])
+        (effect,) = fleet._effects(
+            *fleet._perform_actions(self._idx, [action])
+        )
+        fleet.state.reserve_records(1)
+        reward = float(fleet._advance(self._idx)[0])
         obs = fleet.state.observation(e, out=out)
         info = {
             "tick": int(fleet.state.tick[e]),
@@ -521,18 +576,7 @@ class FleetSlot:
 
     def run_chunk(self, k: int, action: Optional[int] = None) -> np.ndarray:
         """Advance this env ``k`` ticks; per-tick rewards, shape ``(k,)``."""
-        fleet = self.fleet
-        fleet._require_reset()
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        e = self.index
-        idx = np.array([e])
-        rewards = np.empty(k)
-        for j in range(k):
-            if action is not None:
-                fleet._perform_action(e, int(action))
-            rewards[j] = fleet._advance(idx)[0]
-        return rewards
+        return self.fleet._run(self._idx, k, action)[0]
 
     def run_ticks(self, n: int) -> np.ndarray:
         """Advance ``n`` ticks with no actions; per-tick rewards."""

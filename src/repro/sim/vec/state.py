@@ -8,9 +8,11 @@ per-client, ``(E, S)`` per-server, ``(E, C, S)`` per-OSC (client ×
 server connection — the unit the 11 telemetry PIs describe).
 
 The replay record columns (ticks / frames / actions / rewards) live
-here too, as growable per-env arrays: ``records_since_packed`` slices
-them into a :class:`~repro.replaydb.records.PackedRecords` without ever
-materialising per-tick objects, and :class:`RecordView` adapts them to
+here too, as growable per-env arrays, and are the fleet's only copy of
+a frame: ``records_since_packed`` slices them into a
+:class:`~repro.replaydb.records.PackedRecords` without ever
+materialising per-tick objects, the stacked observation is their newest
+``obs_ticks`` rows, and :class:`RecordView` adapts them to
 the :class:`~repro.replaydb.cache.ReplayCache` duck interface so
 Algorithm 1's :class:`~repro.replaydb.sampler.MinibatchSampler` can
 draw minibatches straight off the fleet arrays.
@@ -18,7 +20,7 @@ draw minibatches straight off the fleet arrays.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +30,23 @@ from repro.util.rng import derive_rng, ensure_rng
 
 #: Initial per-env record capacity; doubles on demand.
 _REC_CAP0 = 512
+
+
+def as_selection(idx):
+    """Sorted env indices as a ``slice`` when they form one contiguous run.
+
+    Indexing a state array with a slice reads a view and stores in
+    place; an index array gathers and scatters.  The whole fleet and a
+    single env are both runs, so the hot paths never gather.  A
+    non-contiguous ``idx`` (or a slice) is returned unchanged and flows
+    through the same statements.
+    """
+    if isinstance(idx, slice) or len(idx) == 0:
+        return idx
+    first = int(idx[0])
+    if int(idx[-1]) - first + 1 != len(idx):
+        return idx
+    return slice(first, first + len(idx))
 
 
 class FleetState:
@@ -73,14 +92,8 @@ class FleetState:
         self.net_bw_f = np.ones(E)
         self.net_lat_f = np.ones(E)
 
-        # Observation ring, kept pre-stacked: (E, obs_ticks, F) with the
-        # newest frame last.  Warm-up padding (repeat the earliest
-        # stored frame backwards) falls out of initialising every slot
-        # with the first frame — see ``push_frames``.
-        self.obs3 = np.zeros((E, cfg.obs_ticks, frame_dim))
-        self.obs_count = np.zeros(E, dtype=np.int64)
-
-        # Replay record columns (growable along axis 1).
+        # Replay record columns (growable along axis 1).  The newest
+        # ``obs_ticks`` rows double as the observation window.
         self.rec_len = np.zeros(E, dtype=np.int64)
         self.rec_ticks = np.zeros((E, _REC_CAP0), dtype=np.int64)
         self.rec_frames = np.zeros((E, _REC_CAP0, frame_dim))
@@ -106,26 +119,33 @@ class FleetState:
         "tick", "window", "rate", "tokens", "dirty", "qr", "ack", "send",
         "last_pt", "min_pt", "lat", "inst_base", "surge", "paused",
         "rf", "think", "disk_bw_f", "disk_seek_f", "net_bw_f", "net_lat_f",
-        "obs3", "obs_count",
         "rec_len", "rec_ticks", "rec_frames", "rec_actions", "rec_rewards",
     )
 
     # -- record columns ---------------------------------------------------
-    def _grow_records(self) -> None:
+    def reserve_records(self, k: int) -> None:
+        """Make room for ``k`` more records on every env.
+
+        Callers reserve once per chunk so :meth:`append_records` needs
+        no per-tick capacity check.  Growth doubles, allocating each
+        column once and copying only the rows in use; spare capacity is
+        zeros (``-1`` for actions), so snapshots stay deterministic.
+        """
+        live = int(self.rec_len.max())
         cap = self.rec_ticks.shape[1]
-        self.rec_ticks = np.concatenate(
-            [self.rec_ticks, np.zeros_like(self.rec_ticks)], axis=1
-        )
-        self.rec_frames = np.concatenate(
-            [self.rec_frames, np.zeros_like(self.rec_frames)], axis=1
-        )
-        self.rec_actions = np.concatenate(
-            [self.rec_actions, np.full_like(self.rec_actions, -1)], axis=1
-        )
-        self.rec_rewards = np.concatenate(
-            [self.rec_rewards, np.zeros_like(self.rec_rewards)], axis=1
-        )
-        assert self.rec_ticks.shape[1] == 2 * cap
+        if live + k <= cap:
+            return
+        while cap < live + k:
+            cap *= 2
+        for name in ("rec_ticks", "rec_frames", "rec_actions", "rec_rewards"):
+            old = getattr(self, name)
+            shape = (self.n_envs, cap) + old.shape[2:]
+            if name == "rec_actions":
+                new = np.full(shape, -1, dtype=old.dtype)
+            else:  # zeros, not full(0): untouched pages stay unmapped
+                new = np.zeros(shape, dtype=old.dtype)
+            new[:, :live] = old[:, :live]
+            setattr(self, name, new)
 
     def append_records(
         self, idx: np.ndarray, frames: np.ndarray, rewards: np.ndarray
@@ -134,17 +154,22 @@ class FleetState:
 
         ``frames`` is ``(len(idx), F)`` — the rows for those envs'
         current ticks — and ``rewards`` the matching objective values.
+        Capacity must have been reserved (:meth:`reserve_records`).
         """
-        if len(idx) == 0:
-            return
-        while int(self.rec_len[idx].max()) >= self.rec_ticks.shape[1]:
-            self._grow_records()
         rows = self.rec_len[idx]
         self.rec_ticks[idx, rows] = self.tick[idx]
         self.rec_frames[idx, rows] = frames
         self.rec_actions[idx, rows] = -1
         self.rec_rewards[idx, rows] = rewards
         self.rec_len[idx] = rows + 1
+
+    def set_actions(self, idx: np.ndarray, actions: np.ndarray) -> None:
+        """Record one action per env in ``idx``: :meth:`set_action` at
+        each env's current tick, for the whole selection at once."""
+        rows = self.rec_len[idx] - 1
+        # rows == -1 (no record yet) reads the last column; masked out.
+        stored = (rows >= 0) & (self.rec_ticks[idx, rows] == self.tick[idx])
+        self.rec_actions[idx[stored], rows[stored]] = actions[stored]
 
     def set_action(self, e: int, tick: int, action: int) -> bool:
         """Record ``action`` on env ``e``'s record for ``tick`` if stored.
@@ -172,33 +197,46 @@ class FleetState:
             rewards=self.rec_rewards[e, lo:n].copy(),
         )
 
-    # -- observation ring --------------------------------------------------
-    def push_frames(self, idx: np.ndarray, frames: np.ndarray) -> None:
-        """Shift envs ``idx``'s observation stacks and append ``frames``.
+    def packed_since_all(
+        self, after_ticks: Sequence[int]
+    ) -> Tuple[np.ndarray, PackedRecords]:
+        """Every env's records with ``tick > after_ticks[e]``, as one block.
 
-        A first-ever frame fills the whole stack, which makes the
-        stacked observation equal to "repeat the earliest frame
-        backwards" at every later fill level — the daemon's warm-up
-        padding, without a pad branch on the hot path.
+        Returns ``(envs, packed)``: the rows env-major (each env's in
+        tick order) and, aligned with them, the env each belongs to.
+        Envs need not be in lockstep: one mask over the column window
+        ``[first new row of any env, newest row of any env)`` selects
+        them all.
         """
-        if len(idx) == 0:
-            return
-        fresh = idx[self.obs_count[idx] == 0]
-        seen = idx[self.obs_count[idx] > 0]
-        if len(seen):
-            self.obs3[seen, :-1] = self.obs3[seen, 1:]
-            pos = np.searchsorted(idx, seen)
-            self.obs3[seen, -1] = frames[pos]
-        if len(fresh):
-            pos = np.searchsorted(idx, fresh)
-            self.obs3[fresh] = frames[pos][:, None, :]
-        self.obs_count[idx] += 1
+        hi = self.rec_len
+        lo = np.array([
+            self.rec_ticks[e, :n].searchsorted(after, side="right")
+            for e, (n, after) in enumerate(zip(hi.tolist(), after_ticks))
+        ])
+        first, last = int(lo.min()), int(hi.max())
+        window = np.s_[:, first:last]
+        cols = np.arange(first, last)
+        new = (cols >= lo[:, None]) & (cols < hi[:, None])
+        return np.nonzero(new)[0], PackedRecords(
+            ticks=self.rec_ticks[window][new],
+            frames=self.rec_frames[window][new],
+            actions=self.rec_actions[window][new],
+            rewards=self.rec_rewards[window][new],
+        )
 
+    # -- observations -------------------------------------------------------
     def observation(self, e: int, out: Optional[np.ndarray] = None):
-        """Env ``e``'s stacked observation, or None before any frame."""
-        if self.obs_count[e] == 0:
+        """Env ``e``'s stacked observation, or None before any frame.
+
+        The newest ``obs_ticks`` records, oldest first; during warm-up
+        the earliest stored frame is repeated backwards (the daemon's
+        padding).
+        """
+        n = int(self.rec_len[e])
+        if n == 0:
             return None
-        size = self.cfg.obs_ticks * self.frame_dim
+        S = self.cfg.obs_ticks
+        size = S * self.frame_dim
         if out is None:
             out = np.empty(size)
         elif out.size != size:
@@ -207,7 +245,12 @@ class FleetState:
             )
         elif not out.flags["C_CONTIGUOUS"] or out.dtype != np.float64:
             raise ValueError("out buffer must be a C-contiguous float64 array")
-        out.reshape(self.cfg.obs_ticks, self.frame_dim)[:] = self.obs3[e]
+        stack = out.reshape(S, self.frame_dim)
+        if n >= S:
+            stack[:] = self.rec_frames[e, n - S : n]
+        else:
+            stack[: S - n] = self.rec_frames[e, 0]
+            stack[S - n :] = self.rec_frames[e, :n]
         return out
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig
+from repro.core.actions import ActionEffect
 from repro.env import VectorEnv, make_env
 from repro.env.registry import _default_workload
 from repro.rl import Hyperparameters
@@ -209,6 +210,171 @@ def test_fleet_sampler_draws_minibatches():
         fleet.close()
 
 
+# -- the fleet-wide action path (§3.7) ----------------------------------
+
+
+def _state_copy(fleet):
+    st = fleet.state
+    return {name: getattr(st, name).copy() for name in st.MUTABLE_ARRAYS}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fleet: fleet.step([1, 99]),
+        lambda fleet: fleet.step([3, -1]),
+        lambda fleet: fleet.run_chunk(3, action=99),
+        lambda fleet: fleet.slot(1).step(99),
+    ],
+    ids=["step-high", "step-negative", "run_chunk", "slot-step"],
+)
+def test_bad_action_vector_changes_nothing(call):
+    """One out-of-range action rejects the whole vector before any
+    knob moves, any action is recorded or any tick runs."""
+    fleet = make_env("sim-lustre-vec", seed=SEED, n_envs=2, **ENV_KW)
+    try:
+        fleet.reset()
+        fleet.step([1, 3])
+        before = _state_copy(fleet)
+        with pytest.raises(ValueError, match="out of range"):
+            call(fleet)
+        for name, array in before.items():
+            np.testing.assert_array_equal(
+                getattr(fleet.state, name), array, err_msg=name
+            )
+    finally:
+        fleet.close()
+
+
+def test_action_checker_veto_on_the_fleet():
+    """A vetoed action records NULL, leaves the knob and counts one
+    veto; the other envs of the same vector apply normally."""
+    fleet = make_env("sim-lustre-vec", seed=SEED, n_envs=3, **ENV_KW)
+    try:
+        fleet.reset()
+        st = fleet.state
+        window0, rate0 = float(st.window[0]), float(st.rate[2])
+        fleet.checker.add_minimum("max_rpcs_in_flight", window0)
+        _obs, _rewards, infos = fleet.step([2, 1, 4])
+        np.testing.assert_array_equal(
+            st.window, [window0, window0 + 1, window0]
+        )
+        assert st.rate[2] == rate0 - 250.0
+        assert fleet.checker.vetoes == 1
+        # The action rides the record of the tick it was decided after.
+        rows = st.rec_len - 2
+        np.testing.assert_array_equal(
+            st.rec_actions[np.arange(3), rows], [0, 1, 4]
+        )
+        assert infos[0]["effect"] == ActionEffect(0, None, None, None)
+        assert infos[1]["effect"] == ActionEffect(
+            1, "max_rpcs_in_flight", window0, window0 + 1
+        )
+        assert infos[2]["effect"] == ActionEffect(
+            4, "io_rate_limit", rate0, rate0 - 250.0
+        )
+        # The same rule through a slot and through a chunk.
+        fleet.slot(0).step(2)
+        fleet.run_chunk(2, action=2)
+        # Env 1 steps 9 -> 8 on the chunk's first tick, then is vetoed too.
+        assert fleet.checker.vetoes == 1 + 1 + 2 + 3
+        np.testing.assert_array_equal(st.window, [window0] * 3)
+    finally:
+        fleet.close()
+
+
+# -- observations off the record columns, snapshots ----------------------
+
+
+def _ring_reference(frames, obs_ticks):
+    """The stacked observation an explicit ring would hold: the first
+    frame fills every slot, each later one shifts the stack."""
+    stack = np.repeat(frames[:1], obs_ticks, axis=0)
+    for frame in frames[1:]:
+        stack = np.concatenate([stack[1:], frame[None, :]])
+    return stack.reshape(-1)
+
+
+def test_observation_is_the_padded_record_window_under_drops():
+    """During warm-up (fewer records than ``obs_ticks``, first frames
+    dropped) and after it, the observation is the newest records with
+    the earliest frame repeated backwards."""
+    fleet = make_env(
+        "sim-lustre-vec", seed=SEED, n_envs=6, drop_probability=0.3, **ENV_KW
+    )
+    try:
+        fleet.reset()
+        st, S = fleet.state, HP.sampling_ticks_per_observation
+        assert (st.rec_len < S).any() and (st.rec_ticks[:, 0] > 1).any()
+        for _ in range(8):
+            for e in range(fleet.n_envs):
+                frames = st.rec_frames[e, : st.rec_len[e]]
+                np.testing.assert_array_equal(
+                    st.observation(e), _ring_reference(frames, S)
+                )
+            fleet.step([0] * fleet.n_envs)
+    finally:
+        fleet.close()
+
+
+def test_snapshot_with_legacy_observation_ring_restores():
+    """Snapshots written when the fleet kept an ``obs3``/``obs_count``
+    ring still restore: the extra arrays are ignored and the resumed
+    run is byte-identical."""
+    fleet = make_env("sim-lustre-vec", seed=SEED, n_envs=2, **ENV_KW)
+    other = make_env("sim-lustre-vec", seed=SEED, n_envs=2, **ENV_KW)
+    try:
+        fleet.reset()
+        fleet.run_chunk(5, action=1)
+        meta, arrays = fleet.snapshot_state()
+        assert "obs3" not in arrays
+        arrays["obs3"] = np.ones(
+            (2, HP.sampling_ticks_per_observation, fleet.frame_dim)
+        )
+        arrays["obs_count"] = np.full(2, 7, dtype=np.int64)
+        other.restore_state(meta, arrays)
+        np.testing.assert_array_equal(
+            other.current_observation(), fleet.current_observation()
+        )
+        for actions in ([2, 3], [0, 4], [1, 1]):
+            obs_a, rew_a, _ = fleet.step(actions)
+            obs_b, rew_b, _ = other.step(actions)
+            np.testing.assert_array_equal(obs_a, obs_b)
+            np.testing.assert_array_equal(rew_a, rew_b)
+        for name in fleet.state.MUTABLE_ARRAYS:
+            np.testing.assert_array_equal(
+                getattr(other.state, name), getattr(fleet.state, name)
+            )
+    finally:
+        fleet.close()
+        other.close()
+
+
+def test_snapshot_after_record_growth_keeps_capacity():
+    fleet = make_env("sim-lustre-vec", seed=SEED, n_envs=1, **ENV_KW)
+    other = make_env("sim-lustre-vec", seed=SEED, n_envs=1, **ENV_KW)
+    try:
+        fleet.reset()
+        fleet.run_chunk(520, action=0)
+        st = fleet.state
+        cap = st.rec_ticks.shape[1]
+        assert cap > 512 and int(st.rec_len[0]) > 512
+        # Spare capacity is pristine, so snapshots are deterministic.
+        assert not st.rec_frames[0, st.rec_len[0] :].any()
+        assert (st.rec_actions[0, st.rec_len[0] :] == -1).all()
+        other.restore_state(*fleet.snapshot_state())
+        assert other.state.rec_ticks.shape[1] == cap
+        np.testing.assert_array_equal(
+            other.state.observation(0), st.observation(0)
+        )
+        np.testing.assert_array_equal(
+            other.run_chunk(4, action=1), fleet.run_chunk(4, action=1)
+        )
+    finally:
+        fleet.close()
+        other.close()
+
+
 # -- VectorEnv integration ---------------------------------------------
 
 
@@ -243,6 +409,77 @@ def test_vector_env_vec_backend_end_to_end():
         ] == 12.0
         _obs, rewards, _infos = venv.step([0, 0, 0])
         assert np.isfinite(rewards).all()
+    finally:
+        venv.close()
+
+
+def test_vec_fan_in_lands_one_batch_per_step():
+    """Lockstep or not, a fleet step lands every env's new rows as one
+    env-major batch: one listener call, ticks strictly ascending, and
+    the shared store ends up holding exactly the fleet's records."""
+    stride = 256
+    venv = VectorEnv.from_registry(
+        "sim-lustre-vec",
+        3,
+        base_seed=SEED,
+        backend="vec",
+        env_kwargs=ENV_KW,
+        tick_stride=stride,
+    )
+    batches = []
+    venv.add_ingest_listener(batches.append)
+    try:
+        venv.reset()
+        batches.clear()
+        venv.step([0, 1, 2])
+        (batch,) = batches
+        # Two rows per env: the synced top again (it now carries its
+        # action) and the new tick.
+        assert len(batch) == 6
+        np.testing.assert_array_equal(
+            batch.ticks // stride, [0, 0, 1, 1, 2, 2]
+        )
+        assert (np.diff(batch.ticks) > 0).all()
+        # Env 1 runs ahead; the next chunk still lands as one batch,
+        # each env continuing from its own frontier.
+        venv.env_method(1, "run_ticks", 3)
+        batches.clear()
+        venv.collect(4, chunk=4)
+        (batch,) = batches
+        assert (np.diff(batch.ticks) > 0).all()
+        np.testing.assert_array_equal(
+            np.bincount(batch.ticks // stride), [5, 5, 5]
+        )
+        assert venv.spans.tops() == [8, 11, 8]
+        cache = venv.shared_db.cache
+        for i in range(3):
+            mine = venv._fleet.records_since_packed(-1, env_index=i)
+            landed = cache.records_between(i * stride, (i + 1) * stride - 1)
+            np.testing.assert_array_equal(
+                landed.ticks - i * stride, mine.ticks
+            )
+            np.testing.assert_array_equal(landed.frames, mine.frames)
+            np.testing.assert_array_equal(landed.actions, mine.actions)
+            np.testing.assert_array_equal(landed.rewards, mine.rewards)
+    finally:
+        venv.close()
+
+
+def test_vec_tick_stride_overflow_raises():
+    venv = VectorEnv.from_registry(
+        "sim-lustre-vec",
+        2,
+        base_seed=SEED,
+        backend="vec",
+        env_kwargs=ENV_KW,
+        tick_stride=6,
+    )
+    try:
+        venv.reset()  # warm-up = 3 ticks
+        with pytest.raises(
+            RuntimeError, match="env 0 reached tick 7 >= tick_stride 6"
+        ):
+            venv.collect(8, chunk=2)
     finally:
         venv.close()
 

@@ -8,6 +8,11 @@ path) and every array op elementwise or trailing-axis-reduced.  This
 test drives the promise across random seeds, env indices and scenario
 timelines: the same row must be byte-identical in a 2-env and an
 8-env fleet.
+
+A second property holds the fleet-wide action path (one vectorised
+check/apply/record pass per tick) to the scalar Interface Daemon
+reference — ``ActionChecker.filter`` then ``ActionSpace.apply``, env by
+env.
 """
 
 import hashlib
@@ -20,6 +25,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig
+from repro.core.actions import TunableParameter
+from repro.core.checker import ActionChecker
 from repro.env import make_env
 from repro.env.registry import _default_workload
 from repro.rl import Hyperparameters
@@ -192,3 +199,88 @@ def test_fuzzed_run_is_placement_independent(root_seed, index):
             f"fuzzed scenario {name} diverged between serial and fork "
             f"at n_envs={n_envs}: placement changed a seeded run"
         )
+
+
+# -- the fleet-wide action path vs the scalar reference (§3.7) -------------
+
+N_ACT_ENVS = 6
+
+#: The default Lustre knobs, and a custom list: rate first (so action
+#: indices map the other way round) and fractional steps (so the
+#: integer window knob rounds half-to-even on store).
+ACTION_PARAMETERS = {
+    "lustre": None,
+    "fractional": [
+        TunableParameter("io_rate_limit", 50.0, 10_000.0, 333.3, 10_000.0),
+        TunableParameter("max_rpcs_in_flight", 1, 64, 2.5, 8),
+    ],
+}
+
+
+def _per_env(values):
+    return st.lists(
+        st.sampled_from(values), min_size=N_ACT_ENVS, max_size=N_ACT_ENVS
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parameters=st.sampled_from(sorted(ACTION_PARAMETERS)),
+    windows=_per_env([1, 2, 3, 6, 8, 9, 11, 62, 63, 64]),
+    rates=_per_env([50.0, 200.0, 300.0, 383.3, 5000.0, 9800.0, 10000.0]),
+    actions=_per_env([0, 1, 2, 3, 4]),
+    minimum=st.sampled_from([None, 2, 8, 63]),
+)
+def test_fleet_actions_match_scalar_reference(
+    parameters, windows, rates, actions, minimum
+):
+    fleet = make_env(
+        "sim-lustre-vec",
+        seed=5,
+        n_envs=N_ACT_ENVS,
+        workload_factory=_default_workload,
+        parameters=ACTION_PARAMETERS[parameters],
+        **ENV_KW,
+    )
+    reference = ActionChecker()
+    if minimum is not None:
+        fleet.checker.add_minimum("max_rpcs_in_flight", minimum)
+        reference.add_minimum("max_rpcs_in_flight", minimum)
+    try:
+        fleet.reset()
+        state, space = fleet.state, fleet.action_space
+        state.window[:] = windows
+        state.rate[:] = rates
+        recorded, effects, params = [], [], []
+        for window, rate, action in zip(windows, rates, actions):
+            knobs = {
+                "max_rpcs_in_flight": float(window),
+                "io_rate_limit": float(rate),
+            }
+
+            def set_(name, value, knobs=knobs):
+                # ControlAgent's setters: the window is an integer knob.
+                if name == "max_rpcs_in_flight":
+                    value = int(round(value))
+                knobs[name] = float(value)
+
+            action = reference.filter(space, action, knobs.__getitem__)
+            recorded.append(action)
+            effects.append(space.apply(action, knobs.__getitem__, set_))
+            params.append(knobs)
+        decided_on = state.rec_len - 1
+        _obs, _rewards, infos = fleet.step(actions)
+        assert [info["effect"] for info in infos] == effects
+        assert [info["params"] for info in infos] == params
+        np.testing.assert_array_equal(
+            state.window, [p["max_rpcs_in_flight"] for p in params]
+        )
+        np.testing.assert_array_equal(
+            state.rate, [p["io_rate_limit"] for p in params]
+        )
+        np.testing.assert_array_equal(
+            state.rec_actions[np.arange(N_ACT_ENVS), decided_on], recorded
+        )
+        assert fleet.checker.vetoes == reference.vetoes
+    finally:
+        fleet.close()
