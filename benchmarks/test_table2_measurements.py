@@ -65,10 +65,46 @@ def test_table2_training_step_duration(benchmark, capes_session):
     agent = capes.session.agent
     batch = sampler.sample_minibatch(agent.hp.minibatch_size)
     benchmark(agent.train_step, batch)
-    # The vectorised step must be far below the paper's 0.1 s CPU time —
-    # our observations are ~8x smaller, so anything near 0.1 s would
-    # indicate a vectorisation bug.
+    # The vectorised step must be far below the paper's 0.1 s CPU time.
+    # Not because the observation is small — on the same 4x5 cluster it
+    # is 2200 floats against the paper's 1760, 25 % *larger* — but
+    # because the hidden layers here are 64 wide against the paper's
+    # 600: ~145 k parameters, not 1.68 M.  Anything near 0.1 s would
+    # indicate a vectorisation bug.  The step at the paper's width is
+    # test_table2_training_step_duration_paper_shape below.
     assert benchmark.stats["mean"] < PAPER["train_step_cpu_s"]
+
+
+@pytest.mark.benchmark(group="table2")
+def test_table2_training_step_duration_paper_shape(benchmark):
+    """Row 1 at the paper's shape: Table 1 verbatim (600 hidden units,
+    minibatch 32) on this repo's 4x5 observation (2200 floats).  The one
+    command that regenerates the ms/step ROADMAP quotes; it asserts only
+    exact things — the time is printed, not judged."""
+    hp = Hyperparameters.paper_values()
+    obs_dim, n_actions = 2200, 5
+    agent = DQNAgent(obs_dim, n_actions, hp=hp, rng=0)
+    assert agent.online.net.layer_dims == [2200, 600, 600, 5]
+    assert agent.online.net.num_parameters() == 1_684_205
+    rng = np.random.default_rng(0)
+    batch = Minibatch(
+        s_t=rng.normal(size=(hp.minibatch_size, obs_dim)),
+        s_next=rng.normal(size=(hp.minibatch_size, obs_dim)),
+        actions=rng.integers(0, n_actions, size=hp.minibatch_size),
+        rewards=rng.normal(size=hp.minibatch_size),
+    )
+    loss = benchmark.pedantic(
+        agent.train_step, args=(batch,), rounds=30, warmup_rounds=3
+    )
+    print(f"\npaper-shape training step: {benchmark.stats['mean'] * 1e3:.1f} ms "
+          f"mean, {benchmark.stats['min'] * 1e3:.1f} ms best of 30 "
+          f"(paper: ~{PAPER['train_step_cpu_s'] * 1e3:.0f} ms CPU, "
+          f"~{PAPER['train_step_gpu_s'] * 1e3:.0f} ms GPU; "
+          f"{agent.online.net.num_parameters():,} parameters, "
+          f"observation {obs_dim} floats vs the paper's "
+          f"{PAPER['observation_size']})")
+    assert np.isfinite(loss)
+    assert agent.train_steps == 33 and len(agent.loss_history) == 33
 
 
 @pytest.mark.benchmark(group="table2")

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import math
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -10,14 +11,32 @@ from repro.nn.initializers import xavier_uniform
 
 
 class Parameter:
-    """A weight tensor together with its accumulated gradient."""
+    """A weight tensor and its gradient: views into a flat float64 θ
+    arena and its ∇ twin — its own when loose, the network's once
+    :func:`pack` has moved it there.  ``value`` / ``grad`` are bound with
+    the arena and never rebound: write *through* them (``[...] =``,
+    ``out=``, ``+=``)."""
 
-    __slots__ = ("name", "value", "grad")
+    #: ``home`` is ``(θ arena, ∇ arena, this tensor's offset in both)``.
+    __slots__ = ("name", "value", "grad", "home")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        value = np.asarray(value, dtype=np.float64)
+        self._bind(value.reshape(-1), np.zeros(value.size), 0, value.shape)
+
+    def _bind(self, theta: np.ndarray, nabla: np.ndarray, start: int, shape) -> None:
+        stop = start + math.prod(shape)
+        object.__setattr__(self, "value", theta[start:stop].reshape(shape))
+        object.__setattr__(self, "grad", nabla[start:stop].reshape(shape))
+        object.__setattr__(self, "home", (theta, nabla, start))
+
+    def __setattr__(self, key, new):
+        # ``p.grad += g`` stores the same array back; any other array
+        # would leave the arena, which is what the optimiser sweeps.
+        if key != "name" and new is not getattr(self, key):
+            raise AttributeError(f"{self.name}.{key} is an arena view: write through it")
+        object.__setattr__(self, key, new)
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -28,6 +47,17 @@ class Parameter:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Parameter({self.name!r}, shape={self.value.shape})"
+
+
+def pack(params: Sequence[Parameter]) -> Tuple[np.ndarray, np.ndarray]:
+    """Move ``params``, in order, into one contiguous θ arena and one ∇
+    arena (gradients restart at zero); returns ``(θ, ∇)``."""
+    theta = np.concatenate([p.value.reshape(-1) for p in params])
+    nabla, at = np.zeros(theta.size), 0
+    for p in params:
+        p._bind(theta, nabla, at, p.shape)
+        at += p.value.size
+    return theta, nabla
 
 
 class Layer:
@@ -81,13 +111,16 @@ class Dense(Layer):
         return x @ self.W.value + self.b.value
 
     def backward(
-        self, grad_out: np.ndarray, input_grad: bool = True
+        self, grad_out: np.ndarray, input_grad: bool = True, accumulate: bool = True
     ) -> Optional[np.ndarray]:
         """Accumulate ``W``/``b`` gradients; return the input gradient.
 
         ``input_grad=False`` says the caller will not read it (a first
         layer in training), so it is not computed and None comes back.
         The parameter gradients are the same either way.
+        ``accumulate=False`` *writes* them instead: no zeroing before, no
+        weight-sized temporary (a sum not started from ``+0.0`` may leave
+        an exact zero as ``-0.0``; no optimiser here can tell).
         """
         if self._x is None:
             raise RuntimeError(f"{self.name}: backward() before forward()")
@@ -97,6 +130,10 @@ class Dense(Layer):
                 f"{self.name}: bad grad shape {grad_out.shape}, expected "
                 f"({self._x.shape[0]}, {self.out_dim})"
             )
-        self.W.grad += self._x.T @ grad_out
-        self.b.grad += grad_out.sum(axis=0)
+        if accumulate:
+            self.W.grad += self._x.T @ grad_out
+            self.b.grad += grad_out.sum(axis=0)
+        else:
+            np.matmul(self._x.T, grad_out, out=self.W.grad)
+            np.add.reduce(grad_out, axis=0, out=self.b.grad)
         return grad_out @ self.W.value.T if input_grad else None

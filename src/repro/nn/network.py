@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.nn.activations import Activation, Identity, make_activation
-from repro.nn.layers import Dense, Layer, Parameter
+from repro.nn.layers import Dense, Layer, Parameter, pack
 from repro.util.rng import derive_rng, ensure_rng
 
 
@@ -65,6 +65,14 @@ class MLP:
                 )
             else:
                 self._norms.append(None)
+        self._params: List[Parameter] = []
+        for dense, norm in zip(self._dense, self._norms):
+            self._params.extend(dense.parameters())
+            if norm is not None:
+                self._params.extend(norm.parameters())
+        #: All weights / all gradients as one flat vector each, in
+        #: :meth:`parameters` order; every ``Parameter`` views into them.
+        self.theta, self.nabla = pack(self._params)
 
     # -- introspection -----------------------------------------------------
     @property
@@ -76,12 +84,7 @@ class MLP:
         return self.layer_dims[-1]
 
     def parameters(self) -> List[Parameter]:
-        out: List[Parameter] = []
-        for d, norm in zip(self._dense, self._norms):
-            out.extend(d.parameters())
-            if norm is not None:
-                out.extend(norm.parameters())
-        return out
+        return list(self._params)
 
     def train_mode(self) -> None:
         """Use minibatch statistics in any normalization layers."""
@@ -96,15 +99,14 @@ class MLP:
                 norm.eval_mode()
 
     def num_parameters(self) -> int:
-        return sum(p.value.size for p in self.parameters())
+        return self.theta.size
 
     def nbytes(self) -> int:
         """In-memory model size (Table 2's 'size of the DNN model')."""
-        return sum(p.value.nbytes + p.grad.nbytes for p in self.parameters())
+        return self.theta.nbytes + self.nabla.nbytes
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        self.nabla.fill(0.0)
 
     # -- compute ------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -124,13 +126,15 @@ class MLP:
     __call__ = forward
 
     def backward(
-        self, grad_out: np.ndarray, input_grad: bool = True
+        self, grad_out: np.ndarray, input_grad: bool = True, accumulate: bool = True
     ) -> Optional[np.ndarray]:
         """Backpropagate; accumulates parameter grads, returns input grad.
 
         Training never reads the gradient w.r.t. the network's input;
         ``input_grad=False`` skips the first layer's share of it (its
         widest matmul) and returns None.  Parameter grads are unchanged.
+        ``accumulate=False`` has every layer write its gradients instead
+        (no :meth:`zero_grad` first; see ``Dense.backward``).
         """
         g = np.asarray(grad_out, dtype=np.float64)
         if g.ndim == 1:
@@ -141,8 +145,8 @@ class MLP:
         ):
             g = act.backward(g)
             if norm is not None:
-                g = norm.backward(g)
-            g = dense.backward(g, input_grad=input_grad or dense is not first)
+                g = norm.backward(g, accumulate)
+            g = dense.backward(g, input_grad or dense is not first, accumulate)
         return g
 
     # -- weight transfer -------------------------------------------------------
@@ -150,17 +154,14 @@ class MLP:
         return [p.value.copy() for p in self.parameters()]
 
     def set_weights(self, weights: Sequence[np.ndarray]) -> None:
-        params = self.parameters()
-        if len(weights) != len(params):
+        if len(weights) != len(self._params):
             raise ValueError(
-                f"expected {len(params)} arrays, got {len(weights)}"
+                f"expected {len(self._params)} arrays, got {len(weights)}"
             )
-        for p, w in zip(params, weights):
-            w = np.asarray(w, dtype=np.float64)
-            if w.shape != p.value.shape:
-                raise ValueError(
-                    f"{p.name}: shape {w.shape} != {p.value.shape}"
-                )
+        for p, w in zip(self._params, weights):
+            if np.shape(w) != p.shape:
+                raise ValueError(f"{p.name}: shape {np.shape(w)} != {p.shape}")
+        for p, w in zip(self._params, weights):
             p.value[...] = w
 
     def clone(self) -> "MLP":
@@ -171,7 +172,7 @@ class MLP:
             use_batchnorm=self.use_batchnorm,
             rng=0,
         )
-        twin.set_weights(self.get_weights())
+        twin.theta[...] = self.theta
         for mine, theirs in zip(self._norms, twin._norms):
             if mine is not None and theirs is not None:
                 theirs.running_mean[...] = mine.running_mean

@@ -83,14 +83,20 @@ class BatchNorm1d(Layer):
         self._inv_std = np.broadcast_to(inv_std, x.shape)
         return xhat * self.gamma.value + self.beta.value
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, accumulate: bool = True) -> np.ndarray:
+        """γ/β gradients (``accumulate=False``: written, as in ``Dense``),
+        then the input gradient."""
         if self._xhat is None or self._inv_std is None:
             raise RuntimeError(f"{self.name}: backward() before forward()")
         grad_out = np.asarray(grad_out, dtype=np.float64)
         xhat = self._xhat
         n = xhat.shape[0]
-        self.gamma.grad += (grad_out * xhat).sum(axis=0)
-        self.beta.grad += grad_out.sum(axis=0)
+        if accumulate:
+            self.gamma.grad += (grad_out * xhat).sum(axis=0)
+            self.beta.grad += grad_out.sum(axis=0)
+        else:
+            np.add.reduce(grad_out * xhat, axis=0, out=self.gamma.grad)
+            np.add.reduce(grad_out, axis=0, out=self.beta.grad)
         g = grad_out * self.gamma.value
         if not self.training or n < 2:
             # Statistics were constants: plain elementwise chain rule.

@@ -26,7 +26,7 @@ from repro.replaydb.sampler import MinibatchSampler, SamplerStarvedError
 from repro.rl.epsilon import EpsilonSchedule
 from repro.rl.hyperparams import Hyperparameters
 from repro.rl.qnetwork import QNetwork
-from repro.rl.target import soft_update
+from repro.rl.target import target_blend
 from repro.util.rng import ensure_rng
 
 
@@ -213,14 +213,16 @@ class DQNAgent:
         return batch.rewards + self.hp.discount_rate * future
 
     def train_step(self, batch: Minibatch) -> float:
-        """One SGD update on one minibatch; returns the prediction error."""
+        """One SGD update on one minibatch; returns the prediction error.
+
+        The backward pass writes ∇ (nothing to zero first); one sweep
+        over the parameters then updates θ and blends it into θ⁻.
+        """
         targets = self.bellman_targets(batch)
-        self.online.net.zero_grad()
         loss = self.online.td_backward(batch.s_t, batch.actions, targets)
-        self.optimizer.step(self.online.net.parameters())
-        soft_update(
-            self.target.net, self.online.net, self.hp.target_network_update_rate
-        )
+        alpha = self.hp.target_network_update_rate
+        blend = target_blend(self.target.net, self.online.net, alpha)
+        self.optimizer.step(self.online.net.parameters(), after=blend)
         self.loss_history.append(loss)
         self.train_steps += 1
         return loss

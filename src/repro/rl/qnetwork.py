@@ -50,11 +50,12 @@ class QNetwork:
         actions: np.ndarray,
         targets: np.ndarray,
     ) -> float:
-        """Accumulate gradients of Equation 1's loss; return its value.
+        """Write the gradients of Equation 1's loss; return its value.
 
         Only the taken action's Q-output is compared with the Bellman
-        target; other outputs get zero gradient.  Callers zero grads
-        before and step the optimiser after.
+        target; other outputs get zero gradient.  Whatever the gradient
+        arena held is overwritten (no ``zero_grad`` first); callers step
+        the optimiser after.
         """
         obs = np.asarray(obs, dtype=np.float64)
         actions = np.asarray(actions, dtype=np.int64)
@@ -73,5 +74,5 @@ class QNetwork:
         loss, dpred = self._loss_fn(q_taken, targets)
         grad = np.zeros_like(q_all)
         grad[rows, actions] = dpred
-        self.net.backward(grad, input_grad=False)
+        self.net.backward(grad, input_grad=False, accumulate=False)
         return loss
