@@ -109,7 +109,9 @@ class ReplayCache:
         fast path requires strictly ascending ticks spanning less than
         one ring capacity (the shape every fan-in batch has); anything
         irregular falls back to the per-record loop, which also
-        enforces the too-old rejection with its usual message.
+        enforces the too-old rejection with its usual message.  So does
+        a single row (a served decision lands one at a time): scalar
+        stores cost less than one-element fancy indexing.
         """
         ticks = np.asarray(ticks, dtype=np.int64)
         frames = np.asarray(frames, dtype=np.float64)
@@ -130,7 +132,7 @@ class ReplayCache:
             )
         if k == 0:
             return
-        irregular = (
+        per_record = k == 1 or (
             np.any(np.diff(ticks) <= 0)
             or int(ticks[-1]) - int(ticks[0]) >= self.capacity
             or int(ticks[0]) < 0
@@ -139,7 +141,7 @@ class ReplayCache:
                 and int(ticks[0]) <= self._max_tick - self.capacity
             )
         )
-        if irregular:
+        if per_record:
             for i in range(k):
                 self.put(
                     TickRecord(

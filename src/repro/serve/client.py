@@ -68,6 +68,7 @@ class ServeClient:
         self.encoder: Optional[DifferentialEncoder] = None
         self.reader: Optional[asyncio.StreamReader] = None
         self.writer: Optional[asyncio.StreamWriter] = None
+        self._idle: Optional[protocol.IdleDeadline] = None
         self.welcome: Optional[dict] = None
         #: Weight identity currently running, (-1, -1) before any adopt.
         self.weight_epoch = -1
@@ -95,6 +96,7 @@ class ServeClient:
         self.reader, self.writer = await asyncio.wait_for(
             asyncio.open_connection(self.host, self.port), self.timeout
         )
+        self._idle = protocol.IdleDeadline(self.reader, self.writer, self.timeout)
         # A fresh encoder per connection: its first message covers every
         # indicator, which is what re-establishes server decoder state.
         self.encoder = DifferentialEncoder(self.frame_width)
@@ -156,6 +158,8 @@ class ServeClient:
         Blocks until the server's DECISION for this tick arrives.
         CHECKPOINT broadcasts that interleave are applied on the spot;
         a RESYNC triggers a full-frame resend of the same tick.
+        ``timeout`` seconds without a message raise
+        ``asyncio.TimeoutError`` and drop the connection.
         """
         if self.reader is None or self.encoder is None:
             raise ServeClientError("not connected")
@@ -198,12 +202,20 @@ class ServeClient:
 
     # -- internals ---------------------------------------------------------
     async def _read(self) -> Tuple[int, bytes]:
+        """One message, due within ``timeout`` seconds.  A timeout can cut
+        a message in half, so it drops the connection before it
+        propagates: "not connected" from then on, until :meth:`connect`."""
+        self._idle.arm()
         try:
-            return await asyncio.wait_for(
-                protocol.read_message(self.reader), self.timeout
-            )
+            return await protocol.read_message(self.reader)
+        except asyncio.TimeoutError:
+            self.writer.transport.abort()
+            self.reader = self.writer = None
+            raise
         except (asyncio.IncompleteReadError, ConnectionError) as exc:
             raise ServerClosedError("server connection lost") from exc
+        finally:
+            self._idle.disarm()
 
     def _apply_checkpoint(self, payload: bytes) -> None:
         epoch, version, blob = protocol.unpack_checkpoint(payload)

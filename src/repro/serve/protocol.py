@@ -33,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.transport.framing import (
     MAX_PAYLOAD,
@@ -69,6 +69,49 @@ TYPE_NAMES = {
 _FRAME_HEAD = struct.Struct("<qd")  # tick, reward
 _DECISION = struct.Struct("<qqB")  # tick, action, decided flag
 _CHECKPOINT_HEAD = struct.Struct("<qq")  # weight epoch, version
+
+
+class IdleDeadline:
+    """One idle timer per connection, in place of ``wait_for`` per read.
+
+    :meth:`arm` only stamps when the awaited message is due; the single
+    ``loop.call_later`` handle re-arms itself for whatever is left when
+    it fires.  Once ``timeout`` seconds pass with nothing received, the
+    connection's pending (or next) read raises ``asyncio.TimeoutError``.
+    A transport still holding unsent bytes by then belongs to a peer
+    that is not reading and is aborted — which is also what wakes an
+    owner waiting in ``drain()``, where no reader exception reaches it.
+    """
+
+    def __init__(self, reader, writer, timeout: float):
+        self._reader, self._writer, self._timeout = reader, writer, timeout
+        self._loop = asyncio.get_running_loop()
+        self._due: Optional[float] = None  # None: nothing is awaited
+        self._handle: Optional[asyncio.TimerHandle] = None
+
+    def arm(self) -> None:
+        """A message is awaited: it is due ``timeout`` seconds from now."""
+        self._due = self._loop.time() + self._timeout
+        if self._handle is None:
+            self._handle = self._loop.call_later(self._timeout, self._check)
+
+    def disarm(self) -> None:
+        """Nothing is awaited any more; a live handle lapses by itself."""
+        self._due = None
+
+    def _check(self) -> None:
+        self._handle = None
+        if self._due is None:
+            return
+        left = self._due - self._loop.time()
+        if left > 0:
+            self._handle = self._loop.call_later(left, self._check)
+            return
+        self._due = None
+        self._reader.set_exception(asyncio.TimeoutError())
+        if self._writer.transport.get_write_buffer_size():
+            self._writer.transport.abort()
+
 
 def pack_message(msg_type: int, payload: bytes = b"") -> bytes:
     """One wire-ready framed message.

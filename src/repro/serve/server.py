@@ -7,13 +7,20 @@ the existing :mod:`repro.train` backends), and the action server
 (price actions with :meth:`~repro.rl.agent.DQNAgent.act_batch` and
 push versioned :mod:`repro.nn.checkpoint` weight broadcasts back out).
 
-Concurrency model: every connected cluster gets a reader coroutine;
-frames whose observation window is warm are queued to one shared
-*decider* task that micro-batches whatever is pending into a single
-``act_batch`` forward pass, lands the records, answers the clients,
-and grants the trainer its tick budget.  Clients therefore share one
-model and one replay store without locks — everything mutable lives on
-the event loop.
+Concurrency model: every connected cluster gets a reader coroutine and
+nothing else — no task, queue or timer per message.  A frame whose
+observation window is warm joins one pending list, whose first entry
+schedules one ``loop.call_soon(self._flush)``; the flush runs behind
+every reader that had data in that loop iteration, so frames that
+arrived together share a single ``act_batch`` forward pass, are landed,
+answered and granted to the trainer, all synchronously.  Clients share
+one model and one replay store without locks — everything mutable lives
+on the event loop.  Back-pressure lives in the readers: each drains its
+own writer before reading that client's next frame, so a peer that
+stops reading stops being read and nothing shared ever waits on one
+socket.  Liveness is one :class:`~repro.serve.protocol.IdleDeadline`
+per connection: ``read_timeout`` seconds of silence cost that
+connection alone (``test_reader_that_stops_reading_costs_only_itself``).
 
 Replay layout mirrors the vectorized fan-in path: cluster ``slot``'s
 local tick ``t`` lands at global tick ``slot * tick_stride + t``, and
@@ -231,7 +238,7 @@ class _Cluster:
 
 @dataclass
 class _Pending:
-    """One warm frame waiting for the decider."""
+    """One warm frame waiting for the next flush."""
 
     cluster: _Cluster
     tick: int
@@ -309,10 +316,10 @@ class CapesServer:
         # Last weight state broadcast to clients (PR-5 fence identity).
         self._weight_epoch = 0
         self._weight_version = 0
-        self._pending: asyncio.Queue = asyncio.Queue()
+        #: Warm frames accepted since the last flush, in arrival order.
+        self._pending: List[_Pending] = []
         self._server: Optional[asyncio.base_events.Server] = None
         self._stats_server: Optional[asyncio.base_events.Server] = None
-        self._decider_task: Optional[asyncio.Task] = None
         self._snapshot_task: Optional[asyncio.Task] = None
         self._conn_tasks: set = set()
         self._closing = False
@@ -322,10 +329,9 @@ class CapesServer:
 
     # -- lifecycle --------------------------------------------------------
     async def start(self) -> None:
-        """Bind sockets, fork the trainer backend, start the decider."""
+        """Bind sockets and fork the trainer backend."""
         if self._trainer is not None:
             self._trainer.begin()
-        self._decider_task = asyncio.create_task(self._decider())
         if self.config.snapshot_dir is not None:
             self._snapshot_task = asyncio.create_task(self._snapshot_loop())
         self._server = await asyncio.start_server(
@@ -345,11 +351,12 @@ class CapesServer:
     async def shutdown(self) -> None:
         """Graceful stop: drain decisions, stop the trainer, flush replay.
 
-        Idempotent.  Ordering matters: connections close first (no new
-        frames), then the decider spends the queue (every accepted
-        frame still lands and grants training budget), then the trainer
-        stops via its own ``stop()`` (flushing budget / joining the
-        worker without masking errors), then the store commits.
+        Idempotent.  Ordering matters: what is pending is answered,
+        then connections close (no new frames), then a last flush
+        spends what the readers still accepted (every accepted frame
+        lands and grants training budget), then the trainer stops via
+        its own ``stop()`` (flushing budget / joining the worker
+        without masking errors), then the store commits.
         """
         if self._closing:
             await self._done.wait()
@@ -366,6 +373,7 @@ class CapesServer:
             self._server.close()
         if self._stats_server is not None:
             self._stats_server.close()
+        self._flush()
         for cluster in self._clusters.values():
             writer = cluster.writer
             if writer is not None and not writer.is_closing():
@@ -376,14 +384,12 @@ class CapesServer:
                 writer.close()
         if self._conn_tasks:
             await asyncio.wait(list(self._conn_tasks), timeout=5.0)
-        await self._pending.put(None)
-        if self._decider_task is not None:
-            await self._decider_task
+        self._flush()
         if self._trainer is not None:
             self.stats.trainer = _trainer_snapshot(self._trainer.stop())
         if self.config.snapshot_dir is not None:
-            # Final snapshot after the trainer has stopped: the decider
-            # has drained (every accepted frame landed), the serial
+            # Final snapshot after the trainer has stopped: the pending
+            # list is spent (every accepted frame landed), the serial
             # burst flushed, and a process worker's weights have been
             # adopted back — the artifact is the fully quiesced session.
             try:
@@ -409,22 +415,25 @@ class CapesServer:
         self.stats.connections_open += 1
         cluster: Optional[_Cluster] = None
         reason = "bye"
+        idle = protocol.IdleDeadline(reader, writer, self.config.read_timeout)
+        idle.arm()
         try:
             cluster = await self._handshake(reader, writer)
             if cluster is not None:
-                await self._frame_loop(cluster, reader, writer)
+                await self._frame_loop(cluster, reader, writer, idle)
         except (asyncio.IncompleteReadError, ConnectionError):
             reason = "disconnect"
             self.stats.disconnects += 1
         except asyncio.TimeoutError:
             reason = "timeout"
             self.stats.timeouts += 1
-            await self._send_error(writer, "read timeout")
+            self._send_error(writer, "read timeout")
         except protocol.ProtocolError as exc:
             reason = "protocol-error"
             self.stats.protocol_errors += 1
-            await self._send_error(writer, str(exc))
+            self._send_error(writer, str(exc))
         finally:
+            idle.disarm()
             self._conn_tasks.discard(task)
             self.stats.connections_open -= 1
             if cluster is not None and cluster.writer is writer:
@@ -445,9 +454,7 @@ class CapesServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> Optional[_Cluster]:
         """HELLO → WELCOME + current-epoch CHECKPOINT; None = rejected."""
-        msg_type, payload = await asyncio.wait_for(
-            protocol.read_message(reader), self.config.read_timeout
-        )
+        msg_type, payload = await protocol.read_message(reader)
         if msg_type != protocol.HELLO:
             raise protocol.ProtocolError(
                 f"expected HELLO, got "
@@ -460,14 +467,14 @@ class CapesServer:
                 "HELLO must carry a non-empty string 'name'"
             )
         if hello.get("proto") != protocol.PROTO_VERSION:
-            await self._send_error(
+            self._send_error(
                 writer,
                 f"protocol version {hello.get('proto')} unsupported "
                 f"(server speaks {protocol.PROTO_VERSION})",
             )
             return None
         if hello.get("frame_width") != self.config.frame_width:
-            await self._send_error(
+            self._send_error(
                 writer,
                 f"frame_width {hello.get('frame_width')} does not match "
                 f"server's {self.config.frame_width}",
@@ -476,7 +483,7 @@ class CapesServer:
         cluster = self._clusters.get(name)
         if cluster is None:
             if len(self._clusters) >= self.config.max_clients:
-                await self._send_error(
+                self._send_error(
                     writer,
                     f"server full ({self.config.max_clients} clusters)",
                 )
@@ -491,7 +498,7 @@ class CapesServer:
             )
             self._clusters[name] = cluster
         elif cluster.writer is not None:
-            await self._send_error(
+            self._send_error(
                 writer, f"cluster {name!r} is already connected"
             )
             return None
@@ -514,7 +521,6 @@ class CapesServer:
             )
         )
         writer.write(self._checkpoint_message())
-        await writer.drain()
         self.events.publish("connect", cluster=name, slot=cluster.slot)
         return cluster
 
@@ -523,13 +529,18 @@ class CapesServer:
         cluster: _Cluster,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
+        idle: protocol.IdleDeadline,
     ) -> None:
         """The steady state: FRAME in, DECISION (or RESYNC) out."""
         cfg = self.config
+        loop = asyncio.get_running_loop()
         while True:
-            msg_type, payload = await asyncio.wait_for(
-                protocol.read_message(reader), cfg.read_timeout
-            )
+            # Back-pressure: what was written to this peer (handshake,
+            # last reply, broadcasts) drains before its next frame is
+            # read, and only this reader ever waits for that.
+            await writer.drain()
+            msg_type, payload = await protocol.read_message(reader)
+            idle.arm()
             if msg_type == protocol.BYE:
                 return
             if msg_type != protocol.FRAME:
@@ -543,7 +554,6 @@ class CapesServer:
             except WireDesyncError:
                 self.stats.resyncs += 1
                 writer.write(protocol.pack_message(protocol.RESYNC))
-                await writer.drain()
                 self.events.publish(
                     "resync", cluster=cluster.name, tick=tick
                 )
@@ -578,7 +588,7 @@ class CapesServer:
                     (cfg.obs_ticks, cfg.frame_width), dtype=np.float64
                 )
                 cluster.ring.copy_into(obs)
-                await self._pending.put(
+                self._pending.append(
                     _Pending(
                         cluster,
                         tick,
@@ -588,49 +598,40 @@ class CapesServer:
                         time.monotonic(),
                     )
                 )
+                if len(self._pending) == 1:  # one flush per loop iteration
+                    loop.call_soon(self._flush)
             else:
                 # Window still warming: land the NULL-action record
                 # (exactly what in-process monitoring ticks do) and
                 # answer immediately so the client keeps streaming.
                 self._land(cluster, tick, frame, reward, 0)
                 writer.write(protocol.pack_decision(tick, 0, False))
-                await writer.drain()
 
-    async def _send_error(
-        self, writer: asyncio.StreamWriter, text: str
-    ) -> None:
-        """Best-effort ERROR reply (the peer may already be gone)."""
+    def _send_error(self, writer: asyncio.StreamWriter, text: str) -> None:
+        """Best-effort ERROR reply that never waits on the peer.
+
+        Written, not drained: the close that follows still delivers it.
+        A peer already above high water is not reading, so its
+        transport is aborted rather than handed one more message.
+        """
         if writer.is_closing():
+            return
+        transport = writer.transport
+        _, high = transport.get_write_buffer_limits()
+        if transport.get_write_buffer_size() > high:
+            transport.abort()
             return
         try:
             writer.write(protocol.pack_json(protocol.ERROR, {"error": text}))
-            await writer.drain()
         except (ConnectionError, RuntimeError, OSError):
             pass
 
     # -- deciding ----------------------------------------------------------
-    async def _decider(self) -> None:
-        """Micro-batch pending frames into single act_batch passes."""
-        while True:
-            item = await self._pending.get()
-            if item is None:
-                return
-            batch = [item]
-            stop = False
-            while True:
-                try:
-                    nxt = self._pending.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt is None:
-                    stop = True
-                    break
-                batch.append(nxt)
-            await self._decide(batch)
-            if stop:
-                return
-
-    async def _decide(self, batch: List[_Pending]) -> None:
+    def _flush(self) -> None:
+        """Decide every frame accepted since the last flush, as one batch."""
+        batch, self._pending = self._pending, []
+        if not batch:
+            return
         obs = np.stack([item.obs for item in batch])
         rngs = None
         if not self.config.greedy:
@@ -639,7 +640,6 @@ class CapesServer:
             obs, greedy=self.config.greedy, rngs=rngs
         )
         now = time.monotonic()
-        writers = []
         for item, action in zip(batch, actions):
             action = int(action)
             self._land(item.cluster, item.tick, item.frame, item.reward, action)
@@ -656,7 +656,6 @@ class CapesServer:
                     writer.write(
                         protocol.pack_decision(item.tick, action, True)
                     )
-                    writers.append(writer)
                 except (ConnectionError, RuntimeError):
                     pass
             self.events.publish(
@@ -666,11 +665,6 @@ class CapesServer:
                 action=action,
                 latency_ms=latency * 1e3,
             )
-        for writer in writers:
-            try:
-                await writer.drain()
-            except (ConnectionError, RuntimeError, OSError):
-                pass
         self._train(len(batch))
 
     def _land(
@@ -682,23 +676,20 @@ class CapesServer:
         action: int,
     ) -> None:
         """One record into the shared replay path (DB + spans + trainer)."""
-        packed = PackedRecords(
-            ticks=np.array(
-                [cluster.slot * self.config.tick_stride + tick],
-                dtype=np.int64,
-            ),
-            frames=np.ascontiguousarray(
-                frame.reshape(1, -1), dtype=np.float64
-            ),
-            actions=np.array([action], dtype=np.int64),
-            rewards=np.array([float(reward)], dtype=np.float64),
-        )
-        self.db.put_many(
-            packed.ticks, packed.frames, packed.rewards, packed.actions
-        )
+        gtick = cluster.slot * self.config.tick_stride + tick
+        self.db.put_many([gtick], frame[None], [reward], [action])
         self.spans.observe_top(cluster.slot, tick)
-        if self._trainer is not None:
-            self._trainer.ingest(packed)
+        if self.config.trainer_backend == "process":
+            # Only the forked worker is shipped the record; in-process
+            # trainers sample the shared cache it has just landed in.
+            self._trainer.ingest(
+                PackedRecords(
+                    ticks=np.array([gtick], dtype=np.int64),
+                    frames=frame[None],
+                    actions=np.array([action], dtype=np.int64),
+                    rewards=np.array([reward], dtype=np.float64),
+                )
+            )
         cluster.row.ticks_landed += 1
 
     # -- training / broadcasts ---------------------------------------------
@@ -775,6 +766,8 @@ class CapesServer:
         serial sampler's RNG) and ``replay`` (span frontiers + cached
         rows).  Runs synchronously on the event loop, so the capture is
         a consistent point-in-time cut — no frame can land mid-capture.
+        The cut does not flush: a frame accepted but not yet decided is
+        in its cluster's ring and not in replay, as it always was.
         """
         cfg = self.config
         snap = SessionSnapshot()

@@ -38,7 +38,8 @@ from typing import Dict, Hashable, Optional
 import numpy as np
 
 _HEADER = struct.Struct("<qH")  # tick number, changed-entry count
-_ENTRY = struct.Struct("<Hf")  # indicator index, float32 value
+#: One changed indicator; a message's entries are one packed array.
+_ENTRY = np.dtype([("index", "<u2"), ("value", "<f4")])
 
 #: Header entry-count sentinel marking a full-frame resync message:
 #: the payload is ``frame_width`` raw float32 values, no indices.
@@ -113,10 +114,11 @@ class DifferentialEncoder:
                 np.abs(frame - self._sent) > CHANGE_EPS
             )
             self._sent[changed] = frame[changed]
-        parts = [_HEADER.pack(tick, len(changed))]
-        for idx in changed:
-            parts.append(_ENTRY.pack(int(idx), float(frame[idx])))
-        return self._finish(b"".join(parts), len(changed))
+        entries = np.empty(len(changed), dtype=_ENTRY)
+        entries["index"] = changed
+        entries["value"] = frame[changed]
+        raw = _HEADER.pack(tick, len(changed)) + entries.tobytes()
+        return self._finish(raw, len(changed))
 
     def encode_full(self, tick: int, frame: np.ndarray) -> bytes:
         """Encode ``frame`` as an explicit full-frame resync message.
@@ -183,6 +185,12 @@ class DifferentialDecoder:
         resync); a full-coverage message — explicit
         :data:`FULL_FRAME` resync or a differential touching every
         indicator — (re)establishes state from any starting point.
+
+        A message is validated whole before any of it is applied: a
+        rejected one leaves the previous frame, :attr:`synchronized`
+        and :attr:`stats` untouched.  Indices must be strictly ascending
+        (all the encoder ever emits); a repeated or out-of-order index
+        is malformed, not resolved by some assignment order.
         """
         raw = zlib.decompress(msg)
         if len(raw) < _HEADER.size:
@@ -199,7 +207,7 @@ class DifferentialDecoder:
                 raw, dtype="<f4", count=self.frame_width, offset=_HEADER.size
             )
             return self._account(tick, raw, self.frame_width, len(msg))
-        expect = _HEADER.size + count * _ENTRY.size
+        expect = _HEADER.size + count * _ENTRY.itemsize
         if len(raw) != expect:
             raise ValueError(
                 f"malformed message: {len(raw)} bytes, expected {expect}"
@@ -210,13 +218,16 @@ class DifferentialDecoder:
                 f"indicators) received with no previous-frame state; "
                 f"a full-frame resync is required"
             )
-        off = _HEADER.size
-        for _ in range(count):
-            idx, value = _ENTRY.unpack_from(raw, off)
-            if idx >= self.frame_width:
-                raise ValueError(f"indicator index {idx} out of range")
-            self._state[idx] = value
-            off += _ENTRY.size
+        entries = np.frombuffer(raw, dtype=_ENTRY, offset=_HEADER.size)
+        index = entries["index"]
+        if count:
+            if index[-1] >= self.frame_width:
+                raise ValueError(
+                    f"indicator index {index[-1]} out of range"
+                )
+            if count > 1 and not (index[1:] > index[:-1]).all():
+                raise ValueError("indicator indices not strictly ascending")
+            self._state[index] = entries["value"]
         return self._account(tick, raw, count, len(msg))
 
     def _account(
@@ -228,7 +239,7 @@ class DifferentialDecoder:
         self.stats.raw_bytes += len(raw)
         self.stats.compressed_bytes += int(compressed)
         self.stats.entries_sent += int(entries)
-        return tick, self._state.astype(np.float64).copy()
+        return tick, self._state.astype(np.float64)
 
 
 class DecoderPool:

@@ -10,8 +10,11 @@ signal-driven lifecycle), talking to it over real TCP sockets:
 - kill-and-reconnect: a client whose connection dies and whose encoder
   went stale gets a full-frame RESYNC and the current-epoch checkpoint,
   then keeps receiving decisions;
-- fault isolation: malformed wire bytes, mid-frame disconnects and
-  read-timeout stalls each cost only the offending client;
+- fault isolation: malformed wire bytes, mid-frame disconnects,
+  read-timeout stalls and a peer that stops *reading* each cost only
+  the offending client; a client-side read timeout drops the connection;
+- event-loop invariants as counts: frames of one loop iteration share
+  one ``act_batch``; no task or timer per message;
 - the ``/stats`` endpoint and the in-process event feed;
 - eager CLI flag validation (stderr + exit 2, nothing bound).
 """
@@ -33,6 +36,7 @@ from repro.serve import (
     build_serve_agent,
 )
 from repro.serve import protocol
+from repro.telemetry.wire import DifferentialEncoder
 
 W = 6  # frame width
 OBS = 3  # observation window ticks
@@ -812,6 +816,234 @@ def test_serial_trainer_stats_reach_stats_snapshot():
             assert trainer["broadcasts_applied"] == trainer["weights_version"]
             assert body["checkpoints_broadcast"] == trainer["weights_version"]
             assert body["weight_version"] == trainer["weights_version"]
+            await client.close()
+        finally:
+            await server.shutdown()
+
+    run(body())
+
+
+# -- liveness: one peer's socket never stalls anybody else -------------------
+
+
+def test_reader_that_stops_reading_costs_only_itself():
+    """A peer that stops *reading* must freeze nobody but itself.
+
+    The failure this injects: the daemon holds more bytes for a client
+    than asyncio's 64 KiB high-water mark (what one CHECKPOINT broadcast
+    does), the client sends one more frame and never reads again.
+    Nothing shared may wait on that socket — healthy clusters keep their
+    decisions — and ``read_timeout`` must still reach the stalled
+    connection, which is waiting to *write*, not to read.
+    """
+    config = make_config(read_timeout=0.5)
+    stalled_frames = client_frames(41, OBS + 2)
+    frames = client_frames(42, 13)
+
+    async def body():
+        loop = asyncio.get_running_loop()
+        server = CapesServer(config)
+        await server.start()
+        try:
+            reader, writer = await raw_handshake(server.port, "stalled")
+            encoder = DifferentialEncoder(W)
+
+            async def send(t):
+                wire = encoder.encode(t, stalled_frames[t - 1])
+                writer.write(protocol.pack_frame(t, 0.0, wire))
+                await writer.drain()
+
+            for t in range(1, OBS + 2):
+                await send(t)
+                msg_type, _ = await protocol.read_message(reader)
+                assert msg_type == protocol.DECISION
+            healthy = ServeClient("127.0.0.1", server.port, "healthy", W)
+            await healthy.connect()
+            assert server.stats.connections_open == 2
+
+            server._clusters["stalled"].writer.write(
+                b"\0" * (16 * 1024 * 1024)
+            )
+            await send(OBS + 2)  # accepted, decided — and never read
+            stalled_at = loop.time()
+            # Twelve ticks spread over more than read_timeout, so the
+            # healthy client is never the silent one.
+            for t in range(1, 13):
+                await asyncio.wait_for(
+                    healthy_exchange(healthy, t, frames[t - 1]), 2.0
+                )
+                await asyncio.sleep(0.05)
+            assert healthy.decisions == 12 - OBS + 1
+
+            await wait_for_disconnect(server, "stalled")
+            assert loop.time() - stalled_at < config.read_timeout + 1.0
+            assert server.stats.timeouts == 1
+            assert server.stats.connections_open == 1
+            assert healthy.connected
+            await asyncio.wait_for(
+                healthy_exchange(healthy, 13, frames[12]), 2.0
+            )
+            await healthy.close()
+            writer.close()
+        finally:
+            await server.shutdown()
+
+    run(body())
+
+
+def test_silent_but_reading_client_is_told_read_timeout():
+    config = make_config(read_timeout=0.25)
+
+    async def body():
+        server = CapesServer(config)
+        await server.start()
+        try:
+            reader, writer = await raw_handshake(server.port, "mute")
+            msg_type, payload = await asyncio.wait_for(
+                protocol.read_message(reader), 2.0
+            )
+            assert msg_type == protocol.ERROR
+            assert protocol.unpack_json(payload)["error"] == "read timeout"
+            assert await reader.read() == b""  # and then the close
+            await wait_for_disconnect(server, "mute")
+            assert server.stats.timeouts == 1
+            writer.close()
+        finally:
+            await server.shutdown()
+
+    run(body())
+
+
+def test_client_read_timeout_closes_the_connection():
+    """A timeout can land mid-message; the stream is then unusable.
+
+    The fake daemon answers a FRAME with a DECISION prefix and two of
+    its payload bytes, then stalls.  The client must not keep a
+    connection whose next read would parse payload bytes as a prefix.
+    """
+    frames = client_frames(43, 2)
+
+    async def body():
+        release = asyncio.Event()
+
+        async def half_answer(reader, writer):
+            await protocol.read_message(reader)  # HELLO
+            writer.write(protocol.pack_json(protocol.WELCOME, {"cluster": 0}))
+            writer.write(protocol.pack_checkpoint(0, 0, b"weights"))
+            await protocol.read_message(reader)  # the FRAME
+            decision = protocol.pack_decision(1, 0, False)
+            writer.write(decision[: len(decision) - 15])
+            await writer.drain()
+            await release.wait()
+            writer.close()
+
+        fake = await asyncio.start_server(half_answer, "127.0.0.1", 0)
+        port = fake.sockets[0].getsockname()[1]
+        try:
+            client = ServeClient("127.0.0.1", port, "cut", W, timeout=0.3)
+            await client.connect()
+            with pytest.raises(asyncio.TimeoutError):
+                await client.tick(1, frames[0])
+            assert not client.connected
+            with pytest.raises(ServeClientError, match="not connected"):
+                await client.tick(2, frames[1])
+            await client.connect()  # a fresh connection starts clean
+            assert client.connected
+            await client.close()
+        finally:
+            release.set()
+            fake.close()
+            await fake.wait_closed()
+
+    run(body())
+
+
+# -- event-loop invariants, as counts ----------------------------------------
+
+
+def test_frames_of_one_loop_iteration_share_one_act_batch():
+    config = make_config()
+    names = ["left", "right"]
+    frames = {n: client_frames(50 + i, OBS) for i, n in enumerate(names)}
+
+    async def body():
+        server = CapesServer(config)
+        batches = []
+        act_batch = server.agent.act_batch
+
+        def counting(obs, **kwargs):
+            batches.append(len(obs))
+            return act_batch(obs, **kwargs)
+
+        server.agent.act_batch = counting
+        await server.start()
+        try:
+            peers = {}
+            for name in names:
+                reader, writer = await raw_handshake(server.port, name)
+                peers[name] = (reader, writer, DifferentialEncoder(W))
+
+            def write(name, t):
+                _, writer, encoder = peers[name]
+                wire = encoder.encode(t, frames[name][t - 1])
+                writer.write(protocol.pack_frame(t, 0.0, wire))
+
+            for t in range(1, OBS):  # warm both windows, one by one
+                for name in names:
+                    write(name, t)
+                    await protocol.read_message(peers[name][0])
+            assert batches == []
+            # Both warm frames are on the wire before the loop runs again.
+            for name in names:
+                write(name, OBS)
+            for name in names:
+                msg_type, payload = await protocol.read_message(peers[name][0])
+                assert msg_type == protocol.DECISION
+                assert protocol.unpack_decision(payload)[2]
+            assert batches == [2]
+            for _, writer, _ in peers.values():
+                writer.close()
+        finally:
+            await server.shutdown()
+
+    run(body())
+
+
+def test_frame_exchange_creates_no_task_or_timer_per_message():
+    """200 frames, both ends on this loop: O(connections), not O(frames).
+
+    ``call_later`` is ``call_at`` underneath, so counting ``call_at``
+    sees every timer whichever way it was made.
+    """
+    config = make_config(tick_stride=256)
+    frames = client_frames(60, 200)
+
+    async def body():
+        loop = asyncio.get_running_loop()
+        made = {"tasks": 0, "timers": 0}
+        create_task, call_at = loop.create_task, loop.call_at
+
+        def counting_create_task(*args, **kwargs):
+            made["tasks"] += 1
+            return create_task(*args, **kwargs)
+
+        def counting_call_at(*args, **kwargs):
+            made["timers"] += 1
+            return call_at(*args, **kwargs)
+
+        server = CapesServer(config)
+        await server.start()
+        try:
+            client = ServeClient("127.0.0.1", server.port, "busy", W)
+            await client.connect()
+            loop.create_task, loop.call_at = counting_create_task, counting_call_at
+            try:
+                for t in range(200):
+                    await client.tick(t + 1, frames[t])
+            finally:
+                del loop.create_task, loop.call_at
+            assert client.decisions == 200 - OBS + 1
+            assert made["tasks"] + made["timers"] <= 4, made
             await client.close()
         finally:
             await server.shutdown()

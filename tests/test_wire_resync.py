@@ -18,6 +18,10 @@ contract: every frame that decodes, decodes *correctly*, and every
 stale-encoder resume raises rather than desynchronising silently.
 """
 
+import struct
+import zlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,6 +120,61 @@ class TestDesyncDetection:
     def test_desync_error_is_value_error(self):
         """Callers catching ValueError for malformed input still work."""
         assert issubclass(WireDesyncError, ValueError)
+
+
+def _differential(tick, entries):
+    """A hand-built differential message: ``[(index, value), ...]``."""
+    raw = struct.pack("<qH", tick, len(entries)) + b"".join(
+        struct.pack("<Hf", i, v) for i, v in entries
+    )
+    return zlib.compress(raw)
+
+
+class TestRejectedMessageLeavesNoTrace:
+    """A message the decoder rejects must not have been half-applied."""
+
+    def _synchronized(self):
+        enc, dec = DifferentialEncoder(W), DifferentialDecoder(W)
+        frame = np.arange(W, dtype=float)
+        dec.decode(enc.encode(0, frame))
+        return enc, dec, frame
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [(1, 10.0), (2, 20.0), (W, 30.0)],  # in range, in range, out
+            [(1, 10.0), (W + 5, 20.0), (3, 30.0)],  # out of range mid-way
+            [(2, 10.0), (2, 20.0)],  # repeated index
+            [(4, 10.0), (1, 20.0)],  # descending
+        ],
+    )
+    def test_state_and_stats_untouched_then_stream_continues(self, entries):
+        enc, dec, frame = self._synchronized()
+        state, stats = dec._state.copy(), replace(dec.stats)
+        with pytest.raises(ValueError):
+            dec.decode(_differential(1, entries))
+        assert dec._state.tobytes() == state.tobytes()
+        assert dec.stats == stats and dec.synchronized
+        # The sender never saw the bad message; its next differential
+        # still decodes to the right frame.
+        frame[3] += 2.5
+        tick, out = dec.decode(enc.encode(2, frame))
+        assert tick == 2
+        np.testing.assert_array_equal(out, frame)
+
+    def test_rejected_first_message_leaves_decoder_unsynchronized(self):
+        dec = DifferentialDecoder(W)
+        entries = [(i, 1.0) for i in range(W - 1)] + [(W - 2, 9.0)]
+        with pytest.raises(ValueError):
+            dec.decode(_differential(0, entries))
+        assert not dec.synchronized and dec.stats.messages == 0
+        assert not dec._state.any()
+
+    def test_ascending_hand_built_message_is_accepted(self):
+        _, dec, frame = self._synchronized()
+        _, out = dec.decode(_differential(1, [(0, 7.0), (W - 1, -7.0)]))
+        frame[0], frame[W - 1] = 7.0, -7.0
+        np.testing.assert_array_equal(out, frame)
 
 
 class TestDecoderPool:
