@@ -96,40 +96,50 @@ class ServeClient:
         self.reader, self.writer = await asyncio.wait_for(
             asyncio.open_connection(self.host, self.port), self.timeout
         )
-        self._idle = protocol.IdleDeadline(self.reader, self.writer, self.timeout)
-        # A fresh encoder per connection: its first message covers every
-        # indicator, which is what re-establishes server decoder state.
-        self.encoder = DifferentialEncoder(self.frame_width)
-        self.writer.write(
-            protocol.pack_json(
-                protocol.HELLO,
-                {
-                    "name": self.name,
-                    "frame_width": self.frame_width,
-                    "proto": protocol.PROTO_VERSION,
-                },
+        try:
+            self._idle = protocol.IdleDeadline(
+                self.reader, self.writer, self.timeout
             )
-        )
-        await self.writer.drain()
-        msg_type, payload = await self._read()
-        if msg_type == protocol.ERROR:
-            raise ServeClientError(
-                protocol.unpack_json(payload).get("error", "rejected")
+            # A fresh encoder per connection: its first message covers every
+            # indicator, which is what re-establishes server decoder state.
+            self.encoder = DifferentialEncoder(self.frame_width)
+            self.writer.write(
+                protocol.pack_json(
+                    protocol.HELLO,
+                    {
+                        "name": self.name,
+                        "frame_width": self.frame_width,
+                        "proto": protocol.PROTO_VERSION,
+                    },
+                )
             )
-        if msg_type != protocol.WELCOME:
-            raise ServeClientError(
-                f"expected WELCOME, got "
-                f"{protocol.TYPE_NAMES.get(msg_type, msg_type)}"
-            )
-        self.welcome = protocol.unpack_json(payload)
-        msg_type, payload = await self._read()
-        if msg_type != protocol.CHECKPOINT:
-            raise ServeClientError(
-                f"expected the handshake CHECKPOINT, got "
-                f"{protocol.TYPE_NAMES.get(msg_type, msg_type)}"
-            )
-        self._apply_checkpoint(payload)
-        return self.welcome
+            await self.writer.drain()
+            msg_type, payload = await self._read()
+            if msg_type == protocol.ERROR:
+                raise ServeClientError(
+                    protocol.unpack_json(payload).get("error", "rejected")
+                )
+            if msg_type != protocol.WELCOME:
+                raise ServeClientError(
+                    f"expected WELCOME, got "
+                    f"{protocol.TYPE_NAMES.get(msg_type, msg_type)}"
+                )
+            self.welcome = protocol.unpack_json(payload)
+            msg_type, payload = await self._read()
+            if msg_type != protocol.CHECKPOINT:
+                raise ServeClientError(
+                    f"expected the handshake CHECKPOINT, got "
+                    f"{protocol.TYPE_NAMES.get(msg_type, msg_type)}"
+                )
+            self._apply_checkpoint(payload)
+            return self.welcome
+        except BaseException:
+            # Rejected, timed out or cancelled before the CHECKPOINT landed:
+            # a failed connect() leaves nothing open and nothing half-set.
+            if self.writer is not None:
+                self.writer.transport.abort()
+            self.reader = self.writer = self.encoder = None
+            raise
 
     async def close(self) -> None:
         """Say BYE (best effort) and drop the connection."""

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.stats.changepoint import trim_warmup_cooldown
 from repro.util.validation import check_in_range
@@ -72,6 +71,11 @@ def mean_ci(
     mean = float(x.mean())
     if n == 1:
         return mean, float("inf")
+    # Imported here, not at the top: scipy.stats is ~700 modules, 64 MB and
+    # 0.7 s that no process pays before its first CI
+    # (tests/test_import_closure.py).
+    from scipy import stats as sps
+
     sem = float(x.std(ddof=1) / np.sqrt(n))
     tcrit = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return mean, tcrit * sem

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.stats.pilot import MeasurementSummary, analyze
 
@@ -49,12 +48,20 @@ def compare_measurements(
     """Analyze both series the Pilot way and Welch-test the difference."""
     base = analyze(baseline_samples, confidence=confidence, trim=trim)
     tuned = analyze(tuned_samples, confidence=confidence, trim=trim)
-    # Welch's t-test on the raw (trimmed) series; unequal variances.
+    # Welch's t-test (unequal variances) on the series the CIs above were
+    # computed from: what ``analyze`` kept after trimming, before merging.
     b = np.asarray(baseline_samples, dtype=np.float64)
     t = np.asarray(tuned_samples, dtype=np.float64)
-    if b.std(ddof=1) == 0 and t.std(ddof=1) == 0:
+    b = b[base.trimmed_prefix : b.size - base.trimmed_suffix]
+    t = t[tuned.trimmed_prefix : t.size - tuned.trimmed_suffix]
+    if min(b.size, t.size) < 2:
+        p = float("nan")  # no variance estimate on one side: no test
+    elif b.std(ddof=1) == 0 and t.std(ddof=1) == 0:
         p = 0.0 if b.mean() != t.mean() else 1.0
     else:
+        # Imported at the call, like ``mean_ci``'s: see there.
+        from scipy import stats as sps
+
         _stat, p = sps.ttest_ind(t, b, equal_var=False)
         p = float(p)
     return Comparison(

@@ -254,6 +254,7 @@ def test_malformed_wire_message_costs_only_the_sender():
             assert "malformed" in protocol.unpack_json(payload)["error"]
             await wait_for_disconnect(server, "rawhide")
             assert server.stats.protocol_errors == 1
+            writer.close()
 
             # The healthy client's decoder state is untouched: its next
             # (differential) frame still decodes and decides.
@@ -316,6 +317,7 @@ def test_stalled_client_times_out_without_collateral():
             assert server.stats.timeouts == 1
             await healthy_exchange(healthy, t + 1, frames[min(t + 1, 29)])
             await healthy.close()
+            await staller.close()
         finally:
             await server.shutdown()
 
@@ -335,6 +337,7 @@ def test_non_monotonic_tick_rejected():
             await client.tick(5, frames[0])
             with pytest.raises(ServeClientError, match="non-monotonic"):
                 await client.tick(3, frames[1])
+            await client.close()
         finally:
             await server.shutdown()
 
@@ -357,6 +360,77 @@ def test_server_full_and_duplicate_name_rejected():
             with pytest.raises(ServeClientError, match="server full"):
                 await extra.connect()
             await first.close()
+        finally:
+            await server.shutdown()
+
+    run(body())
+
+
+def assert_nothing_left_open(client: ServeClient) -> None:
+    """What a failed ``connect()`` must leave behind: nothing."""
+    assert client.connected is False
+    assert client.writer is None and client.reader is None
+    assert client.encoder is None
+
+
+def test_over_capacity_rejection_closes_the_connection():
+    config = make_config(max_clients=1)
+    frames = client_frames(7, OBS)
+
+    async def body():
+        server = CapesServer(config)
+        await server.start()
+        port = server.port
+        extra = ServeClient("127.0.0.1", port, "more", W)
+        try:
+            first = ServeClient("127.0.0.1", port, "only", W)
+            await first.connect()
+            with pytest.raises(ServeClientError, match="server full"):
+                await extra.connect()
+            assert_nothing_left_open(extra)
+            await asyncio.sleep(0.05)  # and stays so once the loop has run
+            assert_nothing_left_open(extra)
+            await extra.close()  # a no-op, not an error
+            await first.close()
+        finally:
+            await server.shutdown()
+        # Slots are per name for a daemon's lifetime: a restarted daemon
+        # is how one comes free.  The same object then connects and works.
+        server = CapesServer(make_config(max_clients=1, port=port))
+        await server.start()
+        try:
+            await extra.connect()
+            assert extra.connected
+            for t in range(OBS):
+                _tick, _action, decided = await extra.tick(t + 1, frames[t])
+            assert decided
+            await extra.close()
+        finally:
+            await server.shutdown()
+
+    run(body())
+
+
+def test_wrong_width_rejection_closes_the_connection():
+    config = make_config()
+
+    async def body():
+        server = CapesServer(config)
+        await server.start()
+        try:
+            client = ServeClient("127.0.0.1", server.port, "wide", W + 1)
+            with pytest.raises(ServeClientError, match="frame_width"):
+                await client.connect()
+            assert_nothing_left_open(client)
+            await asyncio.sleep(0.05)
+            assert_nothing_left_open(client)
+            # The server holds no slot for a rejected HELLO either: the
+            # same object, width corrected, connects under the same name.
+            client.frame_width = W
+            welcome = await client.connect()
+            assert welcome["frame_width"] == W and client.connected
+            assert client.encoder is not None
+            await client.close()
         finally:
             await server.shutdown()
 

@@ -1,5 +1,8 @@
 """Tests for the Pilot-style statistics pipeline."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +87,21 @@ class TestMeanCI:
         sem = x.std(ddof=1) / np.sqrt(50)
         expect = sps.t.ppf(0.975, 49) * sem
         assert half == pytest.approx(expect)
+
+    def test_halfwidth_is_scipy_t_to_the_bit(self):
+        # ``==``, not approx: mean_ci imports scipy.stats at the call, and
+        # where the import happens is the only thing allowed to differ.
+        from scipy import stats as sps
+
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.integers(2, 300))
+            conf = float(rng.choice([0.8, 0.9, 0.95, 0.99]))
+            x = rng.normal(rng.uniform(-5, 50), rng.uniform(0.1, 9), size=n)
+            mean, half = mean_ci(x, conf)
+            sem = float(x.std(ddof=1) / np.sqrt(n))
+            assert mean == float(x.mean())
+            assert half == float(sps.t.ppf(0.5 + conf / 2.0, df=n - 1)) * sem
 
     def test_single_sample_infinite(self):
         _m, half = mean_ci(np.array([1.0]))
@@ -210,3 +228,47 @@ class TestComparisons:
     def test_zero_variance_equal(self):
         c = compare_measurements(np.ones(50), np.ones(50), trim=False)
         assert not c.significant
+
+    def test_p_value_is_scipy_welch_to_the_bit(self):
+        from scipy import stats as sps
+
+        rng = np.random.default_rng(32)
+        for _ in range(60):
+            b = rng.normal(10.0, rng.uniform(0.2, 3), int(rng.integers(2, 250)))
+            t = rng.normal(
+                10.0 + rng.uniform(-1, 1), rng.uniform(0.2, 3),
+                int(rng.integers(2, 250)),
+            )
+            c = compare_measurements(b, t, trim=False)
+            assert c.p_value == float(sps.ttest_ind(t, b, equal_var=False).pvalue)
+            assert c.significant == (c.p_value < 0.05)
+
+    def test_welch_runs_on_the_trimmed_series(self):
+        from scipy import stats as sps
+
+        rng = np.random.default_rng(33)
+        base = rng.normal(10.0, 1.0, 200)
+        # 40 warm-up samples far below a plateau 3 % above the baseline.
+        tuned = np.concatenate(
+            [rng.normal(4.0, 1.0, 40), rng.normal(10.3, 1.0, 160)]
+        )
+        c = compare_measurements(base, tuned)
+        assert c.tuned.trimmed_prefix >= 35 and c.baseline.trimmed_prefix == 0
+        kept = trim_warmup_cooldown(tuned)[0]
+        assert kept.size == 200 - c.tuned.trimmed_prefix
+        assert c.p_value == float(sps.ttest_ind(kept, base, equal_var=False).pvalue)
+        # The star agrees with the CIs beside it: a gain, and significant;
+        # with the warm-up left in, the same test "finds" a loss.
+        assert c.percent > 0 and c.significant
+        raw = sps.ttest_ind(tuned, base, equal_var=False)
+        assert raw.statistic < 0 and c.p_value != float(raw.pvalue)
+
+    @pytest.mark.parametrize(
+        "base, tuned", [([5.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [5.0])]
+    )
+    def test_fewer_than_two_samples_is_no_test(self, base, tuned):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "degrees of freedom <= 0"
+            c = compare_measurements(np.array(base), np.array(tuned), trim=False)
+        assert math.isnan(c.p_value) and c.significant is False
+        assert c.percent == percent_change(np.mean(base), np.mean(tuned))
