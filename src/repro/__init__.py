@@ -25,7 +25,7 @@ substrate the paper's evaluation depends on:
   many-clusters-one-engine vectorized experience collection;
 - the **decoupled async trainer** (:mod:`repro.train`) — the paper's
   continuously running DRL engine: ``TrainerLoop`` with
-  inline/serial/process backends, versioned weight broadcasts, and
+  inline/serial backends and
   ``train_collect`` for monitoring-plus-training over a fleet;
 - the **experiment orchestration layer** (:mod:`repro.exp`) — one
   ``Tuner`` protocol over CAPES and every baseline, declarative

@@ -36,8 +36,7 @@ per chunk, replay records batched into the reply) and every NULL-action
 transition fans into one replay DB, durable when ``--out`` names a
 file, for later offline training — and with ``--train`` the decoupled
 DRL engine (:mod:`repro.train`) trains against the fan-in stream while
-collection runs (``--trainer-backend serial|process``, ``--train-ratio``,
-``--sync-every``, ``--checkpoint``); ``shard-host`` hosts a fraction
+collection runs (``--train-ratio``, ``--checkpoint``); ``shard-host`` hosts a fraction
 of a sharded collection fleet over TCP (``collect --shard HOST:PORT``,
 repeatable, drives the same worker protocol the fork backend speaks
 over pipes — trajectories are byte-identical to local backends
@@ -169,7 +168,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
         )
         return 2
     if not args.train:
-        for flag in ("checkpoint", "train_ratio", "sync_every", "trainer_backend"):
+        for flag in ("checkpoint", "train_ratio"):
             if getattr(args, flag) is not None:
                 print(
                     f"--{flag.replace('_', '-')} needs --train",
@@ -230,29 +229,17 @@ def cmd_collect(args: argparse.Namespace) -> int:
                 loss=config.loss,
                 rng=derive_rng(root, "agent"),
             )
-            # Flag > conf > default, for every trainer knob.  The conf
-            # may name the inline backend (it is the session default);
-            # collection has no tick loop to train inside, so that
-            # resolves to serial interleaving here.
-            backend = args.trainer_backend or config.trainer_backend
-            if backend == "inline":
-                backend = "serial"
             ratio = (
                 args.train_ratio
                 if args.train_ratio is not None
                 else config.train_ratio
             )
             trainer_config = TrainerConfig(
-                backend=backend,
+                backend="serial",  # no tick loop to train inside
                 train_ratio=(
                     float(ratio)
                     if ratio is not None
                     else float(config.train_steps_per_tick)
-                ),
-                sync_every=(
-                    args.sync_every
-                    if args.sync_every is not None
-                    else config.sync_every
                 ),
             )
             sampler_seed = int(derive_rng(root, "sampler").integers(2**31))
@@ -355,7 +342,6 @@ def _session_extra(args: argparse.Namespace, trainer_config) -> dict:
         extra["trainer"] = {
             "backend": trainer_config.backend,
             "train_ratio": float(trainer_config.train_ratio),
-            "sync_every": int(trainer_config.sync_every),
         }
     return extra
 
@@ -438,11 +424,11 @@ def cmd_resume(args: argparse.Namespace) -> int:
                 rng=derive_rng(root, "agent"),
             )
             knobs = session["trainer"]
-            trainer_config = TrainerConfig(
-                backend=knobs["backend"],
-                train_ratio=float(knobs["train_ratio"]),
-                sync_every=int(knobs["sync_every"]),
-            )
+            try:
+                trainer_config = TrainerConfig(knobs["backend"], knobs["train_ratio"])
+            except ValueError as exc:
+                print(f"cannot resume {args.snapshot}: {exc}", file=sys.stderr)
+                return 2
         print(
             f"resuming from tick {session['done_ticks']} of {total} "
             f"({session['backend']} backend, {session['n_envs']} cluster(s))"
@@ -802,7 +788,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             sync_every=(
                 args.sync_every
                 if args.sync_every is not None
-                else config.sync_every
+                else ServeConfig.sync_every
             ),
             snapshot_dir=args.snapshot_dir,
             snapshot_every_s=(
@@ -887,9 +873,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     trainer_backend = args.trainer_backend or cfg.trainer_backend
     train_ratio = (
         args.train_ratio if args.train_ratio is not None else cfg.train_ratio
-    )
-    sync_every = (
-        args.sync_every if args.sync_every is not None else cfg.sync_every
     )
     if (
         trainer_backend != "inline" or train_ratio is not None
@@ -976,7 +959,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         vector_backend=args.vector_backend,
         trainer_backend=trainer_backend,
         train_ratio=train_ratio,
-        sync_every=sync_every,
         budget=RunBudget(
             train_ticks=args.train_ticks,
             eval_ticks=args.eval_ticks,
@@ -1202,28 +1184,12 @@ def make_parser() -> argparse.ArgumentParser:
         "while collecting (§3's continuous training)",
     )
     p.add_argument(
-        "--trainer-backend",
-        choices=("serial", "process"),
-        default=None,
-        help="with --train: interleave training bursts with collection "
-        "chunks (serial) or overlap them in a forked trainer worker "
-        "(process).  Default: the conf's TRAINER_BACKEND (inline "
-        "resolves to serial here)",
-    )
-    p.add_argument(
         "--train-ratio",
         type=float,
         default=None,
         help="with --train: SGD steps per collected action tick "
         "(fractions accumulate; default: the conf's TRAIN_RATIO, "
         "else TRAIN_STEPS_PER_TICK)",
-    )
-    p.add_argument(
-        "--sync-every",
-        type=int,
-        default=None,
-        help="with --train, process backend: SGD steps per weight "
-        "broadcast (default: the conf's SYNC_EVERY)",
     )
     p.add_argument(
         "--checkpoint",
@@ -1382,11 +1348,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--trainer-backend",
-        choices=("none", "serial", "process"),
+        choices=("none", "serial"),
         default=None,
         help="continuous training against the landed telemetry: burst "
-        "on the serving loop (serial), overlap in a forked worker "
-        "(process), or serve a frozen policy (none).  Default: the "
+        "on the serving loop (serial) or serve a frozen policy (none).  Default: the "
         "conf's TRAINER_BACKEND (inline resolves to serial here)",
     )
     p.add_argument(
@@ -1401,7 +1366,7 @@ def make_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="SGD steps per checkpoint broadcast to connected clients "
-        "(default: the conf's SYNC_EVERY)",
+        "(default: 64)",
     )
     p.add_argument(
         "--greedy",
@@ -1540,11 +1505,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--trainer-backend",
-        choices=("inline", "serial", "process"),
+        choices=("inline", "serial"),
         default=None,
         help="DQN training cadence (repro.train): inline = historical "
-        "train-in-the-tick-loop, serial = interleaved bursts, process "
-        "= continuous training in a forked worker (capes tuner only; "
+        "train-in-the-tick-loop, serial = interleaved bursts (capes tuner only; "
         "default: the conf's TRAINER_BACKEND)",
     )
     p.add_argument(
@@ -1553,13 +1517,6 @@ def make_parser() -> argparse.ArgumentParser:
         default=None,
         help="SGD steps per collected action tick (may be fractional; "
         "default: the conf's TRAIN_RATIO, else TRAIN_STEPS_PER_TICK)",
-    )
-    p.add_argument(
-        "--sync-every",
-        type=int,
-        default=None,
-        help="process trainer: SGD steps per weight broadcast (policy "
-        "staleness bound; default: the conf's SYNC_EVERY)",
     )
     p.add_argument(
         "--train-ticks", type=int, default=600, help="training ticks per run"

@@ -35,7 +35,7 @@ def hours(h: float, tick_length: float = 1.0) -> int:
 class CapesConfig:
     """Facade configuration: the environment plus session knobs.
 
-    ``trainer_backend`` / ``train_ratio`` / ``sync_every`` select and
+    ``trainer_backend`` / ``train_ratio`` select and
     tune the decoupled trainer (:mod:`repro.train`); the ``inline``
     default reproduces the historical train-in-the-tick-loop sessions
     byte-identically.
@@ -47,7 +47,6 @@ class CapesConfig:
     loss: str = "mse"
     trainer_backend: str = "inline"
     train_ratio: Optional[float] = None
-    sync_every: int = 64
 
 
 class CAPES:
@@ -63,7 +62,6 @@ class CAPES:
             loss=config.loss,
             trainer_backend=config.trainer_backend,
             train_ratio=config.train_ratio,
-            sync_every=config.sync_every,
         )
 
     # -- the four workflow verbs -----------------------------------------

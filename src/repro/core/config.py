@@ -35,6 +35,7 @@ from repro.cluster.cluster import ClusterConfig
 from repro.core.capes import CapesConfig
 from repro.env.tuning_env import EnvConfig
 from repro.rl.hyperparams import Hyperparameters
+from repro.train.loop import BACKENDS
 
 #: Recognised configuration names, their defaults, and where they land.
 DEFAULTS: Dict[str, Any] = {
@@ -64,10 +65,9 @@ DEFAULTS: Dict[str, Any] = {
     # session
     "TRAIN_STEPS_PER_TICK": 1,
     "LOSS": "mse",
-    # decoupled trainer (repro.train): inline | serial | process
+    # decoupled trainer (repro.train): inline | serial
     "TRAINER_BACKEND": "inline",
     "TRAIN_RATIO": None,
-    "SYNC_EVERY": 64,
 }
 
 _HP_KEYS = {
@@ -116,6 +116,8 @@ def load_config(path: Union[str, Path]) -> CapesConfig:
         )
 
     values = {k: namespace.get(k, v) for k, v in DEFAULTS.items()}
+    if values["TRAINER_BACKEND"] not in BACKENDS:
+        raise ConfigError(f"{path}: TRAINER_BACKEND must be one of {BACKENDS}")
 
     cluster = ClusterConfig(
         n_servers=int(values["N_SERVERS"]),
@@ -149,5 +151,4 @@ def load_config(path: Union[str, Path]) -> CapesConfig:
             if values["TRAIN_RATIO"] is None
             else float(values["TRAIN_RATIO"])
         ),
-        sync_every=int(values["SYNC_EVERY"]),
     )

@@ -9,8 +9,7 @@ paper's operational cycle (appendix A.4):
    tick, with SGD delegated to a :class:`~repro.train.loop.TrainerLoop`
    (``trainer_backend="inline"`` keeps the historical
    one-burst-per-tick cadence byte-identically; ``"serial"``
-   interleaves bursts; ``"process"`` trains continuously in a forked
-   worker, §3);
+   interleaves bursts);
 2. ``evaluate(n_ticks)`` — measurement: greedy policy, no training;
 3. ``save()`` / ``load()`` — "CAPES automatically checkpoints and
    stores the trained model when being stopped, and loads the saved
@@ -32,7 +31,7 @@ from repro.env.protocol import Environment
 from repro.nn.checkpoint import load_checkpoint, save_checkpoint
 from repro.replaydb.sampler import MinibatchSampler
 from repro.rl.agent import DQNAgent
-from repro.train.loop import PackedFeed, TrainerConfig, TrainerLoop
+from repro.train.loop import TrainerConfig, TrainerLoop
 from repro.util.rng import derive_rng, ensure_rng
 from repro.util.validation import check_positive
 from repro.workloads.schedule import WorkloadSchedule
@@ -79,7 +78,6 @@ class CapesSession:
         loss: str = "mse",
         trainer_backend: str = "inline",
         train_ratio: Optional[float] = None,
-        sync_every: int = 64,
     ):
         check_positive("train_steps_per_tick", train_steps_per_tick)
         self.env = env
@@ -95,7 +93,6 @@ class CapesSession:
         self.trainer_config = TrainerConfig(
             backend=trainer_backend,
             train_ratio=self.train_ratio,
-            sync_every=sync_every,
         )
         root = ensure_rng(seed)
         self.agent = DQNAgent(
@@ -127,42 +124,19 @@ class CapesSession:
         """Build (once) the trainer loop this session delegates SGD to.
 
         In-process backends share the session's live sampler (rebuilt
-        on environment restarts, hence the callable); the process
-        backend mirrors the environment's replay feed into its worker
-        and samples there.
+        on environment restarts, hence the callable).
         """
         if self.trainer is None:
-            if self.trainer_config.backend == "process":
-                # Mirror-cache sizing: match the env's own replay cache
-                # when it exposes one (the ``db`` attribute is sim-lustre
-                # convention, not an Environment protocol member).
-                db = getattr(self.env, "db", None)
-                self.trainer = TrainerLoop(
-                    self.agent,
-                    self.trainer_config,
-                    feed=PackedFeed(self.env),
-                    frame_width=self.env.frame_dim,
-                    stride=None,
-                    sampler_seed=self._sampler_seed,
-                    cache_capacity=(
-                        db.cache.capacity if db is not None else 250_000
-                    ),
-                )
-            else:
-                self.trainer = TrainerLoop(
-                    self.agent,
-                    self.trainer_config,
-                    sampler=lambda: self.sampler,
-                )
-            self.trainer.begin()
+            self.trainer = TrainerLoop(
+                self.agent, self.trainer_config, sampler=lambda: self.sampler
+            )
         return self.trainer
 
     def shutdown_trainer(self) -> None:
         """Stop and discard the trainer loop (fresh one on next train).
 
         Called on environment restarts — the replay tick space starts
-        over, so a process worker's mirrored cache would go stale — and
-        available to tests/drivers for deterministic teardown.
+        over — and available to tests/drivers for deterministic teardown.
         """
         if self.trainer is not None:
             self.trainer.stop()
@@ -191,9 +165,7 @@ class CapesSession:
 
         Acting stays on this loop; SGD cadence belongs to the trainer
         backend.  ``inline`` (default) runs its burst inside every tick
-        exactly as the historical session did; ``serial`` interleaves;
-        ``process`` trains concurrently in its worker, the policy here
-        refreshing from versioned weight broadcasts.  Every backend
+        exactly as the historical session did; ``serial`` interleaves; each
         ends the call fully drained — the same total step budget spent,
         the same weights adopted — so segment boundaries line up.
         """
@@ -323,11 +295,6 @@ class CapesSession:
 
     def load(self, path: Union[str, Path]) -> None:
         """Restore a checkpoint into the live agent.
-
-        If a decoupled trainer is running, its weight-version lineage
-        is invalidated: any broadcast already in flight belongs to the
-        pre-load weights and must not overwrite what was just loaded
-        (the worker itself restarts from the restored weights).
         """
         net, extras = load_checkpoint(path, optimizer=self.agent.optimizer)
         if net.layer_dims != self.agent.online.net.layer_dims:
@@ -340,5 +307,3 @@ class CapesSession:
             self.agent.epsilon._value = float(extras["epsilon"])
         if "train_steps" in extras:
             self.agent.train_steps = int(extras["train_steps"])
-        if self.trainer is not None:
-            self.trainer.invalidate_weights()

@@ -96,7 +96,6 @@ from repro.env.protocol import Environment
 from repro.env.tuning_env import EnvConfig, StorageTuningEnv
 from repro.env.worker import (
     WorkerCrashError,
-    _transportable,
     exec_env_cmd,
     serve_env_session,
 )
@@ -125,10 +124,6 @@ __all__ = [
 ]
 
 EnvFactoryFn = Callable[[], Environment]
-
-# Re-exported for callers that import the pickle-survival check from
-# its historical home (repro.train.process does).
-_transportable = _transportable
 
 
 def vector_seeds(base_seed: int, n: int) -> List[int]:

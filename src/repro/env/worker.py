@@ -137,21 +137,6 @@ def exec_env_cmd(env: Environment, cmd: str, payload: Any) -> Any:
     raise ValueError(f"unknown worker command {cmd!r}")  # pragma: no cover
 
 
-def _transportable(exc: BaseException) -> BaseException:
-    """``exc`` if it survives a pickle round-trip, else a text wrapper.
-
-    Call from inside the ``except`` block handling ``exc`` — the
-    wrapper's message embeds the active traceback.
-    """
-    import pickle
-
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return WorkerCrashError(_error_text(exc))
-
-
 def _error_text(exc: BaseException) -> str:
     """The text fallback an unpicklable exception travels as."""
     return (

@@ -187,15 +187,11 @@ class ExperimentSpec:
     vector_backend: str = "serial"
     #: Decoupled trainer backend (repro.train): "inline" (historical
     #: train-in-the-tick-loop, byte-identical default), "serial"
-    #: (interleaved bursts), or "process" (continuous training in a
-    #: forked worker, §3).  CAPES tuner only.
+    #: (interleaved bursts).  CAPES tuner only.
     trainer_backend: str = "inline"
     #: SGD steps per collected action tick (may be fractional); None
     #: defers to the tuner's ``train_steps_per_tick``.
     train_ratio: Optional[float] = None
-    #: Process backend: SGD steps per weight broadcast (the staleness
-    #: bound on the acting policy).
-    sync_every: int = 64
     workload: WorkloadSpec = field(
         default_factory=lambda: WorkloadSpec(
             "random_rw", {"read_fraction": 0.1, "instances_per_client": 5}
@@ -346,7 +342,6 @@ class ExperimentSpec:
         if self.tuner == "capes":
             kwargs.setdefault("trainer_backend", self.trainer_backend)
             kwargs.setdefault("train_ratio", self.train_ratio)
-            kwargs.setdefault("sync_every", self.sync_every)
         elif self.trainer_backend != "inline" or self.train_ratio is not None:
             raise ValueError(
                 f"trainer_backend/train_ratio configure the DQN training "
@@ -377,7 +372,6 @@ class ExperimentSpec:
             "vector_backend": self.vector_backend,
             "trainer_backend": self.trainer_backend,
             "train_ratio": self.train_ratio,
-            "sync_every": self.sync_every,
             "workload": None if from_conf else self.workload.to_dict(),
             "cluster": None if from_conf else asdict(self.cluster),
             "hp": None if from_conf else asdict(self.hp),

@@ -147,8 +147,8 @@ class CapesTuner:
     Wraps :class:`~repro.core.session.CapesSession`; session knobs
     (``train_steps_per_tick``, ``loss``) pass through unchanged, so a
     spec-driven run is bit-identical to the hand-rolled drivers it
-    replaced.  The trainer knobs (``trainer_backend``, ``train_ratio``,
-    ``sync_every``) select the :mod:`repro.train` cadence; the
+    replaced.  The trainer knobs (``trainer_backend``, ``train_ratio``)
+    select the :mod:`repro.train` cadence; the
     ``inline`` default stays golden-trace identical.
     """
 
@@ -163,7 +163,6 @@ class CapesTuner:
         greedy_eval: bool = True,
         trainer_backend: str = "inline",
         train_ratio: Optional[float] = None,
-        sync_every: int = 64,
     ):
         self.seed = int(seed)
         self.scenario = scenario
@@ -172,7 +171,6 @@ class CapesTuner:
         self.greedy_eval = greedy_eval
         self.trainer_backend = trainer_backend
         self.train_ratio = train_ratio
-        self.sync_every = int(sync_every)
 
     def _trainer_config(self) -> TrainerConfig:
         return TrainerConfig(
@@ -182,7 +180,6 @@ class CapesTuner:
                 if self.train_ratio is not None
                 else float(self.train_steps_per_tick)
             ),
-            sync_every=self.sync_every,
         )
 
     def run(self, env: Environment, budget: RunBudget) -> RunResult:
@@ -197,7 +194,6 @@ class CapesTuner:
             loss=self.loss,
             trainer_backend=self.trainer_backend,
             train_ratio=self.train_ratio,
-            sync_every=self.sync_every,
         )
         phases: List[PhaseResult] = []
         trained = 0
@@ -260,25 +256,10 @@ class CapesTuner:
         )
         sampler_seed = int(derive_rng(root, "sampler").integers(2**31))
         trainer_config = self._trainer_config()
-        if trainer_config.backend == "process":
-            trainer = TrainerLoop(
-                agent,
-                trainer_config,
-                frame_width=venv.frame_dim,
-                stride=venv.tick_stride,
-                n_blocks=venv.n_envs,
-                sampler_seed=sampler_seed,
-                cache_capacity=venv.n_envs * venv.tick_stride,
-            )
-            venv.add_ingest_listener(trainer.ingest)
-        else:
-            trainer = TrainerLoop(
-                agent,
-                trainer_config,
-                sampler=venv.make_sampler(seed=sampler_seed),
-            )
+        trainer = TrainerLoop(
+            agent, trainer_config, sampler=venv.make_sampler(seed=sampler_seed)
+        )
         act_rngs = per_env_rngs(self.seed, venv.n_envs)
-        trainer.begin()
         obs = venv.reset()
         phases: List[PhaseResult] = []
         trained = 0
@@ -326,8 +307,6 @@ class CapesTuner:
                 obs = venv.refresh_observation(0)
         finally:
             trainer.stop()
-            if trainer_config.backend == "process":
-                venv.remove_ingest_listener(trainer.ingest)
         extra: Dict[str, Any] = {"n_envs": venv.n_envs}
         if first_loss is not None:
             extra["loss_first"] = first_loss

@@ -8,9 +8,7 @@ weights, and (optionally) optimiser state, so a Figure 4-style
 multi-session experiment can stop and resume training bit-exactly.
 
 The same format also travels as in-memory bytes
-(:func:`checkpoint_to_bytes` / :func:`checkpoint_from_bytes`) — the
-versioned weight snapshots the decoupled trainer (:mod:`repro.train`)
-broadcasts from its worker process back to the acting agent.
+(:func:`checkpoint_to_bytes` / :func:`checkpoint_from_bytes`).
 """
 
 from __future__ import annotations

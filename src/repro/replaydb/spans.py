@@ -8,8 +8,7 @@ fleet itself:
 
 - :class:`TickSpans` tracks the per-block sampling frontier (the
   highest tick ingested per block) and turns it into candidate spans —
-  the bookkeeping both the master's fan-in loop and a decoupled
-  trainer process (:mod:`repro.train`) maintain over their own caches;
+  the fan-in bookkeeping of the fleet and of the serve daemon;
 - :class:`StridedMinibatchSampler` runs Algorithm 1 over such a space:
   uniform over all stored transitions, never starved by the empty gulf
   between blocks.
@@ -171,8 +170,8 @@ class TickSpans:
     def observe(self, global_ticks: np.ndarray) -> None:
         """Fold a batch of *global* ticks into the per-block frontier.
 
-        Used by consumers that only see the ingested batches (e.g. the
-        trainer worker), not the per-source bookkeeping the master
+        Used by consumers that only see the ingested batches, not the
+        per-source bookkeeping the master
         keeps.  Ticks map to blocks by ``tick // stride``; with
         ``stride=None`` everything is block 0.
         """

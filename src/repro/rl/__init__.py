@@ -15,7 +15,6 @@
 from repro.rl.agent import DQNAgent
 from repro.rl.epsilon import EpsilonSchedule
 from repro.rl.hyperparams import Hyperparameters
-from repro.rl.hypersearch import GridSearch, RandomSampler, SearchResult
 from repro.rl.interpret import (
     PolicyRow,
     format_policy_table,
@@ -30,9 +29,6 @@ __all__ = [
     "policy_table",
     "format_policy_table",
     "q_sensitivity",
-    "GridSearch",
-    "RandomSampler",
-    "SearchResult",
     "DQNAgent",
     "EpsilonSchedule",
     "Hyperparameters",

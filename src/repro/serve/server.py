@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.env.vector import per_env_rngs
 from repro.replaydb.db import CACHE_ONLY, ReplayDB
-from repro.replaydb.records import PackedRecords
 from repro.replaydb.spans import StridedMinibatchSampler, TickSpans
 from repro.rl.agent import DQNAgent
 from repro.rl.hyperparams import Hyperparameters
@@ -73,9 +72,8 @@ from repro.util.rng import derive_rng, ensure_rng
 from repro.util.validation import check_positive
 
 #: Trainer backends the daemon accepts.  ``none`` serves a frozen
-#: policy; ``serial`` bursts SGD on the event loop between decisions;
-#: ``process`` overlaps training in the PR-5 worker process.
-SERVE_BACKENDS = ("none", "serial", "process")
+#: policy; ``serial`` bursts SGD on the event loop between decisions.
+SERVE_BACKENDS = ("none", "serial")
 
 #: The crash-recovery artifact name inside ``ServeConfig.snapshot_dir``.
 #: One fixed name, rewritten atomically: recovery always wants "the
@@ -174,28 +172,12 @@ class ServeConfig:
                 f"trainer backend must be one of {SERVE_BACKENDS}, "
                 f"got {self.trainer_backend!r}"
             )
-        if self.trainer_backend == "process" and self.obs_ticks != int(
-            self.hp.sampling_ticks_per_observation
-        ):
-            # The worker builds observations from
-            # hp.sampling_ticks_per_observation rows of its mirror cache;
-            # a daemon serving a different window would hand it batches
-            # the agent's input layer rejects mid-serve.
-            raise ValueError(
-                f"obs_ticks ({self.obs_ticks}) must match "
-                f"hp.sampling_ticks_per_observation "
-                f"({self.hp.sampling_ticks_per_observation}) with the "
-                f"process trainer backend: the forked worker samples "
-                f"the hp window"
-            )
         if self.trainer_backend != "none":
-            # Reuse the TrainerConfig rejection rules (train_ratio >= 0,
-            # sync_every >= 1) rather than restating them here.
             TrainerConfig(
                 backend=self.trainer_backend,
                 train_ratio=self.train_ratio,
-                sync_every=self.sync_every,
             )
+            check_positive("sync_every", self.sync_every)
 
 
 def build_serve_agent(
@@ -295,23 +277,8 @@ class CapesServer:
                 TrainerConfig(
                     backend="serial",
                     train_ratio=config.train_ratio,
-                    sync_every=config.sync_every,
                 ),
                 sampler=self._sampler,
-            )
-        elif config.trainer_backend == "process":
-            self._trainer = TrainerLoop(
-                self.agent,
-                TrainerConfig(
-                    backend="process",
-                    train_ratio=config.train_ratio,
-                    sync_every=config.sync_every,
-                ),
-                frame_width=fw,
-                stride=config.tick_stride,
-                n_blocks=config.max_clients,
-                sampler_seed=sampler_seed,
-                cache_capacity=config.cache_capacity,
             )
         # Last weight state broadcast to clients (PR-5 fence identity).
         self._weight_epoch = 0
@@ -329,9 +296,7 @@ class CapesServer:
 
     # -- lifecycle --------------------------------------------------------
     async def start(self) -> None:
-        """Bind sockets and fork the trainer backend."""
-        if self._trainer is not None:
-            self._trainer.begin()
+        """Bind sockets (and start the snapshot task)."""
         if self.config.snapshot_dir is not None:
             self._snapshot_task = asyncio.create_task(self._snapshot_loop())
         self._server = await asyncio.start_server(
@@ -355,8 +320,7 @@ class CapesServer:
         then connections close (no new frames), then a last flush
         spends what the readers still accepted (every accepted frame
         lands and grants training budget), then the trainer stops via
-        its own ``stop()`` (flushing budget / joining the worker
-        without masking errors), then the store commits.
+        its own ``stop()`` (flushing budget), then the store commits.
         """
         if self._closing:
             await self._done.wait()
@@ -390,8 +354,7 @@ class CapesServer:
         if self.config.snapshot_dir is not None:
             # Final snapshot after the trainer has stopped: the pending
             # list is spent (every accepted frame landed), the serial
-            # burst flushed, and a process worker's weights have been
-            # adopted back — the artifact is the fully quiesced session.
+            # burst flushed — the artifact is the fully quiesced session.
             try:
                 self.write_snapshot()
             except OSError as exc:
@@ -679,17 +642,6 @@ class CapesServer:
         gtick = cluster.slot * self.config.tick_stride + tick
         self.db.put_many([gtick], frame[None], [reward], [action])
         self.spans.observe_top(cluster.slot, tick)
-        if self.config.trainer_backend == "process":
-            # Only the forked worker is shipped the record; in-process
-            # trainers sample the shared cache it has just landed in.
-            self._trainer.ingest(
-                PackedRecords(
-                    ticks=np.array([gtick], dtype=np.int64),
-                    frames=frame[None],
-                    actions=np.array([action], dtype=np.int64),
-                    rewards=np.array([reward], dtype=np.float64),
-                )
-            )
         cluster.row.ticks_landed += 1
 
     # -- training / broadcasts ---------------------------------------------
@@ -700,23 +652,13 @@ class CapesServer:
         self._trainer.notify_ticks(k)
         stats = self._trainer.stats
         try:
-            if self._trainer.config.backend == "process":
-                epoch, version = stats.epoch, stats.weights_version
-            else:
-                # Serial SGD mutates the acting agent directly; mirror
-                # the process backend's broadcast cadence for clients.
-                epoch = stats.epoch
-                version = (
-                    stats.steps_attempted // self._trainer.config.sync_every
-                )
+            epoch = stats.epoch
+            version = stats.steps_attempted // self.config.sync_every
             if (epoch, version) <= (self._weight_epoch, self._weight_version):
                 return
             self._weight_epoch, self._weight_version = epoch, version
-            if self._trainer.config.backend != "process":
-                # The serial path has no worker feeding these back; the
-                # broadcast IS the version bump, so record it.
-                stats.weights_version = version
-                stats.broadcasts_applied += 1
+            stats.weights_version = version
+            stats.broadcasts_applied += 1
             message = self._checkpoint_message()
             high_water = self.config.broadcast_high_water
             for cluster in self._clusters.values():
@@ -840,9 +782,7 @@ class CapesServer:
     def restore_state(self, snap: SessionSnapshot) -> None:
         """Apply a serve snapshot onto this freshly built daemon.
 
-        Must run before :meth:`start`: a process-backend trainer forks
-        its worker on ``begin()`` and must fork from the restored
-        weights and (bumped) epoch.  Clusters re-register under their
+        Must run before :meth:`start`.  Clusters re-register under their
         old names, keep their slots, rings and monotonic tick fences,
         and must continue from ``last_tick + 1`` — exactly the contract
         a reconnect already imposes.
@@ -882,14 +822,10 @@ class CapesServer:
             set_rng_state(gen, state)
         if self._trainer is not None and snap.has_section("trainer"):
             t_meta = snap.section("trainer")
-            # The epoch bump is the process-backend resume fence: the
-            # worker's in-flight state died with the old daemon, and
-            # the first post-resume report must win the broadcast race.
             restore_trainer(
                 self._trainer,
                 t_meta,
                 snap.section_arrays("trainer"),
-                bump_epoch=(cfg.trainer_backend == "process"),
             )
             if self._sampler is not None and "sampler_rng" in t_meta:
                 set_rng_state(self._sampler.rng, t_meta["sampler_rng"])
@@ -899,25 +835,6 @@ class CapesServer:
             snap.section("replay"),
             snap.section_arrays("replay"),
         )
-        if self._trainer is not None and cfg.trainer_backend == "process":
-            # The worker samples its *own* mirror cache, which died with
-            # the old daemon; replay the restored blocks through ingest
-            # (this forks the worker — from the weights and bumped epoch
-            # restored above) so post-resume SGD sees the full history.
-            r_meta = snap.section("replay")
-            r_arrays = snap.section_arrays("replay")
-            for i, top in enumerate(r_meta["tops"]):
-                key = f"ticks{i}"
-                if top < 0 or key not in r_arrays or not len(r_arrays[key]):
-                    continue
-                self._trainer.ingest(
-                    PackedRecords(
-                        ticks=r_arrays[key],
-                        frames=r_arrays[f"frames{i}"],
-                        actions=r_arrays[f"actions{i}"],
-                        rewards=r_arrays[f"rewards{i}"],
-                    )
-                )
         rings = snap.section_arrays("serve")
         self._clusters.clear()
         self.stats.clusters.clear()

@@ -104,8 +104,6 @@ def capture_trainer(loop) -> Tuple[dict, Dict[str, np.ndarray]]:
         "debt": float(loop._debt),
         "steps_attempted": int(stats.steps_attempted),
         "broadcasts_applied": int(stats.broadcasts_applied),
-        "stale_discarded": int(stats.stale_discarded),
-        "batches_validated": int(stats.batches_validated),
         "weights_version": int(stats.weights_version),
         "epoch": int(stats.epoch),
     }
@@ -113,16 +111,10 @@ def capture_trainer(loop) -> Tuple[dict, Dict[str, np.ndarray]]:
     return meta, arrays
 
 
-def restore_trainer(
-    loop, meta: dict, arrays: Dict[str, np.ndarray], bump_epoch: bool = False
-) -> None:
+def restore_trainer(loop, meta: dict, arrays: Dict[str, np.ndarray]) -> None:
     """Restore a freshly built loop's accounting from a capture.
 
-    Must run before :meth:`~repro.train.loop.TrainerLoop.begin` so a
-    process-backend worker forks from the restored epoch.  With
-    ``bump_epoch`` the epoch advances by one — the resume fence for the
-    process backend, whose in-flight worker state died with the
-    original process.
+    Keys only older captures carry are ignored.
     """
     if meta["backend"] != loop.config.backend:
         raise SnapshotError(
@@ -134,10 +126,8 @@ def restore_trainer(
     stats = loop.stats
     stats.steps_attempted = int(meta["steps_attempted"])
     stats.broadcasts_applied = int(meta["broadcasts_applied"])
-    stats.stale_discarded = int(meta["stale_discarded"])
-    stats.batches_validated = int(meta["batches_validated"])
     stats.weights_version = int(meta["weights_version"])
-    stats.epoch = int(meta["epoch"]) + (1 if bump_epoch else 0)
+    stats.epoch = int(meta["epoch"])
     stats.losses[:] = [float(x) for x in arrays["losses"]]
 
 

@@ -18,7 +18,7 @@ section so ``repro resume`` cannot get it wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -117,7 +117,6 @@ def restore_session_state(
     agent=None,
     loop=None,
     sampler=None,
-    bump_epoch: bool = False,
 ) -> tuple:
     """Apply a session artifact onto freshly built objects.
 
@@ -139,16 +138,12 @@ def restore_session_state(
         raise SnapshotError(
             "snapshot carries trainer state but no trainer was provided"
         )
-    # Agent and trainer first: a process-backend trainer forks its
-    # worker lazily on the first ingest, and the env restore below is
-    # what fires those ingest listeners — the worker must fork from the
-    # restored weights and epoch, not the fresh ones.
     if agent is not None and session["has_agent"]:
         restore_agent(agent, snap.section("agent"), snap.section_arrays("agent"))
     if loop is not None and session["has_trainer"]:
         meta = snap.section("trainer")
         restore_trainer(
-            loop, meta, snap.section_arrays("trainer"), bump_epoch=bump_epoch
+            loop, meta, snap.section_arrays("trainer")
         )
         if sampler is not None and "sampler_rng" in meta:
             set_rng_state(sampler.rng, meta["sampler_rng"])
@@ -207,48 +202,24 @@ def run_collect_session(
             )
         # Mirror train_collect's backend split exactly — same cadence,
         # same streams — so snapshotted and plain runs are comparable.
-        from repro.train.loop import TrainerConfig, TrainerLoop
+        from repro.train.loop import TrainerLoop
 
-        if trainer_config.backend == "process":
-            loop = TrainerLoop(
-                agent,
-                trainer_config,
-                frame_width=venv.frame_dim,
-                stride=venv.tick_stride,
-                n_blocks=venv.n_envs,
-                sampler_seed=sampler_seed,
-                cache_capacity=venv.n_envs * venv.tick_stride,
-            )
-        else:
-            serial_cfg = TrainerConfig(
-                backend=trainer_config.backend,
-                train_ratio=trainer_config.train_ratio,
-                interleave_ticks=(
-                    chunk
-                    if trainer_config.backend == "serial"
-                    else trainer_config.interleave_ticks
-                ),
-                sync_every=trainer_config.sync_every,
-            )
-            sampler = venv.make_sampler(seed=sampler_seed)
-            loop = TrainerLoop(agent, serial_cfg, sampler=sampler)
+        if trainer_config.backend == "serial":
+            trainer_config = replace(trainer_config, interleave_ticks=chunk)
+        sampler = venv.make_sampler(seed=sampler_seed)
+        loop = TrainerLoop(agent, trainer_config, sampler=sampler)
 
     listener = loop.ingest if loop is not None else None
     if listener is not None:
         venv.add_ingest_listener(listener)
     try:
         if resume_from is not None:
-            # Restore before begin(): a process-backend worker must
-            # fork from the restored weights and (bumped) epoch.
             start, total, digest = restore_session_state(
                 resume_from,
                 venv,
                 agent=agent,
                 loop=loop,
                 sampler=sampler,
-                bump_epoch=(
-                    loop is not None and loop.config.backend == "process"
-                ),
             )
             total = max(total, n_ticks)
         else:
@@ -276,12 +247,8 @@ def run_collect_session(
             )
             snapshots.append(snap.save(snapshot_path(snapshot_dir, done)))
 
-        if loop is not None:
-            loop.begin()
         try:
             if resume_from is None:
-                # Reset after the tap attaches so warm-up records reach
-                # the trainer's mirror cache too (train_collect's rule).
                 venv.reset()
             done = start
             while done < target:

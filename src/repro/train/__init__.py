@@ -5,22 +5,18 @@ monitoring agents streaming observations into the central replay DB.
 This package gives the reproduction that decoupling:
 
 - :class:`~repro.train.loop.TrainerLoop` — one DQN consuming one
-  replay stream on its own cadence, behind three backends: ``inline``
+  replay stream on its own cadence, behind two backends: ``inline``
   (the historical one-SGD-burst-per-tick session path, byte-identical),
-  ``serial`` (deterministic round-robin interleaving), and ``process``
-  (training in a forked worker with versioned weight broadcasts,
-  staleness bounded by ``sync_every``);
+  ``serial`` (deterministic round-robin interleaving);
 - :class:`~repro.train.loop.TrainerConfig` /
   :class:`~repro.train.loop.TrainerStats` — the knobs
-  (``trainer_backend``, ``train_ratio``, ``sync_every`` on
+  (``trainer_backend``, ``train_ratio`` on
   :class:`~repro.exp.spec.ExperimentSpec` and the CLI) and the
   accounting;
 - :func:`~repro.train.loop.train_collect` — §3.3 "solely monitoring"
   over a :class:`~repro.env.vector.VectorEnv` *plus* continuous
   training against the shared fan-in replay DB (``repro collect
-  --train``);
-- :class:`~repro.train.process.ProcessTrainer` — the master-side
-  handle on the forked trainer worker.
+  --train``).
 
 :class:`~repro.core.session.CapesSession` delegates its training
 cadence here; ``inline`` remains the default and is golden-trace
@@ -29,18 +25,14 @@ identical to the pre-subsystem sessions.
 
 from repro.train.loop import (
     BACKENDS,
-    PackedFeed,
     TrainerConfig,
     TrainerLoop,
     TrainerStats,
     train_collect,
 )
-from repro.train.process import ProcessTrainer
 
 __all__ = [
     "BACKENDS",
-    "PackedFeed",
-    "ProcessTrainer",
     "TrainerConfig",
     "TrainerLoop",
     "TrainerStats",

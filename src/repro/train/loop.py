@@ -4,7 +4,7 @@ The inline session (:meth:`~repro.core.session.CapesSession.train`)
 historically ran ``train_steps_per_tick`` SGD steps after every single
 environment tick — collection throughput and gradient throughput
 serialized on one loop.  :class:`TrainerLoop` breaks that coupling
-behind one notification-style interface with three backends:
+behind one notification-style interface with two backends:
 
 ``inline``
     SGD runs synchronously inside every tick notification, exactly
@@ -15,12 +15,6 @@ behind one notification-style interface with three backends:
     ``interleave_ticks`` of them buys one training burst.  Still one
     process and fully deterministic; with ``interleave_ticks=1`` it is
     byte-identical to ``inline`` at equal step budgets.
-``process``
-    The paper's continuous DRL engine (§3): training runs in a forked
-    worker (:mod:`repro.train.process`) that mirrors the replay stream
-    into its own cache, while the master keeps collecting.  Weights
-    come back as versioned broadcasts every ``sync_every`` SGD steps,
-    so the acting policy is never more than ``sync_every`` steps stale.
 
 Step accounting is identical across backends: every collected action
 tick grants ``train_ratio`` SGD steps (fractional ratios accumulate),
@@ -30,13 +24,13 @@ backends change *when* the steps run, never *how many*.
 :func:`train_collect` drives the vectorized form — §3.3 monitoring
 plus continuous training over a :class:`~repro.env.vector.VectorEnv` —
 by round-robining ``VectorEnv.collect`` chunks with trainer
-notifications (``serial``) or overlapping them outright (``process``).
+notifications.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import List, Optional
 
 import numpy as np
 
@@ -44,7 +38,7 @@ from repro.replaydb.records import PackedRecords
 from repro.replaydb.sampler import MinibatchSampler
 from repro.util.validation import check_positive
 
-BACKENDS = ("inline", "serial", "process")
+BACKENDS = ("inline", "serial")
 
 
 @dataclass(frozen=True)
@@ -53,15 +47,12 @@ class TrainerConfig:
 
     ``train_ratio`` is SGD steps granted per collected action tick
     (fractions accumulate: ``0.25`` trains once every 4 ticks);
-    ``interleave_ticks`` is the serial backend's burst cadence;
-    ``sync_every`` is the process backend's weight-broadcast period in
-    SGD steps — the staleness bound on the acting policy.
+    ``interleave_ticks`` is the serial backend's burst cadence.
     """
 
     backend: str = "inline"
     train_ratio: float = 1.0
     interleave_ticks: int = 1
-    sync_every: int = 64
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -74,7 +65,6 @@ class TrainerConfig:
                 f"train_ratio must be >= 0, got {self.train_ratio}"
             )
         check_positive("interleave_ticks", self.interleave_ticks)
-        check_positive("sync_every", self.sync_every)
 
 
 @dataclass
@@ -86,74 +76,19 @@ class TrainerStats:
     losses: List[float] = field(default_factory=list)
     #: SGD steps attempted (granted budget actually consumed).
     steps_attempted: int = 0
-    #: Weight broadcasts applied to the acting agent (process backend).
     broadcasts_applied: int = 0
-    #: Broadcasts discarded as stale after a checkpoint load.
-    stale_discarded: int = 0
-    #: Record batches that passed the torn-read validation (process).
-    batches_validated: int = 0
-    #: Applied weight version within the current epoch (process).
     weights_version: int = 0
-    #: Weight lineage epoch (bumped by checkpoint loads).
     epoch: int = 0
-
-
-class PackedFeed:
-    """Incremental packed-record feed over one environment.
-
-    Re-fetches the last fed tick on every call (its action is recorded
-    one step later than its frame), mirroring the fan-in bookkeeping of
-    :class:`~repro.env.vector.VectorEnv`.  Uses the backend's native
-    packed feed when it has one, else packs the object-form
-    ``records_since`` — the same duck-typed fallback the fan-in fleet
-    applies; an environment with neither feed is rejected up front.
-    """
-
-    def __init__(self, env):
-        if (
-            getattr(env, "records_since_packed", None) is None
-            and getattr(env, "records_since", None) is None
-        ):
-            raise ValueError(
-                f"{type(env).__name__} exposes no replay-record feed "
-                f"(records_since / records_since_packed); the process "
-                f"trainer backend cannot mirror its experience — use "
-                f"the inline or serial backend instead"
-            )
-        self.env = env
-        self._top = -1
-
-    def __call__(self) -> PackedRecords:
-        """New records since the previous call, packed."""
-        since = self._top - 1 if self._top >= 0 else -1
-        fn = getattr(self.env, "records_since_packed", None)
-        if fn is not None:
-            packed = fn(since)
-        else:
-            packed = PackedRecords.from_records(
-                self.env.records_since(since), self.env.frame_dim
-            )
-        if len(packed):
-            self._top = max(self._top, int(packed.ticks[-1]))
-        return packed
 
 
 class TrainerLoop:
     """One DRL engine consuming one replay stream, backend-agnostic.
 
-    Drivers push collection progress through :meth:`notify_ticks` (and,
-    for the process backend without a pull feed, :meth:`ingest`); the
+    Drivers push collection progress through :meth:`notify_ticks`; the
     loop decides when gradients actually happen.  ``sampler`` may be a
     live :class:`~repro.replaydb.sampler.MinibatchSampler` or a
     zero-argument callable returning one (sessions rebuild samplers on
     environment restarts).
-
-    Process-backend construction needs the replay geometry —
-    ``frame_width``, ``stride`` (``None`` for an unstrided feed),
-    ``n_blocks``, ``cache_capacity`` — plus ``sampler_seed``, and
-    optionally ``feed`` (a zero-arg callable returning new
-    :class:`~repro.replaydb.records.PackedRecords`, e.g.
-    :class:`PackedFeed`) when no external tap pushes records in.
     """
 
     def __init__(
@@ -161,104 +96,33 @@ class TrainerLoop:
         agent,
         config: TrainerConfig,
         sampler=None,
-        feed: Optional[Callable[[], PackedRecords]] = None,
-        frame_width: Optional[int] = None,
-        stride: Optional[int] = None,
-        n_blocks: int = 1,
-        sampler_seed: Optional[int] = None,
-        cache_capacity: int = 250_000,
     ):
         self.agent = agent
         self.config = config
         self.stats = TrainerStats(backend=config.backend)
-        self._feed = feed
         self._pending_ticks = 0.0
         self._debt = 0.0
-        self._proc = None
-        if config.backend == "process":
-            if frame_width is None:
-                raise ValueError(
-                    "process backend needs frame_width (replay geometry)"
-                )
-            self._init = dict(
-                obs_dim=agent.obs_dim,
-                n_actions=agent.n_actions,
-                hp=agent.hp,
-                loss=agent.online.loss_name,
-                double_dqn=agent.double_dqn,
-                online_blob=None,  # filled by begin()
-                target_blob=None,
-                train_steps=0,
-                frame_width=int(frame_width),
-                stride=None if stride is None else int(stride),
-                n_blocks=int(n_blocks),
-                sampler_seed=sampler_seed,
-                cache_capacity=int(cache_capacity),
-                train_ratio=config.train_ratio,
-                sync_every=config.sync_every,
-                epoch=0,
-            )
+        if sampler is None:
+            raise ValueError(f"{config.backend!r} backend needs a sampler")
         else:
-            if sampler is None:
-                raise ValueError(
-                    f"{config.backend!r} backend needs a sampler"
-                )
             self._sampler_fn = (
                 sampler
                 if callable(sampler) and not isinstance(sampler, MinibatchSampler)
                 else (lambda: sampler)
             )
 
-    # -- lifecycle -------------------------------------------------------
-    def begin(self) -> None:
-        """Start the backend (forks the worker for ``process``)."""
-        if self.config.backend == "process" and self._proc is None:
-            from repro.train.process import ProcessTrainer
-
-            self._init["online_blob"] = self.agent.snapshot_weights(
-                include_optimizer=True
-            )
-            self._init["target_blob"] = self.agent.snapshot_target()
-            self._init["train_steps"] = int(self.agent.train_steps)
-            self._init["epoch"] = self.stats.epoch
-            self._proc = ProcessTrainer(self.agent, self._init)
-
-    @property
-    def started(self) -> bool:
-        """Whether the backend is live (always true for in-process)."""
-        return self.config.backend != "process" or self._proc is not None
-
     # -- notifications ---------------------------------------------------
     def ingest(self, packed: PackedRecords) -> None:
-        """Mirror a fan-in batch to the trainer (no budget granted).
-
-        The :meth:`~repro.env.vector.VectorEnv.add_ingest_listener`
-        tap; in-process backends sample the shared cache directly, so
-        only the process backend ships anything.
-        """
-        if self.config.backend != "process":
-            return
-        self.begin()
-        if len(packed):
-            self._proc.send_records(packed, 0.0)
+        """A no-op fan-in tap: samplers read the shared cache directly."""
 
     def notify_ticks(self, k: float) -> List[float]:
         """Grant ``k`` collected ticks of training budget.
 
         Returns the prediction errors of whatever SGD steps
-        materialized *now*: the whole burst for in-process backends,
-        whatever broadcasts have arrived for ``process``.
+        materialized *now*: the whole burst for in-process backends.
         """
         if k <= 0:
             raise ValueError(f"k must be > 0, got {k}")
-        self.begin()
-        if self._proc is not None:
-            packed = self._feed() if self._feed is not None else None
-            new = self._proc.poll()  # drain first: never grow the pipe
-            self._proc.send_records(packed, k)
-            self._sync_proc_stats()
-            self.stats.losses.extend(new)
-            return new
         self._pending_ticks += k
         if (
             self.config.backend == "inline"
@@ -283,60 +147,18 @@ class TrainerLoop:
         self.stats.losses.extend(new)
         return new
 
-    def _sync_proc_stats(self) -> None:
-        self.stats.broadcasts_applied = self._proc.broadcasts_applied
-        self.stats.stale_discarded = self._proc.stale_discarded
-        self.stats.batches_validated = self._proc.batches_validated
-        self.stats.weights_version = self._proc.weights_version
-        # Same accounting as the in-process backends: granted steps
-        # consumed, whether or not the sampler could fill them.
-        self.stats.steps_attempted = max(
-            self.stats.steps_attempted, self._proc.worker_attempted
-        )
-
     # -- barriers --------------------------------------------------------
     def drain(self) -> List[float]:
         """Spend every granted step now; block until done.
-
-        For the process backend this adopts the worker's full state
-        (online weights, optimiser, target) into the acting agent, so a
-        segment boundary leaves the master exactly as far trained as an
-        in-process backend would be.
         """
-        if self._proc is not None:
-            new = self._proc.drain()
-            self._sync_proc_stats()
-            self.stats.losses.extend(new)
-            return new
-        if self.config.backend == "process":
-            return []  # never begun: nothing granted, nothing to spend
         return self._burst()
-
-    def invalidate_weights(self) -> None:
-        """Externally loaded weights replaced the agent's: start a new
-        weight epoch so in-flight trainer broadcasts cannot overwrite
-        them (the checkpoint-load fence)."""
-        self.stats.epoch += 1
-        self.stats.weights_version = 0
-        if self._proc is not None:
-            self._proc.invalidate(
-                self.agent.snapshot_weights(include_optimizer=True),
-                self.agent.snapshot_target(),
-            )
 
     def stop(self) -> TrainerStats:
         """Flush remaining budget, shut the backend down, return stats."""
-        if self._proc is not None:
-            new = self._proc.stop()
-            self._sync_proc_stats()
-            self.stats.losses.extend(new)
-            self._proc = None
-        elif self.config.backend != "process":
-            self._burst()
+        self._burst()
         return self.stats
 
     def __enter__(self) -> "TrainerLoop":
-        self.begin()
         return self
 
     def __exit__(self, *exc) -> None:
@@ -356,8 +178,7 @@ def train_collect(
     Resets ``venv``, collects ``n_ticks`` monitoring-only ticks in
     chunks, and trains ``agent`` against the shared fan-in replay DB
     with the configured backend: ``serial`` round-robins collection
-    chunks with training bursts; ``process`` overlaps them (the fleet
-    simulates while the trainer worker runs SGD).  Collection rewards
+    chunks with training bursts.  Collection rewards
     are byte-identical across backends — NULL-action monitoring never
     consults the policy — so the backend choice is pure wall-clock.
 
@@ -373,37 +194,14 @@ def train_collect(
     if chunk is None:
         chunk = n_ticks
     check_positive("chunk", chunk)
-    if config.backend == "process":
-        loop = TrainerLoop(
-            agent,
-            config,
-            frame_width=venv.frame_dim,
-            stride=venv.tick_stride,
-            n_blocks=venv.n_envs,
-            sampler_seed=sampler_seed,
-            cache_capacity=venv.n_envs * venv.tick_stride,
-        )
-    else:
-        # Serial cadence: one burst per collection chunk.
-        serial_cfg = TrainerConfig(
-            backend=config.backend,
-            train_ratio=config.train_ratio,
-            interleave_ticks=(
-                chunk if config.backend == "serial" else config.interleave_ticks
-            ),
-            sync_every=config.sync_every,
-        )
-        loop = TrainerLoop(
-            agent, serial_cfg, sampler=venv.make_sampler(seed=sampler_seed)
-        )
-        config = serial_cfg
+    if config.backend == "serial":  # one burst per collection chunk
+        config = replace(config, interleave_ticks=chunk)
+    loop = TrainerLoop(agent, config, sampler=venv.make_sampler(seed=sampler_seed))
     rewards = np.empty((venv.n_envs, n_ticks))
     listener = loop.ingest
     venv.add_ingest_listener(listener)
     try:
         with loop:
-            # Reset *after* the tap attaches so warm-up records reach
-            # the trainer's mirror cache too.
             venv.reset()
             done = 0
             while done < n_ticks:

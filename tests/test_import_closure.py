@@ -30,7 +30,7 @@ ENTRY_POINTS = (
     "repro.serve",
     "repro.cli",
     "repro.env.worker",
-    "repro.train.process",
+    "repro.train",
     "repro.replaydb",
 )
 

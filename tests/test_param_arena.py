@@ -16,9 +16,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig
-from repro.core import CapesSession
-from repro.env import EnvConfig, StorageTuningEnv
 from repro.nn import (
     MLP,
     SGD,
@@ -37,7 +34,6 @@ from repro.nn.optimizers import BLOCK
 from repro.replaydb.records import Minibatch
 from repro.rl import DQNAgent, Hyperparameters, soft_update
 from repro.snapshot.layers import capture_agent, restore_agent
-from repro.workloads import RandomReadWrite
 
 
 def assert_packed(net: MLP) -> None:
@@ -181,7 +177,7 @@ class TestAdoption:
     def test_optimizer_follows_adopted_networks(self):
         """The optimiser outlives the networks it steps: 3 steps, the
         state shipped as checkpoint bytes into *new* network objects
-        (the trainer-broadcast / snapshot-restore path), 3 more steps —
+        (the checkpoint-load / snapshot-restore path), 3 more steps —
         equal to 6 uninterrupted steps on the original objects, byte
         for byte, and the abandoned networks are never touched again."""
         rng = np.random.default_rng(5)
@@ -222,42 +218,6 @@ class TestAdoption:
             restored.train_step(batch)
         assert restored.snapshot_weights(True) == original.snapshot_weights(True)
         assert restored.snapshot_target() == original.snapshot_target()
-
-    def test_process_trainer_broadcasts_and_drain(self):
-        """Mid-segment broadcasts replace ``agent.online`` wholesale and
-        the drain barrier adopts the worker's online + target + slots;
-        the master can then step what it adopted."""
-        config = EnvConfig(
-            cluster=ClusterConfig(n_servers=2, n_clients=2),
-            workload_factory=lambda c, s: RandomReadWrite(
-                c, read_fraction=0.1, instances_per_client=2, seed=s
-            ),
-            hp=Hyperparameters(
-                hidden_layer_size=16,
-                sampling_ticks_per_observation=3,
-                exploration_ticks=30,
-            ),
-            seed=0,
-        )
-        session = CapesSession(
-            StorageTuningEnv(config),
-            seed=0,
-            trainer_backend="process",
-            sync_every=4,
-        )
-        try:
-            session.train(12)
-            assert session.trainer.stats.weights_version >= 1
-            agent = session.agent
-            assert_packed(agent.online.net)
-            assert_packed(agent.target.net)
-            assert agent.optimizer.steps == agent.train_steps > 0
-            before = agent.online.net.theta.copy()
-            rng = np.random.default_rng(7)
-            agent.train_step(make_batch(rng, 8, agent.obs_dim, agent.n_actions))
-            assert agent.online.net.theta.tobytes() != before.tobytes()
-        finally:
-            session.shutdown_trainer()
 
 
 # -- gradients: accumulate by default, write on request ---------------------------

@@ -535,7 +535,11 @@ class TestServeConfigValidation:
         with pytest.raises(ValueError, match="train_ratio"):
             make_config(trainer_backend="serial", train_ratio=-0.5)
         with pytest.raises(ValueError, match="sync_every"):
-            make_config(trainer_backend="process", sync_every=0)
+            make_config(trainer_backend="serial", sync_every=0)
+
+    def test_retired_process_backend(self):
+        with pytest.raises(ValueError, match=r"\('none', 'serial'\)"):
+            make_config(trainer_backend="process")
 
     def test_timeout_and_clients(self):
         with pytest.raises(ValueError, match="read_timeout"):
@@ -754,6 +758,83 @@ def test_shutdown_writes_snapshot_and_resume_restores_state(tmp_path):
     )
 
 
+class TestRestoreOldArtifacts:
+    """Serve snapshots written while the process trainer backend existed."""
+
+    #: Trainer counters only that backend kept (split so no live code
+    #: spells the retired name).
+    OLD_TRAINER_COUNTERS = {"stale_discarded": 1, "batches_" "validated": 9}
+
+    CONFIG = dict(
+        trainer_backend="serial", train_ratio=1.0, sync_every=2, greedy=False
+    )
+
+    @pytest.fixture
+    def artifact(self, tmp_path):
+        from repro.serve import SERVE_SNAPSHOT_NAME
+
+        frames = client_frames(31, 12)
+
+        async def life():
+            server = CapesServer(
+                make_config(snapshot_dir=str(tmp_path), **self.CONFIG)
+            )
+            await server.start()
+            try:
+                client = ServeClient("127.0.0.1", server.port, "alpha", W)
+                await client.connect()
+                for t in range(12):
+                    await client.tick(t + 1, frames[t], reward=0.5)
+                await client.close()
+            finally:
+                await server.shutdown()
+
+        run(life())
+        return tmp_path / SERVE_SNAPSHOT_NAME
+
+    def resumed(self, snap):
+        """Restore ``snap``, serve six more ticks; the final weights."""
+        from repro.snapshot import SessionSnapshot
+
+        server = CapesServer(make_config(**self.CONFIG))
+        server.restore_state(SessionSnapshot.load(snap))
+        frames = client_frames(32, 6)
+
+        async def life():
+            await server.start()
+            try:
+                client = ServeClient("127.0.0.1", server.port, "alpha", W)
+                await client.connect()
+                for t in range(6):
+                    await client.tick(13 + t, frames[t], reward=0.5)
+                await client.close()
+            finally:
+                await server.shutdown()
+
+        run(life())
+        return server.agent.snapshot_weights(include_optimizer=True)
+
+    def old(self, artifact, backend="serial"):
+        from repro.snapshot import SessionSnapshot
+
+        snap = SessionSnapshot.load(artifact)
+        snap.section("trainer").update(self.OLD_TRAINER_COUNTERS, backend=backend)
+        snap.section("serve")["trainer_backend"] = backend
+        return snap.save(artifact.with_name("old.npz"))
+
+    def test_old_trainer_counters_resume_byte_identically(self, artifact):
+        assert self.resumed(self.old(artifact)) == self.resumed(artifact)
+
+    def test_process_backend_refused_by_name(self, artifact):
+        from repro.snapshot import SessionSnapshot, SnapshotError
+
+        server = CapesServer(make_config(**self.CONFIG))
+        with pytest.raises(SnapshotError, match="'process'"):
+            server.restore_state(
+                SessionSnapshot.load(self.old(artifact, backend="process"))
+            )
+
+
 def test_periodic_snapshot_task_rewrites_artifact(tmp_path):
     """The snapshot loop writes while the daemon is up, not only at exit."""
     from repro.serve import SERVE_SNAPSHOT_NAME
@@ -809,17 +890,6 @@ def test_restore_state_rejects_mismatched_geometry():
     run(started_rejects())
 
 
-def test_process_backend_requires_matching_obs_window():
-    """The forked worker samples the hp window; a daemon serving a
-    different obs_ticks would feed the agent unshaped batches."""
-    with pytest.raises(ValueError, match="sampling_ticks_per_observation"):
-        make_config(
-            trainer_backend="process",
-            obs_ticks=OBS + 1,
-            train_ratio=1.0,
-        )
-
-
 # -- broadcast backpressure and trainer-stats accounting ---------------------
 
 
@@ -865,8 +935,8 @@ def test_broadcast_skipped_for_stalled_reader():
 
 def test_serial_trainer_stats_reach_stats_snapshot():
     """Regression: the serial backend's broadcasts used to leave
-    ``weights_version``/``broadcasts_applied`` at zero in ``/stats``
-    because only the process worker fed them back."""
+    ``weights_version``/``broadcasts_applied`` at zero in ``/stats``;
+    the broadcast itself is the version bump and must be counted."""
     config = make_config(
         trainer_backend="serial",
         train_ratio=1.0,

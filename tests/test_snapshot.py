@@ -259,9 +259,7 @@ def trained_session(tmp_path=None, resume_from=None, stop=40):
             stop,
             chunk=5,
             agent=agent,
-            trainer_config=TrainerConfig(
-                backend="serial", train_ratio=1.0, sync_every=4
-            ),
+            trainer_config=TrainerConfig(backend="serial", train_ratio=1.0),
             sampler_seed=sampler_seed,
             snapshot_every=20 if tmp_path else None,
             snapshot_dir=tmp_path,
@@ -289,6 +287,82 @@ def test_trained_resume_matches_weights_and_digest(tmp_path):
         resumed.trainer_stats.steps_attempted
         == full.trainer_stats.steps_attempted
     )
+
+
+# -- artifacts written while the process trainer backend existed -----------
+
+#: Trainer counters only that backend kept; snapshots from before its
+#: retirement carry them (the name is split so no live code spells it).
+OLD_TRAINER_COUNTERS = {"stale_discarded": 2, "batches_" "validated": 5}
+
+
+def doctored(snap_path, out_path, backend="serial"):
+    """``snap_path`` re-saved as an older build wrote it: the retired
+    counters in the trainer section, ``sync_every`` among the session's
+    trainer knobs, and the trainer backend set to ``backend``."""
+    snap = SessionSnapshot.load(snap_path)
+    snap.section("trainer").update(OLD_TRAINER_COUNTERS, backend=backend)
+    session = snap.section("session")
+    knobs = session.get("trainer") or {"train_ratio": 1.0}
+    session["trainer"] = {**knobs, "backend": backend, "sync_every": 64}
+    return snap.save(out_path)
+
+
+def test_old_trainer_keys_resume_byte_identically(tmp_path):
+    full, agent_full = trained_session(tmp_path=tmp_path)
+    old = doctored(snapshot_path(tmp_path, 20), tmp_path / "old.npz")
+    resumed, agent_resumed = trained_session(
+        resume_from=SessionSnapshot.load(old)
+    )
+    assert resumed.digest.hexdigest == full.digest.hexdigest
+    assert agent_resumed.snapshot_weights(
+        include_optimizer=True
+    ) == agent_full.snapshot_weights(include_optimizer=True)
+
+
+def test_process_backend_snapshot_is_refused_by_name(tmp_path):
+    trained_session(tmp_path=tmp_path)
+    old = doctored(
+        snapshot_path(tmp_path, 20), tmp_path / "old.npz", backend="process"
+    )
+    with pytest.raises(SnapshotError, match="'process'"):
+        trained_session(resume_from=SessionSnapshot.load(old))
+
+
+class TestResumeCommandOnOldArtifacts:
+    """``repro resume`` in-process over a trained collect session."""
+
+    @pytest.fixture
+    def session(self, tmp_path, capsys):
+        from repro.cli import main
+
+        conf = tmp_path / "conf.py"
+        conf.write_text(MINIMAL_CONF)
+        snaps = tmp_path / "snaps"
+        assert main([
+            "collect", "--config", str(conf), "--ticks", "20", "--chunk", "5",
+            "--train", "--snapshot-every", "10", "--snapshot-dir", str(snaps),
+        ]) == 0
+        full = capsys.readouterr().out
+        return conf, snapshot_path(snaps, 10), digest_line(full)
+
+    def test_old_knobs_resume_byte_identically(self, session, tmp_path, capsys):
+        from repro.cli import main
+
+        conf, midpoint, full_digest = session
+        old = doctored(midpoint, tmp_path / "old.npz")
+        assert main(["resume", str(old), "--config", str(conf)]) == 0
+        assert digest_line(capsys.readouterr().out) == full_digest
+
+    def test_process_knobs_exit_2_in_one_line(self, session, tmp_path, capsys):
+        from repro.cli import main
+
+        conf, midpoint, _ = session
+        old = doctored(midpoint, tmp_path / "old.npz", backend="process")
+        assert main(["resume", str(old), "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "'process'" in err and "Traceback" not in err
 
 
 # -- restore is a fixed point ------------------------------------------------
@@ -339,6 +413,13 @@ def test_env_method_invalidates_oplog_snapshot():
 # -- the CLI, across interpreters --------------------------------------------
 
 
+def digest_line(out):
+    for line in out.splitlines():
+        if line.startswith("rollout digest:"):
+            return line.split(":", 1)[1].strip()
+    raise AssertionError(f"no digest line in: {out}")
+
+
 MINIMAL_CONF = """
 from repro.workloads import RandomReadWrite
 
@@ -374,12 +455,6 @@ def test_cli_resume_across_interpreters(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
-
-    def digest_line(out):
-        for line in out.splitlines():
-            if line.startswith("rollout digest:"):
-                return line.split(":", 1)[1].strip()
-        raise AssertionError(f"no digest line in: {out}")
 
     full_dir, part_dir = tmp_path / "full", tmp_path / "part"
     full = cli(

@@ -6,10 +6,7 @@ Covers the PR's contract surface:
   byte-identical to the historical train-in-the-tick-loop session;
 - the ``serial`` backend is deterministic at any interleave and spends
   the same step budget;
-- the ``process`` backend spends the same budget, bounds policy
-  staleness by ``sync_every``, validates every mirrored record batch
-  (torn-read guard), and survives checkpoint loads without a stale
-  broadcast overwriting freshly loaded weights;
+- the retired ``process`` backend is rejected with the valid choices;
 - concurrent replay access: sampling interleaved with ``put_many``
   chunk landings is deterministic and never serves torn rows.
 """
@@ -87,18 +84,15 @@ class TestTrainerConfig:
     def test_nonpositive_knobs_rejected(self):
         with pytest.raises(ValueError):
             TrainerConfig(interleave_ticks=0)
-        with pytest.raises(ValueError):
-            TrainerConfig(sync_every=0)
 
     def test_in_process_backend_needs_sampler(self):
         agent = DQNAgent(6, 3, hp=FAST_HP, rng=0)
         with pytest.raises(ValueError, match="sampler"):
             TrainerLoop(agent, TrainerConfig(backend="serial"))
 
-    def test_process_backend_needs_geometry(self):
-        agent = DQNAgent(6, 3, hp=FAST_HP, rng=0)
-        with pytest.raises(ValueError, match="frame_width"):
-            TrainerLoop(agent, TrainerConfig(backend="process"))
+    def test_retired_process_backend_rejected(self):
+        with pytest.raises(ValueError, match=r"\('inline', 'serial'\)"):
+            TrainerConfig(backend="process")
 
 
 class TestGoldenIdentity:
@@ -117,17 +111,6 @@ class TestGoldenIdentity:
         _, result, _ = run_session(n_ticks=20, train_ratio=0.25)
         # 20 ticks x 0.25 = 5 attempted steps; early ones may starve.
         assert 0 < len(result.losses) <= 5
-
-    def test_process_backend_equal_step_budget(self):
-        d_inline, r_inline, _ = run_session(train_steps_per_tick=2)
-        _, r_proc, session = run_session(
-            train_steps_per_tick=2,
-            trainer_backend="process",
-            sync_every=8,
-        )
-        assert len(r_proc.losses) == len(r_inline.losses)
-        assert np.isfinite(r_proc.losses).all()
-
 
 class TestSerialInterleaving:
     def test_interleave4_deterministic(self):
@@ -153,46 +136,11 @@ class TestSerialInterleaving:
         assert np.isfinite(result.losses).all()
         session.shutdown_trainer()
 
-
-class TestProcessBackend:
-    def test_broadcast_versioning_and_staleness_bound(self):
-        session = CapesSession(
-            StorageTuningEnv(fast_env_config()),
-            seed=0,
-            trainer_backend="process",
-            train_ratio=1.0,
-            sync_every=5,
-        )
-        session.train(23)
-        stats = session.trainer.stats
-        # 23 granted steps, one broadcast per 5 completed: versions
-        # 1..4 broadcast, the drain barrier carries the final state.
-        assert stats.weights_version == 4
-        assert stats.steps_attempted == 23
-        assert stats.batches_validated > 0
-        session.shutdown_trainer()
-
-    def test_worker_state_adopted_on_drain(self):
-        """After drain, the master holds the worker's exact weights."""
-        session = CapesSession(
-            StorageTuningEnv(fast_env_config()),
-            seed=0,
-            trainer_backend="process",
-            sync_every=4,
-        )
-        session.train(12)
-        d_before = weights_digest(session.agent)
-        # No new budget: an immediate drain must be a no-op.
-        session.trainer.drain()
-        assert weights_digest(session.agent) == d_before
-        session.shutdown_trainer()
-
     def test_trainer_survives_multiple_segments(self):
         session = CapesSession(
             StorageTuningEnv(fast_env_config()),
             seed=0,
-            trainer_backend="process",
-            sync_every=4,
+            trainer_backend="serial",
         )
         r1 = session.train(8)
         r2 = session.train(8)
@@ -204,7 +152,7 @@ class TestProcessBackend:
         session = CapesSession(
             StorageTuningEnv(fast_env_config()),
             seed=0,
-            trainer_backend="process",
+            trainer_backend="serial",
         )
         session.train(5)
         first = session.trainer
@@ -216,91 +164,25 @@ class TestProcessBackend:
 
 
 class TestLoadResetsWeightVersion:
-    """Satellite regression: loading a checkpoint mid-session must start
-    a new weight epoch so a stale broadcast cannot overwrite it."""
-
-    def test_stale_epoch_broadcast_discarded(self):
-        session = CapesSession(
-            StorageTuningEnv(fast_env_config()),
-            seed=0,
-            trainer_backend="process",
-            sync_every=4,
-        )
-        session.train(10)
-        trainer = session.trainer
-        backend = trainer._proc
-        old_epoch = backend.epoch
-        trainer.invalidate_weights()  # what load() triggers
-        d_loaded = weights_digest(session.agent)
-        # A broadcast forged from the *previous* epoch with a huge
-        # version: exactly what an in-flight pre-load message looks
-        # like.  It must be discarded wholesale.
-        garbage = DQNAgent(
-            session.agent.obs_dim,
-            session.agent.n_actions,
-            hp=FAST_HP,
-            rng=99,
-        ).snapshot_weights()
-        applied = backend._apply(
-            "weights", (old_epoch, 999, garbage, [1.0], 123, 123, 1)
-        )
-        assert applied == []
-        assert backend.stale_discarded == 1
-        assert weights_digest(session.agent) == d_loaded
-        assert backend.weights_version == 0
-        session.shutdown_trainer()
-
-    def test_reload_drops_pre_load_pending_losses(self):
-        """Losses of discarded pre-load SGD steps must not leak into
-        the new epoch's broadcasts/drains."""
-        import time
-
-        session = CapesSession(
-            StorageTuningEnv(fast_env_config()),
-            seed=0,
-            trainer_backend="process",
-            sync_every=4,
-        )
-        session.ensure_started()
-        trainer = session._ensure_trainer()
-        backend = trainer._proc
-        feed = trainer._feed
-        backend.send_records(feed(), 0.0)  # warm-up records
-        session.env.run_ticks(6)
-        # 6 granted steps against a 4-step sync: the worker broadcasts
-        # once (flushing 4 losses) and keeps steps 5-6 in ``pending``.
-        backend.send_records(feed(), 6.0)
-        deadline = time.monotonic() + 30.0
-        while backend.broadcasts_applied < 1:
-            backend.poll()
-            assert time.monotonic() < deadline, "no broadcast arrived"
-            time.sleep(0.01)
-        time.sleep(0.5)  # let the two post-broadcast steps finish
-        trainer.invalidate_weights()  # what load() triggers
-        drained = trainer.drain()
-        # The drain barrier reports the *new* lineage only: the
-        # pre-reload pending losses were dropped with their weights.
-        assert drained == []
-        session.shutdown_trainer()
+    """Loading a checkpoint mid-session replaces the weights the live
+    trainer goes on training, and nothing pending moves them."""
 
     def test_load_mid_session_end_to_end(self, tmp_path):
         path = tmp_path / "model.npz"
         session = CapesSession(
             StorageTuningEnv(fast_env_config()),
             seed=0,
-            trainer_backend="process",
-            sync_every=2,
+            trainer_backend="serial",
         )
         session.train(10)
         session.save(path)
         d_saved = weights_digest(session.agent)
-        session.train(10)  # worker moves on past the checkpoint
+        session.train(10)  # training moves on past the checkpoint
         assert weights_digest(session.agent) != d_saved
         session.load(path)
         assert weights_digest(session.agent) == d_saved
-        assert session.trainer.stats.epoch == 1
-        # Draining the (budget-less, reloaded) worker must not move
-        # the freshly loaded weights.
+        # Draining the (budget-less) trainer must not move the freshly
+        # loaded weights.
         session.trainer.drain()
         assert weights_digest(session.agent) == d_saved
         # Training continues from the restored weights.
@@ -309,7 +191,7 @@ class TestLoadResetsWeightVersion:
         session.shutdown_trainer()
 
     def test_inline_load_unaffected(self, tmp_path):
-        """The fence is a no-op for in-process backends (same thread)."""
+        """A session that trained inline loads another's weights."""
         path = tmp_path / "model.npz"
         _, _, session = run_session(n_ticks=10)
         session.save(path)
@@ -348,11 +230,11 @@ class TestTrainCollect:
 
     def test_rewards_identical_across_trainer_backends(self):
         """Monitoring never consults the policy: the trainer backend is
-        pure wall-clock, not semantics."""
+        a cadence, not semantics."""
+        r_inline, s_inline, _ = self._run("inline")
         r_serial, s_serial, _ = self._run("serial")
-        r_proc, s_proc, _ = self._run("process", sync_every=8)
-        np.testing.assert_array_equal(r_serial, r_proc)
-        assert s_serial.steps_attempted == s_proc.steps_attempted == 20
+        np.testing.assert_array_equal(r_inline, r_serial)
+        assert s_inline.steps_attempted == s_serial.steps_attempted == 20
 
     def test_serial_matches_handrolled_inline_reference(self):
         """serial train_collect at chunk=1 == collect-a-tick,
@@ -383,17 +265,6 @@ class TestTrainCollect:
             venv2.close()
         np.testing.assert_array_equal(rewards, ref)
         assert weights_digest(agent) == weights_digest(agent2)
-
-    def test_fork_fleet_process_trainer_no_torn_reads(self):
-        """Both decouplings at once: fork collection workers + the fork
-        trainer worker.  Every mirrored batch passes the torn-read
-        validation or the worker raises and the run fails."""
-        rewards, stats, _ = self._run(
-            "process", vector_backend="fork", sync_every=8
-        )
-        assert stats.batches_validated > 0
-        assert rewards.shape == (2, 20)
-        assert np.isfinite(stats.losses).all()
 
     def test_needs_shared_db(self):
         venv = VectorEnv.from_config(
@@ -498,13 +369,10 @@ class TestConcurrentReplayAccess:
 
 class TestSpecAndCliPlumbing:
     def test_spec_to_dict_carries_trainer_fields(self):
-        spec = ExperimentSpec(
-            trainer_backend="process", train_ratio=0.5, sync_every=32
-        )
+        spec = ExperimentSpec(trainer_backend="serial", train_ratio=0.5)
         d = spec.to_dict()
-        assert d["trainer_backend"] == "process"
+        assert d["trainer_backend"] == "serial"
         assert d["train_ratio"] == 0.5
-        assert d["sync_every"] == 32
 
     def test_build_tuner_passes_trainer_fields_to_capes(self):
         spec = ExperimentSpec(
@@ -541,8 +409,6 @@ class TestSpecAndCliPlumbing:
         for flag, value in (
             ("--checkpoint", "/tmp/never-written.npz"),
             ("--train-ratio", "2"),
-            ("--sync-every", "8"),
-            ("--trainer-backend", "serial"),
         ):
             rc = main(
                 [
@@ -582,13 +448,62 @@ class TestSpecAndCliPlumbing:
             "def WORKLOAD(cluster, seed):\n"
             "    from repro.workloads import RandomReadWrite\n"
             "    return RandomReadWrite(cluster, seed=seed)\n"
-            "TRAINER_BACKEND = 'process'\n"
+            "TRAINER_BACKEND = 'serial'\n"
             "TRAIN_RATIO = 0.5\n"
-            "SYNC_EVERY = 16\n"
         )
         from repro.core.config import load_config
 
         cfg = load_config(str(conf))
-        assert cfg.trainer_backend == "process"
+        assert cfg.trainer_backend == "serial"
         assert cfg.train_ratio == 0.5
-        assert cfg.sync_every == 16
+
+
+class TestRetiredProcessBackend:
+    """``process`` fails where it is named, readably, before any work."""
+
+    def test_conf_loader_rejects_it(self, tmp_path):
+        from repro.core.config import ConfigError, load_config
+
+        conf = tmp_path / "conf.py"
+        conf.write_text(
+            "def WORKLOAD(cluster, seed):\n"
+            "    from repro.workloads import RandomReadWrite\n"
+            "    return RandomReadWrite(cluster, seed=seed)\n"
+            "TRAINER_BACKEND = 'process'\n"
+        )
+        valid = r"TRAINER_BACKEND must be one of \('inline', 'serial'\)"
+        with pytest.raises(ConfigError, match=valid):
+            load_config(str(conf))
+
+    @pytest.mark.parametrize("command", ["serve", "sweep"])
+    def test_cli_choice_is_gone(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    command,
+                    "--config",
+                    "examples/conf_lustre.py",
+                    "--trainer-backend",
+                    "process",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("collect", "--trainer-backend"),
+            ("collect", "--sync-every"),
+            ("sweep", "--sync-every"),
+        ],
+    )
+    def test_its_knobs_are_gone(self, command, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", "examples/conf_lustre.py", flag, "8"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
