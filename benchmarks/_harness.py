@@ -99,39 +99,22 @@ def bench_spec(
     workload: WorkloadSpec,
     seed: int = 42,
     scenario: str = "",
-    tuner: str = "capes",
     checkpoints: Union[int, Tuple[int, ...]] = (TRAIN_TICKS,),
     eval_ticks: int = EVAL_TICKS,
-    cluster: Optional[ClusterConfig] = None,
-    hp: Optional[Hyperparameters] = None,
-    perturb_seed: int = 0,
-    n_envs: int = 1,
-    vector_backend: str = "serial",
 ) -> ExperimentSpec:
-    """One benchmark session as a declarative spec.
-
-    ``n_envs > 1`` asks for vectorized multi-cluster collection (capes
-    tuner only); environments are always named by registry key, so a
-    future non-simulated backend drops in here unchanged.
-    """
-    tuner_kwargs = {}
-    if tuner == "capes":
-        tuner_kwargs = {
-            "train_steps_per_tick": TRAIN_STEPS_PER_TICK,
-            "loss": "huber",
-        }
+    """One compressed CAPES session as a declarative spec."""
     return ExperimentSpec(
-        tuner=tuner,
+        tuner="capes",
         seed=seed,
         scenario=scenario or workload.name,
         workload=workload,
-        cluster=cluster or bench_cluster(),
-        hp=hp or BENCH_HP,
+        cluster=bench_cluster(),
+        hp=BENCH_HP,
         budget=RunBudget(train_ticks=checkpoints, eval_ticks=eval_ticks),
-        tuner_kwargs=tuner_kwargs,
-        perturb_seed=perturb_seed,
-        n_envs=n_envs,
-        vector_backend=vector_backend,
+        tuner_kwargs={
+            "train_steps_per_tick": TRAIN_STEPS_PER_TICK,
+            "loss": "huber",
+        },
     )
 
 

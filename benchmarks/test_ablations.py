@@ -17,12 +17,7 @@ Four ablations over the mechanisms the paper singles out:
 import numpy as np
 import pytest
 
-from benchmarks._harness import (
-    BENCH_HP,
-    bench_cluster,
-    make_capes,
-    random_rw_workload,
-)
+from benchmarks._harness import BENCH_HP, make_capes, random_rw_workload
 from repro import ClusterConfig, EnvConfig, StorageTuningEnv
 from repro.rl import Hyperparameters
 from repro.telemetry import DifferentialEncoder
@@ -31,7 +26,9 @@ from repro.workloads import RandomReadWrite
 ABL_TICKS = 700
 
 
-def _train_losses(alpha: float, double: bool, seed: int = 77) -> np.ndarray:
+def _train_losses(
+    alpha: float, double: bool, seed: int = 77, train_ticks: int = ABL_TICKS
+) -> np.ndarray:
     hp = Hyperparameters(
         hidden_layer_size=BENCH_HP.hidden_layer_size,
         exploration_ticks=BENCH_HP.exploration_ticks,
@@ -42,21 +39,16 @@ def _train_losses(alpha: float, double: bool, seed: int = 77) -> np.ndarray:
     )
     capes = make_capes(random_rw_workload(1, 9), seed=seed, hp=hp)
     capes.session.agent.double_dqn = double
-    result = capes.train(ABL_TICKS)
-    return result.losses
+    return capes.train(train_ticks).losses
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_ablation_target_network(benchmark):
+@pytest.mark.slow
+def test_ablation_target_network():
     """Slow target updates vs no target network (α = 1)."""
-
-    def run():
-        return {
-            "slow": _train_losses(alpha=0.02, double=False),
-            "hard": _train_losses(alpha=1.0, double=False),
-        }
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = {
+        "slow": _train_losses(alpha=0.02, double=False),
+        "hard": _train_losses(alpha=1.0, double=False),
+    }
     tail = ABL_TICKS
 
     def volatility(losses: np.ndarray) -> float:
@@ -75,17 +67,13 @@ def test_ablation_target_network(benchmark):
     assert slow_vol <= hard_vol * 2.0
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_ablation_double_dqn(benchmark):
+@pytest.mark.slow
+def test_ablation_double_dqn():
     """Vanilla vs double-DQN targets: both must converge; report both."""
-
-    def run():
-        return {
-            "vanilla": _train_losses(alpha=0.02, double=False, seed=78),
-            "double": _train_losses(alpha=0.02, double=True, seed=78),
-        }
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = {
+        "vanilla": _train_losses(alpha=0.02, double=False, seed=78),
+        "double": _train_losses(alpha=0.02, double=True, seed=78),
+    }
     v_late = float(np.mean(out["vanilla"][-200:]))
     d_late = float(np.mean(out["double"][-200:]))
     print(f"\nAblation: double DQN — late loss vanilla {v_late:.5f} "
@@ -94,9 +82,14 @@ def test_ablation_double_dqn(benchmark):
     assert d_late < np.mean(out["double"][:100])
 
 
-def _window_sweep(disk_kind: str) -> dict:
+def _window_sweep(
+    disk_kind: str,
+    settle_ticks: int = 15,
+    measure_ticks: int = 50,
+    windows=(1, 4, 8, 16, 32),
+) -> dict:
     out = {}
-    for w in (1, 4, 8, 16, 32):
+    for w in windows:
         env = StorageTuningEnv(
             EnvConfig(
                 cluster=ClusterConfig(
@@ -110,20 +103,16 @@ def _window_sweep(disk_kind: str) -> dict:
         )
         env.reset()
         env.set_params({"max_rpcs_in_flight": w})
-        env.run_ticks(15)
-        out[w] = float(np.mean(env.run_ticks(50)))
+        env.run_ticks(settle_ticks)
+        out[w] = float(np.mean(env.run_ticks(measure_ticks)))
         env.close()
     return out
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_ablation_hdd_vs_ssd_sensitivity(benchmark):
+@pytest.mark.slow
+def test_ablation_hdd_vs_ssd_sensitivity():
     """The tuning opportunity is a rotating-media phenomenon."""
-
-    def run():
-        return {"hdd": _window_sweep("hdd"), "ssd": _window_sweep("ssd")}
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = {"hdd": _window_sweep("hdd"), "ssd": _window_sweep("ssd")}
 
     def spread(d):
         vals = np.array(list(d.values()))
@@ -139,8 +128,7 @@ def test_ablation_hdd_vs_ssd_sensitivity(benchmark):
     assert hdd_spread > 2 * ssd_spread
 
 
-@pytest.mark.benchmark(group="ablations")
-def test_ablation_differential_wire_protocol(benchmark):
+def test_ablation_differential_wire_protocol():
     """Send-on-change + zlib vs naive full-frame resends."""
     rng = np.random.default_rng(0)
     width = 44  # the paper's per-client PI count
@@ -152,17 +140,14 @@ def test_ablation_differential_wire_protocol(benchmark):
         state = state + mask * rng.normal(size=width)
         frames.append(state.copy())
 
-    def run():
-        diff = DifferentialEncoder(width)
-        for t, f in enumerate(frames):
-            diff.encode(t, f)
-        full = DifferentialEncoder(width)
-        for t, f in enumerate(frames):
-            full.reset()  # forces full-frame resend every tick
-            full.encode(t, f)
-        return diff.stats, full.stats
-
-    diff_stats, full_stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    diff = DifferentialEncoder(width)
+    for t, f in enumerate(frames):
+        diff.encode(t, f)
+    full = DifferentialEncoder(width)
+    for t, f in enumerate(frames):
+        full.reset()  # forces full-frame resend every tick
+        full.encode(t, f)
+    diff_stats, full_stats = diff.stats, full.stats
     print(f"\nAblation: wire protocol — differential "
           f"{diff_stats.mean_message_size:.1f} B/msg vs full resend "
           f"{full_stats.mean_message_size:.1f} B/msg "

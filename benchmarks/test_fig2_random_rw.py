@@ -16,6 +16,7 @@ Expected shape (not absolute numbers):
 import pytest
 
 from benchmarks._harness import (
+    EVAL_TICKS,
     TRAIN_TICKS,
     TRAIN_TICKS_EXTRA,
     bench_spec,
@@ -38,35 +39,45 @@ RATIOS = [
 _results = {}
 
 
-def run_ratio(read_parts: int, write_parts: int) -> dict:
+def run_ratio(
+    read_parts: int,
+    write_parts: int,
+    train_ticks: int = TRAIN_TICKS,
+    extra_ticks: int = TRAIN_TICKS_EXTRA,
+    eval_ticks: int = EVAL_TICKS,
+) -> dict:
     """Row for one ratio; the whole figure is computed as one spec grid
-    on first use (one run per ratio, measured at the "12-hour" and
-    "24-hour" checkpoints), so ``REPRO_BENCH_JOBS=N`` regenerates the
-    figure in the wall-clock of the slowest ratio."""
-    if not _results:
+    on first use for these tick counts (one run per ratio, measured at
+    the "12-hour" and "24-hour" checkpoints), so ``REPRO_BENCH_JOBS=N``
+    regenerates the figure in the wall-clock of the slowest ratio."""
+    key = (train_ticks, extra_ticks, eval_ticks)
+    if key not in _results:
         specs = [
             bench_spec(
                 random_rw_workload(r, w),
                 seed=42,
                 scenario=f"{r}:{w}",
-                checkpoints=(TRAIN_TICKS, TRAIN_TICKS_EXTRA),
+                checkpoints=(train_ticks, extra_ticks),
+                eval_ticks=eval_ticks,
             )
             for _label, r, w, _paper in RATIOS
         ]
-        for (_label, r, w, _paper), result in zip(
-            RATIOS, run_specs(specs).results
-        ):
-            _results[(r, w)] = {
+        _results[key] = {
+            (r, w): {
                 "12h": phase_row(result.phases[0]),
                 "24h": phase_row(result.phases[1]),
             }
-    return _results[(read_parts, write_parts)]
+            for (_label, r, w, _paper), result in zip(
+                RATIOS, run_specs(specs).results
+            )
+        }
+    return _results[key][(read_parts, write_parts)]
 
 
-@pytest.mark.benchmark(group="fig2")
+@pytest.mark.slow
 @pytest.mark.parametrize("label,r,w,paper", RATIOS, ids=[x[0] for x in RATIOS])
-def test_fig2_ratio(benchmark, label, r, w, paper):
-    out = benchmark.pedantic(run_ratio, args=(r, w), rounds=1, iterations=1)
+def test_fig2_ratio(label, r, w, paper):
+    out = run_ratio(r, w)
     print(f"\nFigure 2 — random {label} (paper 24 h gain: {paper})")
     print(fmt_row("after 12h", out["12h"]))
     print(fmt_row("after 24h", out["24h"]))
@@ -78,17 +89,12 @@ def test_fig2_ratio(benchmark, label, r, w, paper):
         assert gain24 > -10.0, f"{label}: tuned policy hurt a read-heavy workload"
 
 
-@pytest.mark.benchmark(group="fig2")
-def test_fig2_shape_across_ratios(benchmark):
+@pytest.mark.slow
+def test_fig2_shape_across_ratios():
     """Cross-ratio shape: write-heavy gains dominate read-heavy gains."""
-
-    def collect():
-        return {
-            label: run_ratio(r, w)["24h"]["percent"]
-            for label, r, w, _p in RATIOS
-        }
-
-    gains = benchmark.pedantic(collect, rounds=1, iterations=1)
+    gains = {
+        label: run_ratio(r, w)["24h"]["percent"] for label, r, w, _p in RATIOS
+    }
     print("\nFigure 2 — 24 h gain by ratio: "
           + "  ".join(f"{k}={v:+.1f}%" for k, v in gains.items()))
     # The defining comparison of the figure: the write-heaviest ratio

@@ -11,6 +11,7 @@ Paper findings to reproduce in shape:
 import pytest
 
 from benchmarks._harness import (
+    EVAL_TICKS,
     TRAIN_TICKS,
     TRAIN_TICKS_EXTRA,
     bench_spec,
@@ -24,39 +25,44 @@ from benchmarks._harness import (
 _cache = {}
 
 
-def _ensure_runs() -> dict:
+def _ensure_runs(
+    train_ticks: int = TRAIN_TICKS,
+    extra_ticks: int = TRAIN_TICKS_EXTRA,
+    eval_ticks: int = EVAL_TICKS,
+) -> dict:
     """Both workloads as one spec grid, so ``REPRO_BENCH_JOBS=N`` runs
     them concurrently (per-run results are identical either way)."""
-    if not _cache:
+    key = (train_ticks, extra_ticks, eval_ticks)
+    if key not in _cache:
         fs, sw = run_specs(
             [
                 bench_spec(
                     fileserver_workload(),
                     seed=21,
-                    checkpoints=(TRAIN_TICKS, TRAIN_TICKS_EXTRA),
+                    checkpoints=(train_ticks, extra_ticks),
+                    eval_ticks=eval_ticks,
                 ),
-                bench_spec(seqwrite_workload(), seed=22),
+                bench_spec(
+                    seqwrite_workload(),
+                    seed=22,
+                    checkpoints=(train_ticks,),
+                    eval_ticks=eval_ticks,
+                ),
             ]
         ).results
-        _cache["fs"] = {
-            "12h": phase_row(fs.phases[0]),
-            "24h": phase_row(fs.phases[1]),
+        _cache[key] = {
+            "fs": {
+                "12h": phase_row(fs.phases[0]),
+                "24h": phase_row(fs.phases[1]),
+            },
+            "sw": {"24h": phase_row(sw.phases[0])},
         }
-        _cache["sw"] = {"24h": phase_row(sw.phases[0])}
-    return _cache
+    return _cache[key]
 
 
-def run_fileserver() -> dict:
-    return _ensure_runs()["fs"]
-
-
-def run_seqwrite() -> dict:
-    return _ensure_runs()["sw"]
-
-
-@pytest.mark.benchmark(group="fig3")
-def test_fig3_fileserver(benchmark):
-    out = benchmark.pedantic(run_fileserver, rounds=1, iterations=1)
+@pytest.mark.slow
+def test_fig3_fileserver():
+    out = _ensure_runs()["fs"]
     print("\nFigure 3 — Filebench fileserver (paper: +17% after 24 h)")
     print(fmt_row("after 12h", out["12h"]))
     print(fmt_row("after 24h", out["24h"]))
@@ -68,9 +74,9 @@ def test_fig3_fileserver(benchmark):
     assert out["24h"]["percent"] >= out["12h"]["percent"] - 5.0
 
 
-@pytest.mark.benchmark(group="fig3")
-def test_fig3_sequential_write(benchmark):
-    out = benchmark.pedantic(run_seqwrite, rounds=1, iterations=1)
+@pytest.mark.slow
+def test_fig3_sequential_write():
+    out = _ensure_runs()["sw"]
     print("\nFigure 3 — five-stream sequential write (paper: positive gain)")
     print(fmt_row("tuned", out["24h"]))
     assert out["24h"]["percent"] > 0.0

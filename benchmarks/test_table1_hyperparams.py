@@ -1,12 +1,8 @@
 """Table 1 regeneration: hyperparameters and their evaluation values.
 
 Asserts the library's defaults reproduce the paper's table verbatim and
-prints the rows.  The benchmark measures hyperparameter-set
-construction/validation cost (trivially fast — included so every table
-in the paper has a bench target).
+prints the rows.
 """
-
-import pytest
 
 from repro.rl import Hyperparameters
 
@@ -28,9 +24,8 @@ PAPER_TABLE_1 = [
 ]
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_hyperparameters(benchmark):
-    hp = benchmark(Hyperparameters.paper_values)
+def test_table1_hyperparameters():
+    hp = Hyperparameters.paper_values()
 
     print("\nTable 1 — hyperparameters used in the CAPES evaluation")
     for name, paper_value in PAPER_TABLE_1:

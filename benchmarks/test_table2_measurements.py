@@ -2,10 +2,11 @@
 
 Measures, on our substrate, every row of the paper's Table 2:
 
-- duration of one training step (a real pytest-benchmark timing of the
-  32-observation minibatch update; the paper reports ≈0.1 s CPU /
-  ≈0.01 s GPU — we additionally benchmark a naive per-sample Python
-  loop as the analogue of the CPU/GPU batching gap);
+- duration of one training step (the 32-observation minibatch update,
+  timed best-of-N with ``time.perf_counter`` and printed, never judged;
+  the paper reports ≈0.1 s CPU / ≈0.01 s GPU — we additionally time a
+  naive per-sample Python loop as the analogue of the CPU/GPU batching
+  gap);
 - replay-DB record count and on-disk/in-memory sizes;
 - DNN model size;
 - performance indicators per client (44 with the paper's four servers);
@@ -13,15 +14,18 @@ Measures, on our substrate, every row of the paper's Table 2:
 - average compressed message size per client per tick.
 
 The cluster here is paper-shaped (4 servers, 5 clients) so the PI
-counts line up with the published numbers.
+counts line up with the published numbers.  Speed claims belong to
+``python3 -m bench``; this file asserts only exact things.
 """
+
+import time
 
 import numpy as np
 import pytest
 
-from benchmarks._harness import BENCH_HP, make_capes, random_rw_workload
+from benchmarks._harness import make_capes, random_rw_workload
 from repro import ClusterConfig
-from repro.nn import MLP, Adam
+from repro.nn import MLP
 from repro.replaydb.records import Minibatch
 from repro.rl import DQNAgent, Hyperparameters
 
@@ -57,26 +61,35 @@ def capes_session():
     return capes
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_training_step_duration(benchmark, capes_session):
-    """Row 1: duration of one 32-observation minibatch training step."""
+def best_of(fn, n: int) -> float:
+    """Fastest of ``n`` timed calls of ``fn``, in seconds."""
+    best = float("inf")
+    for _ in range(n):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_table2_training_step_duration(capes_session):
+    """Row 1: duration of one 32-observation minibatch training step.
+
+    The observation here is 2200 floats on the 4x5 cluster, 25 % *larger*
+    than the paper's 1760, but the hidden layers are 64 wide against the
+    paper's 600: ~145 k parameters, not 1.68 M.  The step at the paper's
+    width is test_table2_training_step_duration_paper_shape below."""
     capes = capes_session
     sampler = capes.env.make_sampler(seed=1)
     agent = capes.session.agent
     batch = sampler.sample_minibatch(agent.hp.minibatch_size)
-    benchmark(agent.train_step, batch)
-    # The vectorised step must be far below the paper's 0.1 s CPU time.
-    # Not because the observation is small — on the same 4x5 cluster it
-    # is 2200 floats against the paper's 1760, 25 % *larger* — but
-    # because the hidden layers here are 64 wide against the paper's
-    # 600: ~145 k parameters, not 1.68 M.  Anything near 0.1 s would
-    # indicate a vectorisation bug.  The step at the paper's width is
-    # test_table2_training_step_duration_paper_shape below.
-    assert benchmark.stats["mean"] < PAPER["train_step_cpu_s"]
+    step = best_of(lambda: agent.train_step(batch), 20)
+    print(f"\ntraining step: {step * 1e3:.2f} ms best of 20 "
+          f"(paper: ~{PAPER['train_step_cpu_s'] * 1e3:.0f} ms CPU; "
+          f"{agent.online.net.num_parameters():,} parameters)")
+    assert np.isfinite(agent.loss_history[-1])
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_training_step_duration_paper_shape(benchmark):
+def test_table2_training_step_duration_paper_shape():
     """Row 1 at the paper's shape: Table 1 verbatim (600 hidden units,
     minibatch 32) on this repo's 4x5 observation (2200 floats).  The one
     command that regenerates the ms/step ROADMAP quotes; it asserts only
@@ -93,11 +106,11 @@ def test_table2_training_step_duration_paper_shape(benchmark):
         actions=rng.integers(0, n_actions, size=hp.minibatch_size),
         rewards=rng.normal(size=hp.minibatch_size),
     )
-    loss = benchmark.pedantic(
-        agent.train_step, args=(batch,), rounds=30, warmup_rounds=3
-    )
-    print(f"\npaper-shape training step: {benchmark.stats['mean'] * 1e3:.1f} ms "
-          f"mean, {benchmark.stats['min'] * 1e3:.1f} ms best of 30 "
+    for _ in range(3):  # warm-up
+        agent.train_step(batch)
+    step = best_of(lambda: agent.train_step(batch), 30)
+    loss = agent.loss_history[-1]
+    print(f"\npaper-shape training step: {step * 1e3:.1f} ms best of 30 "
           f"(paper: ~{PAPER['train_step_cpu_s'] * 1e3:.0f} ms CPU, "
           f"~{PAPER['train_step_gpu_s'] * 1e3:.0f} ms GPU; "
           f"{agent.online.net.num_parameters():,} parameters, "
@@ -107,48 +120,37 @@ def test_table2_training_step_duration_paper_shape(benchmark):
     assert agent.train_steps == 33 and len(agent.loss_history) == 33
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_batched_vs_naive_speedup(benchmark, capes_session):
+def test_table2_batched_vs_naive_speedup(capes_session):
     """The paper's GPU-vs-CPU 10x maps to batched-vs-per-sample here."""
     capes = capes_session
     sampler = capes.env.make_sampler(seed=2)
     agent = capes.session.agent
     batch = sampler.sample_minibatch(32)
+    singles = [
+        Minibatch(
+            s_t=batch.s_t[i : i + 1],
+            s_next=batch.s_next[i : i + 1],
+            actions=batch.actions[i : i + 1],
+            rewards=batch.rewards[i : i + 1],
+        )
+        for i in range(32)
+    ]
 
     def naive_per_sample():
         # one SGD step per single-observation "minibatch"
-        for i in range(32):
-            sub = Minibatch(
-                s_t=batch.s_t[i : i + 1],
-                s_next=batch.s_next[i : i + 1],
-                actions=batch.actions[i : i + 1],
-                rewards=batch.rewards[i : i + 1],
-            )
+        for sub in singles:
             agent.train_step(sub)
 
-    import time
-
-    t0 = time.perf_counter()
-    agent.train_step(batch)
-    batched = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    naive_per_sample()
-    naive = time.perf_counter() - t0
-
-    benchmark(agent.train_step, batch)
-    speedup = naive / batched if batched > 0 else float("inf")
+    batched = best_of(lambda: agent.train_step(batch), 5)
+    naive = best_of(naive_per_sample, 5)
     print(f"\nbatched step: {batched * 1e3:.2f} ms, naive per-sample loop: "
-          f"{naive * 1e3:.2f} ms -> speedup {speedup:.1f}x "
-          f"(paper GPU/CPU: 10x)")
-    assert speedup > 2.0
+          f"{naive * 1e3:.2f} ms -> speedup {naive / batched:.1f}x "
+          f"best of 5 (paper GPU/CPU: 10x)")
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_system_measurements(benchmark, capes_session):
+def test_table2_system_measurements(capes_session):
     """Rows 3-9: sizes and counts, measured then printed vs paper."""
-    capes = capes_session
-    m = benchmark(capes.technical_measurements)
+    m = capes_session.technical_measurements()
 
     print("\nTable 2 — technical measurements (ours vs paper)")
     print(f"  replay records:        {m['replay_records']:>10} "
@@ -175,15 +177,10 @@ def test_table2_system_measurements(benchmark, capes_session):
     assert 20 <= m["mean_message_bytes"] <= 1000
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_paper_sized_model_bytes(benchmark):
+def test_table2_paper_sized_model_bytes():
     """At the paper's exact topology (1760 obs, 600 hidden, 5 actions)
     the model should be tens of MB, matching the reported 84 MB order."""
-
-    def build():
-        return MLP.for_q_network(1760, 5, hidden_size=600, rng=0)
-
-    net = benchmark(build)
+    net = MLP.for_q_network(1760, 5, hidden_size=600, rng=0)
     # value+grad storage, float64 (paper used float32 TF — same order)
     mb = net.nbytes() / 1e6
     print(f"\npaper-topology model: {net.num_parameters():,} parameters, "

@@ -22,7 +22,6 @@ arrays").  This package reproduces that split:
 """
 
 from repro.replaydb.cache import ReplayCache
-from repro.replaydb.prioritized import PrioritizedMinibatch, PrioritizedSampler
 from repro.replaydb.db import CACHE_ONLY, ReplayDB
 from repro.replaydb.records import PackedRecords, TickRecord, Transition
 from repro.replaydb.sampler import MinibatchSampler
@@ -30,8 +29,6 @@ from repro.replaydb.spans import StridedMinibatchSampler, TickSpans
 
 __all__ = [
     "CACHE_ONLY",
-    "PrioritizedSampler",
-    "PrioritizedMinibatch",
     "PackedRecords",
     "ReplayDB",
     "ReplayCache",

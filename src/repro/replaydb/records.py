@@ -44,37 +44,6 @@ class PackedRecords:
     def __len__(self) -> int:
         return int(self.ticks.shape[0])
 
-    def validate(self) -> "PackedRecords":
-        """Check internal consistency; returns ``self`` (chainable).
-
-        The torn-read guard for batches that crossed a process
-        boundary: every column must describe the same k records
-        (aligned lengths, matching frame block), ticks must be strictly
-        ascending and non-negative, and frames/rewards finite.  Raises
-        ``ValueError`` on any violation.
-        """
-        k = len(self)
-        if self.frames.ndim != 2 or self.frames.shape[0] != k:
-            raise ValueError(
-                f"frames block {self.frames.shape} does not match "
-                f"{k} ticks"
-            )
-        if self.actions.shape != (k,) or self.rewards.shape != (k,):
-            raise ValueError(
-                f"actions/rewards shapes {self.actions.shape}/"
-                f"{self.rewards.shape} do not match {k} ticks"
-            )
-        if k:
-            if int(self.ticks[0]) < 0 or np.any(np.diff(self.ticks) <= 0):
-                raise ValueError(
-                    "ticks must be non-negative and strictly ascending"
-                )
-            if not np.all(np.isfinite(self.frames)) or not np.all(
-                np.isfinite(self.rewards)
-            ):
-                raise ValueError("non-finite frame or reward in batch")
-        return self
-
     @classmethod
     def empty(cls, frame_width: int) -> "PackedRecords":
         return cls(

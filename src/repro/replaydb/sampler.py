@@ -163,7 +163,6 @@ class MinibatchSampler:
         n: int,
         max_attempts: int,
         draw: Callable[[int], np.ndarray],
-        starved: Optional[str] = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Algorithm 1's top-up loop, shared by every draw policy.
 
@@ -171,8 +170,7 @@ class MinibatchSampler:
         are still missing (one RNG call per round), keeps the ones
         :meth:`transitions_at` accepts, and stops at ``n`` — a round can
         never overshoot.  Returns :meth:`transitions_at`'s columns with
-        exactly ``n`` rows; raises :class:`SamplerStarvedError`
-        (``starved``, if a subclass words it differently) when
+        exactly ``n`` rows; raises :class:`SamplerStarvedError` when
         ``max_attempts`` rounds do not fill them.
         """
         rounds = []
@@ -184,8 +182,7 @@ class MinibatchSampler:
                 break
         else:
             raise SamplerStarvedError(
-                starved
-                or f"could not fill a minibatch of {n} after {max_attempts} "
+                f"could not fill a minibatch of {n} after {max_attempts} "
                 f"rounds; too many incomplete timestamps"
             )
         if len(rounds) == 1:

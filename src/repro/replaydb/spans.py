@@ -31,9 +31,9 @@ from repro.util.validation import check_positive
 class TickSpans:
     """Per-block sampling frontier over a (possibly strided) tick space.
 
-    Tracks, for each block, the highest global tick ingested so far
-    (``-1`` = empty).  Writers call :meth:`observe` with each ingested
-    batch's ticks; samplers ask :meth:`candidate_spans` which global
+    Tracks, for each block, the highest local tick ingested so far
+    (``-1`` = empty).  Writers call :meth:`observe_top` with each
+    block's newest tick; samplers ask :meth:`candidate_spans` which global
     ticks are eligible transition timestamps.  ``stride=None`` means a
     single unbounded block (plain, unstrided tick space).
 
@@ -166,32 +166,6 @@ class TickSpans:
         """Raise ``block``'s frontier to ``local_top`` if it is higher."""
         if local_top > self._tops[block]:
             self._tops[block] = int(local_top)
-
-    def observe(self, global_ticks: np.ndarray) -> None:
-        """Fold a batch of *global* ticks into the per-block frontier.
-
-        Used by consumers that only see the ingested batches, not the
-        per-source bookkeeping the master
-        keeps.  Ticks map to blocks by ``tick // stride``; with
-        ``stride=None`` everything is block 0.
-        """
-        if len(global_ticks) == 0:
-            return
-        ticks = np.asarray(global_ticks, dtype=np.int64)
-        if self.stride is None:
-            self.observe_top(0, int(ticks.max()))
-            return
-        blocks = ticks // self.stride
-        for b in np.unique(blocks):
-            block = int(b)
-            if block >= self.n_blocks:
-                raise ValueError(
-                    f"tick {int(ticks[blocks == b].max())} lands in block "
-                    f"{block}, but this frontier tracks {self.n_blocks} "
-                    f"block(s) of stride {self.stride}"
-                )
-            local_top = int(ticks[blocks == b].max()) - block * self.stride
-            self.observe_top(block, local_top)
 
     def candidate_spans(self, obs_ticks: int) -> List[tuple]:
         """Inclusive global-tick spans of eligible transition timestamps.

@@ -175,12 +175,6 @@ class DQNAgent:
             optimizer=self.optimizer if include_optimizer else None,
         )
 
-    def snapshot_target(self) -> bytes:
-        """The target network as checkpoint bytes (no optimiser state)."""
-        from repro.nn.checkpoint import checkpoint_to_bytes
-
-        return checkpoint_to_bytes(self.target.net)
-
     def adopt_network(self, net: "MLP", target_net: Optional["MLP"] = None) -> None:
         """Replace the online (and target) networks with ``net``.
 

@@ -16,8 +16,6 @@ event feed).
 - :mod:`client` — :class:`ServeClient`, a monitored cluster's agent:
   differential encoding, decision round trips, fenced checkpoint
   adoption;
-- :mod:`swarm` — :func:`run_swarm`, N concurrent simulated clusters
-  (``FleetEnv`` slots) for load benches and soak tests;
 - :mod:`stats` — :class:`ServeStats` counters and the
   :class:`EventFeed`.
 """
@@ -33,12 +31,6 @@ from repro.serve.server import (
     run_server,
 )
 from repro.serve.stats import EventFeed, LatencyWindow, ServeStats
-from repro.serve.swarm import (
-    ClientReport,
-    SwarmReport,
-    run_swarm,
-    run_swarm_sync,
-)
 
 __all__ = [
     "PROTO_VERSION",
@@ -55,8 +47,4 @@ __all__ = [
     "EventFeed",
     "LatencyWindow",
     "ServeStats",
-    "ClientReport",
-    "SwarmReport",
-    "run_swarm",
-    "run_swarm_sync",
 ]

@@ -1017,7 +1017,7 @@ def run_server(server: CapesServer, install_signal_handlers: bool = True,
 class ServerThread:
     """A :class:`CapesServer` on a background event loop.
 
-    The in-process harness for tests and the swarm bench: the server
+    The in-process harness for tests: the server
     owns a private loop in a daemon thread; the caller talks to it over
     real TCP from its own loop (or blocking sockets).  Use as a context
     manager, or ``start()`` / ``stop()`` explicitly.

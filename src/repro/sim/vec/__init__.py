@@ -2,9 +2,9 @@
 
 The reference backend simulates one cluster as a discrete-event object
 graph — a heap of ~6,000 events per tick.  That is the right tool for
-*fidelity*, and the wrong one for *fleets*: BENCH_collect.json caps at
-~45-70 ticks/s regardless of how the fleet is driven, because every
-backend ultimately runs N independent event loops.
+*fidelity*, and the wrong one for *fleets*: one cluster runs at ~90
+ticks/s on a core (``python3 -m bench --workload des_session``), and
+every collection backend ultimately runs N independent event loops.
 
 This package trades event-level fidelity for fleet-level throughput:
 the state of N clusters lives in shared numpy arrays — one

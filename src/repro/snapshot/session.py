@@ -209,71 +209,64 @@ def run_collect_session(
         sampler = venv.make_sampler(seed=sampler_seed)
         loop = TrainerLoop(agent, trainer_config, sampler=sampler)
 
-    listener = loop.ingest if loop is not None else None
-    if listener is not None:
-        venv.add_ingest_listener(listener)
+    if resume_from is not None:
+        start, total, digest = restore_session_state(
+            resume_from,
+            venv,
+            agent=agent,
+            loop=loop,
+            sampler=sampler,
+        )
+        total = max(total, n_ticks)
+    else:
+        start, total, digest = 0, n_ticks, RolloutDigest()
+    target = total if stop_at is None else min(stop_at, total)
+    if target < start:
+        raise SnapshotError(
+            f"cannot run to tick {target}: snapshot is already at "
+            f"tick {start} (pick an earlier snapshot)"
+        )
+    rewards = np.empty((venv.n_envs, target - start))
+    snapshots: List[Path] = []
+
+    def write_snapshot(done: int) -> None:
+        Path(snapshot_dir).mkdir(parents=True, exist_ok=True)
+        snap = build_session_snapshot(
+            venv,
+            done,
+            total,
+            digest,
+            agent=agent,
+            loop=loop,
+            sampler=sampler,
+            session_extra=session_extra,
+        )
+        snapshots.append(snap.save(snapshot_path(snapshot_dir, done)))
+
     try:
-        if resume_from is not None:
-            start, total, digest = restore_session_state(
-                resume_from,
-                venv,
-                agent=agent,
-                loop=loop,
-                sampler=sampler,
-            )
-            total = max(total, n_ticks)
-        else:
-            start, total, digest = 0, n_ticks, RolloutDigest()
-        target = total if stop_at is None else min(stop_at, total)
-        if target < start:
-            raise SnapshotError(
-                f"cannot run to tick {target}: snapshot is already at "
-                f"tick {start} (pick an earlier snapshot)"
-            )
-        rewards = np.empty((venv.n_envs, target - start))
-        snapshots: List[Path] = []
-
-        def write_snapshot(done: int) -> None:
-            Path(snapshot_dir).mkdir(parents=True, exist_ok=True)
-            snap = build_session_snapshot(
-                venv,
-                done,
-                total,
-                digest,
-                agent=agent,
-                loop=loop,
-                sampler=sampler,
-                session_extra=session_extra,
-            )
-            snapshots.append(snap.save(snapshot_path(snapshot_dir, done)))
-
-        try:
-            if resume_from is None:
-                venv.reset()
-            done = start
-            while done < target:
-                upto = target
-                if snapshot_every is not None:
-                    boundary = (done // snapshot_every + 1) * snapshot_every
-                    upto = min(upto, boundary)
-                while done < upto:
-                    k = min(chunk, upto - done)
-                    block = venv.collect(k, chunk=k)
-                    rewards[:, done - start : done - start + k] = block
-                    digest.update(block)
-                    if loop is not None:
-                        loop.notify_ticks(k)
-                    done += k
-                if snapshot_every is not None and done % snapshot_every == 0:
-                    write_snapshot(done)
-            if loop is not None:
-                loop.drain()
-        finally:
-            if loop is not None:
-                loop.stop()
+        if resume_from is None:
+            venv.reset()
+        done = start
+        while done < target:
+            upto = target
+            if snapshot_every is not None:
+                boundary = (done // snapshot_every + 1) * snapshot_every
+                upto = min(upto, boundary)
+            while done < upto:
+                k = min(chunk, upto - done)
+                block = venv.collect(k, chunk=k)
+                rewards[:, done - start : done - start + k] = block
+                digest.update(block)
+                if loop is not None:
+                    loop.notify_ticks(k)
+                done += k
+            if snapshot_every is not None and done % snapshot_every == 0:
+                write_snapshot(done)
+        if loop is not None:
+            loop.drain()
     finally:
-        if listener is not None:
-            venv.remove_ingest_listener(listener)
+        if loop is not None:
+            loop.stop()
     return CollectOutcome(
         rewards=rewards,
         digest=digest,

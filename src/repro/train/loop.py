@@ -198,18 +198,13 @@ def train_collect(
         config = replace(config, interleave_ticks=chunk)
     loop = TrainerLoop(agent, config, sampler=venv.make_sampler(seed=sampler_seed))
     rewards = np.empty((venv.n_envs, n_ticks))
-    listener = loop.ingest
-    venv.add_ingest_listener(listener)
-    try:
-        with loop:
-            venv.reset()
-            done = 0
-            while done < n_ticks:
-                k = min(chunk, n_ticks - done)
-                rewards[:, done : done + k] = venv.collect(k)
-                loop.notify_ticks(k)
-                done += k
-            loop.drain()
-    finally:
-        venv.remove_ingest_listener(listener)
+    with loop:
+        venv.reset()
+        done = 0
+        while done < n_ticks:
+            k = min(chunk, n_ticks - done)
+            rewards[:, done : done + k] = venv.collect(k)
+            loop.notify_ticks(k)
+            done += k
+        loop.drain()
     return rewards, loop.stats

@@ -76,7 +76,6 @@ class TestHillClimb:
         result = tuner.tune(budget=8)
         assert 1 <= result.n_evaluations <= 8
 
-    @pytest.mark.slow
     def test_finds_improvement_on_write_heavy(self):
         """Default window 8 is in the collapse zone; climbing down helps."""
         tuner = HillClimb(make_env(seed=3), epoch_ticks=20, seed=0)

@@ -145,7 +145,6 @@ class TestRunnerDeterminism:
     def _grid(self):
         return grid(tiny_spec(), tuners=["capes", "static"], seeds=[0, 1, 2])
 
-    @pytest.mark.slow
     def test_serial_and_parallel_results_byte_identical(self, tmp_path):
         specs = self._grid()
         serial = ExperimentRunner(jobs=1, artifacts_dir=tmp_path / "s").run(

@@ -196,7 +196,6 @@ class TestCliValidation:
         assert capsys.readouterr().err.strip()
 
 
-@pytest.mark.slow
 def test_cli_fuzz_scenarios_end_to_end(tmp_path, capsys):
     """Default-config CLI search: frontier printed, merged into the
     JSON artifact, and the top entry's repro command re-runs to its

@@ -1,4 +1,4 @@
-"""Tests for prioritized replay and monitoring-only/offline training."""
+"""Tests for monitoring-only collection and offline training."""
 
 import numpy as np
 import pytest
@@ -6,23 +6,12 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.core import CapesSession
 from repro.env import EnvConfig, StorageTuningEnv
-from repro.replaydb import PrioritizedSampler, ReplayDB
-from repro.replaydb.sampler import SamplerStarvedError
 from repro.rl import Hyperparameters
 from repro.workloads import RandomReadWrite
 
 FAST_HP = Hyperparameters(
     hidden_layer_size=8, sampling_ticks_per_observation=3, exploration_ticks=20
 )
-
-
-def filled_db(n_ticks=60, fw=3):
-    db = ReplayDB(fw)
-    rng = np.random.default_rng(0)
-    for t in range(n_ticks):
-        db.put_observation(t, rng.normal(size=fw), reward=float(t))
-        db.put_action(t, 1)
-    return db
 
 
 def make_session():
@@ -37,75 +26,6 @@ def make_session():
         )
     )
     return CapesSession(env, seed=0)
-
-
-class TestPrioritizedSampler:
-    def test_minibatch_carries_ticks_and_weights(self):
-        db = filled_db()
-        s = PrioritizedSampler(db.cache, obs_ticks=5, seed=0)
-        mb = s.sample_minibatch(8)
-        assert len(mb) == 8
-        assert mb.ticks.shape == (8,)
-        assert mb.weights.shape == (8,)
-        assert (mb.weights > 0).all() and mb.weights.max() == pytest.approx(1.0)
-
-    def test_high_priority_ticks_sampled_more(self):
-        db = filled_db(n_ticks=60)
-        s = PrioritizedSampler(db.cache, obs_ticks=5, alpha=1.0, seed=0)
-        hot = 30
-        s.update_priorities(np.array([hot]), np.array([100.0]))
-        # everything else keeps default priority 1 -> hot dominates draws
-        counts = 0
-        draws = 0
-        for _ in range(40):
-            mb = s.sample_minibatch(8)
-            counts += int((mb.ticks == hot).sum())
-            draws += 8
-        assert counts / draws > 0.3
-
-    def test_alpha_zero_is_uniformish(self):
-        db = filled_db(n_ticks=40)
-        s = PrioritizedSampler(db.cache, obs_ticks=5, alpha=0.0, seed=0)
-        s.update_priorities(np.array([20]), np.array([1000.0]))
-        seen = []
-        for _ in range(40):
-            seen.extend(s.sample_minibatch(8).ticks.tolist())
-        frac_hot = seen.count(20) / len(seen)
-        first, last = s.eligible_range()
-        assert frac_hot < 3.0 / (last - first + 1)
-
-    def test_update_priorities_validates_shapes(self):
-        db = filled_db()
-        s = PrioritizedSampler(db.cache, obs_ticks=5)
-        with pytest.raises(ValueError):
-            s.update_priorities(np.array([1, 2]), np.array([1.0]))
-
-    def test_empty_db_starves(self):
-        db = ReplayDB(3)
-        s = PrioritizedSampler(db.cache, obs_ticks=5)
-        with pytest.raises(SamplerStarvedError):
-            s.sample_minibatch(4)
-
-    def test_max_at_insertion_semantics(self):
-        db = filled_db(n_ticks=60)
-        s = PrioritizedSampler(db.cache, obs_ticks=5)
-        s.update_priorities(np.array([10]), np.array([50.0]))
-        # already-eligible ticks keep the priority they were frozen at...
-        assert s.priority_of(11) == pytest.approx(1.0)
-        assert s.priority_of(10) == pytest.approx(50.0 + s.epsilon_priority)
-        # ...but ticks that become eligible later inherit the raised max
-        rng = np.random.default_rng(1)
-        for t in (60, 61):
-            db.put_observation(t, rng.normal(size=3), reward=0.0)
-            db.put_action(t, 1)
-        assert s.priority_of(60) == pytest.approx(50.0 + s.epsilon_priority)
-
-    def test_hyperparameter_validation(self):
-        db = filled_db()
-        with pytest.raises(ValueError):
-            PrioritizedSampler(db.cache, alpha=1.5)
-        with pytest.raises(ValueError):
-            PrioritizedSampler(db.cache, epsilon_priority=0.0)
 
 
 class TestMonitoringOnlyAndOffline:

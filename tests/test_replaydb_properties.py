@@ -2,7 +2,7 @@
 
 The scenario subsystem leans on the replay path being trustworthy
 under *arbitrary* interleavings — dropped ticks, ring wrap-around,
-block-strided fan-in, priority feedback — not just the happy paths the
+block-strided fan-in — not just the happy paths the
 example-based tests walk.  These properties are model-based: a plain
 dict model shadows every operation and the cache/sampler must agree
 with it exactly.
@@ -21,7 +21,6 @@ from repro.env.registry import _default_workload
 from repro.env.tuning_env import EnvConfig
 from repro.replaydb.cache import ReplayCache
 from repro.replaydb.db import ReplayDB
-from repro.replaydb.prioritized import PrioritizedSampler
 from repro.replaydb.records import Minibatch, TickRecord
 from repro.replaydb.sampler import MinibatchSampler, SamplerStarvedError
 from repro.replaydb.spans import StridedMinibatchSampler, TickSpans
@@ -153,79 +152,6 @@ class TestReplayDBProperties:
                     assert rec.reward == reward
         finally:
             db.close()
-
-
-def _dense_cache(n_ticks: int, frame_width: int = 2) -> ReplayCache:
-    cache = ReplayCache(frame_width, capacity=max(64, n_ticks + 1))
-    for t in range(n_ticks):
-        cache.put(
-            TickRecord(
-                tick=t,
-                frame=np.full(frame_width, float(t)),
-                action=t % 3,
-                reward=float(t),
-            )
-        )
-    return cache
-
-
-class TestPrioritizedProperties:
-    """Priority weights under arbitrary insert/update interleavings."""
-
-    @given(
-        n_ticks=st.integers(6, 20),
-        updates=st.lists(
-            st.tuples(
-                st.integers(0, 19), st.floats(0.0, 100.0, allow_nan=False)
-            ),
-            max_size=15,
-        ),
-        alpha=st.floats(0.0, 1.0),
-    )
-    @settings(**SETTINGS)
-    def test_probabilities_and_weights_normalized(
-        self, n_ticks, updates, alpha
-    ):
-        sampler = PrioritizedSampler(
-            _dense_cache(n_ticks), obs_ticks=2, alpha=alpha, seed=0
-        )
-        first, last = sampler.eligible_range()
-        for tick, err in updates:
-            sampler.update_priorities(
-                np.array([tick % n_ticks]), np.array([err])
-            )
-        # Every eligible tick's effective priority is positive and the
-        # induced distribution is a distribution.
-        prios = np.array(
-            [sampler.priority_of(t) for t in range(first, last + 1)]
-        )
-        assert (prios >= sampler.epsilon_priority).all() or alpha == 0.0
-        assert (prios > 0).all()
-        probs = prios**sampler.alpha
-        probs /= probs.sum()
-        assert probs.sum() == pytest.approx(1.0)
-        batch = sampler.sample_minibatch(4)
-        # IS weights: normalised to max 1, all in (0, 1].
-        assert batch.weights.max() == pytest.approx(1.0)
-        assert (batch.weights > 0).all()
-        assert (batch.weights <= 1.0 + 1e-12).all()
-        # Sampled ticks are eligible ones.
-        assert ((batch.ticks >= first) & (batch.ticks <= last)).all()
-
-    @given(n_ticks=st.integers(6, 16))
-    @settings(**SETTINGS)
-    def test_alpha_zero_is_uniform(self, n_ticks):
-        sampler = PrioritizedSampler(
-            _dense_cache(n_ticks), obs_ticks=2, alpha=0.0, seed=0
-        )
-        sampler.update_priorities(np.array([3]), np.array([1e6]))
-        first, last = sampler.eligible_range()
-        prios = np.array(
-            [sampler.priority_of(t) for t in range(first, last + 1)]
-        )
-        probs = prios**0.0
-        probs /= probs.sum()
-        assert np.allclose(probs, 1.0 / len(probs))
 
 
 class TestStridedSamplerProperties:
@@ -578,52 +504,6 @@ class TestBatchedSamplersMatchReferenceLoop:
 
         _sample_both(sampler, twin, 8, draw, max_attempts=6)
 
-    @given(
-        rows=tick_rows(),
-        alpha=st.sampled_from([0.0, 0.6, 1.0]),
-        feedback=st.lists(
-            st.tuples(st.integers(0, 35), st.floats(0.0, 50.0)), max_size=6
-        ),
-        **WINDOWS,
-    )
-    @settings(**SETTINGS)
-    def test_prioritized_sampler(
-        self, rows, alpha, feedback, obs_ticks, tolerance
-    ):
-        cache = _ring(rows, 64)
-        kw = dict(
-            obs_ticks=obs_ticks,
-            missing_tolerance=tolerance,
-            alpha=alpha,
-            seed=2,
-        )
-        sampler = PrioritizedSampler(cache, **kw)
-        twin = PrioritizedSampler(cache, **kw)
-        if sampler.eligible_range() is None:
-            return
-        first, last = sampler.eligible_range()
-        for tick, err in feedback:
-            for s in (sampler, twin):
-                s.update_priorities(np.array([tick]), np.array([err]))
-        candidates = np.arange(first, last + 1)
-        probs = np.array([twin.priority_of(int(t)) for t in candidates])
-        probs = probs**alpha
-        probs /= probs.sum()
-
-        def draw(needed):
-            return twin.rng.choice(candidates, size=needed, p=probs)
-
-        both = _sample_both(sampler, twin, 5, draw, max_attempts=6)
-        if both is not None:
-            batch, reference = both
-            assert batch.ticks.tolist() == [tr.tick for tr in reference]
-            weights = (len(candidates) * probs[batch.ticks - first]) ** (
-                -sampler.beta
-            )
-            np.testing.assert_array_equal(
-                batch.weights, weights / weights.max()
-            )
-
     def test_starvation_raises_after_max_attempts_rounds(self):
         """No row carries an action: every round rejects everything, and
         exactly ``max_attempts`` draws of ``n`` are consumed."""
@@ -639,12 +519,6 @@ class TestBatchedSamplersMatchReferenceLoop:
         for _ in range(7):
             rng.integers(first, last + 1, size=4)
         assert sampler.rng.bit_generator.state == rng.bit_generator.state
-        with pytest.raises(
-            SamplerStarvedError, match="prioritized minibatch of 4"
-        ):
-            PrioritizedSampler(cache, obs_ticks=3, seed=5).sample_minibatch(
-                4, max_attempts=3
-            )
 
     def test_batch_survives_overwriting_the_slots_it_came_from(self):
         capacity = 16

@@ -936,35 +936,63 @@ def test_broadcast_skipped_for_stalled_reader():
 def test_serial_trainer_stats_reach_stats_snapshot():
     """Regression: the serial backend's broadcasts used to leave
     ``weights_version``/``broadcasts_applied`` at zero in ``/stats``;
-    the broadcast itself is the version bump and must be counted."""
+    the broadcast itself is the version bump and must be counted.
+
+    Run once with one client and once with three concurrent ones: on a
+    clean run every client is decided for, nobody needs RESYNC, and the
+    server counts exactly the frames the clients sent."""
     config = make_config(
         trainer_backend="serial",
         train_ratio=1.0,
         sync_every=2,
         greedy=False,
     )
-    frames = client_frames(17, 16)
+    n_ticks = 12
 
-    async def body():
+    async def stream(client, frames):
+        await client.connect()
+        for t in range(n_ticks):
+            await client.tick(t + 1, frames[t], reward=0.5)
+
+    async def body(names):
         server = CapesServer(config)
         await server.start()
         try:
-            client = ServeClient("127.0.0.1", server.port, "alpha", W)
-            await client.connect()
-            for t in range(12):
-                await client.tick(t + 1, frames[t], reward=0.5)
+            clients = [
+                ServeClient("127.0.0.1", server.port, name, W)
+                for name in names
+            ]
+            await asyncio.gather(
+                *(
+                    stream(client, client_frames(17 + i, n_ticks))
+                    for i, client in enumerate(clients)
+                )
+            )
             body = server.stats_snapshot()
             trainer = body["trainer"]
             assert trainer is not None
             assert trainer["weights_version"] >= 1
-            assert trainer["broadcasts_applied"] == trainer["weights_version"]
-            assert body["checkpoints_broadcast"] == trainer["weights_version"]
+            assert (
+                body["checkpoints_broadcast"] == trainer["broadcasts_applied"]
+            )
             assert body["weight_version"] == trainer["weights_version"]
-            await client.close()
+            if len(names) == 1:
+                # One frame per micro-batch: the version moves one step
+                # at a time, so every bump is its own broadcast.  With
+                # several clients one batch can skip versions.
+                assert (
+                    trainer["broadcasts_applied"] == trainer["weights_version"]
+                )
+            assert body["wire"]["messages"] == n_ticks * len(names)
+            for client in clients:
+                assert client.decisions >= 1
+                assert client.resyncs == 0
+                await client.close()
         finally:
             await server.shutdown()
 
-    run(body())
+    for names in (["alpha"], ["alpha", "beta", "gamma"]):
+        run(body(names))
 
 
 # -- liveness: one peer's socket never stalls anybody else -------------------

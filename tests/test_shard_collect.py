@@ -12,18 +12,22 @@ idempotent and always reaps; op-log snapshots restore across backends
 and shard layouts.
 
 Hosts run in daemon threads (real sockets, one process) so the full
-framed/codec path is exercised without subprocess scaffolding; the CLI
-``shard-host`` process path is covered by the shard-scaling benchmark.
+framed/codec path is exercised without subprocess scaffolding; the one
+exception is the last test, which drives the CLI ``shard-host`` and
+``collect --shard`` processes end to end.
 """
 
 import functools
 import hashlib
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,7 +442,8 @@ class TestShardedTickSpans:
 
     def test_shard_tops_are_per_shard_views(self):
         spans = TickSpans(4, 8, shard_sizes=[1, 3])
-        spans.observe(np.array([3, 8 + 5, 3 * 8 + 1]))
+        for block, top in ((0, 3), (1, 5), (3, 1)):
+            spans.observe_top(block, top)
         assert spans.shard_tops(0) == [3]
         assert spans.shard_tops(1) == [5, -1, 1]
         assert spans.tops() == [3, 5, -1, 1]
@@ -458,9 +463,9 @@ class TestShardedTickSpans:
     def test_samplers_are_oblivious_to_sharding(self):
         plain = TickSpans(4, 8)
         sharded = TickSpans(4, 8, shard_sizes=[2, 2])
-        ticks = np.array([2, 8 + 4, 2 * 8 + 6, 3 * 8 + 1])
-        plain.observe(ticks)
-        sharded.observe(ticks)
+        for block, top in enumerate([2, 4, 6, 1]):
+            plain.observe_top(block, top)
+            sharded.observe_top(block, top)
         assert plain.candidate_spans(3) == sharded.candidate_spans(3)
 
     def test_snapshot_layer_records_topology(self):
@@ -474,3 +479,121 @@ class TestShardedTickSpans:
     def test_from_tops_carries_shard_sizes(self):
         spans = TickSpans.from_tops(8, [1, 2, 3, 4], shard_sizes=[2, 2])
         assert spans.shard_tops(1) == [3, 4]
+
+
+# --------------------------------------------------------------------------
+# The CLI process path: real `repro shard-host` subprocesses
+# --------------------------------------------------------------------------
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: The shard hosts' conf: the same tiny cluster as :func:`tiny_config`.
+CONF_TEXT = '''\
+"""Shard-host conf for the CLI end-to-end test."""
+from repro.workloads import RandomReadWrite
+
+N_SERVERS = 2
+N_CLIENTS = 2
+HIDDEN_LAYER_SIZE = 8
+EXPLORATION_TICKS = 20
+SEED = 42
+
+
+def WORKLOAD(cluster, seed):
+    return RandomReadWrite(
+        cluster, read_fraction=0.1, instances_per_client=2, seed=seed
+    )
+'''
+
+
+def _subprocess_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def spawn_host(conf_path, n_envs: int):
+    """One real ``repro shard-host --once`` process; returns
+    ``(proc, address)`` once the ephemeral port is known."""
+    proc = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.cli",
+            "shard-host",
+            "--config",
+            str(conf_path),
+            "--n-envs",
+            str(n_envs),
+            "--bind",
+            "127.0.0.1:0",
+            "--once",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=_subprocess_env(),
+        cwd=REPO_ROOT,
+    )
+    # The launch contract: the first stdout line names the bound
+    # address ("shard-host listening on HOST:PORT (K env(s))").
+    line = proc.stdout.readline()
+    if "listening on" not in line:
+        proc.kill()
+        raise RuntimeError(f"shard-host failed to start: {line!r}")
+    return proc, line.split("listening on ", 1)[1].split()[0]
+
+
+def _reap(procs, timeout: float = 30.0):
+    for proc in procs:
+        try:
+            assert proc.wait(timeout=timeout) == 0, proc.stdout.read()
+        finally:
+            if proc.poll() is None:  # pragma: no cover - hung host
+                proc.kill()
+
+
+def test_cli_collect_attaches_to_shards_e2e(tmp_path):
+    """The full CLI loop: spawn `repro shard-host` twice, fan both into
+    one `repro collect --shard ... --shard ...` session."""
+    conf_path = tmp_path / "conf.py"
+    conf_path.write_text(CONF_TEXT)
+    procs, addrs = [], []
+    try:
+        for _ in range(2):
+            proc, addr = spawn_host(conf_path, 1)
+            procs.append(proc)
+            addrs.append(addr)
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro.cli",
+                "collect",
+                "--config",
+                str(conf_path),
+                "--ticks",
+                "24",
+                "--chunk",
+                "12",
+                "--n-envs",
+                "2",
+                "--shard",
+                addrs[0],
+                "--shard",
+                addrs[1],
+            ],
+            capture_output=True,
+            text=True,
+            env=_subprocess_env(),
+            cwd=REPO_ROOT,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        _reap(procs)
+        procs = []
+    finally:
+        for proc in procs:  # pragma: no cover - failure cleanup
+            proc.kill()

@@ -436,7 +436,6 @@ def WORKLOAD(cluster, seed):
 """
 
 
-@pytest.mark.slow
 def test_cli_resume_across_interpreters(tmp_path):
     """Two separate interpreter invocations produce one digest: a full
     40-tick run in one process equals 20 ticks + ``repro resume`` in
@@ -473,7 +472,6 @@ def test_cli_resume_across_interpreters(tmp_path):
     assert digest_line(partial) != digest_line(full)
 
 
-@pytest.mark.slow
 def test_cli_replay_time_travels_to_midpoint(tmp_path):
     conf = tmp_path / "conf.py"
     conf.write_text(MINIMAL_CONF)

@@ -21,7 +21,6 @@ from repro.core import CapesSession
 from repro.env import EnvConfig, StorageTuningEnv, VectorEnv
 from repro.exp import ExperimentSpec
 from repro.replaydb.cache import ReplayCache
-from repro.replaydb.records import PackedRecords
 from repro.replaydb.spans import StridedMinibatchSampler, TickSpans
 from repro.rl import DQNAgent, Hyperparameters
 from repro.train import TrainerConfig, TrainerLoop, train_collect
@@ -294,7 +293,7 @@ class TestConcurrentReplayAccess:
             np.full(len(ticks), 0.5),
             np.zeros(len(ticks), dtype=np.int64),
         )
-        spans.observe(ticks)
+        spans.observe_top(block, int(ticks[-1]) - block * 64)
 
     def _interleaved_run(self):
         cache = ReplayCache(self.FRAME_W, capacity=256)
@@ -335,36 +334,6 @@ class TestConcurrentReplayAccess:
             np.testing.assert_array_equal(
                 np.diff(ticks, axis=1), np.ones((len(batch), 1))
             )
-
-    def test_packed_records_validate(self):
-        good = PackedRecords(
-            ticks=np.array([3, 4, 5], dtype=np.int64),
-            frames=np.zeros((3, 2)),
-            actions=np.zeros(3, dtype=np.int64),
-            rewards=np.zeros(3),
-        )
-        assert good.validate() is good
-        with pytest.raises(ValueError, match="frames"):
-            PackedRecords(
-                ticks=np.array([3, 4], dtype=np.int64),
-                frames=np.zeros((3, 2)),
-                actions=np.zeros(2, dtype=np.int64),
-                rewards=np.zeros(2),
-            ).validate()
-        with pytest.raises(ValueError, match="ascending"):
-            PackedRecords(
-                ticks=np.array([4, 3], dtype=np.int64),
-                frames=np.zeros((2, 2)),
-                actions=np.zeros(2, dtype=np.int64),
-                rewards=np.zeros(2),
-            ).validate()
-        with pytest.raises(ValueError, match="finite"):
-            PackedRecords(
-                ticks=np.array([3, 4], dtype=np.int64),
-                frames=np.full((2, 2), np.nan),
-                actions=np.zeros(2, dtype=np.int64),
-                rewards=np.zeros(2),
-            ).validate()
 
 
 class TestSpecAndCliPlumbing:
