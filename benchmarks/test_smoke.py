@@ -87,7 +87,7 @@ def smoke_ablation_window_sweep(tmp_path):
 
 def smoke_scenario_adapt(tmp_path):
     keys = {"capes_tuned", "static_tuned", "capes_baseline",
-            "tuner_vs_static_pct"}
+            "capes_gain_over_static_pct"}
     for scenario in scenario_names():
         row = scenario_row(
             scenario, train_ticks=12, eval_ticks=6, epoch_ticks=6

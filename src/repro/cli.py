@@ -133,24 +133,9 @@ def cmd_collect(args: argparse.Namespace) -> int:
     if args.n_envs < 1:
         print(f"--n-envs must be >= 1, got {args.n_envs}", file=sys.stderr)
         return 2
-    if args.shard and args.vector_backend not in ("serial", "shards"):
-        # serial is the argparse default: a bare --shard implies shards.
-        print(
-            f"--shard conflicts with --vector-backend "
-            f"{args.vector_backend}; sharded collection is "
-            f"--vector-backend shards",
-            file=sys.stderr,
-        )
-        return 2
     if args.shard:
+        # argparse already refused --shard beside --vector-backend.
         args.vector_backend = "shards"
-    if args.vector_backend == "shards" and not args.shard:
-        print(
-            "--vector-backend shards needs at least one --shard HOST:PORT "
-            "(start them with `repro shard-host`)",
-            file=sys.stderr,
-        )
-        return 2
     if args.ticks < 1:
         print(f"--ticks must be >= 1, got {args.ticks}", file=sys.stderr)
         return 2
@@ -187,12 +172,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
     from repro.replaydb import CACHE_ONLY
 
     config = load_config(args.config)
-    vec_kwargs = {}
-    if args.vector_backend == "shards":
-        # The shard hosts build the envs from their own --config; the
-        # master derives the global seeds from this conf's seed and
-        # validates --n-envs against what the shards actually host.
-        vec_kwargs["shards"] = list(args.shard)
     try:
         venv = VectorEnv.from_config(
             config.env,
@@ -202,7 +181,10 @@ def cmd_collect(args: argparse.Namespace) -> int:
             # (useful as a throughput smoke and for in-process offline
             # training).
             shared_db_path=args.out if args.out else CACHE_ONLY,
-            **vec_kwargs,
+            # Shard hosts build the envs from their own --config; the
+            # master derives the global seeds from this conf's seed and
+            # validates --n-envs against what the shards host.
+            shards=args.shard,
         )
     except (ConnectionError, ValueError) as exc:
         if args.vector_backend != "shards":
@@ -377,22 +359,17 @@ def cmd_resume(args: argparse.Namespace) -> int:
         )
         return 2
     config = load_config(args.config)
-    vec_kwargs = {}
-    if session["backend"] == "shards":
-        # Default to the addresses the session recorded; --shard
-        # overrides for a moved or re-laid-out fleet (any layout with
-        # the same env total resumes byte-identically — placement
-        # independence).
-        shards = list(args.shard) if args.shard else session.get("shards")
-        if not shards:
-            print(
-                "session used sharded collection but recorded no shard "
-                "addresses; pass --shard HOST:PORT for each running "
-                "shard host",
-                file=sys.stderr,
-            )
-            return 2
-        vec_kwargs["shards"] = shards
+    # A sharded session defaults to the addresses it recorded; --shard
+    # overrides for a moved or re-laid-out fleet (any layout with the
+    # same env total resumes byte-identically — placement independence).
+    shards = args.shard or session.get("shards")
+    if session["backend"] == "shards" and not shards:
+        print(
+            "session used sharded collection but recorded no shard "
+            "addresses; pass --shard HOST:PORT for each running shard host",
+            file=sys.stderr,
+        )
+        return 2
     try:
         venv = VectorEnv.from_config(
             config.env,
@@ -400,7 +377,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
             backend=session["backend"],
             shared_db_path=args.out if args.out else CACHE_ONLY,
             tick_stride=int(session["tick_stride"]),
-            **vec_kwargs,
+            shards=shards,
         )
     except (ConnectionError, ValueError) as exc:
         if session["backend"] != "shards":
@@ -1069,7 +1046,7 @@ def cmd_fuzz_scenarios(args: argparse.Namespace) -> int:
     print(header)
     for row in section["top"]:
         print(
-            f"{row['tuner_vs_static_pct']:>+8.2f}  "
+            f"{row['capes_gain_over_static_pct']:>+8.2f}  "
             f"{row['origin']:<24} {row['name']}"
         )
         print(f"          repro: {row['repro']}")
@@ -1146,22 +1123,22 @@ def make_parser() -> argparse.ArgumentParser:
         default=1,
         help="clusters collecting in parallel, fanned into one replay DB",
     )
-    p.add_argument(
+    placement = p.add_mutually_exclusive_group()
+    placement.add_argument(
         "--vector-backend",
-        choices=("serial", "fork", "vec", "shards"),
+        choices=("serial", "fork", "vec"),
         default="serial",
         help="how the collecting clusters are stepped (vec: one "
-        "struct-of-arrays fleet advanced by numpy array ops; shards: "
-        "remote shard hosts over TCP, see --shard)",
+        "struct-of-arrays fleet advanced by numpy array ops)",
     )
-    p.add_argument(
+    placement.add_argument(
         "--shard",
         action="append",
         default=None,
         metavar="HOST:PORT",
         help="attach a running `repro shard-host` (repeatable, fleet "
-        "order; implies --vector-backend shards).  --n-envs must equal "
-        "the total env count the shards host",
+        "order); any --shard selects sharded collection.  --n-envs "
+        "must equal the total env count the shards host",
     )
     p.add_argument(
         "--chunk",
@@ -1437,8 +1414,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--top",
         type=int,
         default=5,
-        help="frontier size: the top-k most flat/losing-for-capes "
-        "timelines reported",
+        help="frontier size: the k timelines where CAPES gains least "
+        "over static (most negative capes_gain_over_static_pct first)",
     )
     p.add_argument(
         "--out",

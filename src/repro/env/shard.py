@@ -28,7 +28,7 @@ the golden-digest tests pin.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Optional
+from typing import Callable, List
 
 from repro.env.protocol import Environment
 from repro.env.worker import serve_env_session
@@ -111,7 +111,14 @@ class ShardHost:
         return data
 
     def serve_connection(self, transport: Transport) -> None:
-        """Handshake one master and serve its session to completion."""
+        """Handshake one master and serve its session to completion.
+
+        A failed handshake — a protocol mismatch, a master that went
+        away, or an env builder that raised — is replied as an error
+        frame (the master re-raises it) and ends only this connection;
+        the host keeps accepting masters.
+        """
+        envs: List[Environment] = []
         try:
             hello = self._expect_cmd(transport, "hello") or {}
             proto = int(hello.get("proto", -1))
@@ -133,21 +140,30 @@ class ShardHost:
                     f"attach carries {0 if seeds is None else len(seeds)} "
                     f"seed(s) for a shard of {self.n_envs} env(s)"
                 )
-        except (TransportClosedError, ProtocolError) as exc:
+            for seed in seeds:
+                envs.append(self._env_builder(int(seed)))
+            transport.send(
+                MSG_OK, encode_reply("attach", {"n_envs": self.n_envs})
+            )
+        except Exception as exc:
             logger.warning("shard handshake failed: %s", exc)
+            for env in envs:
+                try:
+                    env.close()
+                except Exception:  # pragma: no cover - teardown
+                    pass
             try:
                 if not transport.closed:
                     transport.send(
-                        MSG_ERR, encode_error(exc, str(exc), env=-1)
+                        MSG_ERR,
+                        encode_error(
+                            exc, f"{type(exc).__name__}: {exc}", env=-1
+                        ),
                     )
             except (TransportClosedError, ProtocolError, OSError):
                 pass
             transport.close()
             return
-        envs = [self._env_builder(int(s)) for s in seeds]
-        transport.send(
-            MSG_OK, encode_reply("attach", {"n_envs": self.n_envs})
-        )
         logger.info(
             "shard %s attached: %d env(s), seeds %s",
             self.address,

@@ -12,36 +12,45 @@ experience stream a single DQN trains from.
 
 Backends
 --------
-``serial``
-    All sub-environments live in-process and are stepped in a Python
-    loop.  The payoff is batched inference (one stacked forward pass
-    per tick instead of N) and the shared replay stream.
-``fork``
-    Each sub-environment lives in a forked worker process; steps are
-    dispatched to all workers before any result is collected, so the
-    simulations advance in parallel.  ``fork`` inherits memory, so
-    unpicklable workload factories work unchanged.
-``shards``
-    Sub-environments live on remote shard hosts (``repro shard-host``)
-    and are driven over TCP — the fork worker protocol carried by
-    :class:`~repro.transport.tcp.SocketTransport` instead of a pipe.
-    The master derives *global* per-env seeds with
-    :func:`vector_seeds` and assigns each shard a contiguous slice at
-    attach time, so env ``i``'s trajectory is byte-identical whether
-    it runs forked, serial, or on any shard — placement never touches
-    the stream.
-``vec``
-    All sub-environments are rows of one struct-of-arrays
-    :class:`~repro.sim.vec.fleet_env.FleetEnv`: a single ``tick_all``
-    kernel advances the whole fleet per tick, so stepping cost stays
-    nearly flat in ``n_envs`` on one core.  Each worker holds a
-    :class:`~repro.sim.vec.fleet_env.FleetSlot` view, so the per-env
-    plumbing (``env_method``, record fan-in, resets) is shared with
-    ``serial``; lockstep stepping takes a batched fast path straight
-    into the fleet.  The vec backend is a tick-level fluid model — not
-    byte-identical to ``serial``/``fork`` (see
-    :mod:`repro.sim.vec`) — but vec rollouts are themselves exactly
-    reproducible, fleet-size independent, and chunk-invariant.
+Every backend drives its sub-environments through *channels*, the
+master's end of one or more envs, and ``VectorEnv`` steps one list of
+``(channel, local slot)`` pairs: submit a command to every env, then
+collect every reply in order.  There are two kinds of channel.
+
+In-process (``serial``, ``vec``)
+    Each env lives in the master and a command runs on the spot through
+    :func:`~repro.env.worker.exec_env_cmd` — no codec, no thread.  The
+    payoff is batched inference (one stacked forward pass per tick
+    instead of N), the shared replay stream, and observations written
+    straight into the stacked buffer through ``out=``.
+Remote (``fork``, ``shards``)
+    The envs live in a process running
+    :func:`~repro.env.worker.serve_env_session`; commands and replies
+    cross as framed binary messages, one FIFO of in-flight commands per
+    channel, and a vanished peer is a :class:`WorkerCrashError` naming
+    the env and the command.  Two media carry the same channel:
+
+    - ``fork``: one forked worker per env over a
+      :class:`~repro.transport.pipe.PipeTransport`.  ``fork`` inherits
+      memory, so unpicklable workload factories work unchanged.
+    - ``shards``: ``K`` envs per remote shard host (``repro
+      shard-host``) over a :class:`~repro.transport.tcp.SocketTransport`,
+      after a hello/attach handshake.  The master derives *global*
+      per-env seeds with :func:`vector_seeds` and assigns each shard a
+      contiguous slice at attach time, so env ``i``'s trajectory is
+      byte-identical whether it runs forked, serial, or on any shard —
+      placement never touches the stream.
+
+The ``vec`` backend's envs are rows of one struct-of-arrays
+:class:`~repro.sim.vec.fleet_env.FleetEnv`: each channel holds a
+:class:`~repro.sim.vec.fleet_env.FleetSlot` view, so the per-env
+plumbing (``env_method``, record fan-in, resets) is the ``serial``
+one, while lockstep stepping takes a batched fast path straight into
+the fleet — a single ``tick_all`` kernel per tick, so stepping cost
+stays nearly flat in ``n_envs`` on one core.  It is a tick-level fluid
+model — not byte-identical to ``serial``/``fork`` (see
+:mod:`repro.sim.vec`) — but vec rollouts are themselves exactly
+reproducible, fleet-size independent, and chunk-invariant.
 
 Fan-in transport
 ----------------
@@ -102,7 +111,7 @@ from repro.env.worker import (
 from repro.replaydb.db import CACHE_ONLY, ReplayDB
 from repro.replaydb.records import PackedRecords
 from repro.replaydb.spans import StridedMinibatchSampler, TickSpans
-from repro.transport.base import TransportClosedError
+from repro.transport.base import Transport, TransportClosedError
 from repro.transport.codec import (
     MSG_CMD,
     MSG_ERR,
@@ -159,18 +168,34 @@ def per_env_rngs(
 
 
 # --------------------------------------------------------------------------
-# Worker backends: one sub-environment behind a submit/result pair
+# Channels: the master's end of one or more sub-environments
 # --------------------------------------------------------------------------
+#
+# A channel hosts ``n_envs`` sub-environments and takes worker commands
+# for them: ``submit(env_index, local, cmd, payload)`` sends one,
+# ``result()`` returns the oldest outstanding reply.  Results come back
+# in submission order, so submitting to every env before collecting any
+# steps remote envs in parallel.
 
 
-class _SerialWorker:
-    """In-process backend: submit computes immediately."""
+class _LocalChannel:
+    """One in-process sub-environment (``serial``, ``vec``).
 
-    def __init__(self, factory: EnvFactoryFn):
-        self.env = factory()
+    Commands run at submit through :func:`exec_env_cmd` — no codec, no
+    thread.  Payload ``out=`` buffers therefore reach the env itself,
+    so observations land straight in the master's stacked buffer; a
+    remote channel's codec strips them instead.
+    """
+
+    n_envs = 1
+
+    def __init__(self, env: Environment):
+        self.env = env
         self._result: Any = None
 
-    def submit(self, cmd: str, payload: Any = None) -> None:
+    def submit(
+        self, env_index: int, local: int, cmd: str, payload: Any = None
+    ) -> None:
         if cmd == "close":
             self.env.close()
             self._result = None
@@ -181,131 +206,105 @@ class _SerialWorker:
         out, self._result = self._result, None
         return out
 
-
-def _raise_worker_reply_error(
-    payload: bytes, env_index: int, shard: Optional[str] = None
-) -> None:
-    """Re-raise the failure a worker error frame carries.
-
-    The original exception is raised verbatim when it crossed whole
-    (pickled); otherwise its text travels inside a
-    :class:`WorkerCrashError` tagged with the global env index (and
-    shard address, when the worker lives on one).
-    """
-    _env, text, exc = decode_error(payload)
-    if exc is not None:
-        raise exc
-    raise WorkerCrashError(text, env_index=env_index, shard=shard)
+    def close(self) -> None:
+        """Nothing to release: the env closed on its ``close`` command."""
 
 
-def _env_worker(factory: EnvFactoryFn, conn) -> None:
+def _env_worker(factory: EnvFactoryFn, conn, master_end) -> None:
     """Forked worker main: serve one environment over its pipe."""
+    # The fork copied the master's end too; holding it would hide the
+    # master hanging up (no EOF while any copy is open).
+    master_end.close()
     try:
         serve_env_session([factory()], PipeTransport(conn))
     except KeyboardInterrupt:  # pragma: no cover - teardown
         pass
 
 
-class _ForkWorker:
-    """Forked-process backend: submit is asynchronous, result blocks.
+class _RemoteChannel:
+    """A transport to a process serving :func:`serve_env_session`.
 
-    The child runs the same :func:`~repro.env.worker.serve_env_session`
-    loop a shard host runs, over a
-    :class:`~repro.transport.pipe.PipeTransport`.  A worker that dies
-    mid-command surfaces as :class:`WorkerCrashError` naming the env
-    and the command — never as a bare ``EOFError``.
+    One class for both media: a forked worker hosting one env over a
+    :class:`~repro.transport.pipe.PipeTransport` (:meth:`fork`), or a
+    shard host hosting ``K`` envs over a
+    :class:`~repro.transport.tcp.SocketTransport` (:meth:`dial`).  The
+    peer serves commands strictly in arrival order, so a FIFO of
+    in-flight ``(env_index, local, cmd)`` is the whole multiplexing
+    state.  A peer that vanishes surfaces as :class:`WorkerCrashError`
+    naming the env, the command and (for shards) the address — never
+    as a bare ``EOFError``.
     """
 
-    def __init__(self, factory: EnvFactoryFn, context, env_index: int = 0):
-        self.env_index = int(env_index)
+    def __init__(
+        self,
+        transport: Transport,
+        name: str,
+        proc: Any = None,
+        address: Optional[str] = None,
+    ):
+        self.transport = transport
+        self.name = name
+        #: Envs the peer hosts: 1 for a fork; a shard says at hello.
+        self.n_envs = 1
+        #: The shard address, for crash reports (``None`` for a fork).
+        self.address = address
+        self._proc = proc
+        self._pending: Deque[Tuple[int, int, str]] = deque()
+
+    @classmethod
+    def fork(cls, factory: EnvFactoryFn, context) -> "_RemoteChannel":
+        """Fork a worker process serving ``factory()`` over a pipe."""
         parent, child = context.Pipe()
-        self._proc = context.Process(
-            target=_env_worker, args=(factory, child), daemon=True
+        proc = context.Process(
+            target=_env_worker, args=(factory, child, parent), daemon=True
         )
-        self._proc.start()
+        proc.start()
         child.close()
-        self._transport = PipeTransport(parent)
-        self._pending: Deque[str] = deque()
+        return cls(PipeTransport(parent), f"fork worker {proc.pid}", proc=proc)
 
-    def submit(self, cmd: str, payload: Any = None) -> None:
-        try:
-            self._transport.send(MSG_CMD, encode_command(cmd, 0, payload))
-        except TransportClosedError as exc:
-            raise WorkerCrashError(
-                f"fork worker for env {self.env_index} is gone; cannot "
-                f"submit {cmd!r}: {exc}",
-                env_index=self.env_index,
-            ) from exc
-        self._pending.append(cmd)
-
-    def result(self) -> Any:
-        cmd = self._pending.popleft() if self._pending else "?"
-        try:
-            msg_type, payload = self._transport.recv()
-        except (TransportClosedError, ProtocolError) as exc:
-            raise WorkerCrashError(
-                f"fork worker for env {self.env_index} died during "
-                f"{cmd!r}: {exc}",
-                env_index=self.env_index,
-            ) from exc
-        if msg_type == MSG_ERR:
-            _raise_worker_reply_error(payload, self.env_index)
-        _cmd, result = decode_reply(payload)
-        return result
-
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Reap the worker process: join with a timeout, escalate to
-        terminate and finally kill rather than hang the master."""
-        self._transport.close()
-        self._proc.join(timeout=timeout)
-        if self._proc.is_alive():  # pragma: no cover - hung worker
-            self._proc.terminate()
-            self._proc.join(timeout=timeout)
-        if self._proc.is_alive():  # pragma: no cover - unkillable
-            self._proc.kill()
-            self._proc.join(timeout=timeout)
-
-
-class _ShardChannel:
-    """One master-side socket to a shard host, multiplexing its envs.
-
-    Commands for every env hosted on the shard share this transport;
-    the shard serves them strictly in arrival order, and the master
-    collects results in submission order, so a FIFO of in-flight
-    commands is the whole multiplexing state.
-    """
-
-    def __init__(self, address: str, timeout: Optional[float] = 30.0):
+    @classmethod
+    def dial(cls, address: str, timeout: Optional[float]) -> "_RemoteChannel":
+        """Connect to a shard host and run the hello handshake; the
+        socket is closed again if the hello fails."""
         from repro.env.shard import SHARD_PROTO
 
-        self.address = address
-        self.transport = SocketTransport.connect(address, timeout=timeout)
-        #: (global env index, local slot, command) per in-flight command.
-        self._pending: Deque[Tuple[int, int, str]] = deque()
-        reply = self.rpc("hello", {"proto": SHARD_PROTO})
-        if not isinstance(reply, dict) or "n_envs" not in reply:
-            raise ProtocolError(
-                f"shard {address} sent a malformed hello reply: {reply!r}"
-            )
-        if int(reply.get("proto", -1)) != SHARD_PROTO:
-            raise ProtocolError(
-                f"shard {address} speaks proto {reply.get('proto')}, "
-                f"master speaks {SHARD_PROTO}"
-            )
-        #: How many envs this shard hosts (its ``--n-envs``).
-        self.n_envs = int(reply["n_envs"])
+        channel = cls(
+            SocketTransport.connect(address, timeout=timeout),
+            f"shard {address}",
+            address=address,
+        )
+        try:
+            reply = channel.rpc("hello", {"proto": SHARD_PROTO})
+            if (
+                not isinstance(reply, dict)
+                or "n_envs" not in reply
+                or reply.get("proto") != SHARD_PROTO
+            ):
+                raise ProtocolError(
+                    f"shard {address} answered hello with {reply!r}; "
+                    f"master speaks proto {SHARD_PROTO}"
+                )
+            channel.n_envs = int(reply["n_envs"])
+        except BaseException:
+            channel.close()
+            raise
+        return channel
+
+    def _crash(self, what: str, env_index: int, exc: Exception):
+        return WorkerCrashError(
+            f"{self.name} {what} for env {env_index}: {exc}",
+            env_index=env_index,
+            shard=self.address,
+        )
 
     def submit(
-        self, local: int, cmd: str, payload: Any = None, env_index: int = -1
+        self, env_index: int, local: int, cmd: str, payload: Any = None
     ) -> None:
         try:
             self.transport.send(MSG_CMD, encode_command(cmd, local, payload))
         except TransportClosedError as exc:
-            raise WorkerCrashError(
-                f"shard {self.address} is gone; cannot submit {cmd!r} "
-                f"for env {env_index}: {exc}",
-                env_index=env_index,
-                shard=self.address,
+            raise self._crash(
+                f"is gone; cannot submit {cmd!r}", env_index, exc
             ) from exc
         self._pending.append((env_index, local, cmd))
 
@@ -316,42 +315,36 @@ class _ShardChannel:
         try:
             msg_type, payload = self.transport.recv()
         except (TransportClosedError, ProtocolError) as exc:
-            raise WorkerCrashError(
-                f"shard {self.address} went away during {cmd!r} for env "
-                f"{env_index} (its slot {local}): {exc}",
-                env_index=env_index,
-                shard=self.address,
+            raise self._crash(
+                f"went away during {cmd!r} (slot {local})", env_index, exc
             ) from exc
         if msg_type == MSG_ERR:
-            _raise_worker_reply_error(payload, env_index, shard=self.address)
+            # The original exception crosses whole when it pickled;
+            # otherwise its text travels as a WorkerCrashError.
+            _env, text, exc = decode_error(payload)
+            if exc is not None:
+                raise exc
+            raise WorkerCrashError(
+                text, env_index=env_index, shard=self.address
+            )
         _cmd, result = decode_reply(payload)
         return result
 
     def rpc(self, cmd: str, payload: Any = None) -> Any:
         """One synchronous session-level command (handshake, snapshot)."""
-        self.submit(0, cmd, payload)
+        self.submit(-1, 0, cmd, payload)
         return self.result()
 
-    def close(self) -> None:
-        """Drain-then-close the shard socket (idempotent)."""
+    def close(self, timeout: float = 5.0) -> None:
+        """Close the transport and reap the worker process, if any:
+        join with a timeout, then kill rather than hang the master
+        (idempotent)."""
         self.transport.close()
-
-
-class _ShardWorker:
-    """One sub-environment slot on a shard channel."""
-
-    def __init__(self, channel: _ShardChannel, local: int, env_index: int):
-        self._channel = channel
-        self._local = int(local)
-        self.env_index = int(env_index)
-
-    def submit(self, cmd: str, payload: Any = None) -> None:
-        self._channel.submit(
-            self._local, cmd, payload, env_index=self.env_index
-        )
-
-    def result(self) -> Any:
-        return self._channel.result()
+        if self._proc is not None:
+            self._proc.join(timeout=timeout)
+            if self._proc.is_alive():  # pragma: no cover - hung worker
+                self._proc.kill()
+                self._proc.join(timeout=timeout)
 
 
 # --------------------------------------------------------------------------
@@ -416,50 +409,51 @@ class VectorEnv:
                 f"got {backend!r}"
             )
         if backend == "shards":
-            if factories:
+            if factories or not shards or base_seed is None:
                 raise ValueError(
                     "backend='shards' builds its environments on the "
-                    "shard hosts; pass shards=[...] instead of factories"
-                )
-            if not shards:
-                raise ValueError(
-                    "backend='shards' needs at least one shard address"
-                )
-            if base_seed is None:
-                raise ValueError(
-                    "backend='shards' needs base_seed: per-env seeds are "
-                    "derived globally on the master and sent to the shards"
+                    "shard hosts: pass shards=[...] and base_seed= (the "
+                    "master derives every env's seed), not factories"
                 )
         elif not factories:
             raise ValueError("VectorEnv needs at least one environment")
         check_positive("tick_stride", tick_stride)
         self.backend = backend
         self.tick_stride = int(tick_stride)
-        self._shared_db_path = shared_db_path
         self._fleet: Any = None
         self._closed = False
-        self._channels: List[_ShardChannel] = []
         #: Shard addresses (``backend="shards"``) in fleet order.
         self.shards: Optional[List[str]] = None
         #: Env count per shard, aligned with :attr:`shards`.
         self.shard_sizes: Optional[List[int]] = None
-        if backend == "shards":
-            self._workers = self._connect_shards(
-                list(shards), int(base_seed), connect_timeout
-            )
-        elif backend == "fork":
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                context = multiprocessing.get_context()
-            self._workers: List[Any] = [
-                _ForkWorker(f, context, env_index=i)
-                for i, f in enumerate(factories)
-            ]
-        else:
-            self._workers = [_SerialWorker(f) for f in factories]
+        # Built one at a time, so a failure part-way closes exactly the
+        # channels that were opened.
+        self._channels: List[Any] = []
+        try:
+            if backend == "shards":
+                self._connect_shards(
+                    list(shards), int(base_seed), connect_timeout
+                )
+            elif backend == "fork":
+                try:
+                    context = multiprocessing.get_context("fork")
+                except ValueError:  # pragma: no cover - non-POSIX
+                    context = multiprocessing.get_context()
+                for f in factories:
+                    self._channels.append(_RemoteChannel.fork(f, context))
+            else:
+                for f in factories:
+                    self._channels.append(_LocalChannel(f()))
+        except BaseException:
+            for ch in self._channels:
+                ch.close()
+            raise
+        #: ``(channel, local slot)`` per global env index.
+        self._slots: List[Tuple[Any, int]] = [
+            (ch, local) for ch in self._channels for local in range(ch.n_envs)
+        ]
         if backend == "vec":
-            envs = [w.env for w in self._workers]
+            envs = [ch.env for ch in self._channels]
             fleets = {id(getattr(e, "fleet", None)) for e in envs}
             if (
                 any(not getattr(e, "fleet_slot", False) for e in envs)
@@ -489,12 +483,8 @@ class VectorEnv:
             )
         #: Per-env fan-in frontier: which local tick each cluster's
         #: records are synced through.  Shared with the strided sampler
-        #: (candidate spans) and re-read on every draw.  Sharded fleets
-        #: carry the shard topology so frontier bookkeeping can be
-        #: reasoned about (and snapshotted) per shard.
-        self.spans = TickSpans(
-            self.n_envs, self.tick_stride, shard_sizes=self.shard_sizes
-        )
+        #: (candidate spans) and re-read on every draw.
+        self.spans = TickSpans(self.n_envs, self.tick_stride)
         self._ingest_listeners: List[Callable[[PackedRecords], None]] = []
         # Snapshot support for the worker backends: the op log since the
         # last reset().  Worker-side simulators drive live Python
@@ -513,7 +503,7 @@ class VectorEnv:
         shards: List[str],
         base_seed: int,
         connect_timeout: Optional[float],
-    ) -> List[_ShardWorker]:
+    ) -> None:
         """Dial every shard, derive the global seed sequence, attach.
 
         Seeds are computed over the *total* fleet size and sliced
@@ -521,31 +511,15 @@ class VectorEnv:
         global index alone — resharding the same total fleet is
         byte-invisible.
         """
-        try:
-            self._channels = [
-                _ShardChannel(addr, timeout=connect_timeout)
-                for addr in shards
-            ]
-            self.shards = shards
-            self.shard_sizes = [ch.n_envs for ch in self._channels]
-            seeds = vector_seeds(base_seed, sum(self.shard_sizes))
-            workers: List[_ShardWorker] = []
-            offset = 0
-            for ch in self._channels:
-                ch.rpc(
-                    "attach",
-                    {"seeds": seeds[offset : offset + ch.n_envs]},
-                )
-                workers.extend(
-                    _ShardWorker(ch, local, offset + local)
-                    for local in range(ch.n_envs)
-                )
-                offset += ch.n_envs
-            return workers
-        except Exception:
-            for ch in self._channels:
-                ch.close()
-            raise
+        for addr in shards:
+            self._channels.append(_RemoteChannel.dial(addr, connect_timeout))
+        self.shards = shards
+        self.shard_sizes = [ch.n_envs for ch in self._channels]
+        seeds = vector_seeds(base_seed, sum(self.shard_sizes))
+        offset = 0
+        for ch in self._channels:
+            ch.rpc("attach", {"seeds": seeds[offset : offset + ch.n_envs]})
+            offset += ch.n_envs
 
     # -- construction helpers -------------------------------------------
     @classmethod
@@ -573,20 +547,7 @@ class VectorEnv:
         actually host.
         """
         if backend == "shards":
-            venv = cls(
-                None,
-                backend="shards",
-                base_seed=config.seed,
-                **vec_kwargs,
-            )
-            if int(n_envs) != venv.n_envs:
-                sizes = venv.shard_sizes
-                venv.close()
-                raise ValueError(
-                    f"requested n_envs={n_envs} but the shards host "
-                    f"{sum(sizes)} env(s) (sizes {sizes})"
-                )
-            return venv
+            return cls._attach_shards(n_envs, config.seed, **vec_kwargs)
         if backend == "vec":
             from repro.sim.vec.fleet_env import FleetEnv
 
@@ -634,17 +595,7 @@ class VectorEnv:
         from repro.env.registry import make_env
 
         if backend == "shards":
-            venv = cls(
-                None, backend="shards", base_seed=base_seed, **vec_kwargs
-            )
-            if int(n_envs) != venv.n_envs:
-                sizes = venv.shard_sizes
-                venv.close()
-                raise ValueError(
-                    f"requested n_envs={n_envs} but the shards host "
-                    f"{sum(sizes)} env(s) (sizes {sizes})"
-                )
-            return venv
+            return cls._attach_shards(n_envs, base_seed, **vec_kwargs)
         if backend == "vec":
             probe = make_env(name, seed=base_seed, **(env_kwargs or {}))
             config = getattr(probe, "config", None)
@@ -664,20 +615,46 @@ class VectorEnv:
         ]
         return cls(factories, backend=backend, **vec_kwargs)
 
+    @classmethod
+    def _attach_shards(
+        cls, n_envs: int, base_seed: int, **vec_kwargs: Any
+    ) -> "VectorEnv":
+        """Attach to running shard hosts, validating ``n_envs`` against
+        the fleet they actually host."""
+        venv = cls(None, backend="shards", base_seed=base_seed, **vec_kwargs)
+        if int(n_envs) != venv.n_envs:
+            sizes = venv.shard_sizes
+            venv.close()
+            raise ValueError(
+                f"requested n_envs={n_envs} but the shards host "
+                f"{sum(sizes)} env(s) (sizes {sizes})"
+            )
+        return venv
+
     # -- worker plumbing -------------------------------------------------
     @property
     def n_envs(self) -> int:
         """Number of sub-environments in the fleet."""
-        return len(self._workers)
+        return len(self._slots)
 
-    @property
-    def _synced(self) -> List[int]:
-        """Per-env synced tops (read-only view of :attr:`spans`)."""
-        return self.spans.tops()
+    def _call(self, i: int, cmd: str, payload: Any = None) -> Any:
+        """One command to env ``i``, waited for."""
+        ch, local = self._slots[i]
+        ch.submit(i, local, cmd, payload)
+        return ch.result()
+
+    def _lockstep(
+        self, cmd: str, payload: Callable[[int], Any]
+    ) -> List[Any]:
+        """``cmd`` to every env (``payload(i)`` each), all submitted
+        before any result is collected, so remote envs run in
+        parallel; the results in env order."""
+        for i, (ch, local) in enumerate(self._slots):
+            ch.submit(i, local, cmd, payload(i))
+        return [ch.result() for ch, _local in self._slots]
 
     def _get_attr(self, i: int, name: str) -> Any:
-        self._workers[i].submit("call", ("__getattribute__", (name,), {}))
-        return self._workers[i].result()
+        return self._call(i, "call", ("__getattribute__", (name,), {}))
 
     def env_method(self, i: int, name: str, *args: Any, **kwargs: Any) -> Any:
         """Invoke ``env_i.name(*args, **kwargs)`` (remotely for fork).
@@ -687,8 +664,7 @@ class VectorEnv:
         """
         if not 0 <= i < self.n_envs:
             raise IndexError(f"env index {i} out of range 0..{self.n_envs - 1}")
-        self._workers[i].submit("call", (name, args, kwargs))
-        result = self._workers[i].result()
+        result = self._call(i, "call", (name, args, kwargs))
         self._sync_env(i)
         # One env may now be ahead of the others; a reset+replay of the
         # lockstep op log can no longer reproduce this state.
@@ -785,8 +761,7 @@ class VectorEnv:
         """
         if self.shared_db is None:
             return
-        self._workers[i].submit("records", self._since(i))
-        self._ingest(i, self._workers[i].result())
+        self._ingest(i, self._call(i, "records", self._since(i)))
 
     # -- lockstep lifecycle ----------------------------------------------
     def reset(self) -> np.ndarray:
@@ -802,13 +777,13 @@ class VectorEnv:
             self.shared_db.clear()
         self.spans.reset()
         want_records = self.shared_db is not None
-        for w in self._workers:
-            w.submit("reset", want_records)
-        for i, w in enumerate(self._workers):
-            obs, packed = w.result()
+        replies = self._lockstep("reset", lambda i: want_records)
+        for i, (obs, packed) in enumerate(replies):
             self._obs_buf[i] = obs
             self._ingest(i, packed)
-        self._oplog = []
+        # The fleet snapshots its arrays wholesale; every other backend
+        # logs lockstep ops from here.
+        self._oplog = [] if self._fleet is None else None
         return self._obs_buf
 
     def step(
@@ -828,9 +803,9 @@ class VectorEnv:
             raise ValueError(
                 f"expected {self.n_envs} actions, got shape {actions.shape}"
             )
-        if self.backend != "vec" and self._oplog is not None:
+        if self._oplog is not None:
             self._oplog.append(("step", [int(a) for a in actions]))
-        if self.backend == "vec":
+        if self._fleet is not None:
             # Batched fast path: one fleet-wide kernel call instead of
             # n per-slot round-trips.
             _obs, rewards, infos = self._fleet.step(
@@ -839,16 +814,14 @@ class VectorEnv:
             self._reward_buf[:] = rewards
             self._ingest_fleet()
             return self._obs_buf, self._reward_buf, infos
-        for i, w in enumerate(self._workers):
-            out = self._obs_buf[i] if self.backend == "serial" else None
-            w.submit("step", (int(actions[i]), out, self._since(i)))
+        replies = self._lockstep(
+            "step",
+            lambda i: (int(actions[i]), self._obs_buf[i], self._since(i)),
+        )
         infos: List[dict] = []
-        for i, w in enumerate(self._workers):
-            obs, reward, info, packed = w.result()
-            if self.backend != "serial":
-                # Serial steps wrote straight into the buffer via out=;
-                # boundary-crossing observations need the one copy.
-                self._obs_buf[i] = obs
+        for i, (obs, reward, info, packed) in enumerate(replies):
+            # In-process envs already wrote the row through out=.
+            self._obs_buf[i] = obs
             self._reward_buf[i] = reward
             infos.append(info)
             self._ingest(i, packed)
@@ -868,7 +841,7 @@ class VectorEnv:
         if chunk is None:
             chunk = n_ticks
         check_positive("chunk", chunk)
-        if self.backend != "vec" and self._oplog is not None:
+        if self._oplog is not None:
             # Chunk size is transport, not semantics (chunked == per-tick
             # byte-identical), so the log records only what was run.
             self._oplog.append(
@@ -878,7 +851,7 @@ class VectorEnv:
         done = 0
         while done < n_ticks:
             k = min(chunk, n_ticks - done)
-            if self.backend == "vec":
+            if self._fleet is not None:
                 rewards[:, done : done + k] = self._fleet.run_chunk(
                     k, action=action
                 )
@@ -886,14 +859,13 @@ class VectorEnv:
                 self._ingest_fleet()
                 done += k
                 continue
-            for i, w in enumerate(self._workers):
-                out = self._obs_buf[i] if self.backend == "serial" else None
-                w.submit("run_chunk", (action, k, self._since(i), out))
-            for i, w in enumerate(self._workers):
-                r, obs, packed = w.result()
+            replies = self._lockstep(
+                "run_chunk",
+                lambda i: (action, k, self._since(i), self._obs_buf[i]),
+            )
+            for i, (r, obs, packed) in enumerate(replies):
                 rewards[i, done : done + k] = r
-                if self.backend != "serial":
-                    self._obs_buf[i] = obs
+                self._obs_buf[i] = obs
                 self._ingest(i, packed)
             done += k
         return rewards
@@ -1038,10 +1010,7 @@ class VectorEnv:
         Broadcasts to the workers (their local stores commit, when they
         have a durable layer) and commits the shared fan-in DB.
         """
-        for w in self._workers:
-            w.submit("commit")
-        for w in self._workers:
-            w.result()
+        self._lockstep("commit", lambda i: None)
         if self.shared_db is not None:
             self.shared_db.commit()
 
@@ -1059,18 +1028,9 @@ class VectorEnv:
         """
         if not 0 <= i < self.n_envs:
             raise IndexError(f"env index {i} out of range 0..{self.n_envs - 1}")
-        if self.backend in ("serial", "vec"):
-            # Both are in-process: write straight into the buffer row
-            # via out=.
-            self._workers[i].submit(
-                "call", ("current_observation", (), {"out": self._obs_buf[i]})
-            )
-            self._workers[i].result()
-        else:
-            # fork and shards cross a process/host boundary: the out=
-            # buffer cannot travel, so copy the returned observation.
-            self._workers[i].submit("call", ("current_observation", (), {}))
-            self._obs_buf[i] = self._workers[i].result()
+        self._obs_buf[i] = self._call(
+            i, "call", ("current_observation", (), {})
+        )
         return self._obs_buf
 
     def make_sampler(self, seed=None) -> "StridedMinibatchSampler":
@@ -1097,32 +1057,18 @@ class VectorEnv:
         if self._closed:
             return
         self._closed = True
-        for w in self._workers:
+        # A lost transport is a TransportClosedError, itself an OSError.
+        gone = (WorkerCrashError, ProtocolError, OSError)
+        for i, (ch, local) in enumerate(self._slots):
             try:
-                w.submit("close")
-            except (
-                WorkerCrashError,
-                TransportClosedError,
-                ProtocolError,
-                OSError,
-            ):
+                ch.submit(i, local, "close")
+            except gone:
                 pass  # this worker is already gone; keep reaping
-        for w in self._workers:
+        for ch, _local in self._slots:
             try:
-                w.result()
-            except (
-                WorkerCrashError,
-                TransportClosedError,
-                ProtocolError,
-                EOFError,
-                BrokenPipeError,
-                OSError,
-            ):
+                ch.result()
+            except gone:
                 pass
-        for w in self._workers:
-            shutdown = getattr(w, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
         for ch in self._channels:
             ch.close()
         if self.shared_db is not None:

@@ -36,116 +36,27 @@ class TickSpans:
     block's newest tick; samplers ask :meth:`candidate_spans` which global
     ticks are eligible transition timestamps.  ``stride=None`` means a
     single unbounded block (plain, unstrided tick space).
-
-    Sharded fleets add one more dimension: blocks are partitioned into
-    contiguous runs, one per shard host, described by ``shard_sizes``
-    (``[K_0, K_1, ...]``, summing to ``n_blocks``).  Shard ``s``'s
-    local slot ``i`` is global block ``shard_offset(s) + i`` — the
-    stride layout itself never changes, so samplers are oblivious to
-    sharding; the topology only feeds per-shard bookkeeping
-    (:meth:`shard_tops`) and session snapshots.
     """
 
-    def __init__(
-        self,
-        n_blocks: int = 1,
-        stride: Optional[int] = None,
-        shard_sizes: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, n_blocks: int = 1, stride: Optional[int] = None):
         check_positive("n_blocks", n_blocks)
         if stride is not None:
             check_positive("stride", stride)
         self.n_blocks = int(n_blocks)
         self.stride = None if stride is None else int(stride)
         self._tops = [-1] * self.n_blocks
-        self.shard_sizes: Optional[List[int]] = None
-        if shard_sizes is not None:
-            sizes = [int(k) for k in shard_sizes]
-            for k in sizes:
-                check_positive("shard size", k)
-            if sum(sizes) != self.n_blocks:
-                raise ValueError(
-                    f"shard_sizes {sizes} sum to {sum(sizes)}, but the "
-                    f"frontier tracks {self.n_blocks} block(s)"
-                )
-            self.shard_sizes = sizes
 
     @property
     def tick_stride(self) -> Optional[int]:
         """Alias for :attr:`stride` (the VectorEnv attribute name)."""
         return self.stride
 
-    @property
-    def n_shards(self) -> int:
-        """How many shards partition the blocks (1 when unsharded)."""
-        return 1 if self.shard_sizes is None else len(self.shard_sizes)
-
-    def shard_offset(self, shard: int) -> int:
-        """The first global block shard ``shard`` owns."""
-        if self.shard_sizes is None:
-            if shard != 0:
-                raise IndexError(
-                    f"unsharded frontier has only shard 0, got {shard}"
-                )
-            return 0
-        if not 0 <= shard < len(self.shard_sizes):
-            raise IndexError(
-                f"shard {shard} out of range 0..{len(self.shard_sizes) - 1}"
-            )
-        return sum(self.shard_sizes[:shard])
-
-    def shard_of(self, block: int) -> int:
-        """Which shard hosts global block ``block``."""
-        if not 0 <= block < self.n_blocks:
-            raise IndexError(
-                f"block {block} out of range 0..{self.n_blocks - 1}"
-            )
-        if self.shard_sizes is None:
-            return 0
-        edge = 0
-        for s, k in enumerate(self.shard_sizes):
-            edge += k
-            if block < edge:
-                return s
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def global_slot(self, shard: int, local: int) -> int:
-        """Global block index of shard ``shard``'s local slot ``local``."""
-        offset = self.shard_offset(shard)
-        size = (
-            self.n_blocks
-            if self.shard_sizes is None
-            else self.shard_sizes[shard]
-        )
-        if not 0 <= local < size:
-            raise IndexError(
-                f"slot {local} out of range 0..{size - 1} on shard {shard}"
-            )
-        return offset + local
-
-    def shard_tops(self, shard: int) -> List[int]:
-        """Frontier of the blocks shard ``shard`` owns (a list copy)."""
-        offset = self.shard_offset(shard)
-        size = (
-            self.n_blocks
-            if self.shard_sizes is None
-            else self.shard_sizes[shard]
-        )
-        return list(self._tops[offset : offset + size])
-
     @classmethod
     def from_tops(
-        cls,
-        stride: Optional[int],
-        tops: Sequence[int],
-        shard_sizes: Optional[Sequence[int]] = None,
+        cls, stride: Optional[int], tops: Sequence[int]
     ) -> "TickSpans":
         """A frontier with explicit per-block tops (mostly for tests)."""
-        spans = cls(
-            n_blocks=max(1, len(tops)),
-            stride=stride,
-            shard_sizes=shard_sizes,
-        )
+        spans = cls(n_blocks=max(1, len(tops)), stride=stride)
         for i, top in enumerate(tops):
             spans._tops[i] = int(top)
         return spans

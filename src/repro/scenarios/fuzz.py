@@ -1,9 +1,10 @@
 """Adversarial scenario fuzzing: search for where CAPES stops winning.
 
 BENCH_scenarios.json's three hand-written timelines are the entire
-evidence base for the paper's adaptivity claim — CAPES crushes
-``degraded`` and ``churn`` but is flat on ``bursty``.  This module
-turns that anecdote into a mapped surface:
+evidence base for the paper's adaptivity claim — and at the short
+budget they run, CAPES *loses* to the static tuning on ``degraded``
+and ``churn`` and is flat on ``bursty``.  This module turns those
+three points into a mapped surface:
 
 1. a seeded **generator** (:func:`sample_scenario`) composes randomized
    :class:`~repro.scenarios.events.ScenarioEvent` timelines, derived
@@ -12,14 +13,16 @@ turns that anecdote into a mapped surface:
    *resolver* makes every ``fuzz-<root_seed>-<index>`` name buildable
    in any process — each found timeline is a one-line repro;
 2. a **search driver** (:class:`ScenarioFuzzer`) scores each candidate
-   as ``tuner_vs_static_pct`` (capes-tuned vs static-tuned, the
-   BENCH_scenarios metric) by fanning paired runs through the ordinary
+   as ``capes_gain_over_static_pct`` (capes-tuned vs static-tuned, the
+   BENCH_scenarios metric; negative means CAPES loses) by fanning
+   paired runs through the ordinary
    :class:`~repro.exp.runner.ExperimentRunner`, and searches for
-   maximizers — a ``random`` sweep baseline plus generation-based
+   *minimizers* — a ``random`` sweep baseline plus generation-based
    ``hill_climb``/``evolution`` strategies that mutate timelines
    (:func:`mutate_timeline`: add/drop/shift/rescale events);
 3. a **frontier reporter** (:func:`merge_frontier` behind
-   ``repro fuzz-scenarios``) merges the top-k flat/losing timelines —
+   ``repro fuzz-scenarios``) merges the k timelines where CAPES gains
+   least —
    serialized event lists, scores, exact repro commands — into
    ``BENCH_scenarios.json`` read-update-write.
 
@@ -98,8 +101,8 @@ FUZZ_NAME_RE = re.compile(r"^fuzz-(\d+)-(\d+)$")
 #: Resolver-backed name of the seeded known-flat candidate: the
 #: compressed ``sim-lustre-bursty`` timeline BENCH_scenarios measures
 #: at ~+0.3% (flat), planted in every search's initial population so
-#: even a tiny budget lands at least one frontier point with
-#: ``tuner_vs_static_pct >= 0``.
+#: even a tiny budget scores one known reference point; a search
+#: worth its budget finds timelines ranked below it (CAPES losing).
 SEEDED_BURSTY_NAME = "fuzz-seeded-bursty"
 
 #: Timeline mutation operators (see :func:`mutate_timeline`).
@@ -458,9 +461,10 @@ class FuzzScoreConfig:
 class FuzzScore:
     """One candidate's capes-vs-static outcome (the BENCH metric)."""
 
-    #: ``100 * (capes_tuned - static_tuned) / static_tuned``; ``nan``
-    #: when the static run measured no throughput to compare against.
-    tuner_vs_static_pct: float
+    #: ``100 * (capes_tuned - static_tuned) / static_tuned``: negative
+    #: when CAPES loses to the static tuning; ``nan`` when the static
+    #: run measured no throughput to compare against.
+    capes_gain_over_static_pct: float
     capes_tuned: float
     static_tuned: float
 
@@ -513,24 +517,29 @@ class Candidate:
             "repro": self.repro_command(),
         }
         if self.score is not None:
-            row["tuner_vs_static_pct"] = self.score.tuner_vs_static_pct
+            row["capes_gain_over_static_pct"] = (
+                self.score.capes_gain_over_static_pct
+            )
             row["capes_tuned"] = self.score.capes_tuned
             row["static_tuned"] = self.score.static_tuned
         return row
 
 
 def _finite_pct(cand: Candidate) -> float:
+    """The candidate's gain, or ``+inf`` (ranked last) when unscored
+    or not finite."""
     if cand.score is None or not math.isfinite(
-        cand.score.tuner_vs_static_pct
+        cand.score.capes_gain_over_static_pct
     ):
-        return -math.inf
-    return cand.score.tuner_vs_static_pct
+        return math.inf
+    return cand.score.capes_gain_over_static_pct
 
 
 def _rank_key(cand: Candidate) -> tuple:
-    # Highest pct first; evaluation order breaks ties so jobs=1 and
-    # jobs=N (and repeated invocations) rank identically.
-    return (-_finite_pct(cand), cand.index)
+    # Lowest gain (CAPES losing most) first; evaluation order breaks
+    # ties so jobs=1 and jobs=N (and repeated invocations) rank
+    # identically.
+    return (_finite_pct(cand), cand.index)
 
 
 @dataclass
@@ -547,9 +556,9 @@ class FuzzResult:
     candidates: List[Candidate] = field(default_factory=list)
 
     def frontier(self, top_k: int = 5) -> List[Candidate]:
-        """The ``top_k`` highest-scoring (most flat/losing-for-capes)
-        candidates, deterministically ranked."""
-        scored = [c for c in self.candidates if _finite_pct(c) > -math.inf]
+        """The ``top_k`` scored candidates where CAPES gains least over
+        static (most negative first), deterministically ranked."""
+        scored = [c for c in self.candidates if _finite_pct(c) < math.inf]
         return sorted(scored, key=_rank_key)[: max(int(top_k), 0)]
 
     def frontier_section(self, top_k: int = 5) -> dict:
@@ -690,7 +699,7 @@ class ScenarioFuzzer:
                 else float("nan")
             )
             cand.score = FuzzScore(
-                tuner_vs_static_pct=round(pct, 2),
+                capes_gain_over_static_pct=round(pct, 2),
                 capes_tuned=round(capes_tuned, 5),
                 static_tuned=round(static_tuned, 5),
             )
@@ -749,7 +758,7 @@ class ScenarioFuzzer:
                     [self._mutant_candidate(current) for _ in range(k)]
                 )
                 best = min(mutants, key=_rank_key)
-                if _finite_pct(best) > _finite_pct(current):
+                if _finite_pct(best) < _finite_pct(current):
                     current = best
         else:
             mu = 2

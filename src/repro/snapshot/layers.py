@@ -142,11 +142,6 @@ def capture_replay(db, spans) -> Tuple[dict, Dict[str, np.ndarray]]:
     """
     tops = [int(t) for t in spans.tops()]
     meta = {"tops": tops, "stride": int(spans.tick_stride)}
-    if getattr(spans, "shard_sizes", None) is not None:
-        # Shard topology is informational: block layout (and therefore
-        # the captured rows) is placement-independent, so a sharded
-        # capture restores onto any frontier with the same geometry.
-        meta["shard_sizes"] = [int(k) for k in spans.shard_sizes]
     arrays: Dict[str, np.ndarray] = {}
     for i, top in enumerate(tops):
         if top < 0:

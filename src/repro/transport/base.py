@@ -111,7 +111,13 @@ class StreamTransport(Transport):
     def __init__(self, max_payload: int = MAX_PAYLOAD):
         self._decoder = FrameDecoder(max_payload)
         self._ready: Deque[Tuple[int, bytes]] = deque()
+        #: No more messages either way: this side closed, or the peer
+        #: went away (EOF on recv, a failed write on send).
         self._closed = False
+        #: The medium itself was torn down.  Separate from
+        #: ``_closed``: a peer that vanished still leaves this side's
+        #: descriptor open until :meth:`close` releases it.
+        self._released = False
 
     # -- medium primitives (subclass responsibility) --------------------
     @abc.abstractmethod
@@ -164,9 +170,9 @@ class StreamTransport(Transport):
 
     def close(self) -> None:
         """Drain buffered sends and release the medium (idempotent)."""
-        if self._closed:
+        if self._released:
             return
-        self._closed = True
+        self._closed = self._released = True
         try:
             self._close_medium()
         except OSError:  # pragma: no cover - teardown best-effort

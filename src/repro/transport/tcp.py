@@ -142,4 +142,10 @@ class SocketListener(Listener):
         if self._closed:
             return
         self._closed = True
+        try:
+            # Wakes a thread blocked in accept(); close() alone leaves
+            # it waiting on Linux.
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()

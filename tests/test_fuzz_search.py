@@ -4,7 +4,8 @@ Mutation operators must preserve event invariants (frozen dataclass
 validation re-runs on every mutant), the search must be deterministic
 — ``jobs=1`` vs ``jobs=2`` yield identical frontiers, the same
 contract test_exp_runner.py pins for plain sweeps — and a tiny budget
-must land the seeded known-flat ``bursty`` region on the frontier.
+must land the seeded known-flat ``bursty`` region on the frontier,
+ranked by CAPES's gain over static, most negative first.
 Searches here run under a shrunken :class:`FuzzScoreConfig`; the CLI
 default (BENCH-compatible) config is exercised by the slow-marked
 end-to-end test and the ``scenario-fuzz`` CI job.
@@ -23,9 +24,14 @@ from repro.scenarios import ScenarioEvent, mutate_timeline
 from repro.scenarios import strategies as fuzz_st
 from repro.scenarios.fuzz import (
     DEFAULT_HORIZON,
+    DEFAULT_MAX_EVENTS,
     SEEDED_BURSTY_NAME,
+    Candidate,
+    FuzzResult,
+    FuzzScore,
     FuzzScoreConfig,
     ScenarioFuzzer,
+    _rank_key,
     merge_frontier,
     repair_timeline,
 )
@@ -114,11 +120,11 @@ class TestSearchBehavior:
             "the seeded known-flat bursty timeline must be evaluated "
             "and reportable even at tiny budgets"
         )
-        # Frontier is ranked most-flat/losing-for-capes first, with
-        # finite scores throughout.
-        pcts = [c.score.tuner_vs_static_pct for c in frontier]
+        # Frontier is ranked CAPES-losing-most first, with finite
+        # scores throughout.
+        pcts = [c.score.capes_gain_over_static_pct for c in frontier]
         assert all(np.isfinite(p) for p in pcts)
-        assert pcts == sorted(pcts, reverse=True)
+        assert pcts == sorted(pcts)
         for cand in frontier:
             assert cand.score.capes_tuned > 0
             assert cand.score.static_tuned > 0
@@ -153,6 +159,50 @@ class TestSearchBehavior:
             )
         )
         assert rerun.score == top.score
+
+
+def test_ranking_puts_capes_losses_first_and_unscored_last():
+    """The search minimises CAPES's gain over static: the most negative
+    score ranks first, ties break by evaluation order, and unscored or
+    NaN candidates rank last and never reach the frontier."""
+
+    def cand(index, pct):
+        score = None if pct is None else FuzzScore(pct, 1.0, 1.0)
+        return Candidate(
+            name=f"c{index}",
+            events=(),
+            origin="test",
+            derivable=False,
+            index=index,
+            score=score,
+        )
+
+    cands = [
+        cand(0, 5.0),
+        cand(1, float("nan")),
+        cand(2, -30.0),
+        cand(3, None),
+        cand(4, -30.0),
+        cand(5, 0.3),
+    ]
+    assert [c.name for c in sorted(cands, key=_rank_key)] == [
+        "c2", "c4", "c5", "c0", "c1", "c3",
+    ]
+    # hill_climb / evolution pick their leader with min(key=_rank_key).
+    assert min(cands, key=_rank_key).name == "c2"
+    result = FuzzResult(
+        root_seed=0,
+        strategy="random",
+        budget=len(cands),
+        horizon=DEFAULT_HORIZON,
+        max_events=DEFAULT_MAX_EVENTS,
+        score_config=TINY_SCORE,
+        candidates=cands,
+    )
+    assert [c.name for c in result.frontier(top_k=10)] == [
+        "c2", "c4", "c5", "c0",
+    ]
+    assert [c.name for c in result.frontier(top_k=1)] == ["c2"]
 
 
 def test_merge_frontier_read_update_write(tmp_path):
@@ -236,6 +286,9 @@ def test_cli_fuzz_scenarios_end_to_end(tmp_path, capsys):
     assert rerun_argv[0] == "repro"
     assert main(rerun_argv[1:]) == 0
     row = json.loads(capsys.readouterr().out)
-    assert row["tuner_vs_static_pct"] == top["tuner_vs_static_pct"]
+    assert (
+        row["capes_gain_over_static_pct"]
+        == top["capes_gain_over_static_pct"]
+    )
     assert row["capes_tuned"] == top["capes_tuned"]
     assert row["events"] == top["events"]

@@ -1,24 +1,27 @@
-"""Sharded collection: remote shards == forked workers, byte for byte.
+"""Collection placement: serial == fork == any shard layout, byte for byte.
 
-The distribution contract of the ``shards`` backend: a fleet split
-across shard hosts over TCP produces **byte-identical** traces,
-replay-DB contents and frontiers to the same fleet as forked local
-workers — and to any other shard layout of the same total (placement
-independence), because per-env seeds derive from the global index
-alone.  On top of that, the failure modes the refactor exists for: a
-worker dying mid-chunk surfaces as :class:`WorkerCrashError` naming
-the env (and shard), never a bare ``EOFError``; ``close()`` is
-idempotent and always reaps; op-log snapshots restore across backends
-and shard layouts.
+The distribution contract: one 4-env fleet run in-process, as forked
+workers, or split across shard hosts over TCP in any layout produces
+**byte-identical** traces, replay-DB contents and frontiers, because
+the transports are byte-transparent and per-env seeds derive from the
+global index alone.  On top of that, the failure modes, each on both
+remote media (fork pipe and shard socket): a worker dying mid-chunk,
+dead before a submit, or a dropped link surfaces as
+:class:`WorkerCrashError` naming the env (and shard), never a bare
+``EOFError``; ``close()`` is idempotent and always reaps; a failed
+shard attach leaks no socket and leaves the host serving; op-log
+snapshots restore across backends and shard layouts.
 
-Hosts run in daemon threads (real sockets, one process) so the full
-framed/codec path is exercised without subprocess scaffolding; the one
-exception is the last test, which drives the CLI ``shard-host`` and
-``collect --shard`` processes end to end.
+Most hosts run in daemon threads (real sockets, one process) so the
+full framed/codec path is exercised without subprocess scaffolding.
+The crash tests fork their hosts (a thread cannot be killed), and the
+last test drives the CLI ``shard-host`` and ``collect --shard``
+processes end to end.
 """
 
 import functools
 import hashlib
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -40,18 +43,22 @@ from repro.env import (
     VectorEnv,
     WorkerCrashError,
     make_env,
+    vector_seeds,
 )
 from repro.env.shard import SHARD_PROTO
-from repro.replaydb.db import CACHE_ONLY, ReplayDB
-from repro.replaydb.spans import TickSpans
+from repro.replaydb.db import CACHE_ONLY
 from repro.rl import Hyperparameters
-from repro.snapshot.layers import capture_replay
 from repro.transport import (
     MSG_CMD,
     MSG_ERR,
+    MSG_OK,
+    ProtocolError,
+    SocketListener,
     SocketTransport,
+    TransportClosedError,
     decode_error,
     encode_command,
+    encode_reply,
 )
 from repro.workloads import RandomReadWrite
 
@@ -125,8 +132,9 @@ def running_shards(builder, sizes):
 
 def rollout_digest(venv) -> str:
     """blake2b over the full observable surface of a short session:
-    reset obs, chunked-collect rewards, stepped obs/rewards, every
-    fan-in DB row and the sampling frontier."""
+    reset obs, chunked-collect rewards, stepped obs/rewards, one env
+    driven out of lockstep and re-read, every fan-in DB row and the
+    sampling frontier."""
     h = hashlib.blake2b(digest_size=16)
     try:
         obs = venv.reset()
@@ -138,6 +146,10 @@ def rollout_digest(venv) -> str:
             obs, rew, _infos = venv.step(actions)
             h.update(np.ascontiguousarray(obs).tobytes())
             h.update(np.ascontiguousarray(rew).tobytes())
+        # What a checkpoint measurement does: one env runs ahead, its
+        # records are fanned in, and its row of the buffer is re-read.
+        h.update(np.asarray(venv.env_method(0, "run_ticks", 2)).tobytes())
+        h.update(np.ascontiguousarray(venv.refresh_observation(0)).tobytes())
         for i, top in enumerate(venv.spans.tops()):
             h.update(np.int64(top).tobytes())
             if top < 0:
@@ -153,73 +165,55 @@ def rollout_digest(venv) -> str:
 
 
 # --------------------------------------------------------------------------
-# Golden equivalence: shards == fork == any shard layout
+# Golden equivalence: every placement of the fleet is byte-identical
 # --------------------------------------------------------------------------
 
-
-def test_two_shard_socket_collection_matches_fork():
-    """2x2 over TCP is byte-identical to 4 forked workers."""
-    with running_shards(plain_builder, [2, 2]) as addrs:
-        venv = VectorEnv.from_config(
-            tiny_config(), 4, backend="shards", shards=addrs,
-            tick_stride=STRIDE,
-        )
-        assert venv.shard_sizes == [2, 2]
-        shard_digest = rollout_digest(venv)
-    fork_digest = rollout_digest(
-        VectorEnv.from_config(
-            tiny_config(), 4, backend="fork", tick_stride=STRIDE
-        )
-    )
-    assert shard_digest == fork_digest, (
-        "sharded socket collection drifted from the fork backend: the "
-        "transports are no longer byte-transparent"
-    )
+#: Shard layouts of the same 4-env fleet, by placement id.
+SHARD_LAYOUTS = {"shards-4": [4], "shards-2x2": [2, 2], "shards-1x3": [1, 3]}
 
 
-def test_shard_placement_independence():
-    """1x4 and 2x2 layouts of the same fleet are byte-identical: seeds
-    derive from the global env index, never from placement."""
-    with running_shards(plain_builder, [4]) as addrs:
-        one = rollout_digest(
-            VectorEnv.from_config(
-                tiny_config(), 4, backend="shards", shards=addrs,
-                tick_stride=STRIDE,
+def placement_digest(placement: str) -> str:
+    """:func:`rollout_digest` of a 4-env scenario fleet placed
+    in-process, on forked workers or across shard hosts.  A scenario
+    env is the plain sim plus an event timeline, so one digest pins
+    both."""
+    if placement in SHARD_LAYOUTS:
+        with running_shards(
+            scenario_builder, SHARD_LAYOUTS[placement]
+        ) as addrs:
+            return rollout_digest(
+                VectorEnv(
+                    None,
+                    backend="shards",
+                    shards=addrs,
+                    base_seed=SEED,
+                    tick_stride=STRIDE,
+                )
             )
-        )
-    with running_shards(plain_builder, [2, 2]) as addrs:
-        two = rollout_digest(
-            VectorEnv.from_config(
-                tiny_config(), 4, backend="shards", shards=addrs,
-                tick_stride=STRIDE,
-            )
-        )
-    assert one == two
-
-
-def test_scenario_timeline_matches_fork_across_shards():
-    """A scenario's event timeline fires identically on remote shards."""
-    seeds = None
-    from repro.env import vector_seeds
-
-    seeds = vector_seeds(SEED, 4)
     factories = [
-        functools.partial(scenario_builder, s) for s in seeds
+        functools.partial(scenario_builder, s)
+        for s in vector_seeds(SEED, 4)
     ]
-    fork_digest = rollout_digest(
-        VectorEnv(factories, backend="fork", tick_stride=STRIDE)
+    return rollout_digest(
+        VectorEnv(factories, backend=placement, tick_stride=STRIDE)
     )
-    with running_shards(scenario_builder, [2, 2]) as addrs:
-        shard_digest = rollout_digest(
-            VectorEnv(
-                None,
-                backend="shards",
-                shards=addrs,
-                base_seed=SEED,
-                tick_stride=STRIDE,
-            )
-        )
-    assert shard_digest == fork_digest
+
+
+@functools.lru_cache(maxsize=None)
+def serial_digest() -> str:
+    return placement_digest("serial")
+
+
+@pytest.mark.parametrize(
+    "placement", ["serial", "fork", *SHARD_LAYOUTS]
+)
+def test_placement_independence(placement):
+    """Serial, forked and any shard layout give one digest: the
+    transports are byte-transparent and per-env seeds derive from the
+    global env index alone, never from placement."""
+    assert placement_digest(placement) == serial_digest(), (
+        f"the {placement} fleet drifted from the serial one"
+    )
 
 
 def test_from_config_rejects_n_envs_mismatch():
@@ -249,70 +243,228 @@ def test_hello_proto_mismatch_is_refused():
 
 
 # --------------------------------------------------------------------------
-# Failure modes: crashes are named, close always reaps
+# Attach failures: nothing leaks, and the host survives them
 # --------------------------------------------------------------------------
 
 
-def test_fork_worker_killed_mid_run_chunk_is_a_named_crash():
+@contextmanager
+def wrong_proto_listener():
+    """A peer that answers the hello with a foreign protocol version;
+    yields its address."""
+    listener = SocketListener()
+
+    def serve():
+        t = listener.accept()
+        try:
+            t.recv()  # the master's hello
+            t.send(
+                MSG_OK,
+                encode_reply(
+                    "hello", {"proto": SHARD_PROTO + 1, "n_envs": 1}
+                ),
+            )
+            t.recv()  # until the master hangs up
+        except (TransportClosedError, ProtocolError):
+            pass
+        finally:
+            t.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.address
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+
+
+def test_failed_attach_closes_every_opened_shard_socket(monkeypatch):
+    """A hello failing on the second shard closes the first shard's
+    socket and its own — the master leaks no descriptor."""
+    opened = []
+    real_connect = SocketTransport.connect.__func__
+
+    def spy_connect(cls, *args, **kwargs):
+        transport = real_connect(cls, *args, **kwargs)
+        opened.append(transport)
+        return transport
+
+    monkeypatch.setattr(SocketTransport, "connect", classmethod(spy_connect))
+    with running_shards(plain_builder, [1]) as good:
+        with wrong_proto_listener() as bad:
+            with pytest.raises(ProtocolError, match="proto"):
+                VectorEnv(
+                    None,
+                    backend="shards",
+                    shards=[good[0], bad],
+                    base_seed=SEED,
+                    tick_stride=STRIDE,
+                )
+    assert len(opened) == 2
+    assert [t._sock.fileno() for t in opened] == [-1, -1]
+
+
+def test_env_builder_failure_is_replied_and_host_keeps_serving():
+    """A builder that raises at attach is replied as an error frame
+    carrying the exception (which the master re-raises verbatim), and
+    the host goes on accepting masters."""
+    calls = []
+
+    def flaky_builder(seed):
+        calls.append(seed)
+        if len(calls) == 2:  # the first session's second env
+            raise LookupError("no disk image for this seed")
+        return plain_builder(seed)
+
+    host = ShardHost(flaky_builder, 2)
+    thread = threading.Thread(target=host.serve_forever, daemon=True)
+    thread.start()
+    try:
+        t = SocketTransport.connect(host.address, timeout=5.0)
+        t._sock.settimeout(30)  # a dead host fails the test, not hangs it
+        try:
+            t.send(MSG_CMD, encode_command("hello", 0, {"proto": SHARD_PROTO}))
+            assert t.recv()[0] == MSG_OK
+            t.send(MSG_CMD, encode_command("attach", 0, {"seeds": [1, 2]}))
+            msg_type, payload = t.recv()
+        finally:
+            t.close()
+        assert msg_type == MSG_ERR
+        _env, _text, exc = decode_error(payload)
+        assert isinstance(exc, LookupError)
+        venv = VectorEnv(
+            None, backend="shards", shards=[host.address],
+            base_seed=SEED, tick_stride=STRIDE,
+        )
+        try:
+            assert venv.reset().shape == (2, venv.obs_dim)
+        finally:
+            venv.close()
+    finally:
+        host.close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(calls) == 4
+
+
+# --------------------------------------------------------------------------
+# Failure modes: crashes are named, close always reaps — on both media
+# --------------------------------------------------------------------------
+
+MEDIA = ["fork", "shards"]
+
+
+def _serve_one_shard(conn) -> None:
+    """Forked child main: host one env, report the address, serve one
+    master."""
+    host = ShardHost(plain_builder, 1)
+    conn.send(host.address)
+    conn.close()
+    host.serve_forever(once=True)
+
+
+@contextmanager
+def killable_fleet(medium: str, n: int, stride: int = STRIDE):
+    """An ``n``-env fleet whose env ``i`` lives in ``procs[i]``: forked
+    workers, or one single-env shard host per env in a forked process
+    (a thread cannot be killed).  Yields ``(venv, procs, shards)``,
+    ``shards[i]`` being env ``i``'s address (``None`` on fork)."""
+    if medium == "fork":
+        venv = VectorEnv.from_config(
+            tiny_config(), n, backend="fork", tick_stride=stride
+        )
+        try:
+            yield venv, [ch._proc for ch in venv._channels], [None] * n
+        finally:
+            venv.close()
+        return
+    context = multiprocessing.get_context("fork")
+    procs, addrs = [], []
+    try:
+        for _ in range(n):
+            parent, child = context.Pipe()
+            proc = context.Process(
+                target=_serve_one_shard, args=(child,), daemon=True
+            )
+            proc.start()
+            procs.append(proc)
+            child.close()
+            with parent:
+                addrs.append(parent.recv())
+        venv = VectorEnv.from_config(
+            tiny_config(), n, backend="shards", shards=addrs,
+            tick_stride=stride,
+        )
+        try:
+            yield venv, procs, addrs
+        finally:
+            venv.close()
+    finally:
+        for proc in procs:
+            proc.join(timeout=10)
+            if proc.is_alive():  # pragma: no cover - hung host
+                proc.kill()
+                proc.join()
+
+
+@pytest.mark.parametrize("medium", MEDIA)
+def test_worker_killed_mid_run_chunk_is_a_named_crash(medium):
     """Regression: a worker dying mid-chunk used to surface as a bare
     ``EOFError`` from the pipe (or hang).  It must be a
-    :class:`WorkerCrashError` naming the env and command, promptly, and
-    ``close()`` must still reap every process."""
-    venv = VectorEnv.from_config(
-        tiny_config(), 2, backend="fork", tick_stride=1024
-    )
-    procs = [w._proc for w in venv._workers]
-    venv.reset()
-    killer = threading.Timer(
-        0.4, os.kill, args=(procs[0].pid, signal.SIGKILL)
-    )
-    killer.start()
-    start = time.monotonic()
-    try:
-        with pytest.raises(WorkerCrashError) as excinfo:
-            # ~80 ticks is a multi-second chunk for this sim: the kill
-            # lands while the worker is deep inside run_chunk.
-            venv.collect(80, chunk=80)
-    finally:
-        killer.cancel()
-    assert time.monotonic() - start < 30, "crash surfaced, but not promptly"
-    assert excinfo.value.env_index == 0
-    assert "run_chunk" in str(excinfo.value)
-    assert "EOFError" not in type(excinfo.value).__name__
-    venv.close()
-    venv.close()  # idempotent
-    assert all(not p.is_alive() for p in procs), "close() left orphans"
-
-
-def test_dead_fork_worker_surfaces_at_submit_too():
-    venv = VectorEnv.from_config(
-        tiny_config(), 2, backend="fork", tick_stride=STRIDE
-    )
-    venv.reset()
-    os.kill(venv._workers[1]._proc.pid, signal.SIGKILL)
-    venv._workers[1]._proc.join(timeout=10)
-    with pytest.raises(WorkerCrashError) as excinfo:
-        for _ in range(20):  # the pipe may buffer one post-mortem write
-            venv.step([0, 0])
-            time.sleep(0.05)
-    assert excinfo.value.env_index == 1
-    venv.close()
-    venv.close()
-    assert all(not w._proc.is_alive() for w in venv._workers)
-
-
-def test_lost_shard_names_the_shard_and_env():
-    with running_shards(plain_builder, [1, 1]) as addrs:
-        venv = VectorEnv.from_config(
-            tiny_config(), 2, backend="shards", shards=addrs,
-            tick_stride=STRIDE,
-        )
+    :class:`WorkerCrashError` naming the env, the command and the
+    shard, promptly, and ``close()`` must still reap every process."""
+    with killable_fleet(medium, 2, stride=1024) as (venv, procs, shards):
         venv.reset()
-        venv._channels[1].close()  # the shard link drops
+        killer = threading.Timer(
+            0.4, os.kill, args=(procs[0].pid, signal.SIGKILL)
+        )
+        killer.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(WorkerCrashError) as excinfo:
+                # ~80 ticks is a multi-second chunk for this sim: the
+                # kill lands while the worker is deep inside run_chunk.
+                venv.collect(80, chunk=80)
+        finally:
+            killer.cancel()
+        assert time.monotonic() - start < 30, "crash surfaced, but late"
+        assert excinfo.value.env_index == 0
+        assert excinfo.value.shard == shards[0]
+        assert "run_chunk" in str(excinfo.value)
+        venv.close()
+        venv.close()  # idempotent
+        for p in procs:
+            p.join(timeout=10)
+        assert all(not p.is_alive() for p in procs), "close() left orphans"
+
+
+@pytest.mark.parametrize("medium", MEDIA)
+def test_dead_worker_surfaces_as_named_crash_at_the_next_step(medium):
+    with killable_fleet(medium, 2) as (venv, procs, shards):
+        venv.reset()
+        os.kill(procs[1].pid, signal.SIGKILL)
+        procs[1].join(timeout=10)
+        with pytest.raises(WorkerCrashError) as excinfo:
+            for _ in range(20):  # a pipe may buffer one post-mortem write
+                venv.step([0, 0])
+                time.sleep(0.05)
+        assert excinfo.value.env_index == 1
+        assert excinfo.value.shard == shards[1]
+        venv.close()
+        venv.close()
+        procs[0].join(timeout=10)
+        assert all(not p.is_alive() for p in procs)
+
+
+@pytest.mark.parametrize("medium", MEDIA)
+def test_lost_link_names_the_env_and_shard(medium):
+    with killable_fleet(medium, 2) as (venv, _procs, shards):
+        venv.reset()
+        venv._channels[1].close()  # the link to env 1 drops
         with pytest.raises(WorkerCrashError) as excinfo:
             venv.step([0, 0])
-        assert excinfo.value.shard == addrs[1]
         assert excinfo.value.env_index == 1
+        assert excinfo.value.shard == shards[1]
         venv.close()
         venv.close()
 
@@ -424,64 +576,6 @@ def test_fork_snapshot_restores_onto_shards():
 
 
 # --------------------------------------------------------------------------
-# The frontier's shard dimension
-# --------------------------------------------------------------------------
-
-
-class TestShardedTickSpans:
-    def test_topology_arithmetic(self):
-        spans = TickSpans(5, 16, shard_sizes=[2, 3])
-        assert spans.n_shards == 2
-        assert spans.shard_offset(0) == 0 and spans.shard_offset(1) == 2
-        assert [spans.shard_of(b) for b in range(5)] == [0, 0, 1, 1, 1]
-        assert spans.global_slot(1, 2) == 4
-        with pytest.raises(IndexError):
-            spans.global_slot(1, 3)
-        with pytest.raises(IndexError):
-            spans.shard_offset(2)
-
-    def test_shard_tops_are_per_shard_views(self):
-        spans = TickSpans(4, 8, shard_sizes=[1, 3])
-        for block, top in ((0, 3), (1, 5), (3, 1)):
-            spans.observe_top(block, top)
-        assert spans.shard_tops(0) == [3]
-        assert spans.shard_tops(1) == [5, -1, 1]
-        assert spans.tops() == [3, 5, -1, 1]
-
-    def test_unsharded_is_one_shard(self):
-        spans = TickSpans(3, 8)
-        assert spans.n_shards == 1
-        assert spans.shard_tops(0) == [-1, -1, -1]
-        assert spans.shard_of(2) == 0
-
-    def test_sizes_must_sum_to_blocks(self):
-        with pytest.raises(ValueError, match="sum to"):
-            TickSpans(4, 8, shard_sizes=[2, 3])
-        with pytest.raises(ValueError):
-            TickSpans(4, 8, shard_sizes=[4, 0])
-
-    def test_samplers_are_oblivious_to_sharding(self):
-        plain = TickSpans(4, 8)
-        sharded = TickSpans(4, 8, shard_sizes=[2, 2])
-        for block, top in enumerate([2, 4, 6, 1]):
-            plain.observe_top(block, top)
-            sharded.observe_top(block, top)
-        assert plain.candidate_spans(3) == sharded.candidate_spans(3)
-
-    def test_snapshot_layer_records_topology(self):
-        db = ReplayDB(2, path=CACHE_ONLY, cache_capacity=64)
-        meta, _arrays = capture_replay(db, TickSpans(4, 8, shard_sizes=[1, 3]))
-        assert meta["shard_sizes"] == [1, 3]
-        meta, _arrays = capture_replay(db, TickSpans(4, 8))
-        assert "shard_sizes" not in meta
-        db.close()
-
-    def test_from_tops_carries_shard_sizes(self):
-        spans = TickSpans.from_tops(8, [1, 2, 3, 4], shard_sizes=[2, 2])
-        assert spans.shard_tops(1) == [3, 4]
-
-
-# --------------------------------------------------------------------------
 # The CLI process path: real `repro shard-host` subprocesses
 # --------------------------------------------------------------------------
 
@@ -553,6 +647,8 @@ def _reap(procs, timeout: float = 30.0):
         finally:
             if proc.poll() is None:  # pragma: no cover - hung host
                 proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
 
 def test_cli_collect_attaches_to_shards_e2e(tmp_path):
@@ -597,3 +693,5 @@ def test_cli_collect_attaches_to_shards_e2e(tmp_path):
     finally:
         for proc in procs:  # pragma: no cover - failure cleanup
             proc.kill()
+            proc.wait()
+            proc.stdout.close()

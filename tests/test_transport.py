@@ -181,6 +181,34 @@ def test_close_is_idempotent_and_fences_send(kind):
     b.close()
 
 
+@pytest.mark.parametrize("kind", TRANSPORTS)
+@pytest.mark.parametrize("how", ["recv_eof", "send_failure"])
+def test_close_releases_the_medium_after_the_peer_went_away(kind, how):
+    """Regression: once the peer was gone (EOF on recv, a failed write
+    on send), ``close()`` returned early and never released this
+    side's medium — one leaked descriptor per crashed peer."""
+    a, b = make_pair(kind)
+    released = []
+    release = a._close_medium
+    a._close_medium = lambda: (released.append(True), release())
+    b.close()
+    if how == "recv_eof":
+        with pytest.raises(TransportClosedError):
+            a.recv()
+    else:
+
+        def broken_write(data):
+            raise BrokenPipeError("peer went away")
+
+        a._write_bytes = broken_write
+        with pytest.raises(TransportClosedError):
+            a.send(1, b"into the void")
+    assert a.closed
+    a.close()
+    a.close()
+    assert released == [True]  # exactly once, even after the peer left
+
+
 def test_listener_close_unblocks_accept_contract():
     listener = SocketListener()
     listener.close()

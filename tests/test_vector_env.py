@@ -2,8 +2,9 @@
 
 The determinism contract: per-env trajectories from ``VectorEnv(n)``
 are byte-identical to n serial single-environment runs built with the
-same :func:`vector_seeds`-derived seeds, and the ``serial`` and
-``fork`` backends are byte-identical to each other.  Fan-in lands every
+same :func:`vector_seeds`-derived seeds (every placement — serial,
+fork, any shard layout — is pinned to one digest in
+``test_shard_collect.py``).  Fan-in lands every
 cluster's replay records in one shared DB, block-strided so Algorithm 1
 windows never cross clusters.
 """
@@ -85,14 +86,6 @@ class TestDeterminism:
                     assert reward == traj[t][1][i]
             finally:
                 env.close()
-
-    def test_serial_and_fork_backends_bit_identical(self):
-        first_s, traj_s = self._vector_trajectory(2, "serial")
-        first_f, traj_f = self._vector_trajectory(2, "fork")
-        assert np.array_equal(first_s, first_f)
-        for (obs_s, r_s), (obs_f, r_f) in zip(traj_s, traj_f):
-            assert np.array_equal(obs_s, obs_f)
-            assert np.array_equal(r_s, r_f)
 
     def test_obs_buffer_is_reused_across_ticks(self):
         venv = VectorEnv.from_config(tiny_config(), 2, tick_stride=256)
@@ -205,7 +198,7 @@ class TestChunkedCollect:
             cache = venv.shared_db.cache
             packed = cache.records_between(0, cache.max_tick)
             obs = venv.current_observation().copy()
-            return rewards, packed, obs, list(venv._synced)
+            return rewards, packed, obs, venv.spans.tops()
         finally:
             venv.close()
 
@@ -220,13 +213,6 @@ class TestChunkedCollect:
         np.testing.assert_array_equal(p1.frames, p8.frames)
         np.testing.assert_array_equal(p1.actions, p8.actions)
         np.testing.assert_array_equal(p1.rewards, p8.rewards)
-
-    def test_chunked_serial_equals_fork(self):
-        r_s, p_s, o_s, _ = self._collect_state("serial", chunk=3)
-        r_f, p_f, o_f, _ = self._collect_state("fork", chunk=3)
-        np.testing.assert_array_equal(r_s, r_f)
-        np.testing.assert_array_equal(o_s, o_f)
-        np.testing.assert_array_equal(p_s.frames, p_f.frames)
 
     def test_collect_records_null_actions(self):
         venv = VectorEnv.from_config(tiny_config(), 2, tick_stride=64)
@@ -452,14 +438,6 @@ class TestVectorSpec:
         assert result.extra["n_envs"] == 2
         assert result.final.tuned_rewards.shape == (4,)
         assert result.final.final_params
-
-    def test_vector_spec_serial_fork_identical(self):
-        a = execute_spec(self._spec(vector_backend="serial"))
-        b = execute_spec(self._spec(vector_backend="fork"))
-        assert np.array_equal(a.final.tuned_rewards, b.final.tuned_rewards)
-        assert np.array_equal(
-            a.final.baseline_rewards, b.final.baseline_rewards
-        )
 
     def test_search_tuner_rejects_vector_env(self):
         with pytest.raises(TypeError, match="capes"):
