@@ -216,6 +216,12 @@ def test_placement_independence(placement):
     )
 
 
+def test_scenario_timeline_matches_fork_across_shards():
+    """A scenario's event timeline fires identically on remote shards
+    as on forked local workers."""
+    assert placement_digest("shards-2x2") == placement_digest("fork")
+
+
 def test_from_config_rejects_n_envs_mismatch():
     with running_shards(plain_builder, [2, 2]) as addrs:
         with pytest.raises(ValueError, match="requested n_envs=3"):

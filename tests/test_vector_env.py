@@ -439,6 +439,14 @@ class TestVectorSpec:
         assert result.final.tuned_rewards.shape == (4,)
         assert result.final.final_params
 
+    def test_vector_spec_serial_fork_identical(self):
+        a = execute_spec(self._spec(vector_backend="serial"))
+        b = execute_spec(self._spec(vector_backend="fork"))
+        assert np.array_equal(a.final.tuned_rewards, b.final.tuned_rewards)
+        assert np.array_equal(
+            a.final.baseline_rewards, b.final.baseline_rewards
+        )
+
     def test_search_tuner_rejects_vector_env(self):
         with pytest.raises(TypeError, match="capes"):
             execute_spec(self._spec(tuner="random"))
