@@ -13,11 +13,6 @@ so the equivalent surface is a single CLI over a conf.py:
     python -m repro.cli collect  --config conf.py --ticks 600 \
                                  --n-envs 4 --vector-backend fork \
                                  --out replay.sqlite
-    python -m repro.cli shard-host --config conf.py --n-envs 2 \
-                                 --bind 127.0.0.1:7100
-    python -m repro.cli collect  --config conf.py --ticks 600 --n-envs 4 \
-                                 --shard 127.0.0.1:7100 \
-                                 --shard 127.0.0.1:7101
     python -m repro.cli sweep    --config conf.py \
                                  --tuners capes,random --seeds 0-4 --jobs 4
     python -m repro.cli sweep    --config conf.py --env sim-lustre \
@@ -36,12 +31,8 @@ per chunk, replay records batched into the reply) and every NULL-action
 transition fans into one replay DB, durable when ``--out`` names a
 file, for later offline training — and with ``--train`` the decoupled
 DRL engine (:mod:`repro.train`) trains against the fan-in stream while
-collection runs (``--train-ratio``, ``--checkpoint``); ``shard-host`` hosts a fraction
-of a sharded collection fleet over TCP (``collect --shard HOST:PORT``,
-repeatable, drives the same worker protocol the fork backend speaks
-over pipes — trajectories are byte-identical to local backends
-regardless of placement); ``sweep`` fans a multi-tuner,
-multi-seed experiment grid out through
+collection runs (``--train-ratio``, ``--checkpoint``); ``sweep`` fans a
+multi-tuner, multi-seed experiment grid out through
 :class:`~repro.exp.runner.ExperimentRunner` — ``--env`` names any
 registered environment backend, ``--n-envs N`` trains each CAPES
 run against N lockstep clusters fanning experience into one shared
@@ -133,9 +124,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
     if args.n_envs < 1:
         print(f"--n-envs must be >= 1, got {args.n_envs}", file=sys.stderr)
         return 2
-    if args.shard:
-        # argparse already refused --shard beside --vector-backend.
-        args.vector_backend = "shards"
     if args.ticks < 1:
         print(f"--ticks must be >= 1, got {args.ticks}", file=sys.stderr)
         return 2
@@ -172,25 +160,14 @@ def cmd_collect(args: argparse.Namespace) -> int:
     from repro.replaydb import CACHE_ONLY
 
     config = load_config(args.config)
-    try:
-        venv = VectorEnv.from_config(
-            config.env,
-            args.n_envs,
-            backend=args.vector_backend,
-            # No --out: still fan in, just without a durable layer
-            # (useful as a throughput smoke and for in-process offline
-            # training).
-            shared_db_path=args.out if args.out else CACHE_ONLY,
-            # Shard hosts build the envs from their own --config; the
-            # master derives the global seeds from this conf's seed and
-            # validates --n-envs against what the shards host.
-            shards=args.shard,
-        )
-    except (ConnectionError, ValueError) as exc:
-        if args.vector_backend != "shards":
-            raise
-        print(f"cannot attach to shards: {exc}", file=sys.stderr)
-        return 2
+    venv = VectorEnv.from_config(
+        config.env,
+        args.n_envs,
+        backend=args.vector_backend,
+        # No --out: still fan in, just without a durable layer (useful
+        # as a throughput smoke and for in-process offline training).
+        shared_db_path=args.out if args.out else CACHE_ONLY,
+    )
     try:
         stats = None
         agent = None
@@ -317,7 +294,6 @@ def _session_extra(args: argparse.Namespace, trainer_config) -> dict:
         "chunk": args.chunk,
         "n_envs": int(args.n_envs),
         "vector_backend": args.vector_backend,
-        "shards": list(args.shard) if getattr(args, "shard", None) else None,
         "trainer": None,
     }
     if trainer_config is not None:
@@ -359,31 +335,22 @@ def cmd_resume(args: argparse.Namespace) -> int:
         )
         return 2
     config = load_config(args.config)
-    # A sharded session defaults to the addresses it recorded; --shard
-    # overrides for a moved or re-laid-out fleet (any layout with the
-    # same env total resumes byte-identically — placement independence).
-    shards = args.shard or session.get("shards")
-    if session["backend"] == "shards" and not shards:
+    backend = session["backend"]
+    if backend == "shards":
+        # Sharded collection is gone.  Its trajectories were
+        # byte-identical to fork's, so its sessions resume on fork.
         print(
-            "session used sharded collection but recorded no shard "
-            "addresses; pass --shard HOST:PORT for each running shard host",
-            file=sys.stderr,
+            "session was collected on the retired shards backend; "
+            "resuming it on fork"
         )
-        return 2
-    try:
-        venv = VectorEnv.from_config(
-            config.env,
-            int(session["n_envs"]),
-            backend=session["backend"],
-            shared_db_path=args.out if args.out else CACHE_ONLY,
-            tick_stride=int(session["tick_stride"]),
-            shards=shards,
-        )
-    except (ConnectionError, ValueError) as exc:
-        if session["backend"] != "shards":
-            raise
-        print(f"cannot attach to shards: {exc}", file=sys.stderr)
-        return 2
+        backend = "fork"
+    venv = VectorEnv.from_config(
+        config.env,
+        int(session["n_envs"]),
+        backend=backend,
+        shared_db_path=args.out if args.out else CACHE_ONLY,
+        tick_stride=int(session["tick_stride"]),
+    )
     try:
         agent = None
         trainer_config = None
@@ -408,7 +375,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
                 return 2
         print(
             f"resuming from tick {session['done_ticks']} of {total} "
-            f"({session['backend']} backend, {session['n_envs']} cluster(s))"
+            f"({backend} backend, {session['n_envs']} cluster(s))"
         )
         outcome = run_collect_session(
             venv,
@@ -420,14 +387,8 @@ def cmd_resume(args: argparse.Namespace) -> int:
             snapshot_dir=args.snapshot_dir,
             resume_from=snap,
             session_extra={
-                k: session.get(k)
-                for k in (
-                    "chunk",
-                    "n_envs",
-                    "vector_backend",
-                    "shards",
-                    "trainer",
-                )
+                **{k: session.get(k) for k in ("chunk", "n_envs", "trainer")},
+                "vector_backend": backend,
             },
         )
         venv.commit_replay()
@@ -487,9 +448,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         )
         return 2
     config = load_config(args.config)
-    # Time travel is placement-independent: a sharded session's
-    # trajectory replays identically on local serial workers, with no
-    # shard hosts required.
+    # A session of the retired shards backend replays identically on
+    # local serial workers.
     backend = best_session["backend"]
     if backend == "shards":
         backend = "serial"
@@ -520,83 +480,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
             print(f"cluster {i}: params={params}")
     finally:
         venv.close()
-    return 0
-
-
-def cmd_shard_host(args: argparse.Namespace) -> int:
-    """Host one fraction of a sharded collection fleet over TCP.
-
-    Builds its environments at attach time from the master-assigned
-    global seeds (placement never perturbs a trajectory); everything
-    else about the env comes from this host's own ``--config`` or
-    ``--env``, which must match the master's conf.
-    """
-    from repro.env.shard import ShardHost
-    from repro.transport import parse_address
-
-    if (args.config is None) == (args.env is None):
-        print(
-            "shard-host needs exactly one of --config (sim-lustre conf) "
-            "or --env (registry name)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.n_envs < 1:
-        print(f"--n-envs must be >= 1, got {args.n_envs}", file=sys.stderr)
-        return 2
-    try:
-        host, port = parse_address(args.bind)
-    except ValueError as exc:
-        print(f"bad --bind value: {exc}", file=sys.stderr)
-        return 2
-    if args.config is not None:
-        from dataclasses import replace
-
-        from repro.env import StorageTuningEnv
-        from repro.replaydb import CACHE_ONLY
-
-        env_config = load_config(args.config).env
-
-        def builder(seed: int):
-            # Mirror VectorEnv.from_config's per-env construction
-            # exactly: same config, derived seed, cache-only staging
-            # store (the master's shared DB is the durable layer).
-            return StorageTuningEnv(
-                replace(env_config, seed=seed, db_path=CACHE_ONLY)
-            )
-
-    else:
-        from repro.env import env_names, make_env
-
-        if args.env not in env_names():
-            print(
-                f"unknown environment {args.env!r}; registered: "
-                f"{env_names()}",
-                file=sys.stderr,
-            )
-            return 2
-
-        def builder(seed: int):
-            return make_env(args.env, seed=seed)
-
-    try:
-        shard = ShardHost(builder, args.n_envs, host=host, port=port)
-    except OSError as exc:
-        print(f"cannot bind {args.bind}: {exc}", file=sys.stderr)
-        return 2
-    # Flush immediately: launchers (tests, the shard-bench job) read
-    # the resolved ephemeral port from this line.
-    print(
-        f"shard-host listening on {shard.address} "
-        f"({args.n_envs} env(s))",
-        flush=True,
-    )
-    try:
-        shard.serve_forever(once=args.once)
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        pass
-    finally:
-        shard.close()
     return 0
 
 
@@ -1123,22 +1006,12 @@ def make_parser() -> argparse.ArgumentParser:
         default=1,
         help="clusters collecting in parallel, fanned into one replay DB",
     )
-    placement = p.add_mutually_exclusive_group()
-    placement.add_argument(
+    p.add_argument(
         "--vector-backend",
         choices=("serial", "fork", "vec"),
         default="serial",
         help="how the collecting clusters are stepped (vec: one "
         "struct-of-arrays fleet advanced by numpy array ops)",
-    )
-    placement.add_argument(
-        "--shard",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help="attach a running `repro shard-host` (repeatable, fleet "
-        "order); any --shard selects sharded collection.  --n-envs "
-        "must equal the total env count the shards host",
     )
     p.add_argument(
         "--chunk",
@@ -1218,15 +1091,6 @@ def make_parser() -> argparse.ArgumentParser:
         default=None,
         help="directory for snapshots written by the resumed session",
     )
-    p.add_argument(
-        "--shard",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help="for sharded sessions: attach these shard hosts instead of "
-        "the addresses recorded in the snapshot (any layout with the "
-        "same total env count)",
-    )
     p.set_defaults(fn=cmd_resume)
 
     p = sub.add_parser(
@@ -1246,43 +1110,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="directory holding the session's snapshot-*.npz artifacts",
     )
     p.set_defaults(fn=cmd_replay)
-
-    p = sub.add_parser(
-        "shard-host",
-        help="host a fraction of a sharded collection fleet over TCP",
-    )
-    p.add_argument(
-        "--bind",
-        default="127.0.0.1:0",
-        metavar="HOST:PORT",
-        help="listen address; port 0 binds an ephemeral port (the "
-        "resolved address is printed on startup)",
-    )
-    p.add_argument(
-        "--config",
-        default=None,
-        help="conf.py whose ENV the hosted clusters are built from "
-        "(must match the master's conf; seeds come from the master)",
-    )
-    p.add_argument(
-        "--env",
-        default=None,
-        help="registered environment name to host instead of --config "
-        "(see repro.env.env_names())",
-    )
-    p.add_argument(
-        "--n-envs",
-        type=int,
-        default=1,
-        help="sub-environments this shard hosts",
-    )
-    p.add_argument(
-        "--once",
-        action="store_true",
-        help="serve exactly one master session, then exit (benchmarks, "
-        "tests)",
-    )
-    p.set_defaults(fn=cmd_shard_host)
 
     p = sub.add_parser(
         "serve",

@@ -103,9 +103,6 @@ class Fabric:
         self._egress[node_id] = Link(self.sim, self.nic_bw, f"{node_id}.out")
         self._ingress[node_id] = Link(self.sim, self.nic_bw, f"{node_id}.in")
 
-    def egress_link(self, node_id: Any) -> Link:
-        return self._egress[node_id]
-
     def ingress_link(self, node_id: Any) -> Link:
         return self._ingress[node_id]
 

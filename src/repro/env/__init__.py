@@ -12,11 +12,10 @@ interface, not a class:
   struct-of-arrays fleet engine of :mod:`repro.sim.vec`);
 - :class:`~repro.env.vector.VectorEnv` — N independently-seeded
   clusters stepped in lockstep, fanning all experience into one shared
-  Replay DB (the many-agents-one-engine topology); its ``vec`` backend
-  steps all N as rows of one :class:`~repro.sim.vec.fleet_env.FleetEnv`,
-  and its ``shards`` backend drives remote
-  :class:`~repro.env.shard.ShardHost` fractions of the fleet over TCP
-  (:mod:`repro.transport`).
+  Replay DB (the many-agents-one-engine topology); its ``fork`` backend
+  runs each cluster in a forked worker over a pipe
+  (:mod:`repro.transport`), and its ``vec`` backend steps all N as rows
+  of one :class:`~repro.sim.vec.fleet_env.FleetEnv`.
 
 Backwards compatibility: the protocol is structural, so code that
 constructs a bare :class:`~repro.env.tuning_env.StorageTuningEnv` from
@@ -27,7 +26,6 @@ path here.
 
 from repro.env.protocol import Environment
 from repro.env.registry import env_names, make_env, register_env
-from repro.env.shard import ShardHost
 from repro.env.tuning_env import EnvConfig, StorageTuningEnv
 from repro.env.vector import (
     StridedMinibatchSampler,
@@ -40,7 +38,6 @@ from repro.env.vector import (
 __all__ = [
     "EnvConfig",
     "Environment",
-    "ShardHost",
     "StorageTuningEnv",
     "StridedMinibatchSampler",
     "VectorEnv",

@@ -12,10 +12,10 @@ experience stream a single DQN trains from.
 
 Backends
 --------
-Every backend drives its sub-environments through *channels*, the
-master's end of one or more envs, and ``VectorEnv`` steps one list of
-``(channel, local slot)`` pairs: submit a command to every env, then
-collect every reply in order.  There are two kinds of channel.
+Every backend drives each sub-environment through one *channel*, the
+master's end of that env, and ``VectorEnv`` steps the channel list:
+submit a command to every env, then collect every reply in order.
+There are two kinds of channel.
 
 In-process (``serial``, ``vec``)
     Each env lives in the master and a command runs on the spot through
@@ -23,23 +23,14 @@ In-process (``serial``, ``vec``)
     payoff is batched inference (one stacked forward pass per tick
     instead of N), the shared replay stream, and observations written
     straight into the stacked buffer through ``out=``.
-Remote (``fork``, ``shards``)
-    The envs live in a process running
-    :func:`~repro.env.worker.serve_env_session`; commands and replies
+Remote (``fork``)
+    Each env lives in a forked worker running
+    :func:`~repro.env.worker.serve_env_session` over a
+    :class:`~repro.transport.pipe.PipeTransport`; commands and replies
     cross as framed binary messages, one FIFO of in-flight commands per
-    channel, and a vanished peer is a :class:`WorkerCrashError` naming
-    the env and the command.  Two media carry the same channel:
-
-    - ``fork``: one forked worker per env over a
-      :class:`~repro.transport.pipe.PipeTransport`.  ``fork`` inherits
-      memory, so unpicklable workload factories work unchanged.
-    - ``shards``: ``K`` envs per remote shard host (``repro
-      shard-host``) over a :class:`~repro.transport.tcp.SocketTransport`,
-      after a hello/attach handshake.  The master derives *global*
-      per-env seeds with :func:`vector_seeds` and assigns each shard a
-      contiguous slice at attach time, so env ``i``'s trajectory is
-      byte-identical whether it runs forked, serial, or on any shard —
-      placement never touches the stream.
+    channel, and a vanished worker is a :class:`WorkerCrashError`
+    naming the env and the command.  ``fork`` inherits memory, so
+    unpicklable workload factories work unchanged.
 
 The ``vec`` backend's envs are rows of one struct-of-arrays
 :class:`~repro.sim.vec.fleet_env.FleetEnv`: each channel holds a
@@ -60,8 +51,8 @@ records inline, packed as one
 a pickled object list, and the master lands each batch with one
 :meth:`~repro.replaydb.db.ReplayDB.put_many`.  Worker commands and
 replies are framed binary messages (:mod:`repro.transport.codec`):
-observations, reward vectors and record columns cross pipes and
-sockets as raw array buffers, not pickles.  Acting paths stay in
+observations, reward vectors and record columns cross the pipes as
+raw array buffers, not pickles.  Acting paths stay in
 per-tick lockstep (the policy needs every observation) but pay no
 separate records round-trip; monitoring-only :meth:`VectorEnv.collect`
 and :meth:`VectorEnv.run_ticks` additionally run *chunked* — one
@@ -76,8 +67,7 @@ Per-env trajectories are a pure function of the per-env seed and the
 action sequence: ``VectorEnv`` over ``vector_seeds(seed, n)`` is
 byte-identical, env by env, to n serial single-environment runs built
 with the same derived seeds and fed the same actions — and the
-``serial``, ``fork`` and ``shards`` backends are byte-identical to
-each other, regardless of how envs are placed across shards.
+``serial`` and ``fork`` backends are byte-identical to each other.
 
 Shared-DB layout
 ----------------
@@ -121,7 +111,6 @@ from repro.transport.codec import (
 )
 from repro.transport.framing import ProtocolError
 from repro.transport.pipe import PipeTransport
-from repro.transport.tcp import SocketTransport
 from repro.util.rng import derive_rng, ensure_rng
 from repro.util.validation import check_positive
 
@@ -139,9 +128,9 @@ def vector_seeds(base_seed: int, n: int) -> List[int]:
     """Derive n independent environment seeds from one base seed.
 
     Env ``i``'s seed depends only on ``(base_seed, i)`` — not on ``n``
-    and not on shard placement — so growing or resharding the fleet
-    keeps existing clusters' trajectories intact, and a vectorized run
-    can be replayed env by env with serial single-environment runs.
+    — so growing the fleet keeps existing clusters' trajectories
+    intact, and a vectorized run can be replayed env by env with serial
+    single-environment runs.
     """
     check_positive("n", n)
     return [
@@ -168,11 +157,10 @@ def per_env_rngs(
 
 
 # --------------------------------------------------------------------------
-# Channels: the master's end of one or more sub-environments
+# Channels: the master's end of one sub-environment
 # --------------------------------------------------------------------------
 #
-# A channel hosts ``n_envs`` sub-environments and takes worker commands
-# for them: ``submit(env_index, local, cmd, payload)`` sends one,
+# ``submit(env_index, cmd, payload)`` sends one worker command,
 # ``result()`` returns the oldest outstanding reply.  Results come back
 # in submission order, so submitting to every env before collecting any
 # steps remote envs in parallel.
@@ -187,15 +175,11 @@ class _LocalChannel:
     remote channel's codec strips them instead.
     """
 
-    n_envs = 1
-
     def __init__(self, env: Environment):
         self.env = env
         self._result: Any = None
 
-    def submit(
-        self, env_index: int, local: int, cmd: str, payload: Any = None
-    ) -> None:
+    def submit(self, env_index: int, cmd: str, payload: Any = None) -> None:
         if cmd == "close":
             self.env.close()
             self._result = None
@@ -210,113 +194,79 @@ class _LocalChannel:
         """Nothing to release: the env closed on its ``close`` command."""
 
 
-def _env_worker(factory: EnvFactoryFn, conn, master_end) -> None:
+def _env_worker(
+    factory: EnvFactoryFn, conn, master_ends: Sequence[Transport]
+) -> None:
     """Forked worker main: serve one environment over its pipe."""
-    # The fork copied the master's end too; holding it would hide the
-    # master hanging up (no EOF while any copy is open).
-    master_end.close()
+    # The fork copied the master's end of this pipe and of every pipe
+    # forked before it; holding any copy would hide the master hanging
+    # up on that worker (no EOF while any copy is open).
+    for end in master_ends:
+        end.close()
     try:
-        serve_env_session([factory()], PipeTransport(conn))
+        serve_env_session(factory(), PipeTransport(conn))
     except KeyboardInterrupt:  # pragma: no cover - teardown
         pass
 
 
 class _RemoteChannel:
-    """A transport to a process serving :func:`serve_env_session`.
+    """A pipe to a forked worker serving :func:`serve_env_session`.
 
-    One class for both media: a forked worker hosting one env over a
-    :class:`~repro.transport.pipe.PipeTransport` (:meth:`fork`), or a
-    shard host hosting ``K`` envs over a
-    :class:`~repro.transport.tcp.SocketTransport` (:meth:`dial`).  The
-    peer serves commands strictly in arrival order, so a FIFO of
-    in-flight ``(env_index, local, cmd)`` is the whole multiplexing
-    state.  A peer that vanishes surfaces as :class:`WorkerCrashError`
-    naming the env, the command and (for shards) the address — never
-    as a bare ``EOFError``.
+    The worker serves commands strictly in arrival order, so a FIFO of
+    in-flight ``(env_index, cmd)`` is the whole multiplexing state.  A
+    worker that vanishes surfaces as :class:`WorkerCrashError` naming
+    the env and the command — never as a bare ``EOFError``.
     """
 
-    def __init__(
-        self,
-        transport: Transport,
-        name: str,
-        proc: Any = None,
-        address: Optional[str] = None,
-    ):
+    def __init__(self, transport: Transport, proc: Any):
         self.transport = transport
-        self.name = name
-        #: Envs the peer hosts: 1 for a fork; a shard says at hello.
-        self.n_envs = 1
-        #: The shard address, for crash reports (``None`` for a fork).
-        self.address = address
         self._proc = proc
-        self._pending: Deque[Tuple[int, int, str]] = deque()
+        self._pending: Deque[Tuple[int, str]] = deque()
 
     @classmethod
-    def fork(cls, factory: EnvFactoryFn, context) -> "_RemoteChannel":
-        """Fork a worker process serving ``factory()`` over a pipe."""
+    def fork(
+        cls,
+        factory: EnvFactoryFn,
+        context,
+        siblings: Sequence["_RemoteChannel"],
+    ) -> "_RemoteChannel":
+        """Fork a worker process serving ``factory()`` over a pipe; the
+        child drops its copies of this pipe's and ``siblings``' master
+        ends."""
         parent, child = context.Pipe()
+        transport = PipeTransport(parent)
+        master_ends = [transport, *(s.transport for s in siblings)]
         proc = context.Process(
-            target=_env_worker, args=(factory, child, parent), daemon=True
+            target=_env_worker, args=(factory, child, master_ends), daemon=True
         )
         proc.start()
         child.close()
-        return cls(PipeTransport(parent), f"fork worker {proc.pid}", proc=proc)
-
-    @classmethod
-    def dial(cls, address: str, timeout: Optional[float]) -> "_RemoteChannel":
-        """Connect to a shard host and run the hello handshake; the
-        socket is closed again if the hello fails."""
-        from repro.env.shard import SHARD_PROTO
-
-        channel = cls(
-            SocketTransport.connect(address, timeout=timeout),
-            f"shard {address}",
-            address=address,
-        )
-        try:
-            reply = channel.rpc("hello", {"proto": SHARD_PROTO})
-            if (
-                not isinstance(reply, dict)
-                or "n_envs" not in reply
-                or reply.get("proto") != SHARD_PROTO
-            ):
-                raise ProtocolError(
-                    f"shard {address} answered hello with {reply!r}; "
-                    f"master speaks proto {SHARD_PROTO}"
-                )
-            channel.n_envs = int(reply["n_envs"])
-        except BaseException:
-            channel.close()
-            raise
-        return channel
+        return cls(transport, proc)
 
     def _crash(self, what: str, env_index: int, exc: Exception):
         return WorkerCrashError(
-            f"{self.name} {what} for env {env_index}: {exc}",
+            f"fork worker {self._proc.pid} {what} for env {env_index}: {exc}",
             env_index=env_index,
-            shard=self.address,
         )
 
-    def submit(
-        self, env_index: int, local: int, cmd: str, payload: Any = None
-    ) -> None:
+    def submit(self, env_index: int, cmd: str, payload: Any = None) -> None:
         try:
-            self.transport.send(MSG_CMD, encode_command(cmd, local, payload))
+            self.transport.send(MSG_CMD, encode_command(cmd, 0, payload))
         except TransportClosedError as exc:
             raise self._crash(
                 f"is gone; cannot submit {cmd!r}", env_index, exc
             ) from exc
-        self._pending.append((env_index, local, cmd))
+        self._pending.append((env_index, cmd))
 
     def result(self) -> Any:
-        env_index, local, cmd = (
-            self._pending.popleft() if self._pending else (-1, -1, "?")
+        env_index, cmd = (
+            self._pending.popleft() if self._pending else (-1, "?")
         )
         try:
             msg_type, payload = self.transport.recv()
         except (TransportClosedError, ProtocolError) as exc:
             raise self._crash(
-                f"went away during {cmd!r} (slot {local})", env_index, exc
+                f"went away during {cmd!r}", env_index, exc
             ) from exc
         if msg_type == MSG_ERR:
             # The original exception crosses whole when it pickled;
@@ -324,27 +274,18 @@ class _RemoteChannel:
             _env, text, exc = decode_error(payload)
             if exc is not None:
                 raise exc
-            raise WorkerCrashError(
-                text, env_index=env_index, shard=self.address
-            )
+            raise WorkerCrashError(text, env_index=env_index)
         _cmd, result = decode_reply(payload)
         return result
 
-    def rpc(self, cmd: str, payload: Any = None) -> Any:
-        """One synchronous session-level command (handshake, snapshot)."""
-        self.submit(-1, 0, cmd, payload)
-        return self.result()
-
     def close(self, timeout: float = 5.0) -> None:
-        """Close the transport and reap the worker process, if any:
-        join with a timeout, then kill rather than hang the master
-        (idempotent)."""
+        """Close the pipe and reap the worker: join with a timeout, then
+        kill rather than hang the master (idempotent)."""
         self.transport.close()
-        if self._proc is not None:
+        self._proc.join(timeout=timeout)
+        if self._proc.is_alive():  # pragma: no cover - hung worker
+            self._proc.kill()
             self._proc.join(timeout=timeout)
-            if self._proc.is_alive():  # pragma: no cover - hung worker
-                self._proc.kill()
-                self._proc.join(timeout=timeout)
 
 
 # --------------------------------------------------------------------------
@@ -358,18 +299,15 @@ class VectorEnv:
     Parameters
     ----------
     factories:
-        One zero-argument callable per sub-environment (``serial``,
-        ``fork``, ``vec``).  Each must return an
-        :class:`~repro.env.protocol.Environment`; fan-in additionally
-        requires ``records_since`` (which the sim-lustre backend
-        provides).  ``backend="shards"`` builds its environments on the
-        shard hosts instead — pass ``factories=None`` with ``shards=``
-        and ``base_seed=``.
+        One zero-argument callable per sub-environment.  Each must
+        return an :class:`~repro.env.protocol.Environment`; fan-in
+        additionally requires ``records_since`` (which the sim-lustre
+        backend provides).
     backend:
-        ``"serial"`` (in-process), ``"fork"`` (one worker process per
-        environment) or ``"shards"`` (remote shard hosts over TCP).
-        Results are byte-identical across all three.  ``"vec"`` is the
-        struct-of-arrays fluid model (see the module docs).
+        ``"serial"`` (in-process) or ``"fork"`` (one worker process per
+        environment); results are byte-identical across both.
+        ``"vec"`` is the struct-of-arrays fluid model (see the module
+        docs).
     shared_db_path:
         Where the shared fan-in :class:`ReplayDB` lives.  The default,
         :data:`~repro.replaydb.db.CACHE_ONLY`, keeps the fan-in store
@@ -380,67 +318,39 @@ class VectorEnv:
     tick_stride:
         Tick-space block size per environment in the shared DB; an
         environment raises once its local tick reaches the stride.
-    shards:
-        ``backend="shards"`` only: the ``host:port`` addresses of the
-        shard hosts, in fleet order — shard ``s`` hosts the next
-        contiguous ``K_s`` global env slots.
-    base_seed:
-        ``backend="shards"`` only: the base seed global per-env seeds
-        derive from (the :func:`vector_seeds` argument); the master
-        sends each shard its slice at attach time.
-    connect_timeout:
-        ``backend="shards"`` only: seconds to wait for each shard
-        dial; established sessions block indefinitely.
     """
 
     def __init__(
         self,
-        factories: Optional[Sequence[EnvFactoryFn]] = None,
+        factories: Sequence[EnvFactoryFn],
         backend: str = "serial",
         shared_db_path: Optional[str] = CACHE_ONLY,
         tick_stride: int = 65536,
-        shards: Optional[Sequence[str]] = None,
-        base_seed: Optional[int] = None,
-        connect_timeout: Optional[float] = 30.0,
     ):
-        if backend not in ("serial", "fork", "vec", "shards"):
+        if backend not in ("serial", "fork", "vec"):
             raise ValueError(
-                f"backend must be 'serial', 'fork', 'vec' or 'shards', "
-                f"got {backend!r}"
+                f"backend must be 'serial', 'fork' or 'vec', got {backend!r}"
             )
-        if backend == "shards":
-            if factories or not shards or base_seed is None:
-                raise ValueError(
-                    "backend='shards' builds its environments on the "
-                    "shard hosts: pass shards=[...] and base_seed= (the "
-                    "master derives every env's seed), not factories"
-                )
-        elif not factories:
+        if not factories:
             raise ValueError("VectorEnv needs at least one environment")
         check_positive("tick_stride", tick_stride)
         self.backend = backend
         self.tick_stride = int(tick_stride)
         self._fleet: Any = None
         self._closed = False
-        #: Shard addresses (``backend="shards"``) in fleet order.
-        self.shards: Optional[List[str]] = None
-        #: Env count per shard, aligned with :attr:`shards`.
-        self.shard_sizes: Optional[List[int]] = None
-        # Built one at a time, so a failure part-way closes exactly the
-        # channels that were opened.
+        # One channel per env, built one at a time, so a failure
+        # part-way closes exactly the channels that were opened.
         self._channels: List[Any] = []
         try:
-            if backend == "shards":
-                self._connect_shards(
-                    list(shards), int(base_seed), connect_timeout
-                )
-            elif backend == "fork":
+            if backend == "fork":
                 try:
                     context = multiprocessing.get_context("fork")
                 except ValueError:  # pragma: no cover - non-POSIX
                     context = multiprocessing.get_context()
                 for f in factories:
-                    self._channels.append(_RemoteChannel.fork(f, context))
+                    self._channels.append(
+                        _RemoteChannel.fork(f, context, self._channels)
+                    )
             else:
                 for f in factories:
                     self._channels.append(_LocalChannel(f()))
@@ -448,10 +358,6 @@ class VectorEnv:
             for ch in self._channels:
                 ch.close()
             raise
-        #: ``(channel, local slot)`` per global env index.
-        self._slots: List[Tuple[Any, int]] = [
-            (ch, local) for ch in self._channels for local in range(ch.n_envs)
-        ]
         if backend == "vec":
             envs = [ch.env for ch in self._channels]
             fleets = {id(getattr(e, "fleet", None)) for e in envs}
@@ -498,29 +404,6 @@ class VectorEnv:
         self._obs_buf = np.zeros((self.n_envs, self.obs_dim))
         self._reward_buf = np.zeros(self.n_envs)
 
-    def _connect_shards(
-        self,
-        shards: List[str],
-        base_seed: int,
-        connect_timeout: Optional[float],
-    ) -> None:
-        """Dial every shard, derive the global seed sequence, attach.
-
-        Seeds are computed over the *total* fleet size and sliced
-        contiguously per shard, so each env's stream depends on its
-        global index alone — resharding the same total fleet is
-        byte-invisible.
-        """
-        for addr in shards:
-            self._channels.append(_RemoteChannel.dial(addr, connect_timeout))
-        self.shards = shards
-        self.shard_sizes = [ch.n_envs for ch in self._channels]
-        seeds = vector_seeds(base_seed, sum(self.shard_sizes))
-        offset = 0
-        for ch in self._channels:
-            ch.rpc("attach", {"seeds": seeds[offset : offset + ch.n_envs]})
-            offset += ch.n_envs
-
     # -- construction helpers -------------------------------------------
     @classmethod
     def from_config(
@@ -540,14 +423,7 @@ class VectorEnv:
         ``backend="vec"`` builds one struct-of-arrays
         :class:`~repro.sim.vec.fleet_env.FleetEnv` over the same derived
         seeds and wraps its per-env slots.
-
-        ``backend="shards"`` (pass ``shards=[...]`` in ``vec_kwargs``)
-        attaches to running shard hosts with ``config.seed`` as the
-        base seed; ``n_envs`` is validated against the fleet the shards
-        actually host.
         """
-        if backend == "shards":
-            return cls._attach_shards(n_envs, config.seed, **vec_kwargs)
         if backend == "vec":
             from repro.sim.vec.fleet_env import FleetEnv
 
@@ -587,15 +463,9 @@ class VectorEnv:
         :class:`EnvConfig` (scenario-named keys included) and routes it
         through :meth:`from_config`'s fleet path, so scenario timelines
         ride along.
-
-        ``backend="shards"`` attaches to running shard hosts (each
-        built with its own ``--env``/``--config``; the master only
-        sends seeds), validating ``n_envs`` against the hosted total.
         """
         from repro.env.registry import make_env
 
-        if backend == "shards":
-            return cls._attach_shards(n_envs, base_seed, **vec_kwargs)
         if backend == "vec":
             probe = make_env(name, seed=base_seed, **(env_kwargs or {}))
             config = getattr(probe, "config", None)
@@ -615,32 +485,16 @@ class VectorEnv:
         ]
         return cls(factories, backend=backend, **vec_kwargs)
 
-    @classmethod
-    def _attach_shards(
-        cls, n_envs: int, base_seed: int, **vec_kwargs: Any
-    ) -> "VectorEnv":
-        """Attach to running shard hosts, validating ``n_envs`` against
-        the fleet they actually host."""
-        venv = cls(None, backend="shards", base_seed=base_seed, **vec_kwargs)
-        if int(n_envs) != venv.n_envs:
-            sizes = venv.shard_sizes
-            venv.close()
-            raise ValueError(
-                f"requested n_envs={n_envs} but the shards host "
-                f"{sum(sizes)} env(s) (sizes {sizes})"
-            )
-        return venv
-
     # -- worker plumbing -------------------------------------------------
     @property
     def n_envs(self) -> int:
         """Number of sub-environments in the fleet."""
-        return len(self._slots)
+        return len(self._channels)
 
     def _call(self, i: int, cmd: str, payload: Any = None) -> Any:
         """One command to env ``i``, waited for."""
-        ch, local = self._slots[i]
-        ch.submit(i, local, cmd, payload)
+        ch = self._channels[i]
+        ch.submit(i, cmd, payload)
         return ch.result()
 
     def _lockstep(
@@ -649,9 +503,9 @@ class VectorEnv:
         """``cmd`` to every env (``payload(i)`` each), all submitted
         before any result is collected, so remote envs run in
         parallel; the results in env order."""
-        for i, (ch, local) in enumerate(self._slots):
-            ch.submit(i, local, cmd, payload(i))
-        return [ch.result() for ch, _local in self._slots]
+        for i, ch in enumerate(self._channels):
+            ch.submit(i, cmd, payload(i))
+        return [ch.result() for ch in self._channels]
 
     def _get_attr(self, i: int, name: str) -> Any:
         return self._call(i, "call", ("__getattribute__", (name,), {}))
@@ -794,9 +648,9 @@ class VectorEnv:
         Returns ``(obs, rewards, infos)`` where ``obs`` is the reused
         ``(n, obs_dim)`` buffer and ``rewards`` the reused ``(n,)``
         buffer.  All submissions go out before any result is collected,
-        so the ``fork`` and ``shards`` backends step clusters in
-        parallel; each reply carries the cluster's new replay records,
-        so fan-in costs no extra round-trip.
+        so the ``fork`` backend steps clusters in parallel; each reply
+        carries the cluster's new replay records, so fan-in costs no
+        extra round-trip.
         """
         actions = np.asarray(actions)
         if actions.shape != (self.n_envs,):
@@ -903,14 +757,10 @@ class VectorEnv:
         - ``vec`` — the :class:`~repro.sim.vec.state.FleetState` arrays
           and every RNG/scenario-runtime state, wholesale (the fleet is
           plain data);
-        - ``serial``/``fork``/``shards`` — the op log since
-          ``reset()``.  Worker simulators drive live generator
-          coroutines that cannot cross a process boundary, but their
-          trajectories are a pure function of seed + op sequence, so
-          the log *is* the state.  Sharded fleets additionally run a
-          ``snapshot`` barrier against every shard (all in-flight
-          commands applied, topology acknowledged) and record the
-          shard layout in the meta.
+        - ``serial``/``fork`` — the op log since ``reset()``.  Worker
+          simulators drive live generator coroutines that cannot cross
+          a process boundary, but their trajectories are a pure
+          function of seed + op sequence, so the log *is* the state.
 
         Raises when no lockstep history exists (never reset, or an
         :meth:`env_method` call drove one env ahead of the others).
@@ -940,13 +790,6 @@ class VectorEnv:
             "tick_stride": int(self.tick_stride),
             "oplog": [list(op) for op in self._oplog],
         }
-        if self.backend == "shards":
-            acks = [ch.rpc("snapshot") for ch in self._channels]
-            meta["shards"] = {
-                "addresses": list(self.shards),
-                "sizes": list(self.shard_sizes),
-                "acks": acks,
-            }
         return {"meta": meta, "arrays": {}}
 
     def restore(self, snap: dict) -> None:
@@ -956,11 +799,9 @@ class VectorEnv:
         geometry, scenario).  Ingest listeners attached before the call
         hear the whole restored record stream — a trainer mirror
         re-fed this way ends up with the same replay cache the
-        original session had.  ``serial``, ``fork`` and ``shards``
-        snapshots are interchangeable (their trajectories are
-        byte-identical by contract — a 2×2 sharded session may resume
-        as a 4-env fork fleet and vice versa, any shard layout);
-        ``vec`` snapshots only restore onto ``vec``.
+        original session had.  ``serial`` and ``fork`` snapshots are
+        interchangeable (their trajectories are byte-identical by
+        contract); ``vec`` snapshots only restore onto ``vec``.
         """
         from repro.snapshot.core import SnapshotError
 
@@ -1050,21 +891,21 @@ class VectorEnv:
 
     def close(self) -> None:
         """Close every sub-environment, reap every worker process with a
-        bounded join, drain-then-close every shard socket, and close the
-        shared fan-in DB.  Idempotent — a second call is a no-op, and a
-        crashed worker never blocks the teardown of the healthy ones.
+        bounded join, and close the shared fan-in DB.  Idempotent — a
+        second call is a no-op, and a crashed worker never blocks the
+        teardown of the healthy ones.
         """
         if self._closed:
             return
         self._closed = True
         # A lost transport is a TransportClosedError, itself an OSError.
         gone = (WorkerCrashError, ProtocolError, OSError)
-        for i, (ch, local) in enumerate(self._slots):
+        for i, ch in enumerate(self._channels):
             try:
-                ch.submit(i, local, "close")
+                ch.submit(i, "close")
             except gone:
                 pass  # this worker is already gone; keep reaping
-        for ch, _local in self._slots:
+        for ch in self._channels:
             try:
                 ch.result()
             except gone:

@@ -4,9 +4,8 @@ One environment command set, one executor, one serve loop — whatever
 carries the bytes.  :func:`exec_env_cmd` runs a single command against
 a single environment (the in-process ``serial`` backend calls it
 directly); :func:`serve_env_session` runs the framed request/response
-loop over any :class:`~repro.transport.base.Transport`, serving one
-env (a forked worker over its pipe) or many (a shard host over a TCP
-socket) with identical semantics.
+loop for one env over any :class:`~repro.transport.base.Transport` (a
+forked worker over its pipe).
 
 Error discipline: an exception inside a command crosses back whole
 when it pickles (the master re-raises it verbatim); otherwise its
@@ -18,7 +17,7 @@ that died with the secret.
 from __future__ import annotations
 
 import traceback
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
@@ -47,22 +46,14 @@ class WorkerCrashError(RuntimeError):
 
     Two flavours, one error: the worker raised something unpicklable
     (the message carries the original type, message and full worker
-    traceback), or the worker process/host vanished mid-command (the
-    message says which command died).  ``env_index`` is the global
-    sub-environment index and ``shard`` the shard address when the
-    worker lived on one — so a crash in a 2×8 fleet names the culprit.
+    traceback), or the worker process vanished mid-command (the message
+    says which command died).  ``env_index`` is the sub-environment
+    index, so a crash in a 16-env fleet names the culprit.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        env_index: Optional[int] = None,
-        shard: Optional[str] = None,
-    ):
+    def __init__(self, message: str, *, env_index: Optional[int] = None):
         super().__init__(message)
         self.env_index = env_index
-        self.shard = shard
 
 
 def fetch_packed(env: Environment, since: int) -> PackedRecords:
@@ -100,8 +91,7 @@ def chunk_rewards(
 
 def exec_env_cmd(env: Environment, cmd: str, payload: Any) -> Any:
     """One worker command against one environment — every backend runs
-    exactly this, so serial, fork and sharded stay behaviourally
-    identical.
+    exactly this, so serial and fork stay behaviourally identical.
 
     Replies that advance ticks carry the new replay records inline
     (``since`` is the master's last-synced tick, or ``None`` when
@@ -145,63 +135,40 @@ def _error_text(exc: BaseException) -> str:
     )
 
 
-def serve_env_session(
-    envs: Sequence[Environment], transport: Transport
-) -> None:
-    """Serve the worker command loop for ``envs`` over ``transport``.
+def serve_env_session(env: Environment, transport: Transport) -> None:
+    """Serve the worker command loop for ``env`` over ``transport``.
 
-    Runs until every environment has been closed by the master (the
-    normal goodbye) or the master's side of the transport goes away.
-    A command failure is replied as an error frame and the loop keeps
-    serving — one bad ``env_method`` must not take down a shard that
-    seven other clusters live on.  On exit, every still-open
-    environment is closed and the transport is drained then closed.
+    Runs until the master closes the environment (the normal goodbye)
+    or the master's side of the transport goes away.  A command failure
+    is replied as an error frame and the loop keeps serving — one bad
+    ``env_method`` must not take down the worker.  On exit, the
+    environment is closed if it is still open and the transport is
+    drained then closed.
     """
-    open_envs: List[bool] = [True] * len(envs)
+    closed = False
     try:
-        while any(open_envs):
+        while not closed:
             try:
                 msg_type, payload = transport.recv()
             except (TransportClosedError, ProtocolError):
-                return  # master vanished; finally reaps the envs
-            env_i = -1
+                return  # master vanished; finally reaps the env
             try:
                 if msg_type != MSG_CMD:
                     raise ProtocolError(
                         f"unexpected message type {msg_type} on the worker "
                         f"command channel"
                     )
-                cmd, env_i, data = decode_command(payload)
+                cmd, _env, data = decode_command(payload)
                 if cmd == "close":
-                    if 0 <= env_i < len(envs) and open_envs[env_i]:
-                        open_envs[env_i] = False
-                        envs[env_i].close()
-                    transport.send(MSG_OK, encode_reply("close", None))
-                    continue
-                if cmd == "snapshot":
-                    # A shard-level barrier: all prior commands have
-                    # been applied; reply with the live topology the
-                    # master folds into its session snapshot.
-                    transport.send(
-                        MSG_OK,
-                        encode_reply(
-                            "snapshot",
-                            {
-                                "n_envs": len(envs),
-                                "open": int(sum(open_envs)),
-                            },
-                        ),
-                    )
-                    continue
-                if not 0 <= env_i < len(envs):
-                    raise IndexError(
-                        f"env index {env_i} out of range 0..{len(envs) - 1}"
-                    )
-                result = exec_env_cmd(envs[env_i], cmd, data)
+                    closed = True
+                    env.close()
+                    result = None
+                else:
+                    result = exec_env_cmd(env, cmd, data)
             except Exception as exc:  # surface remote failures
                 try:
                     transport.send(
-                        MSG_ERR, encode_error(exc, _error_text(exc), env_i)
+                        MSG_ERR, encode_error(exc, _error_text(exc), 0)
                     )
                 except TransportClosedError:  # pragma: no cover - race
                     return
@@ -210,10 +177,9 @@ def serve_env_session(
     except TransportClosedError:  # pragma: no cover - master went away
         pass
     finally:
-        for i, env in enumerate(envs):
-            if open_envs[i]:
-                try:
-                    env.close()
-                except Exception:  # pragma: no cover - teardown
-                    pass
+        if not closed:
+            try:
+                env.close()
+            except Exception:  # pragma: no cover - teardown
+                pass
         transport.close()

@@ -38,8 +38,8 @@ from repro.scenarios.scenario import Scenario, ScenarioRuntime
 
 # Importing the fuzzer installs its name resolver, so the
 # fuzz-<root_seed>-<index> / "fuzzed" scenario families resolve in
-# every process that can name a scenario at all (CLI, spec workers,
-# shard hosts).  The heavyweight scoring imports inside it are lazy.
+# every process that can name a scenario at all (CLI, spec workers).
+# The heavyweight scoring imports inside it are lazy.
 from repro.scenarios.fuzz import (  # noqa: E402  (resolver side effect)
     ScenarioFuzzer,
     mutate_timeline,

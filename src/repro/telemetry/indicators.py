@@ -73,11 +73,6 @@ CLIP_BOUND = 8.0
 _SCALES = np.array([ind.scale for ind in OSC_INDICATORS])
 
 
-def indicator_scales() -> np.ndarray:
-    """The per-OSC indicator scales as an (11,) vector (a copy)."""
-    return _SCALES.copy()
-
-
 def pack_osc_frames(
     raw: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:

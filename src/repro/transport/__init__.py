@@ -1,20 +1,17 @@
-"""Framed-message transport layer for distributed collection.
+"""Framed-message transport layer for forked collection workers.
 
 One framing format (:mod:`repro.transport.framing`), one message
-abstraction (:mod:`repro.transport.base`), three media:
+abstraction (:mod:`repro.transport.base`), two media:
 
 - :class:`PipeTransport` — ``multiprocessing`` pipes to forked
-  collection workers (the historical fork-backend path, unchanged
-  behavior);
-- :class:`SocketTransport` / :class:`SocketListener` — TCP to remote
-  shard hosts (``repro shard-host``), making the worker protocol
-  host-portable;
+  collection workers (the ``fork`` backend of
+  :class:`~repro.env.vector.VectorEnv`);
 - :class:`LoopbackTransport` — an in-process queue pair for tests.
 
 On top of the byte layer, :mod:`repro.transport.codec` defines the
 binary request/response vocabulary of the vectorized worker protocol
-(``reset`` / ``step`` / ``run_chunk`` / records fan-in / shard
-handshake), with NumPy payloads as raw buffers rather than pickles.
+(``reset`` / ``step`` / ``run_chunk`` / records fan-in), with NumPy
+payloads as raw buffers rather than pickles.
 The serve control-plane protocol (:mod:`repro.serve.protocol`) frames
 its messages through the same :mod:`~repro.transport.framing` module,
 so the length-prefix layout and the oversize cap live in exactly one
@@ -22,7 +19,6 @@ place.
 """
 
 from repro.transport.base import (
-    Listener,
     StreamTransport,
     Transport,
     TransportClosedError,
@@ -52,11 +48,9 @@ from repro.transport.framing import (
 )
 from repro.transport.loopback import LoopbackTransport, loopback_pair
 from repro.transport.pipe import PipeTransport, pipe_pair
-from repro.transport.tcp import SocketListener, SocketTransport, parse_address
 
 __all__ = [
     "FrameDecoder",
-    "Listener",
     "LoopbackTransport",
     "MAX_PAYLOAD",
     "MSG_CMD",
@@ -64,8 +58,6 @@ __all__ = [
     "MSG_OK",
     "PipeTransport",
     "ProtocolError",
-    "SocketListener",
-    "SocketTransport",
     "StreamTransport",
     "Transport",
     "TransportClosedError",
@@ -79,7 +71,6 @@ __all__ = [
     "encode_reply",
     "encode_sections",
     "loopback_pair",
-    "parse_address",
     "pipe_pair",
     "read_frame_async",
 ]

@@ -3,10 +3,8 @@
 A :class:`Transport` moves whole framed messages — ``(msg_type,
 payload)`` pairs in the :mod:`repro.transport.framing` layout —
 between two peers, hiding what carries the bytes: a
-``multiprocessing`` pipe to a forked child, a TCP socket to a remote
-shard host, or an in-process queue pair in tests.  A :class:`Listener`
-accepts inbound connections and yields one :class:`Transport` per
-peer.
+``multiprocessing`` pipe to a forked child, or an in-process queue pair
+in tests.
 
 Every concrete transport here is a :class:`StreamTransport`: the
 medium delivers arbitrary byte chunks and one shared
@@ -38,7 +36,6 @@ from repro.transport.framing import (
 
 __all__ = [
     "Transport",
-    "Listener",
     "StreamTransport",
     "TransportClosedError",
 ]
@@ -70,29 +67,6 @@ class Transport(abc.ABC):
         """True once :meth:`close` ran (or the peer vanished)."""
 
     def __enter__(self) -> "Transport":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class Listener(abc.ABC):
-    """Accepts inbound connections, one :class:`Transport` per peer."""
-
-    @abc.abstractmethod
-    def accept(self) -> Transport:
-        """Block for the next inbound connection."""
-
-    @abc.abstractmethod
-    def close(self) -> None:
-        """Stop accepting (idempotent)."""
-
-    @property
-    @abc.abstractmethod
-    def address(self) -> str:
-        """The ``host:port``-style address peers connect to."""
-
-    def __enter__(self) -> "Listener":
         return self
 
     def __exit__(self, *exc) -> None:

@@ -2,8 +2,7 @@
 
 The vectorized collection stack speaks a small request/response
 vocabulary — ``reset`` / ``step`` / ``run_chunk`` / ``records`` /
-``call`` / ``commit`` / ``snapshot`` / ``close`` plus the shard
-handshake (``hello`` / ``attach``) — over any
+``call`` / ``commit`` / ``close`` — over any
 :class:`~repro.transport.base.Transport`.  This module defines how
 each message becomes payload bytes:
 
@@ -19,7 +18,7 @@ by a peer that shares nothing but this codec.  Only the cold paths
 keep a pickle escape hatch (``call`` replies can be arbitrary Python
 objects, and exceptions travel whole when they can); those blobs are
 flagged in the header and documented as trusted-peer-only, which the
-worker topology guarantees (every shard is launched by the operator).
+worker topology guarantees (every worker is forked by the master).
 
 Wire layout of one payload::
 
@@ -59,6 +58,9 @@ MSG_OK = 0x21
 MSG_ERR = 0x22
 
 _HEAD_LEN = struct.Struct("<I")
+
+#: Commands whose payload and reply are an optional JSON ``data`` field.
+_DATA_CMDS = ("commit", "close")
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +208,7 @@ def encode_command(cmd: str, env: int, payload: Any = None) -> bytes:
             # Cold path: env_method with non-JSON arguments (numpy
             # scalars, callables).  Trusted-peer pickle, flagged.
             blobs["call"] = pickle.dumps((tuple(args), kwargs))
-    elif cmd in ("commit", "close", "snapshot", "hello", "attach"):
+    elif cmd in _DATA_CMDS:
         if payload is not None:
             meta["data"] = payload
     else:
@@ -233,7 +235,7 @@ def decode_command(payload: bytes) -> Tuple[str, int, Any]:
         else:
             args, kwargs = tuple(meta["args"]), meta["kwargs"]
         return cmd, env, (meta["name"], args, kwargs)
-    if cmd in ("commit", "close", "snapshot", "hello", "attach"):
+    if cmd in _DATA_CMDS:
         return cmd, env, meta.get("data")
     raise ProtocolError(f"unknown worker command {cmd!r}")
 
@@ -284,7 +286,7 @@ def encode_reply(cmd: str, result: Any) -> bytes:
         else:
             meta["kind"] = "pickle"
             blobs["value"] = pickle.dumps(result)
-    elif cmd in ("commit", "close", "snapshot", "hello", "attach"):
+    elif cmd in _DATA_CMDS:
         if result is not None:
             meta["data"] = result
     else:
@@ -328,7 +330,7 @@ def decode_reply(payload: bytes) -> Tuple[str, Any]:
         if kind == "pickle":
             return cmd, pickle.loads(blobs["value"])
         return cmd, meta.get("value")
-    if cmd in ("commit", "close", "snapshot", "hello", "attach"):
+    if cmd in _DATA_CMDS:
         return cmd, meta.get("data")
     raise ProtocolError(f"unknown reply command {cmd!r}")
 

@@ -2,8 +2,8 @@
 
 A connected pair of queues, no OS resources: the cheapest way to put
 the full framing/codec stack under a microscope (byte-split property
-tests, protocol unit tests, in-thread shard hosts) with semantics
-identical to the pipe and socket transports — because all three share
+tests, protocol unit tests) with semantics identical to the pipe
+transport — because both share
 :class:`~repro.transport.base.StreamTransport`.
 """
 

@@ -1,13 +1,10 @@
 """The pipe transport: framed messages over ``multiprocessing`` pipes.
 
-This wraps the fork backend's historical medium — one
-``multiprocessing.Pipe`` per worker — behind the
-:class:`~repro.transport.base.Transport` interface, so the same worker
-loop that serves a forked child over a pipe serves a remote shard host
-over a socket.  Behavior of the pipe path is unchanged: one OS message
-per frame on the send side, with the stream decoder tolerating any
-split on the receive side (a property test ships frames one byte per
-pipe message).
+This wraps the fork backend's medium — one ``multiprocessing.Pipe``
+per worker — behind the :class:`~repro.transport.base.Transport`
+interface: one OS message per frame on the send side, with the stream
+decoder tolerating any split on the receive side (a property test
+ships frames one byte per pipe message).
 """
 
 from __future__ import annotations

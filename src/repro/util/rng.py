@@ -59,9 +59,6 @@ def derive_rng(parent: np.random.Generator, *key: object) -> np.random.Generator
 class RngMixin:
     """Mixin that standardizes RNG ownership for stochastic components."""
 
-    def init_rng(self, seed: SeedLike = None) -> None:
-        self._rng: np.random.Generator = ensure_rng(seed)
-
     @property
     def rng(self) -> np.random.Generator:
         rng: Optional[np.random.Generator] = getattr(self, "_rng", None)

@@ -11,7 +11,7 @@ at every phase boundary.  The CAPES session subscribes its ε schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.sim.engine import Simulator, Timeout
 from repro.workloads.base import Workload
@@ -47,12 +47,7 @@ class WorkloadSchedule:
         self.phases: List[WorkloadPhase] = list(phases)
         self.loop = loop
         self._listeners: List[PhaseListener] = []
-        self._current: Optional[WorkloadPhase] = None
         self._started = False
-
-    @property
-    def current_phase(self) -> Optional[WorkloadPhase]:
-        return self._current
 
     def on_phase_change(self, fn: PhaseListener) -> None:
         """Register a listener called at the start of every phase."""
@@ -67,7 +62,6 @@ class WorkloadSchedule:
     def _runner(self):
         while True:
             for phase in self.phases:
-                self._current = phase
                 for fn in self._listeners:
                     fn(phase)
                 phase.workload.start()
@@ -75,4 +69,3 @@ class WorkloadSchedule:
                 phase.workload.stop()
             if not self.loop:
                 break
-        self._current = None

@@ -1,16 +1,14 @@
 """Hypothesis strategies over the fuzzed-scenario space.
 
-Exported for test reuse (the fuzz property suites draw from these),
-and kept in lockstep with the plain :mod:`repro.scenarios.fuzz`
-sampler: both generate the same five event kinds over the same
-magnitude ranges, and both funnel raw timelines through
-:func:`repro.scenarios.fuzz.repair_timeline` so the
-WorkloadPhaseShift disjointness contract holds for every generated
+The fuzz property suites draw from these.  They are kept in lockstep
+with the plain :mod:`repro.scenarios.fuzz` sampler: both generate the
+same five event kinds over the same magnitude ranges, and both funnel
+raw timelines through :func:`repro.scenarios.fuzz.repair_timeline` so
+the WorkloadPhaseShift disjointness contract holds for every generated
 timeline.
 
-This module imports :mod:`hypothesis` at import time — it is a *test*
-dependency, so production code must not import it (nothing in
-``repro.scenarios.__init__`` does).
+This module imports :mod:`hypothesis` at import time — a *test*
+dependency — so it lives beside the suites, outside the package.
 """
 
 from __future__ import annotations

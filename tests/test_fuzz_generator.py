@@ -34,7 +34,6 @@ from repro.scenarios import (
     sample_timeline,
     scenario_names,
 )
-from repro.scenarios import strategies as fuzz_st
 from repro.scenarios.fuzz import (
     DEFAULT_HORIZON,
     SEEDED_BURSTY_NAME,
@@ -42,6 +41,8 @@ from repro.scenarios.fuzz import (
     seeded_bursty_events,
 )
 from repro.util.rng import derive_rng, ensure_rng
+
+import fuzz_strategies as fuzz_st
 
 #: blake2b-128 over the canonical (sort_keys) JSON serialization of
 #: ``sample_scenario(root_seed, index).events``.  Computed once and

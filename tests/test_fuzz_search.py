@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.scenarios import ScenarioEvent, mutate_timeline
-from repro.scenarios import strategies as fuzz_st
 from repro.scenarios.fuzz import (
     DEFAULT_HORIZON,
     DEFAULT_MAX_EVENTS,
@@ -36,6 +35,8 @@ from repro.scenarios.fuzz import (
     repair_timeline,
 )
 from repro.util.rng import derive_rng, ensure_rng
+
+import fuzz_strategies as fuzz_st
 
 #: Compressed scoring recipe: a capes+static pair in well under a
 #: second, so searches stay inside the fast-lane budget.

@@ -1,36 +1,28 @@
-"""Collection placement: serial == fork == any shard layout, byte for byte.
+"""Collection placement: serial == fork, byte for byte.
 
-The distribution contract: one 4-env fleet run in-process, as forked
-workers, or split across shard hosts over TCP in any layout produces
-**byte-identical** traces, replay-DB contents and frontiers, because
-the transports are byte-transparent and per-env seeds derive from the
-global index alone.  On top of that, the failure modes, each on both
-remote media (fork pipe and shard socket): a worker dying mid-chunk,
-dead before a submit, or a dropped link surfaces as
-:class:`WorkerCrashError` naming the env (and shard), never a bare
-``EOFError``; ``close()`` is idempotent and always reaps; a failed
-shard attach leaks no socket and leaves the host serving; op-log
-snapshots restore across backends and shard layouts.
+The placement contract: one 4-env fleet run in-process or as forked
+workers produces **byte-identical** traces, replay-DB contents and
+frontiers, because the pipe transport is byte-transparent and per-env
+seeds derive from the env index alone.  On top of that, the failure
+modes of the forked medium: a worker dying mid-chunk, dead before a
+submit, or a dropped link surfaces as :class:`WorkerCrashError` naming
+the env, never a bare ``EOFError``; ``close()`` is idempotent and
+always reaps; one bad call is one exception, not a dead worker.
 
-Most hosts run in daemon threads (real sockets, one process) so the
-full framed/codec path is exercised without subprocess scaffolding.
-The crash tests fork their hosts (a thread cannot be killed), and the
-last test drives the CLI ``shard-host`` and ``collect --shard``
-processes end to end.
+Sessions of the retired ``shards`` backend (collection spread over
+TCP shard hosts) left snapshot artifacts behind.  Their trajectories
+were byte-identical to fork's, so the last tests pin that such an
+artifact still restores onto serial and fork, and that ``repro
+resume`` continues it on fork with the fork digest.
 """
 
 import functools
 import hashlib
-import multiprocessing
 import os
 import signal
-import subprocess
-import sys
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,28 +30,13 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.env import (
     EnvConfig,
-    ShardHost,
-    StorageTuningEnv,
     VectorEnv,
     WorkerCrashError,
     make_env,
     vector_seeds,
 )
-from repro.env.shard import SHARD_PROTO
-from repro.replaydb.db import CACHE_ONLY
 from repro.rl import Hyperparameters
-from repro.transport import (
-    MSG_CMD,
-    MSG_ERR,
-    MSG_OK,
-    ProtocolError,
-    SocketListener,
-    SocketTransport,
-    TransportClosedError,
-    decode_error,
-    encode_command,
-    encode_reply,
-)
+from repro.snapshot import SessionSnapshot
 from repro.workloads import RandomReadWrite
 
 SEED = 123
@@ -87,47 +64,27 @@ def tiny_config(seed: int = SEED) -> EnvConfig:
     )
 
 
-def plain_builder(seed: int) -> StorageTuningEnv:
-    """What a ``repro shard-host --config`` process builds per env."""
-    return StorageTuningEnv(
-        replace(tiny_config(), seed=seed, db_path=CACHE_ONLY)
-    )
-
-
 SCENARIO_KW = dict(first_tick=4, period=5, n_bursts=2, duration=2)
 
 
-def scenario_builder(seed: int):
-    """A scenario timeline rides the shard exactly like ``--env``."""
+def plain_builder(seed: int, **scenario):
+    """A tiny sim-lustre env, with ``scenario`` forwarded to
+    :func:`make_env` when given."""
     return make_env(
-        "sim-lustre-bursty",
+        "sim-lustre",
         seed=seed,
-        scenario_kwargs=SCENARIO_KW,
         cluster=ClusterConfig(n_servers=2, n_clients=2),
+        workload_factory=tiny_workload,
         hp=HP,
+        **scenario,
     )
 
 
-@contextmanager
-def running_shards(builder, sizes):
-    """Shard hosts in daemon threads, one connection each; yields
-    their addresses in fleet order."""
-    hosts = [ShardHost(builder, k) for k in sizes]
-    threads = [
-        threading.Thread(
-            target=h.serve_forever, kwargs={"once": True}, daemon=True
-        )
-        for h in hosts
-    ]
-    for t in threads:
-        t.start()
-    try:
-        yield [h.address for h in hosts]
-    finally:
-        for t in threads:
-            t.join(timeout=10)
-        for h in hosts:
-            h.close()
+def scenario_builder(seed: int):
+    """:func:`plain_builder` with a bursty scenario timeline attached."""
+    return plain_builder(
+        seed, scenario="sim-lustre-bursty", scenario_kwargs=SCENARIO_KW
+    )
 
 
 def rollout_digest(venv) -> str:
@@ -168,31 +125,13 @@ def rollout_digest(venv) -> str:
 # Golden equivalence: every placement of the fleet is byte-identical
 # --------------------------------------------------------------------------
 
-#: Shard layouts of the same 4-env fleet, by placement id.
-SHARD_LAYOUTS = {"shards-4": [4], "shards-2x2": [2, 2], "shards-1x3": [1, 3]}
 
-
-def placement_digest(placement: str) -> str:
-    """:func:`rollout_digest` of a 4-env scenario fleet placed
-    in-process, on forked workers or across shard hosts.  A scenario
-    env is the plain sim plus an event timeline, so one digest pins
-    both."""
-    if placement in SHARD_LAYOUTS:
-        with running_shards(
-            scenario_builder, SHARD_LAYOUTS[placement]
-        ) as addrs:
-            return rollout_digest(
-                VectorEnv(
-                    None,
-                    backend="shards",
-                    shards=addrs,
-                    base_seed=SEED,
-                    tick_stride=STRIDE,
-                )
-            )
+def placement_digest(placement: str, builder=scenario_builder) -> str:
+    """:func:`rollout_digest` of a 4-env fleet placed in-process or on
+    forked workers.  A scenario env is the plain sim plus an event
+    timeline, so one digest pins both."""
     factories = [
-        functools.partial(scenario_builder, s)
-        for s in vector_seeds(SEED, 4)
+        functools.partial(builder, s) for s in vector_seeds(SEED, 4)
     ]
     return rollout_digest(
         VectorEnv(factories, backend=placement, tick_stride=STRIDE)
@@ -204,222 +143,53 @@ def serial_digest() -> str:
     return placement_digest("serial")
 
 
-@pytest.mark.parametrize(
-    "placement", ["serial", "fork", *SHARD_LAYOUTS]
-)
+@pytest.mark.parametrize("placement", ["serial", "fork"])
 def test_placement_independence(placement):
-    """Serial, forked and any shard layout give one digest: the
-    transports are byte-transparent and per-env seeds derive from the
-    global env index alone, never from placement."""
+    """Serial and forked fleets give one digest: the pipe transport is
+    byte-transparent and per-env seeds derive from the env index alone,
+    never from placement."""
     assert placement_digest(placement) == serial_digest(), (
         f"the {placement} fleet drifted from the serial one"
     )
 
 
 def test_scenario_timeline_matches_fork_across_shards():
-    """A scenario's event timeline fires identically on remote shards
-    as on forked local workers."""
-    assert placement_digest("shards-2x2") == placement_digest("fork")
-
-
-def test_from_config_rejects_n_envs_mismatch():
-    with running_shards(plain_builder, [2, 2]) as addrs:
-        with pytest.raises(ValueError, match="requested n_envs=3"):
-            VectorEnv.from_config(
-                tiny_config(), 3, backend="shards", shards=addrs,
-                tick_stride=STRIDE,
-            )
-
-
-def test_hello_proto_mismatch_is_refused():
-    """A master speaking the wrong protocol version is turned away."""
-    with running_shards(plain_builder, [1]) as addrs:
-        t = SocketTransport.connect(addrs[0], timeout=5.0)
-        try:
-            t.send(
-                MSG_CMD,
-                encode_command("hello", 0, {"proto": SHARD_PROTO + 99}),
-            )
-            msg_type, payload = t.recv()
-            assert msg_type == MSG_ERR
-            _env, text, exc = decode_error(payload)
-            assert "proto" in text
-        finally:
-            t.close()
+    """A scenario's event timeline fires, and fires identically on
+    forked workers as in-process."""
+    assert placement_digest("fork") == serial_digest()
+    assert placement_digest("serial", plain_builder) != serial_digest(), (
+        "the timeline never fired: the scenario fleet matches the plain one"
+    )
 
 
 # --------------------------------------------------------------------------
-# Attach failures: nothing leaks, and the host survives them
+# Failure modes: crashes are named, close always reaps
 # --------------------------------------------------------------------------
+
+#: The remote media the crash tests run on (the ids name the medium).
+MEDIA = ["fork"]
 
 
 @contextmanager
-def wrong_proto_listener():
-    """A peer that answers the hello with a foreign protocol version;
-    yields its address."""
-    listener = SocketListener()
-
-    def serve():
-        t = listener.accept()
-        try:
-            t.recv()  # the master's hello
-            t.send(
-                MSG_OK,
-                encode_reply(
-                    "hello", {"proto": SHARD_PROTO + 1, "n_envs": 1}
-                ),
-            )
-            t.recv()  # until the master hangs up
-        except (TransportClosedError, ProtocolError):
-            pass
-        finally:
-            t.close()
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
+def killable_fleet(n: int, stride: int = STRIDE):
+    """An ``n``-env fork fleet; yields ``(venv, procs)``, env ``i``
+    living in ``procs[i]``."""
+    venv = VectorEnv.from_config(
+        tiny_config(), n, backend="fork", tick_stride=stride
+    )
     try:
-        yield listener.address
+        yield venv, [ch._proc for ch in venv._channels]
     finally:
-        thread.join(timeout=10)
-        listener.close()
-
-
-def test_failed_attach_closes_every_opened_shard_socket(monkeypatch):
-    """A hello failing on the second shard closes the first shard's
-    socket and its own — the master leaks no descriptor."""
-    opened = []
-    real_connect = SocketTransport.connect.__func__
-
-    def spy_connect(cls, *args, **kwargs):
-        transport = real_connect(cls, *args, **kwargs)
-        opened.append(transport)
-        return transport
-
-    monkeypatch.setattr(SocketTransport, "connect", classmethod(spy_connect))
-    with running_shards(plain_builder, [1]) as good:
-        with wrong_proto_listener() as bad:
-            with pytest.raises(ProtocolError, match="proto"):
-                VectorEnv(
-                    None,
-                    backend="shards",
-                    shards=[good[0], bad],
-                    base_seed=SEED,
-                    tick_stride=STRIDE,
-                )
-    assert len(opened) == 2
-    assert [t._sock.fileno() for t in opened] == [-1, -1]
-
-
-def test_env_builder_failure_is_replied_and_host_keeps_serving():
-    """A builder that raises at attach is replied as an error frame
-    carrying the exception (which the master re-raises verbatim), and
-    the host goes on accepting masters."""
-    calls = []
-
-    def flaky_builder(seed):
-        calls.append(seed)
-        if len(calls) == 2:  # the first session's second env
-            raise LookupError("no disk image for this seed")
-        return plain_builder(seed)
-
-    host = ShardHost(flaky_builder, 2)
-    thread = threading.Thread(target=host.serve_forever, daemon=True)
-    thread.start()
-    try:
-        t = SocketTransport.connect(host.address, timeout=5.0)
-        t._sock.settimeout(30)  # a dead host fails the test, not hangs it
-        try:
-            t.send(MSG_CMD, encode_command("hello", 0, {"proto": SHARD_PROTO}))
-            assert t.recv()[0] == MSG_OK
-            t.send(MSG_CMD, encode_command("attach", 0, {"seeds": [1, 2]}))
-            msg_type, payload = t.recv()
-        finally:
-            t.close()
-        assert msg_type == MSG_ERR
-        _env, _text, exc = decode_error(payload)
-        assert isinstance(exc, LookupError)
-        venv = VectorEnv(
-            None, backend="shards", shards=[host.address],
-            base_seed=SEED, tick_stride=STRIDE,
-        )
-        try:
-            assert venv.reset().shape == (2, venv.obs_dim)
-        finally:
-            venv.close()
-    finally:
-        host.close()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert len(calls) == 4
-
-
-# --------------------------------------------------------------------------
-# Failure modes: crashes are named, close always reaps — on both media
-# --------------------------------------------------------------------------
-
-MEDIA = ["fork", "shards"]
-
-
-def _serve_one_shard(conn) -> None:
-    """Forked child main: host one env, report the address, serve one
-    master."""
-    host = ShardHost(plain_builder, 1)
-    conn.send(host.address)
-    conn.close()
-    host.serve_forever(once=True)
-
-
-@contextmanager
-def killable_fleet(medium: str, n: int, stride: int = STRIDE):
-    """An ``n``-env fleet whose env ``i`` lives in ``procs[i]``: forked
-    workers, or one single-env shard host per env in a forked process
-    (a thread cannot be killed).  Yields ``(venv, procs, shards)``,
-    ``shards[i]`` being env ``i``'s address (``None`` on fork)."""
-    if medium == "fork":
-        venv = VectorEnv.from_config(
-            tiny_config(), n, backend="fork", tick_stride=stride
-        )
-        try:
-            yield venv, [ch._proc for ch in venv._channels], [None] * n
-        finally:
-            venv.close()
-        return
-    context = multiprocessing.get_context("fork")
-    procs, addrs = [], []
-    try:
-        for _ in range(n):
-            parent, child = context.Pipe()
-            proc = context.Process(
-                target=_serve_one_shard, args=(child,), daemon=True
-            )
-            proc.start()
-            procs.append(proc)
-            child.close()
-            with parent:
-                addrs.append(parent.recv())
-        venv = VectorEnv.from_config(
-            tiny_config(), n, backend="shards", shards=addrs,
-            tick_stride=stride,
-        )
-        try:
-            yield venv, procs, addrs
-        finally:
-            venv.close()
-    finally:
-        for proc in procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - hung host
-                proc.kill()
-                proc.join()
+        venv.close()
 
 
 @pytest.mark.parametrize("medium", MEDIA)
 def test_worker_killed_mid_run_chunk_is_a_named_crash(medium):
     """Regression: a worker dying mid-chunk used to surface as a bare
     ``EOFError`` from the pipe (or hang).  It must be a
-    :class:`WorkerCrashError` naming the env, the command and the
-    shard, promptly, and ``close()`` must still reap every process."""
-    with killable_fleet(medium, 2, stride=1024) as (venv, procs, shards):
+    :class:`WorkerCrashError` naming the env and the command, promptly,
+    and ``close()`` must still reap every process."""
+    with killable_fleet(2, stride=1024) as (venv, procs):
         venv.reset()
         killer = threading.Timer(
             0.4, os.kill, args=(procs[0].pid, signal.SIGKILL)
@@ -435,7 +205,6 @@ def test_worker_killed_mid_run_chunk_is_a_named_crash(medium):
             killer.cancel()
         assert time.monotonic() - start < 30, "crash surfaced, but late"
         assert excinfo.value.env_index == 0
-        assert excinfo.value.shard == shards[0]
         assert "run_chunk" in str(excinfo.value)
         venv.close()
         venv.close()  # idempotent
@@ -446,7 +215,7 @@ def test_worker_killed_mid_run_chunk_is_a_named_crash(medium):
 
 @pytest.mark.parametrize("medium", MEDIA)
 def test_dead_worker_surfaces_as_named_crash_at_the_next_step(medium):
-    with killable_fleet(medium, 2) as (venv, procs, shards):
+    with killable_fleet(2) as (venv, procs):
         venv.reset()
         os.kill(procs[1].pid, signal.SIGKILL)
         procs[1].join(timeout=10)
@@ -455,7 +224,6 @@ def test_dead_worker_surfaces_as_named_crash_at_the_next_step(medium):
                 venv.step([0, 0])
                 time.sleep(0.05)
         assert excinfo.value.env_index == 1
-        assert excinfo.value.shard == shards[1]
         venv.close()
         venv.close()
         procs[0].join(timeout=10)
@@ -464,132 +232,84 @@ def test_dead_worker_surfaces_as_named_crash_at_the_next_step(medium):
 
 @pytest.mark.parametrize("medium", MEDIA)
 def test_lost_link_names_the_env_and_shard(medium):
-    with killable_fleet(medium, 2) as (venv, _procs, shards):
+    """A dropped link names the env it served."""
+    with killable_fleet(2) as (venv, _procs):
         venv.reset()
         venv._channels[1].close()  # the link to env 1 drops
         with pytest.raises(WorkerCrashError) as excinfo:
             venv.step([0, 0])
         assert excinfo.value.env_index == 1
-        assert excinfo.value.shard == shards[1]
         venv.close()
         venv.close()
 
 
 def test_shard_env_error_crosses_verbatim_and_shard_survives():
-    """One bad call is one exception, not a dead shard: the original
-    exception type crosses back and the session keeps serving."""
-    with running_shards(plain_builder, [2]) as addrs:
-        venv = VectorEnv.from_config(
-            tiny_config(), 2, backend="shards", shards=addrs,
-            tick_stride=STRIDE,
-        )
-        try:
-            venv.reset()
-            with pytest.raises(AttributeError):
-                venv.env_method(0, "definitely_not_a_method")
-            obs, rew, _infos = venv.step([0, 1])  # still alive
-            assert obs.shape == (2, venv.obs_dim)
-        finally:
-            venv.close()
+    """One bad call is one exception, not a dead worker: the original
+    exception type crosses back and the worker keeps serving."""
+    with killable_fleet(2) as (venv, procs):
+        venv.reset()
+        with pytest.raises(AttributeError):
+            venv.env_method(0, "definitely_not_a_method")
+        obs, _rew, _infos = venv.step([0, 1])  # still alive
+        assert obs.shape == (2, venv.obs_dim)
+        assert all(p.is_alive() for p in procs)
 
 
 # --------------------------------------------------------------------------
-# Snapshots: sharded sessions resume on any backend, any layout
+# Old artifacts: sessions of the retired shards backend
 # --------------------------------------------------------------------------
+
+
+def as_sharded(env_meta: dict, sizes) -> dict:
+    """``env_meta`` as a shards-backend fleet of shard ``sizes`` wrote
+    it: the backend name and the layout key the snapshot carried."""
+    return {
+        **env_meta,
+        "backend": "shards",
+        "shards": {
+            "addresses": [f"127.0.0.1:{9401 + s}" for s in range(len(sizes))],
+            "sizes": list(sizes),
+            "acks": [{"n_envs": k, "open": k} for k in sizes],
+        },
+    }
 
 
 def test_sharded_snapshot_restores_across_backends_and_layouts():
-    """An op-log snapshot taken on a 2x2 sharded fleet restores onto a
-    4-env fork fleet, a serial fleet and a 1x4 shard layout — and all
-    of them continue byte-identically."""
+    """An op-log snapshot a 2x2 sharded fleet wrote restores onto a
+    4-env fork fleet and a serial fleet, and both continue
+    byte-identically."""
     cont_actions = [1, 2, 0, 1]
-    with running_shards(plain_builder, [2, 2]) as addrs:
-        venv = VectorEnv.from_config(
-            tiny_config(), 4, backend="shards", shards=addrs,
-            tick_stride=STRIDE,
-        )
-        try:
-            venv.reset()
-            venv.collect(6, chunk=3)
-            venv.step([0, 1, 2, 3])
-            snap = venv.snapshot()
-            obs, rew, _ = venv.step(cont_actions)
-            want_obs, want_rew = obs.copy(), rew.copy()
-            want_tops = venv.spans.tops()
-        finally:
-            venv.close()
-
-    shards_meta = snap["meta"]["shards"]
-    assert shards_meta["addresses"] == addrs
-    assert shards_meta["sizes"] == [2, 2]
-    assert [a["n_envs"] for a in shards_meta["acks"]] == [2, 2]
-
-    def continues_identically(restored):
-        try:
-            restored.restore(snap)
-            obs, rew, _ = restored.step(cont_actions)
-            assert np.array_equal(obs, want_obs)
-            assert np.array_equal(rew, want_rew)
-            assert restored.spans.tops() == want_tops
-        finally:
-            restored.close()
-
-    continues_identically(
-        VectorEnv.from_config(
-            tiny_config(), 4, backend="fork", tick_stride=STRIDE
-        )
-    )
-    continues_identically(
-        VectorEnv.from_config(
-            tiny_config(), 4, backend="serial", tick_stride=STRIDE
-        )
-    )
-    with running_shards(plain_builder, [4]) as addrs2:
-        continues_identically(
-            VectorEnv.from_config(
-                tiny_config(), 4, backend="shards", shards=addrs2,
-                tick_stride=STRIDE,
-            )
-        )
-
-
-def test_fork_snapshot_restores_onto_shards():
-    """The reverse direction: a local fork session migrates onto
-    remote shards mid-run."""
     venv = VectorEnv.from_config(
-        tiny_config(), 2, backend="fork", tick_stride=STRIDE
+        tiny_config(), 4, backend="fork", tick_stride=STRIDE
     )
     try:
         venv.reset()
-        venv.collect(5)
+        venv.collect(6, chunk=3)
+        venv.step([0, 1, 2, 3])
         snap = venv.snapshot()
-        obs, rew, _ = venv.step([1, 0])
+        obs, rew, _ = venv.step(cont_actions)
         want_obs, want_rew = obs.copy(), rew.copy()
+        want_tops = venv.spans.tops()
     finally:
         venv.close()
-    with running_shards(plain_builder, [1, 1]) as addrs:
+    snap = {"meta": as_sharded(snap["meta"], [2, 2]), "arrays": {}}
+
+    for backend in ("fork", "serial"):
         restored = VectorEnv.from_config(
-            tiny_config(), 2, backend="shards", shards=addrs,
-            tick_stride=STRIDE,
+            tiny_config(), 4, backend=backend, tick_stride=STRIDE
         )
         try:
             restored.restore(snap)
-            obs, rew, _ = restored.step([1, 0])
-            assert np.array_equal(obs, want_obs)
-            assert np.array_equal(rew, want_rew)
+            obs, rew, _ = restored.step(cont_actions)
+            assert np.array_equal(obs, want_obs), backend
+            assert np.array_equal(rew, want_rew), backend
+            assert restored.spans.tops() == want_tops, backend
         finally:
             restored.close()
 
 
-# --------------------------------------------------------------------------
-# The CLI process path: real `repro shard-host` subprocesses
-# --------------------------------------------------------------------------
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: The shard hosts' conf: the same tiny cluster as :func:`tiny_config`.
+#: A conf with the same tiny cluster as :func:`tiny_config`.
 CONF_TEXT = '''\
-"""Shard-host conf for the CLI end-to-end test."""
 from repro.workloads import RandomReadWrite
 
 N_SERVERS = 2
@@ -606,98 +326,40 @@ def WORKLOAD(cluster, seed):
 '''
 
 
-def _subprocess_env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+def _digest_line(out: str) -> str:
+    for line in out.splitlines():
+        if line.startswith("rollout digest:"):
+            return line.split(":", 1)[1].strip()
+    raise AssertionError(f"no digest line in: {out}")
+
+
+def test_cli_resumes_a_sharded_session_on_fork(tmp_path, capsys):
+    """``repro resume`` on a shards-backend session snapshot says it
+    resumes on fork, then prints the uninterrupted fork run's digest."""
+    from repro.cli import main
+
+    conf = tmp_path / "conf.py"
+    conf.write_text(CONF_TEXT)
+    snaps = tmp_path / "snaps"
+    assert main([
+        "collect", "--config", str(conf), "--ticks", "20", "--chunk", "5",
+        "--n-envs", "2", "--vector-backend", "fork",
+        "--snapshot-every", "10", "--snapshot-dir", str(snaps),
+    ]) == 0
+    fork_digest = _digest_line(capsys.readouterr().out)
+
+    snap = SessionSnapshot.load(snaps / "snapshot-00000010.npz")
+    session = snap.section("session")
+    session.update(
+        backend="shards",
+        vector_backend="shards",
+        shards=["127.0.0.1:9401", "127.0.0.1:9402"],
     )
-    return env
+    snap.section("env").update(as_sharded(snap.section("env"), [1, 1]))
+    old = snap.save(tmp_path / "sharded.npz")
 
-
-def spawn_host(conf_path, n_envs: int):
-    """One real ``repro shard-host --once`` process; returns
-    ``(proc, address)`` once the ephemeral port is known."""
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "shard-host",
-            "--config",
-            str(conf_path),
-            "--n-envs",
-            str(n_envs),
-            "--bind",
-            "127.0.0.1:0",
-            "--once",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=_subprocess_env(),
-        cwd=REPO_ROOT,
-    )
-    # The launch contract: the first stdout line names the bound
-    # address ("shard-host listening on HOST:PORT (K env(s))").
-    line = proc.stdout.readline()
-    if "listening on" not in line:
-        proc.kill()
-        raise RuntimeError(f"shard-host failed to start: {line!r}")
-    return proc, line.split("listening on ", 1)[1].split()[0]
-
-
-def _reap(procs, timeout: float = 30.0):
-    for proc in procs:
-        try:
-            assert proc.wait(timeout=timeout) == 0, proc.stdout.read()
-        finally:
-            if proc.poll() is None:  # pragma: no cover - hung host
-                proc.kill()
-                proc.wait()
-            proc.stdout.close()
-
-
-def test_cli_collect_attaches_to_shards_e2e(tmp_path):
-    """The full CLI loop: spawn `repro shard-host` twice, fan both into
-    one `repro collect --shard ... --shard ...` session."""
-    conf_path = tmp_path / "conf.py"
-    conf_path.write_text(CONF_TEXT)
-    procs, addrs = [], []
-    try:
-        for _ in range(2):
-            proc, addr = spawn_host(conf_path, 1)
-            procs.append(proc)
-            addrs.append(addr)
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "collect",
-                "--config",
-                str(conf_path),
-                "--ticks",
-                "24",
-                "--chunk",
-                "12",
-                "--n-envs",
-                "2",
-                "--shard",
-                addrs[0],
-                "--shard",
-                addrs[1],
-            ],
-            capture_output=True,
-            text=True,
-            env=_subprocess_env(),
-            cwd=REPO_ROOT,
-            timeout=300,
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-        _reap(procs)
-        procs = []
-    finally:
-        for proc in procs:  # pragma: no cover - failure cleanup
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
+    assert main(["resume", str(old), "--config", str(conf)]) == 0
+    out = capsys.readouterr().out
+    assert "resuming it on fork" in out
+    assert "(fork backend, 2 cluster(s))" in out
+    assert _digest_line(out) == fork_digest

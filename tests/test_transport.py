@@ -1,9 +1,9 @@
 """The transport layer under a microscope (framing, media, codecs).
 
-The distribution stack's load-bearing property is that **all three
-byte media behave identically**: a forked worker over a pipe, a remote
-shard over TCP and an in-process loopback pair must frame, reassemble,
-reject and close exactly the same way, because they share one
+The collection stack's load-bearing property is that **both byte
+media behave identically**: a forked worker over a pipe and an
+in-process loopback pair must frame, reassemble, reject and close
+exactly the same way, because they share one
 :class:`~repro.transport.base.StreamTransport` /
 :class:`~repro.transport.framing.FrameDecoder` implementation.  The
 hypothesis properties here feed *arbitrary byte splits* — half a
@@ -29,8 +29,6 @@ from repro.transport import (
     LoopbackTransport,
     PipeTransport,
     ProtocolError,
-    SocketListener,
-    SocketTransport,
     TransportClosedError,
     decode_command,
     decode_error,
@@ -42,14 +40,13 @@ from repro.transport import (
     encode_reply,
     encode_sections,
     loopback_pair,
-    parse_address,
     pipe_pair,
 )
 from repro.transport.framing import PREFIX
 
 SETTINGS = dict(max_examples=25, deadline=None, derandomize=True)
 
-TRANSPORTS = ["loopback", "pipe", "socket"]
+TRANSPORTS = ["loopback", "pipe"]
 
 
 def make_pair(kind: str, max_payload: int = MAX_PAYLOAD):
@@ -60,13 +57,6 @@ def make_pair(kind: str, max_payload: int = MAX_PAYLOAD):
         a, b = pipe_pair()
         a._decoder.max_payload = max_payload
         b._decoder.max_payload = max_payload
-        return a, b
-    if kind == "socket":
-        with SocketListener(max_payload=max_payload) as listener:
-            a = SocketTransport.connect(
-                listener.address, timeout=5.0, max_payload=max_payload
-            )
-            b = listener.accept()
         return a, b
     raise AssertionError(kind)
 
@@ -209,23 +199,6 @@ def test_close_releases_the_medium_after_the_peer_went_away(kind, how):
     assert released == [True]  # exactly once, even after the peer left
 
 
-def test_listener_close_unblocks_accept_contract():
-    listener = SocketListener()
-    listener.close()
-    listener.close()  # idempotent
-    with pytest.raises(TransportClosedError):
-        listener.accept()
-
-
-def test_parse_address():
-    assert parse_address("10.0.0.7:9400") == ("10.0.0.7", 9400)
-    assert parse_address("localhost:0") == ("localhost", 0)
-    with pytest.raises(ValueError):
-        parse_address("no-port-here")
-    with pytest.raises(ValueError):
-        parse_address("host:not-a-port")
-
-
 # --------------------------------------------------------------------------
 # Section codec: raw buffers, not pickles
 # --------------------------------------------------------------------------
@@ -296,8 +269,8 @@ def test_command_round_trips_strip_master_only_pieces():
     )
     assert decode_command(encode_command("close", 5)) == ("close", 5, None)
     assert decode_command(
-        encode_command("attach", 0, {"seeds": [11, 22]})
-    ) == ("attach", 0, {"seeds": [11, 22]})
+        encode_command("commit", 0, {"note": [11, 22]})
+    ) == ("commit", 0, {"note": [11, 22]})
 
 
 def test_call_command_json_fast_path_and_pickle_fallback():

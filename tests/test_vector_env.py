@@ -2,11 +2,10 @@
 
 The determinism contract: per-env trajectories from ``VectorEnv(n)``
 are byte-identical to n serial single-environment runs built with the
-same :func:`vector_seeds`-derived seeds (every placement — serial,
-fork, any shard layout — is pinned to one digest in
-``test_shard_collect.py``).  Fan-in lands every
-cluster's replay records in one shared DB, block-strided so Algorithm 1
-windows never cross clusters.
+same :func:`vector_seeds`-derived seeds (serial and fork placements
+are pinned to one digest in ``test_shard_collect.py``).  Fan-in lands
+every cluster's replay records in one shared DB, block-strided so
+Algorithm 1 windows never cross clusters.
 """
 
 from dataclasses import replace
@@ -326,6 +325,22 @@ class TestWorkerCrash:
             assert "worker traceback" in str(excinfo.value)
             # The pipe survived: the worker still answers.
             assert venv.env_method(1, "current_observation").shape == (4,)
+        finally:
+            venv.close()
+
+    def test_dropping_one_link_is_eof_for_that_worker_only(self):
+        """Regression: every forked worker held the master ends of the
+        pipes forked before it, so the master closing only the first
+        worker's link left that worker blocked, never seeing EOF."""
+        venv = VectorEnv(
+            [_CrashEnv] * 3, backend="fork", shared_db_path=None
+        )
+        procs = [ch._proc for ch in venv._channels]
+        try:
+            venv._channels[0].transport.close()
+            procs[0].join(timeout=3)
+            assert not procs[0].is_alive(), "worker 0 never saw EOF"
+            assert all(p.is_alive() for p in procs[1:])
         finally:
             venv.close()
 
