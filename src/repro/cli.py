@@ -59,9 +59,10 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.capes import CAPES
-from repro.core.config import load_config
+from repro.core.config import ConfigError, load_config
 from repro.exp import ExperimentRunner, ExperimentSpec, RunBudget, grid, tuner_names
 from repro.stats import analyze
+from repro.train import TrainerConfig, train_collect
 
 #: ThroughputObjective unit is 100 MB/s.
 MBPS_PER_UNIT = 100.0
@@ -160,6 +161,15 @@ def cmd_collect(args: argparse.Namespace) -> int:
     from repro.replaydb import CACHE_ONLY
 
     config = load_config(args.config)
+    trainer_config = None
+    if args.train:
+        try:
+            trainer_config = TrainerConfig(
+                train_ratio=float(_steps_per_tick(args, config))
+            )
+        except ValueError as exc:
+            print(f"--train-ratio: {exc}", file=sys.stderr)
+            return 2
     venv = VectorEnv.from_config(
         config.env,
         args.n_envs,
@@ -171,13 +181,11 @@ def cmd_collect(args: argparse.Namespace) -> int:
     try:
         stats = None
         agent = None
-        trainer_config = None
         sampler_seed = None
         if args.train:
             # §3.3 monitoring + the continuously running DRL engine:
             # collect in chunks while training against the fan-in DB.
             from repro.rl import DQNAgent
-            from repro.train import TrainerConfig
             from repro.util.rng import derive_rng, ensure_rng
 
             root = ensure_rng(config.seed)
@@ -187,19 +195,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
                 hp=venv.hp,
                 loss=config.loss,
                 rng=derive_rng(root, "agent"),
-            )
-            ratio = (
-                args.train_ratio
-                if args.train_ratio is not None
-                else config.train_ratio
-            )
-            trainer_config = TrainerConfig(
-                backend="serial",  # no tick loop to train inside
-                train_ratio=(
-                    float(ratio)
-                    if ratio is not None
-                    else float(config.train_steps_per_tick)
-                ),
             )
             sampler_seed = int(derive_rng(root, "sampler").integers(2**31))
         if args.snapshot_dir:
@@ -220,8 +215,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
             )
             rewards, stats = outcome.rewards, outcome.trainer_stats
         elif args.train:
-            from repro.train import train_collect
-
             rewards, stats = train_collect(
                 venv,
                 agent,
@@ -248,9 +241,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
                 else "replay too sparse, no minibatch completed"
             )
             print(
-                f"trained {stats.steps_attempted} SGD steps "
-                f"({stats.backend} backend, "
-                f"{stats.broadcasts_applied} weight broadcasts); "
+                f"trained {stats.steps_attempted} SGD steps; "
                 f"prediction error: {summary}"
             )
             if args.checkpoint:
@@ -282,6 +273,14 @@ def cmd_collect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _steps_per_tick(args: argparse.Namespace, config):
+    """SGD steps per tick: ``--train-ratio`` over the conf's
+    TRAIN_STEPS_PER_TICK."""
+    if args.train_ratio is not None:
+        return args.train_ratio
+    return config.train_steps_per_tick
+
+
 def _session_extra(args: argparse.Namespace, trainer_config) -> dict:
     """What ``repro resume`` needs to rebuild this session's objects.
 
@@ -297,10 +296,7 @@ def _session_extra(args: argparse.Namespace, trainer_config) -> dict:
         "trainer": None,
     }
     if trainer_config is not None:
-        extra["trainer"] = {
-            "backend": trainer_config.backend,
-            "train_ratio": float(trainer_config.train_ratio),
-        }
+        extra["trainer"] = {"train_ratio": float(trainer_config.train_ratio)}
     return extra
 
 
@@ -356,7 +352,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
         trainer_config = None
         if session["has_trainer"]:
             from repro.rl import DQNAgent
-            from repro.train import TrainerConfig
             from repro.util.rng import derive_rng, ensure_rng
 
             root = ensure_rng(config.seed)
@@ -369,7 +364,10 @@ def cmd_resume(args: argparse.Namespace) -> int:
             )
             knobs = session["trainer"]
             try:
-                trainer_config = TrainerConfig(knobs["backend"], knobs["train_ratio"])
+                # Older snapshots still name a trainer backend.
+                trainer_config = TrainerConfig(
+                    knobs.get("backend", "serial"), knobs["train_ratio"]
+                )
             except ValueError as exc:
                 print(f"cannot resume {args.snapshot}: {exc}", file=sys.stderr)
                 return 2
@@ -400,10 +398,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
             )
         if outcome.trainer_stats is not None:
             stats = outcome.trainer_stats
-            print(
-                f"trained {stats.steps_attempted} SGD steps total "
-                f"({stats.backend} backend, epoch {stats.epoch})"
-            )
+            print(f"trained {stats.steps_attempted} SGD steps total")
         print(f"rollout digest: {outcome.digest.hexdigest}")
         if outcome.snapshots:
             print(
@@ -604,13 +599,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(f"no such snapshot: {resume_path}", file=sys.stderr)
             return 2
     config = load_config(args.config)
-    # Flag > conf > default, the collect conventions: the conf may name
-    # the inline backend (the session default); the daemon has no
-    # session tick loop to train inside, so that resolves to serial.
-    backend = args.trainer_backend or config.trainer_backend
-    if backend == "inline":
-        backend = "serial"
-    if backend == "none":
+    if args.trainer_backend == "none":
         for flag in ("train_ratio", "sync_every"):
             if getattr(args, flag) is not None:
                 print(
@@ -619,11 +608,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-    ratio = (
-        args.train_ratio
-        if args.train_ratio is not None
-        else config.train_ratio
-    )
     from repro.replaydb import CACHE_ONLY
     from repro.serve import CapesServer, ServeConfig, run_server
 
@@ -639,12 +623,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             read_timeout=args.read_timeout,
             tick_stride=args.tick_stride,
             db_path=args.out if args.out else CACHE_ONLY,
-            trainer_backend=backend,
-            train_ratio=(
-                float(ratio)
-                if ratio is not None
-                else float(config.train_steps_per_tick)
-            ),
+            trainer_backend=args.trainer_backend,
+            train_ratio=float(_steps_per_tick(args, config)),
             sync_every=(
                 args.sync_every
                 if args.sync_every is not None
@@ -696,10 +676,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"{snap.resyncs} resync(s)"
     )
     if snap.trainer:
-        print(
-            f"trained {snap.trainer['steps_attempted']} SGD steps "
-            f"({snap.trainer['backend']} backend)"
-        )
+        print(f"trained {snap.trainer['steps_attempted']} SGD steps")
     return 0
 
 
@@ -729,20 +706,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # also runs any register_env() calls the conf makes, so the --env
     # check below must come after it.
     cfg = load_config(args.config)
-    # Trainer cadence: flag > conf > default, knob by knob.
-    trainer_backend = args.trainer_backend or cfg.trainer_backend
-    train_ratio = (
-        args.train_ratio if args.train_ratio is not None else cfg.train_ratio
-    )
-    if (
-        trainer_backend != "inline" or train_ratio is not None
-    ) and set(tuners) != {"capes"}:
+    if args.train_ratio is not None and set(tuners) != {"capes"}:
         print(
-            "--trainer-backend/--train-ratio (or the conf's "
-            "TRAINER_BACKEND/TRAIN_RATIO) configure the DQN training "
-            "cadence; they apply to the 'capes' tuner only",
+            "--train-ratio sets the DQN's SGD steps per tick; it applies "
+            "to the 'capes' tuner only",
             file=sys.stderr,
         )
+        return 2
+    steps = _steps_per_tick(args, cfg)
+    try:
+        TrainerConfig(train_ratio=float(steps))  # fail before any work
+        budget = RunBudget(
+            train_ticks=args.train_ticks,
+            eval_ticks=args.eval_ticks,
+            epoch_ticks=args.epoch_ticks,
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
         return 2
     from repro.env import env_names
     from repro.scenarios import has_scenario
@@ -817,13 +797,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         env=args.env,
         n_envs=args.n_envs,
         vector_backend=args.vector_backend,
-        trainer_backend=trainer_backend,
-        train_ratio=train_ratio,
-        budget=RunBudget(
-            train_ticks=args.train_ticks,
-            eval_ticks=args.eval_ticks,
-            epoch_ticks=args.epoch_ticks,
-        ),
+        budget=budget,
     )
     specs = grid(
         base,
@@ -831,7 +805,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seeds=seeds,
         tuner_kwargs={
             "capes": {
-                "train_steps_per_tick": cfg.train_steps_per_tick,
+                "train_steps_per_tick": steps,
                 "loss": cfg.loss,
             }
         },
@@ -1038,8 +1012,7 @@ def make_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="with --train: SGD steps per collected action tick "
-        "(fractions accumulate; default: the conf's TRAIN_RATIO, "
-        "else TRAIN_STEPS_PER_TICK)",
+        "(fractions accumulate; default: the conf's TRAIN_STEPS_PER_TICK)",
     )
     p.add_argument(
         "--checkpoint",
@@ -1153,17 +1126,17 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trainer-backend",
         choices=("none", "serial"),
-        default=None,
+        default="serial",
         help="continuous training against the landed telemetry: burst "
-        "on the serving loop (serial) or serve a frozen policy (none).  Default: the "
-        "conf's TRAINER_BACKEND (inline resolves to serial here)",
+        "on the serving loop (serial, the default) or serve a frozen "
+        "policy (none)",
     )
     p.add_argument(
         "--train-ratio",
         type=float,
         default=None,
         help="SGD steps per decision tick (fractions accumulate; "
-        "default: the conf's TRAIN_RATIO, else TRAIN_STEPS_PER_TICK)",
+        "default: the conf's TRAIN_STEPS_PER_TICK)",
     )
     p.add_argument(
         "--sync-every",
@@ -1308,19 +1281,11 @@ def make_parser() -> argparse.ArgumentParser:
         "struct-of-arrays fleet advanced by numpy array ops)",
     )
     p.add_argument(
-        "--trainer-backend",
-        choices=("inline", "serial"),
-        default=None,
-        help="DQN training cadence (repro.train): inline = historical "
-        "train-in-the-tick-loop, serial = interleaved bursts (capes tuner only; "
-        "default: the conf's TRAINER_BACKEND)",
-    )
-    p.add_argument(
         "--train-ratio",
         type=float,
         default=None,
-        help="SGD steps per collected action tick (may be fractional; "
-        "default: the conf's TRAIN_RATIO, else TRAIN_STEPS_PER_TICK)",
+        help="SGD steps per action tick (may be fractional; capes tuner "
+        "only; default: the conf's TRAIN_STEPS_PER_TICK)",
     )
     p.add_argument(
         "--train-ticks", type=int, default=600, help="training ticks per run"
@@ -1374,7 +1339,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,14 +13,15 @@ plus checkpoint save/load for multi-session operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from repro.core.session import CapesSession, EvalResult, TrainResult
 from repro.env.tuning_env import EnvConfig, StorageTuningEnv
+from repro.train.loop import TrainerConfig
 
 
 def hours(h: float, tick_length: float = 1.0) -> int:
@@ -35,18 +36,19 @@ def hours(h: float, tick_length: float = 1.0) -> int:
 class CapesConfig:
     """Facade configuration: the environment plus session knobs.
 
-    ``trainer_backend`` / ``train_ratio`` select and
-    tune the decoupled trainer (:mod:`repro.train`); the ``inline``
-    default reproduces the historical train-in-the-tick-loop sessions
-    byte-identically.
+    ``train_steps_per_tick`` is SGD steps per action tick (Table 1; a
+    float >= 0, fractions accumulate).
     """
 
     env: EnvConfig
     seed: int = 0
-    train_steps_per_tick: int = 1
+    train_steps_per_tick: float = 1
     loss: str = "mse"
-    trainer_backend: str = "inline"
-    train_ratio: Optional[float] = None
+    # Checked, never read; leaves once the benchmark stops setting it.
+    trainer_backend: str = "serial"
+
+    def __post_init__(self) -> None:
+        TrainerConfig(self.trainer_backend, float(self.train_steps_per_tick))
 
 
 class CAPES:
@@ -60,8 +62,6 @@ class CAPES:
             seed=config.seed,
             train_steps_per_tick=config.train_steps_per_tick,
             loss=config.loss,
-            trainer_backend=config.trainer_backend,
-            train_ratio=config.train_ratio,
         )
 
     # -- the four workflow verbs -----------------------------------------

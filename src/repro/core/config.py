@@ -35,7 +35,6 @@ from repro.cluster.cluster import ClusterConfig
 from repro.core.capes import CapesConfig
 from repro.env.tuning_env import EnvConfig
 from repro.rl.hyperparams import Hyperparameters
-from repro.train.loop import BACKENDS
 
 #: Recognised configuration names, their defaults, and where they land.
 DEFAULTS: Dict[str, Any] = {
@@ -62,12 +61,15 @@ DEFAULTS: Dict[str, Any] = {
     "SEED": 0,
     "INCLUDE_SERVER_PIS": False,
     "INCLUDE_TIME_FEATURES": False,
-    # session
+    # session (SGD steps per action tick may be fractional)
     "TRAIN_STEPS_PER_TICK": 1,
     "LOSS": "mse",
-    # decoupled trainer (repro.train): inline | serial
-    "TRAINER_BACKEND": "inline",
-    "TRAIN_RATIO": None,
+}
+
+#: Names older confs may still set, each with what to do instead.
+RETIRED = {
+    "TRAINER_BACKEND": "delete it (there is one trainer)",
+    "TRAIN_RATIO": "rename it TRAIN_STEPS_PER_TICK",
 }
 
 _HP_KEYS = {
@@ -100,6 +102,13 @@ def load_config(path: Union[str, Path]) -> CapesConfig:
             f"{path} must define a callable WORKLOAD(cluster, seed)"
         )
 
+    retired = [k for k in RETIRED if k in namespace]
+    if retired:
+        raise ConfigError(
+            f"{path}: "
+            + "; ".join(f"{k} is retired, {RETIRED[k]}" for k in retired)
+        )
+
     # Reject unknown ALL_CAPS names: silent typos in tuning configs are
     # exactly the kind of operational error the artifact's conf.py
     # comments warn about.
@@ -116,8 +125,6 @@ def load_config(path: Union[str, Path]) -> CapesConfig:
         )
 
     values = {k: namespace.get(k, v) for k, v in DEFAULTS.items()}
-    if values["TRAINER_BACKEND"] not in BACKENDS:
-        raise ConfigError(f"{path}: TRAINER_BACKEND must be one of {BACKENDS}")
 
     cluster = ClusterConfig(
         n_servers=int(values["N_SERVERS"]),
@@ -140,15 +147,12 @@ def load_config(path: Union[str, Path]) -> CapesConfig:
         include_server_pis=bool(values["INCLUDE_SERVER_PIS"]),
         include_time_features=bool(values["INCLUDE_TIME_FEATURES"]),
     )
-    return CapesConfig(
-        env=env,
-        seed=int(values["SEED"]),
-        train_steps_per_tick=int(values["TRAIN_STEPS_PER_TICK"]),
-        loss=str(values["LOSS"]),
-        trainer_backend=str(values["TRAINER_BACKEND"]),
-        train_ratio=(
-            None
-            if values["TRAIN_RATIO"] is None
-            else float(values["TRAIN_RATIO"])
-        ),
-    )
+    try:
+        return CapesConfig(
+            env=env,
+            seed=int(values["SEED"]),
+            train_steps_per_tick=values["TRAIN_STEPS_PER_TICK"],
+            loss=str(values["LOSS"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: TRAIN_STEPS_PER_TICK: {exc}") from None

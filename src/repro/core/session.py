@@ -6,10 +6,8 @@ reference is the ``"sim-lustre"`` simulated cluster) and reproduces the
 paper's operational cycle (appendix A.4):
 
 1. ``train(n_ticks)`` — online training: ε-greedy actions every action
-   tick, with SGD delegated to a :class:`~repro.train.loop.TrainerLoop`
-   (``trainer_backend="inline"`` keeps the historical
-   one-burst-per-tick cadence byte-identically; ``"serial"``
-   interleaves bursts);
+   tick, with ``train_steps_per_tick`` SGD steps per tick delegated to
+   a :class:`~repro.train.loop.TrainerLoop` bursting once per tick;
 2. ``evaluate(n_ticks)`` — measurement: greedy policy, no training;
 3. ``save()`` / ``load()`` — "CAPES automatically checkpoints and
    stores the trained model when being stopped, and loads the saved
@@ -74,25 +72,13 @@ class CapesSession:
         self,
         env: Environment,
         seed: int = 0,
-        train_steps_per_tick: int = 1,
+        train_steps_per_tick: float = 1,
         loss: str = "mse",
-        trainer_backend: str = "inline",
-        train_ratio: Optional[float] = None,
     ):
-        check_positive("train_steps_per_tick", train_steps_per_tick)
         self.env = env
-        self.train_steps_per_tick = int(train_steps_per_tick)
-        #: SGD steps granted per action tick; defaults to the session's
-        #: ``train_steps_per_tick`` (the historical knob), but may be
-        #: fractional for decoupled backends.
-        self.train_ratio = (
-            float(train_ratio)
-            if train_ratio is not None
-            else float(self.train_steps_per_tick)
-        )
+        #: SGD steps granted per action tick (fractions accumulate).
         self.trainer_config = TrainerConfig(
-            backend=trainer_backend,
-            train_ratio=self.train_ratio,
+            train_ratio=float(train_steps_per_tick)
         )
         root = ensure_rng(seed)
         self.agent = DQNAgent(
@@ -123,8 +109,8 @@ class CapesSession:
     def _ensure_trainer(self) -> TrainerLoop:
         """Build (once) the trainer loop this session delegates SGD to.
 
-        In-process backends share the session's live sampler (rebuilt
-        on environment restarts, hence the callable).
+        It shares the session's live sampler (rebuilt on environment
+        restarts, hence the callable).
         """
         if self.trainer is None:
             self.trainer = TrainerLoop(
@@ -163,11 +149,10 @@ class CapesSession:
     def train(self, n_ticks: int) -> TrainResult:
         """Run ``n_ticks`` of online ε-greedy training.
 
-        Acting stays on this loop; SGD cadence belongs to the trainer
-        backend.  ``inline`` (default) runs its burst inside every tick
-        exactly as the historical session did; ``serial`` interleaves; each
-        ends the call fully drained — the same total step budget spent,
-        the same weights adopted — so segment boundaries line up.
+        Acting stays on this loop; SGD cadence belongs to the trainer,
+        which bursts inside every tick exactly as the historical session
+        did and ends the call fully drained, so segment boundaries line
+        up.
         """
         check_positive("n_ticks", n_ticks)
         self.ensure_started()

@@ -185,13 +185,6 @@ class ExperimentSpec:
     #: VectorEnv backend: "serial", "fork" or "vec" (one
     #: struct-of-arrays fleet, :mod:`repro.sim.vec`).
     vector_backend: str = "serial"
-    #: Decoupled trainer backend (repro.train): "inline" (historical
-    #: train-in-the-tick-loop, byte-identical default), "serial"
-    #: (interleaved bursts).  CAPES tuner only.
-    trainer_backend: str = "inline"
-    #: SGD steps per collected action tick (may be fractional); None
-    #: defers to the tuner's ``train_steps_per_tick``.
-    train_ratio: Optional[float] = None
     workload: WorkloadSpec = field(
         default_factory=lambda: WorkloadSpec(
             "random_rw", {"read_fraction": 0.1, "instances_per_client": 5}
@@ -339,15 +332,6 @@ class ExperimentSpec:
             "scenario": self.scenario or self.workload.name,
             **self.tuner_kwargs,
         }
-        if self.tuner == "capes":
-            kwargs.setdefault("trainer_backend", self.trainer_backend)
-            kwargs.setdefault("train_ratio", self.train_ratio)
-        elif self.trainer_backend != "inline" or self.train_ratio is not None:
-            raise ValueError(
-                f"trainer_backend/train_ratio configure the DQN training "
-                f"cadence; tuner {self.tuner!r} does not train a network "
-                f"(use tuner='capes' or drop the trainer fields)"
-            )
         return make_tuner(self.tuner, **kwargs)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -370,8 +354,6 @@ class ExperimentSpec:
             "env_kwargs": dict(self.env_kwargs),
             "n_envs": self.n_envs,
             "vector_backend": self.vector_backend,
-            "trainer_backend": self.trainer_backend,
-            "train_ratio": self.train_ratio,
             "workload": None if from_conf else self.workload.to_dict(),
             "cluster": None if from_conf else asdict(self.cluster),
             "hp": None if from_conf else asdict(self.hp),

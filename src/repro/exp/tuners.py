@@ -18,7 +18,7 @@ single run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Dict, List, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -147,9 +147,8 @@ class CapesTuner:
     Wraps :class:`~repro.core.session.CapesSession`; session knobs
     (``train_steps_per_tick``, ``loss``) pass through unchanged, so a
     spec-driven run is bit-identical to the hand-rolled drivers it
-    replaced.  The trainer knobs (``trainer_backend``, ``train_ratio``)
-    select the :mod:`repro.train` cadence; the
-    ``inline`` default stays golden-trace identical.
+    replaced.  ``train_steps_per_tick`` is the :mod:`repro.train` step
+    budget: SGD steps per action tick, fractions accumulating.
     """
 
     name = "capes"
@@ -158,28 +157,18 @@ class CapesTuner:
         self,
         seed: int = 0,
         scenario: str = "",
-        train_steps_per_tick: int = 1,
+        train_steps_per_tick: float = 1,
         loss: str = "mse",
         greedy_eval: bool = True,
-        trainer_backend: str = "inline",
-        train_ratio: Optional[float] = None,
     ):
         self.seed = int(seed)
         self.scenario = scenario
-        self.train_steps_per_tick = int(train_steps_per_tick)
+        self.train_steps_per_tick = float(train_steps_per_tick)
         self.loss = loss
         self.greedy_eval = greedy_eval
-        self.trainer_backend = trainer_backend
-        self.train_ratio = train_ratio
-
-    def _trainer_config(self) -> TrainerConfig:
-        return TrainerConfig(
-            backend=self.trainer_backend,
-            train_ratio=(
-                float(self.train_ratio)
-                if self.train_ratio is not None
-                else float(self.train_steps_per_tick)
-            ),
+        # Checked here so a bad budget fails before any run starts.
+        self._trainer_config = TrainerConfig(
+            train_ratio=self.train_steps_per_tick
         )
 
     def run(self, env: Environment, budget: RunBudget) -> RunResult:
@@ -192,8 +181,6 @@ class CapesTuner:
             seed=self.seed,
             train_steps_per_tick=self.train_steps_per_tick,
             loss=self.loss,
-            trainer_backend=self.trainer_backend,
-            train_ratio=self.train_ratio,
         )
         phases: List[PhaseResult] = []
         trained = 0
@@ -255,9 +242,10 @@ class CapesTuner:
             rng=derive_rng(root, "agent"),
         )
         sampler_seed = int(derive_rng(root, "sampler").integers(2**31))
-        trainer_config = self._trainer_config()
         trainer = TrainerLoop(
-            agent, trainer_config, sampler=venv.make_sampler(seed=sampler_seed)
+            agent,
+            self._trainer_config,
+            sampler=venv.make_sampler(seed=sampler_seed),
         )
         act_rngs = per_env_rngs(self.seed, venv.n_envs)
         obs = venv.reset()
@@ -275,7 +263,7 @@ class CapesTuner:
                     obs, _rewards, _infos = venv.step(actions)
                     seg_losses.extend(trainer.notify_ticks(1))
                 # Segment boundary: every granted SGD step lands before
-                # the checkpoint is measured, whichever backend ran it.
+                # the checkpoint is measured.
                 seg_losses.extend(trainer.drain())
                 trained += segment
                 if seg_losses:

@@ -3,7 +3,7 @@
 One asyncio process plays the roles §3 assigns to the control node:
 the Interface Daemon (ingest compressed differential telemetry, fan it
 into the shared replay store), the DRL engine (train continuously via
-the existing :mod:`repro.train` backends), and the action server
+the :mod:`repro.train` trainer loop), and the action server
 (price actions with :meth:`~repro.rl.agent.DQNAgent.act_batch` and
 push versioned :mod:`repro.nn.checkpoint` weight broadcasts back out).
 
@@ -173,10 +173,7 @@ class ServeConfig:
                 f"got {self.trainer_backend!r}"
             )
         if self.trainer_backend != "none":
-            TrainerConfig(
-                backend=self.trainer_backend,
-                train_ratio=self.train_ratio,
-            )
+            TrainerConfig(train_ratio=self.train_ratio)
             check_positive("sync_every", self.sync_every)
 
 
@@ -274,10 +271,7 @@ class CapesServer:
             )
             self._trainer = TrainerLoop(
                 self.agent,
-                TrainerConfig(
-                    backend="serial",
-                    train_ratio=config.train_ratio,
-                ),
+                TrainerConfig(train_ratio=config.train_ratio),
                 sampler=self._sampler,
             )
         # Last weight state broadcast to clients (PR-5 fence identity).
@@ -652,13 +646,10 @@ class CapesServer:
         self._trainer.notify_ticks(k)
         stats = self._trainer.stats
         try:
-            epoch = stats.epoch
             version = stats.steps_attempted // self.config.sync_every
-            if (epoch, version) <= (self._weight_epoch, self._weight_version):
+            if version <= self._weight_version:
                 return
-            self._weight_epoch, self._weight_version = epoch, version
-            stats.weights_version = version
-            stats.broadcasts_applied += 1
+            self._weight_version = version
             message = self._checkpoint_message()
             high_water = self.config.broadcast_high_water
             for cluster in self._clusters.values():
@@ -683,7 +674,9 @@ class CapesServer:
                 except (ConnectionError, RuntimeError):
                     pass
             self.stats.checkpoints_broadcast += 1
-            self.events.publish("checkpoint", epoch=epoch, version=version)
+            self.events.publish(
+                "checkpoint", epoch=self._weight_epoch, version=version
+            )
         finally:
             # Snapshot *after* the broadcast decision so /stats sees the
             # version/broadcast accounting this call just produced.
@@ -967,13 +960,9 @@ class CapesServer:
 def _trainer_snapshot(stats: TrainerStats) -> dict:
     """A JSON-able trainer summary for the ``/stats`` body."""
     return {
-        "backend": stats.backend,
         "steps_attempted": stats.steps_attempted,
         "losses": len(stats.losses),
         "last_loss": float(stats.losses[-1]) if stats.losses else None,
-        "broadcasts_applied": stats.broadcasts_applied,
-        "weights_version": stats.weights_version,
-        "epoch": stats.epoch,
     }
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.nn.checkpoint import checkpoint_from_bytes, checkpoint_to_bytes
 from repro.snapshot.core import SnapshotError, rng_state, set_rng_state
+from repro.train.loop import BACKENDS
 
 __all__ = [
     "capture_agent",
@@ -99,13 +100,9 @@ def capture_trainer(loop) -> Tuple[dict, Dict[str, np.ndarray]]:
     """
     stats = loop.stats
     meta = {
-        "backend": loop.config.backend,
         "pending_ticks": float(loop._pending_ticks),
         "debt": float(loop._debt),
         "steps_attempted": int(stats.steps_attempted),
-        "broadcasts_applied": int(stats.broadcasts_applied),
-        "weights_version": int(stats.weights_version),
-        "epoch": int(stats.epoch),
     }
     arrays = {"losses": np.asarray(stats.losses, dtype=np.float64)}
     return meta, arrays
@@ -114,20 +111,19 @@ def capture_trainer(loop) -> Tuple[dict, Dict[str, np.ndarray]]:
 def restore_trainer(loop, meta: dict, arrays: Dict[str, np.ndarray]) -> None:
     """Restore a freshly built loop's accounting from a capture.
 
-    Keys only older captures carry are ignored.
+    Keys only older captures carry are ignored, except an old
+    ``backend`` naming a trainer that no longer exists.
     """
-    if meta["backend"] != loop.config.backend:
+    backend = meta.get("backend", "serial")
+    if backend not in BACKENDS:
         raise SnapshotError(
-            f"trainer backend mismatch: snapshot has {meta['backend']!r}, "
-            f"loop is {loop.config.backend!r}"
+            f"snapshot was trained by the retired {backend!r} trainer "
+            f"backend; valid: {BACKENDS}"
         )
     loop._pending_ticks = float(meta["pending_ticks"])
     loop._debt = float(meta["debt"])
     stats = loop.stats
     stats.steps_attempted = int(meta["steps_attempted"])
-    stats.broadcasts_applied = int(meta["broadcasts_applied"])
-    stats.weights_version = int(meta["weights_version"])
-    stats.epoch = int(meta["epoch"])
     stats.losses[:] = [float(x) for x in arrays["losses"]]
 
 

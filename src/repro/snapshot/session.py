@@ -11,9 +11,9 @@ with a byte-identical remaining-ticks trajectory.
 
 Determinism contract: a resumed session extends the uninterrupted
 run's rollout digest exactly.  For *training* state this additionally
-requires the resumed run to use the same ``chunk`` (the serial
-trainer bursts once per chunk) — the CLI persists it in the session
-section so ``repro resume`` cannot get it wrong.
+requires the resumed run to use the same ``chunk`` (the trainer
+bursts once per chunk) and the same step budget — the CLI persists
+both in the session section so ``repro resume`` cannot get them wrong.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def run_collect_session(
     Without ``trainer_config`` this is ``venv.collect`` plus digest and
     snapshots; with it, the loop mirrors
     :func:`~repro.train.loop.train_collect` (listener attached before
-    reset, one serial burst per chunk, drain at the end).  With
+    reset, one burst per chunk, drain at the end).  With
     ``resume_from`` the env/agent/trainer are restored first and
     collection continues from the captured tick; ``stop_at`` ends the
     session early at a boundary (the ``repro replay`` time-travel
@@ -200,12 +200,11 @@ def run_collect_session(
             raise ValueError(
                 "training a collect session needs a shared fan-in DB"
             )
-        # Mirror train_collect's backend split exactly — same cadence,
-        # same streams — so snapshotted and plain runs are comparable.
+        # Mirror train_collect exactly — one burst per chunk, same
+        # streams — so snapshotted and plain runs are comparable.
         from repro.train.loop import TrainerLoop
 
-        if trainer_config.backend == "serial":
-            trainer_config = replace(trainer_config, interleave_ticks=chunk)
+        trainer_config = replace(trainer_config, interleave_ticks=chunk)
         sampler = venv.make_sampler(seed=sampler_seed)
         loop = TrainerLoop(agent, trainer_config, sampler=sampler)
 

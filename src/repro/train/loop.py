@@ -1,25 +1,16 @@
-"""The decoupled trainer loop: collection and SGD on separate cadences.
+"""The trainer loop: collection and SGD on separate cadences.
 
-The inline session (:meth:`~repro.core.session.CapesSession.train`)
-historically ran ``train_steps_per_tick`` SGD steps after every single
-environment tick — collection throughput and gradient throughput
-serialized on one loop.  :class:`TrainerLoop` breaks that coupling
-behind one notification-style interface with two backends:
+The paper's DRL engine runs ``train_steps_per_tick`` SGD steps per
+action tick (Table 1).  :class:`TrainerLoop` owns that cadence behind
+one notification-style interface: tick notifications accumulate and
+every ``interleave_ticks`` of them buys one training burst.  It is one
+process and fully deterministic; at ``interleave_ticks=1`` the burst
+runs inside every tick, exactly where the historical session ran it.
 
-``inline``
-    SGD runs synchronously inside every tick notification, exactly
-    where the historical session ran it.  Byte-identical to the
-    pre-trainer code path (the golden default).
-``serial``
-    Round-robin interleaving: tick notifications accumulate and every
-    ``interleave_ticks`` of them buys one training burst.  Still one
-    process and fully deterministic; with ``interleave_ticks=1`` it is
-    byte-identical to ``inline`` at equal step budgets.
-
-Step accounting is identical across backends: every collected action
-tick grants ``train_ratio`` SGD steps (fractional ratios accumulate),
-so a run's total gradient-step budget depends only on its tick count —
-backends change *when* the steps run, never *how many*.
+Step accounting: every collected action tick grants ``train_ratio``
+SGD steps (fractional ratios accumulate), so a run's total
+gradient-step budget depends only on its tick count — the interleave
+changes *when* the steps run, never *how many*.
 
 :func:`train_collect` drives the vectorized form — §3.3 monitoring
 plus continuous training over a :class:`~repro.env.vector.VectorEnv` —
@@ -38,6 +29,8 @@ from repro.replaydb.records import PackedRecords
 from repro.replaydb.sampler import MinibatchSampler
 from repro.util.validation import check_positive
 
+#: Accepted spellings of :attr:`TrainerConfig.backend`; both name the
+#: one trainer (``inline`` is the legacy name).
 BACKENDS = ("inline", "serial")
 
 
@@ -47,10 +40,11 @@ class TrainerConfig:
 
     ``train_ratio`` is SGD steps granted per collected action tick
     (fractions accumulate: ``0.25`` trains once every 4 ticks);
-    ``interleave_ticks`` is the serial backend's burst cadence.
+    ``interleave_ticks`` is the burst cadence.  ``backend`` is checked
+    against :data:`BACKENDS` and otherwise unread.
     """
 
-    backend: str = "inline"
+    backend: str = "serial"
     train_ratio: float = 1.0
     interleave_ticks: int = 1
 
@@ -71,18 +65,14 @@ class TrainerConfig:
 class TrainerStats:
     """What one trainer loop did, summarised for results/benchmarks."""
 
-    backend: str
     #: Every prediction error produced, in training order (Figure 5).
     losses: List[float] = field(default_factory=list)
     #: SGD steps attempted (granted budget actually consumed).
     steps_attempted: int = 0
-    broadcasts_applied: int = 0
-    weights_version: int = 0
-    epoch: int = 0
 
 
 class TrainerLoop:
-    """One DRL engine consuming one replay stream, backend-agnostic.
+    """One DRL engine consuming one replay stream.
 
     Drivers push collection progress through :meth:`notify_ticks`; the
     loop decides when gradients actually happen.  ``sampler`` may be a
@@ -99,17 +89,16 @@ class TrainerLoop:
     ):
         self.agent = agent
         self.config = config
-        self.stats = TrainerStats(backend=config.backend)
+        self.stats = TrainerStats()
         self._pending_ticks = 0.0
         self._debt = 0.0
         if sampler is None:
-            raise ValueError(f"{config.backend!r} backend needs a sampler")
-        else:
-            self._sampler_fn = (
-                sampler
-                if callable(sampler) and not isinstance(sampler, MinibatchSampler)
-                else (lambda: sampler)
-            )
+            raise ValueError("the trainer needs a sampler")
+        self._sampler_fn = (
+            sampler
+            if callable(sampler) and not isinstance(sampler, MinibatchSampler)
+            else (lambda: sampler)
+        )
 
     # -- notifications ---------------------------------------------------
     def ingest(self, packed: PackedRecords) -> None:
@@ -119,15 +108,13 @@ class TrainerLoop:
         """Grant ``k`` collected ticks of training budget.
 
         Returns the prediction errors of whatever SGD steps
-        materialized *now*: the whole burst for in-process backends.
+        materialized *now*: the whole burst once ``interleave_ticks``
+        ticks are pending, else nothing.
         """
         if k <= 0:
             raise ValueError(f"k must be > 0, got {k}")
         self._pending_ticks += k
-        if (
-            self.config.backend == "inline"
-            or self._pending_ticks >= self.config.interleave_ticks
-        ):
+        if self._pending_ticks >= self.config.interleave_ticks:
             return self._burst()
         return []
 
@@ -149,12 +136,11 @@ class TrainerLoop:
 
     # -- barriers --------------------------------------------------------
     def drain(self) -> List[float]:
-        """Spend every granted step now; block until done.
-        """
+        """Spend every granted step now."""
         return self._burst()
 
     def stop(self) -> TrainerStats:
-        """Flush remaining budget, shut the backend down, return stats."""
+        """Flush remaining budget and return the stats."""
         self._burst()
         return self.stats
 
@@ -176,11 +162,10 @@ def train_collect(
     """§3.3 monitoring + continuous training over a vectorized fleet.
 
     Resets ``venv``, collects ``n_ticks`` monitoring-only ticks in
-    chunks, and trains ``agent`` against the shared fan-in replay DB
-    with the configured backend: ``serial`` round-robins collection
-    chunks with training bursts.  Collection rewards
-    are byte-identical across backends — NULL-action monitoring never
-    consults the policy — so the backend choice is pure wall-clock.
+    chunks, and trains ``agent`` against the shared fan-in replay DB,
+    one training burst per collection chunk.  NULL-action monitoring
+    never consults the policy, so collection rewards do not depend on
+    the trainer at all.
 
     Returns ``(rewards, stats)``: per-env per-tick rewards of shape
     ``(n_envs, n_ticks)`` and the loop's :class:`TrainerStats`.
@@ -194,8 +179,7 @@ def train_collect(
     if chunk is None:
         chunk = n_ticks
     check_positive("chunk", chunk)
-    if config.backend == "serial":  # one burst per collection chunk
-        config = replace(config, interleave_ticks=chunk)
+    config = replace(config, interleave_ticks=chunk)
     loop = TrainerLoop(agent, config, sampler=venv.make_sampler(seed=sampler_seed))
     rewards = np.empty((venv.n_envs, n_ticks))
     with loop:

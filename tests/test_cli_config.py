@@ -378,3 +378,54 @@ class TestCLI:
             _parse_seeds("9-5")
         with pytest.raises(ValueError):
             _parse_seeds(",")
+
+
+class TestInputErrors:
+    """Bad input ends in one stderr line and exit 2, before any work."""
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("collect", ["--ticks", "5", "--train"]),
+            ("sweep", ["--tuners", "capes"]),
+            ("serve", []),
+        ],
+    )
+    def test_negative_train_ratio(self, conf_path, capsys, command, extra):
+        rc = main(
+            [command, "--config", conf_path, *extra, "--train-ratio", "-1"]
+        )
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "train_ratio must be >= 0, got -1.0" in err
+
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            ("--train-ticks", "train_ticks"),
+            ("--eval-ticks", "eval_ticks"),
+            ("--epoch-ticks", "epoch_ticks"),
+        ],
+    )
+    def test_sweep_rejects_an_empty_budget(self, conf_path, capsys, flag, name):
+        rc = main(["sweep", "--config", conf_path, flag, "0"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert name in err
+
+    @pytest.mark.parametrize(
+        "command",
+        ["train", "evaluate", "baseline", "collect", "sweep", "serve",
+         "window-sweep"],
+    )
+    def test_missing_conf_is_one_line(self, command, capsys):
+        rc = main([command, "--config", "/nonexistent/conf.py"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"repro {command}: configuration file /nonexistent/conf.py "
+            f"does not exist"
+        ]

@@ -365,6 +365,33 @@ class TestResumeCommandOnOldArtifacts:
         assert "'process'" in err and "Traceback" not in err
 
 
+def test_new_snapshot_names_no_backend_and_resumes(tmp_path, capsys):
+    """A snapshot of the one trainer carries its step budget but no
+    backend, and ``repro resume`` continues it onto the uninterrupted
+    run: the same digest and the same SGD step total (20 ticks at 0.5
+    steps per tick; the default budget would make it 15)."""
+    from repro.cli import main
+
+    conf = tmp_path / "conf.py"
+    conf.write_text(MINIMAL_CONF)
+    snaps = tmp_path / "snaps"
+    assert main([
+        "collect", "--config", str(conf), "--ticks", "20", "--chunk", "5",
+        "--train", "--train-ratio", "0.5",
+        "--snapshot-every", "10", "--snapshot-dir", str(snaps),
+    ]) == 0
+    full = capsys.readouterr().out
+    assert "trained 10 SGD steps;" in full
+    midpoint = snapshot_path(snaps, 10)
+    snap = SessionSnapshot.load(midpoint)
+    assert snap.section("session")["trainer"] == {"train_ratio": 0.5}
+    assert "backend" not in snap.section("trainer")
+    assert main(["resume", str(midpoint), "--config", str(conf)]) == 0
+    resumed = capsys.readouterr().out
+    assert digest_line(resumed) == digest_line(full)
+    assert "trained 10 SGD steps total" in resumed
+
+
 # -- restore is a fixed point ------------------------------------------------
 
 

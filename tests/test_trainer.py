@@ -1,12 +1,14 @@
-"""The decoupled trainer subsystem (repro.train).
+"""The trainer subsystem (repro.train).
 
-Covers the PR's contract surface:
+Covers its contract surface:
 
-- the ``inline`` backend (and ``serial`` at ``interleave_ticks=1``) is
-  byte-identical to the historical train-in-the-tick-loop session;
-- the ``serial`` backend is deterministic at any interleave and spends
-  the same step budget;
-- the retired ``process`` backend is rejected with the valid choices;
+- one trainer: the legacy ``inline`` spelling and the default run the
+  same steps in the same order as the historical session;
+- the trainer is deterministic at any interleave and spends the same
+  step budget, ``train_steps_per_tick`` SGD steps per tick (fractions
+  accumulate);
+- the retired ``process`` backend and the retired conf names are
+  rejected, readably, before any work;
 - concurrent replay access: sampling interleaved with ``put_many``
   chunk landings is deterministic and never serves torn rows.
 """
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig
-from repro.core import CapesSession
+from repro.core import CAPES, CapesConfig, CapesSession
 from repro.env import EnvConfig, StorageTuningEnv, VectorEnv
 from repro.exp import ExperimentSpec
 from repro.replaydb.cache import ReplayCache
@@ -94,27 +96,35 @@ class TestTrainerConfig:
             TrainerConfig(backend="process")
 
 
+def facade_digest(n_ticks=25, **config_kwargs):
+    capes = CAPES(CapesConfig(env=fast_env_config(), seed=0, **config_kwargs))
+    try:
+        return train_digest(capes.session, capes.train(n_ticks))
+    finally:
+        capes.session.shutdown_trainer()
+
+
 class TestGoldenIdentity:
-    """The acceptance bar: serial-interleaved == inline, byte for byte."""
+    """The acceptance bar: the legacy ``inline`` spelling, the default
+    and a bare session run one trainer, byte for byte."""
 
     def test_serial_interleave1_byte_identical_to_inline(self):
-        d_inline, r_inline, _ = run_session(train_steps_per_tick=2)
-        d_serial, r_serial, _ = run_session(
-            train_steps_per_tick=2, trainer_backend="serial"
-        )
-        assert d_inline == d_serial
-        assert len(r_inline.losses) == len(r_serial.losses)
+        d_inline = facade_digest(train_steps_per_tick=2, trainer_backend="inline")
+        d_default = facade_digest(train_steps_per_tick=2)
+        d_session, _, _ = run_session(train_steps_per_tick=2)
+        assert d_inline == d_default == d_session
 
     def test_inline_fractional_ratio_quarter(self):
-        """train_ratio=0.25 trains once every 4 ticks, deterministically."""
-        _, result, _ = run_session(n_ticks=20, train_ratio=0.25)
+        """0.25 steps per tick trains once every 4 ticks, deterministically."""
+        _, result, session = run_session(n_ticks=20, train_steps_per_tick=0.25)
         # 20 ticks x 0.25 = 5 attempted steps; early ones may starve.
+        assert session.trainer_config.train_ratio == 0.25
         assert 0 < len(result.losses) <= 5
 
 class TestSerialInterleaving:
     def test_interleave4_deterministic(self):
         runs = [
-            run_session(train_steps_per_tick=2, trainer_backend="serial")
+            run_session(train_steps_per_tick=2)
             for _ in range(2)
         ]
         assert runs[0][0] == runs[1][0]
@@ -124,11 +134,10 @@ class TestSerialInterleaving:
             StorageTuningEnv(fast_env_config()),
             seed=0,
             train_steps_per_tick=2,
-            trainer_backend="serial",
         )
         # Coarser cadence: burst every 5 ticks instead of every tick.
         session.trainer_config = TrainerConfig(
-            backend="serial", train_ratio=2.0, interleave_ticks=5
+            train_ratio=2.0, interleave_ticks=5
         )
         result = session.train(23)
         assert session.trainer.stats.steps_attempted == 46
@@ -136,11 +145,7 @@ class TestSerialInterleaving:
         session.shutdown_trainer()
 
     def test_trainer_survives_multiple_segments(self):
-        session = CapesSession(
-            StorageTuningEnv(fast_env_config()),
-            seed=0,
-            trainer_backend="serial",
-        )
+        session = CapesSession(StorageTuningEnv(fast_env_config()), seed=0)
         r1 = session.train(8)
         r2 = session.train(8)
         assert len(r1.losses) + len(r2.losses) > 0
@@ -148,11 +153,7 @@ class TestSerialInterleaving:
         session.shutdown_trainer()
 
     def test_restart_environment_discards_trainer(self):
-        session = CapesSession(
-            StorageTuningEnv(fast_env_config()),
-            seed=0,
-            trainer_backend="serial",
-        )
+        session = CapesSession(StorageTuningEnv(fast_env_config()), seed=0)
         session.train(5)
         first = session.trainer
         session.restart_environment()
@@ -168,11 +169,7 @@ class TestLoadResetsWeightVersion:
 
     def test_load_mid_session_end_to_end(self, tmp_path):
         path = tmp_path / "model.npz"
-        session = CapesSession(
-            StorageTuningEnv(fast_env_config()),
-            seed=0,
-            trainer_backend="serial",
-        )
+        session = CapesSession(StorageTuningEnv(fast_env_config()), seed=0)
         session.train(10)
         session.save(path)
         d_saved = weights_digest(session.agent)
@@ -190,7 +187,8 @@ class TestLoadResetsWeightVersion:
         session.shutdown_trainer()
 
     def test_inline_load_unaffected(self, tmp_path):
-        """A session that trained inline loads another's weights."""
+        """A session that trained one burst per tick loads another's
+        weights."""
         path = tmp_path / "model.npz"
         _, _, session = run_session(n_ticks=10)
         session.save(path)
@@ -228,12 +226,14 @@ class TestTrainCollect:
         return rewards, stats, agent
 
     def test_rewards_identical_across_trainer_backends(self):
-        """Monitoring never consults the policy: the trainer backend is
-        a cadence, not semantics."""
-        r_inline, s_inline, _ = self._run("inline")
-        r_serial, s_serial, _ = self._run("serial")
+        """Both accepted backend spellings run the one trainer: same
+        rewards, same step budget, same weights."""
+        r_inline, s_inline, a_inline = self._run("inline")
+        r_serial, s_serial, a_serial = self._run("serial")
         np.testing.assert_array_equal(r_inline, r_serial)
         assert s_inline.steps_attempted == s_serial.steps_attempted == 20
+        assert s_inline.losses == s_serial.losses
+        assert weights_digest(a_inline) == weights_digest(a_serial)
 
     def test_serial_matches_handrolled_inline_reference(self):
         """serial train_collect at chunk=1 == collect-a-tick,
@@ -336,27 +336,42 @@ class TestConcurrentReplayAccess:
             )
 
 
+CONF_HEAD = (
+    "def WORKLOAD(cluster, seed):\n"
+    "    from repro.workloads import RandomReadWrite\n"
+    "    return RandomReadWrite(\n"
+    "        cluster, read_fraction=0.1, instances_per_client=2, seed=seed)\n"
+)
+
+
 class TestSpecAndCliPlumbing:
+    """``train_steps_per_tick`` is the one step-budget knob, from the
+    conf and the CLI through the spec to the capes tuner."""
+
     def test_spec_to_dict_carries_trainer_fields(self):
-        spec = ExperimentSpec(trainer_backend="serial", train_ratio=0.5)
+        spec = ExperimentSpec(tuner_kwargs={"train_steps_per_tick": 0.5})
         d = spec.to_dict()
-        assert d["trainer_backend"] == "serial"
-        assert d["train_ratio"] == 0.5
+        assert d["tuner_kwargs"] == {"train_steps_per_tick": 0.5}
+        assert "trainer_backend" not in d and "train_ratio" not in d
 
     def test_build_tuner_passes_trainer_fields_to_capes(self):
         spec = ExperimentSpec(
-            tuner="capes", trainer_backend="serial", train_ratio=2.0
+            tuner="capes", tuner_kwargs={"train_steps_per_tick": 2.5}
         )
         tuner = spec.build_tuner()
-        assert tuner.trainer_backend == "serial"
-        assert tuner.train_ratio == 2.0
+        assert tuner.train_steps_per_tick == 2.5
 
     def test_build_tuner_rejects_trainer_fields_for_search_tuners(self):
-        spec = ExperimentSpec(tuner="random", trainer_backend="serial")
-        with pytest.raises(ValueError, match="capes"):
-            spec.build_tuner()
+        spec = ExperimentSpec(
+            tuner="random", tuner_kwargs={"train_steps_per_tick": 2}
+        )
+        # The searcher refuses the knob before it touches the system.
+        with pytest.raises(TypeError, match="train_steps_per_tick"):
+            spec.build_tuner().run(object(), spec.budget)
 
-    def test_sweep_cli_rejects_trainer_backend_for_search_tuners(self):
+    def test_sweep_cli_rejects_trainer_backend_for_search_tuners(self, capsys):
+        """The one trainer knob left on sweep, --train-ratio, is refused
+        for search tuners before any work."""
         from repro.cli import main
 
         rc = main(
@@ -366,11 +381,14 @@ class TestSpecAndCliPlumbing:
                 "examples/conf_lustre.py",
                 "--tuners",
                 "random",
-                "--trainer-backend",
-                "serial",
+                "--train-ratio",
+                "2",
             ]
         )
         assert rc == 2
+        captured = capsys.readouterr()
+        assert "'capes' tuner only" in captured.err
+        assert "sweeping" not in captured.out
 
     def test_collect_cli_flags_need_train(self):
         from repro.cli import main
@@ -392,39 +410,76 @@ class TestSpecAndCliPlumbing:
             )
             assert rc == 2, flag
 
-    def test_sweep_conf_trainer_knobs_are_honored(self, tmp_path, capsys):
-        """TRAINER_BACKEND from the conf reaches the sweep specs: a
-        non-capes sweep under a conf that asks for a decoupled trainer
-        must be rejected even with no CLI trainer flags."""
-        conf = tmp_path / "conf.py"
-        conf.write_text(
-            "def WORKLOAD(cluster, seed):\n"
-            "    from repro.workloads import RandomReadWrite\n"
-            "    return RandomReadWrite(cluster, seed=seed)\n"
-            "TRAINER_BACKEND = 'serial'\n"
-        )
+    def test_sweep_conf_trainer_knobs_are_honored(self, tmp_path):
+        """The conf's TRAIN_STEPS_PER_TICK reaches the capes specs, and
+        --train-ratio overrides it."""
+        import json
+
         from repro.cli import main
 
-        rc = main(
-            ["sweep", "--config", str(conf), "--tuners", "random"]
+        conf = tmp_path / "conf.py"
+        conf.write_text(
+            CONF_HEAD
+            + "N_SERVERS = 2\nN_CLIENTS = 2\nHIDDEN_LAYER_SIZE = 8\n"
+            "SAMPLING_TICKS_PER_OBSERVATION = 3\nEXPLORATION_TICKS = 10\n"
+            "TRAIN_STEPS_PER_TICK = 0.5\n"
         )
-        assert rc == 2
-        assert "TRAINER_BACKEND" in capsys.readouterr().err
+
+        def swept(*flags):
+            art = tmp_path / f"art{len(flags)}"
+            rc = main(
+                [
+                    "sweep", "--config", str(conf), "--tuners", "capes",
+                    "--seeds", "0", "--train-ticks", "4", "--eval-ticks", "4",
+                    "--artifacts", str(art), *flags,
+                ]
+            )
+            assert rc == 0
+            (line,) = (art / "runs.jsonl").read_text().splitlines()
+            return json.loads(line)["spec"]["tuner_kwargs"]
+
+        assert swept()["train_steps_per_tick"] == 0.5
+        assert swept("--train-ratio", "3")["train_steps_per_tick"] == 3.0
 
     def test_conf_loader_reads_trainer_knobs(self, tmp_path):
         conf = tmp_path / "conf.py"
-        conf.write_text(
-            "def WORKLOAD(cluster, seed):\n"
-            "    from repro.workloads import RandomReadWrite\n"
-            "    return RandomReadWrite(cluster, seed=seed)\n"
-            "TRAINER_BACKEND = 'serial'\n"
-            "TRAIN_RATIO = 0.5\n"
-        )
+        conf.write_text(CONF_HEAD + "TRAIN_STEPS_PER_TICK = 0.5\n")
         from repro.core.config import load_config
 
         cfg = load_config(str(conf))
-        assert cfg.trainer_backend == "serial"
-        assert cfg.train_ratio == 0.5
+        assert cfg.train_steps_per_tick == 0.5
+        assert CAPES(cfg).session.trainer_config.train_ratio == 0.5
+
+    def test_conf_loader_refuses_a_negative_step_budget(self, tmp_path):
+        from repro.core.config import ConfigError, load_config
+
+        conf = tmp_path / "conf.py"
+        conf.write_text(CONF_HEAD + "TRAIN_STEPS_PER_TICK = -1\n")
+        with pytest.raises(ConfigError, match="TRAIN_STEPS_PER_TICK"):
+            load_config(str(conf))
+
+    @pytest.mark.parametrize(
+        "name, value, replacement",
+        [
+            ("TRAIN_RATIO", "0.5", "TRAIN_STEPS_PER_TICK"),
+            ("TRAINER_BACKEND", "'serial'", "delete it"),
+        ],
+        ids=["TRAIN_RATIO", "TRAINER_BACKEND"],
+    )
+    def test_retired_conf_names_are_refused(
+        self, tmp_path, capsys, name, value, replacement
+    ):
+        from repro.cli import main
+        from repro.core.config import ConfigError, load_config
+
+        conf = tmp_path / "conf.py"
+        conf.write_text(CONF_HEAD + f"{name} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{name} is retired, .*{replacement}"):
+            load_config(str(conf))
+        assert main(["train", "--config", str(conf), "--ticks", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert name in err and replacement in err
 
 
 class TestRetiredProcessBackend:
@@ -434,20 +489,19 @@ class TestRetiredProcessBackend:
         from repro.core.config import ConfigError, load_config
 
         conf = tmp_path / "conf.py"
-        conf.write_text(
-            "def WORKLOAD(cluster, seed):\n"
-            "    from repro.workloads import RandomReadWrite\n"
-            "    return RandomReadWrite(cluster, seed=seed)\n"
-            "TRAINER_BACKEND = 'process'\n"
-        )
-        valid = r"TRAINER_BACKEND must be one of \('inline', 'serial'\)"
-        with pytest.raises(ConfigError, match=valid):
+        conf.write_text(CONF_HEAD + "TRAINER_BACKEND = 'process'\n")
+        with pytest.raises(ConfigError, match="TRAINER_BACKEND is retired"):
             load_config(str(conf))
 
     @pytest.mark.parametrize("command", ["serve", "sweep"])
     def test_cli_choice_is_gone(self, command, capsys):
         from repro.cli import main
 
+        # serve keeps --trainer-backend {none,serial}; sweep lost the flag.
+        expected = {
+            "serve": "invalid choice: 'process'",
+            "sweep": "unrecognized arguments: --trainer-backend process",
+        }[command]
         with pytest.raises(SystemExit) as exit_info:
             main(
                 [
@@ -459,7 +513,7 @@ class TestRetiredProcessBackend:
                 ]
             )
         assert exit_info.value.code == 2
-        assert "invalid choice: 'process'" in capsys.readouterr().err
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -467,6 +521,7 @@ class TestRetiredProcessBackend:
             ("collect", "--trainer-backend"),
             ("collect", "--sync-every"),
             ("sweep", "--sync-every"),
+            ("sweep", "--trainer-backend"),
         ],
     )
     def test_its_knobs_are_gone(self, command, flag, capsys):
