@@ -62,7 +62,7 @@ from repro.core.capes import CAPES
 from repro.core.config import ConfigError, load_config
 from repro.exp import ExperimentRunner, ExperimentSpec, RunBudget, grid, tuner_names
 from repro.stats import analyze
-from repro.train import TrainerConfig, train_collect
+from repro.train import TrainerConfig
 
 #: ThroughputObjective unit is 100 MB/s.
 MBPS_PER_UNIT = 100.0
@@ -117,10 +117,64 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_existing_db(path: Optional[str], reason: str) -> bool:
+    """Print one stderr line and return True when ``path`` exists.
+
+    A fresh session fences (clears) its replay DB, so collecting
+    "into" an existing store would destroy it.
+    """
+    if not (path and os.path.exists(path)):
+        return False
+    print(
+        f"refusing to overwrite existing replay DB {path!r}; {reason} — "
+        f"pick a new path or remove the old file first",
+        file=sys.stderr,
+    )
+    return True
+
+
+def _bad_snapshot_flags(args: argparse.Namespace) -> bool:
+    """Print one stderr line and return True on a bad ``--snapshot-every``."""
+    if args.snapshot_every is None:
+        return False
+    if args.snapshot_every < 1:
+        print(
+            f"--snapshot-every must be >= 1, got {args.snapshot_every}",
+            file=sys.stderr,
+        )
+        return True
+    if not args.snapshot_dir:
+        print("--snapshot-every needs --snapshot-dir", file=sys.stderr)
+        return True
+    return False
+
+
+def _collect_agent(config, venv) -> tuple:
+    """``(agent, sampler_seed)`` for a trained collect session.
+
+    Both derive from the conf's seed, so ``repro resume`` rebuilds the
+    objects ``repro collect`` built before restoring their state.
+    """
+    from repro.rl import DQNAgent
+    from repro.util.rng import derive_rng, ensure_rng
+
+    root = ensure_rng(config.seed)
+    agent = DQNAgent(
+        obs_dim=venv.obs_dim,
+        n_actions=venv.n_actions,
+        hp=venv.hp,
+        loss=config.loss,
+        rng=derive_rng(root, "agent"),
+    )
+    return agent, int(derive_rng(root, "sampler").integers(2**31))
+
+
 def cmd_collect(args: argparse.Namespace) -> int:
     """Monitoring-only chunked collection into one shared replay DB,
     optionally with the decoupled trainer running against it."""
     from repro.env import VectorEnv
+    from repro.replaydb import CACHE_ONLY
+    from repro.snapshot import run_collect_session
 
     if args.n_envs < 1:
         print(f"--n-envs must be >= 1, got {args.n_envs}", file=sys.stderr)
@@ -131,15 +185,9 @@ def cmd_collect(args: argparse.Namespace) -> int:
     if args.chunk is not None and args.chunk < 1:
         print(f"--chunk must be >= 1, got {args.chunk}", file=sys.stderr)
         return 2
-    if args.out and os.path.exists(args.out):
-        # A fresh fleet fences (clears) its shared DB on reset;
-        # collecting "into" an existing store would destroy it.
-        print(
-            f"refusing to overwrite existing replay DB {args.out!r}; "
-            f"each collection session is one fresh store — pick a new "
-            f"path or remove the old file first",
-            file=sys.stderr,
-        )
+    if _refuse_existing_db(
+        args.out, "each collection session is one fresh store"
+    ):
         return 2
     if not args.train:
         for flag in ("checkpoint", "train_ratio"):
@@ -149,17 +197,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-    if args.snapshot_every is not None and args.snapshot_every < 1:
-        print(
-            f"--snapshot-every must be >= 1, got {args.snapshot_every}",
-            file=sys.stderr,
-        )
+    if _bad_snapshot_flags(args):
         return 2
-    if args.snapshot_every is not None and not args.snapshot_dir:
-        print("--snapshot-every needs --snapshot-dir", file=sys.stderr)
-        return 2
-    from repro.replaydb import CACHE_ONLY
-
     config = load_config(args.config)
     trainer_config = None
     if args.train:
@@ -179,59 +218,31 @@ def cmd_collect(args: argparse.Namespace) -> int:
         shared_db_path=args.out if args.out else CACHE_ONLY,
     )
     try:
-        stats = None
-        agent = None
-        sampler_seed = None
-        if args.train:
-            # §3.3 monitoring + the continuously running DRL engine:
-            # collect in chunks while training against the fan-in DB.
-            from repro.rl import DQNAgent
-            from repro.util.rng import derive_rng, ensure_rng
-
-            root = ensure_rng(config.seed)
-            agent = DQNAgent(
-                obs_dim=venv.obs_dim,
-                n_actions=venv.n_actions,
-                hp=venv.hp,
-                loss=config.loss,
-                rng=derive_rng(root, "agent"),
-            )
-            sampler_seed = int(derive_rng(root, "sampler").integers(2**31))
-        if args.snapshot_dir:
-            # Snapshot-aware session: same cadence as train_collect,
-            # plus boundary artifacts and the chained rollout digest.
-            from repro.snapshot import run_collect_session
-
-            outcome = run_collect_session(
-                venv,
-                args.ticks,
-                chunk=args.chunk,
-                agent=agent,
-                trainer_config=trainer_config,
-                sampler_seed=sampler_seed,
-                snapshot_every=args.snapshot_every or args.ticks,
-                snapshot_dir=args.snapshot_dir,
-                session_extra=_session_extra(args, trainer_config),
-            )
-            rewards, stats = outcome.rewards, outcome.trainer_stats
-        elif args.train:
-            rewards, stats = train_collect(
-                venv,
-                agent,
-                trainer_config,
-                args.ticks,
-                chunk=args.chunk,
-                sampler_seed=sampler_seed,
-            )
-        else:
-            venv.reset()
-            rewards = venv.collect(args.ticks, chunk=args.chunk)
+        agent, sampler_seed = (
+            _collect_agent(config, venv) if args.train else (None, None)
+        )
+        outcome = run_collect_session(
+            venv,
+            args.ticks,
+            chunk=args.chunk,
+            agent=agent,
+            trainer_config=trainer_config,
+            sampler_seed=sampler_seed,
+            # --snapshot-dir alone: one snapshot at completion.
+            snapshot_every=(
+                (args.snapshot_every or args.ticks)
+                if args.snapshot_dir
+                else None
+            ),
+            snapshot_dir=args.snapshot_dir,
+        )
         venv.commit_replay()
         _summarize(
             f"monitored throughput ({args.n_envs} cluster(s), "
             f"{args.ticks} ticks)",
-            rewards.mean(axis=0),
+            outcome.rewards.mean(axis=0),
         )
+        stats = outcome.trainer_stats
         if stats is not None:
             losses = np.asarray(stats.losses)
             summary = (
@@ -254,8 +265,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
                     extra={"train_steps": agent.train_steps},
                 )
                 print(f"model saved to {args.checkpoint}")
+        print(f"rollout digest: {outcome.digest.hexdigest}")
         if args.snapshot_dir:
-            print(f"rollout digest: {outcome.digest.hexdigest}")
             print(
                 f"{len(outcome.snapshots)} snapshot(s) -> {args.snapshot_dir}"
             )
@@ -281,25 +292,6 @@ def _steps_per_tick(args: argparse.Namespace, config):
     return config.train_steps_per_tick
 
 
-def _session_extra(args: argparse.Namespace, trainer_config) -> dict:
-    """What ``repro resume`` needs to rebuild this session's objects.
-
-    Stored in the snapshot's session section so the resume command
-    cannot be invoked with mismatched geometry or trainer knobs —
-    everything but the conf path (still given on the command line, like
-    every other subcommand) rides inside the artifact.
-    """
-    extra = {
-        "chunk": args.chunk,
-        "n_envs": int(args.n_envs),
-        "vector_backend": args.vector_backend,
-        "trainer": None,
-    }
-    if trainer_config is not None:
-        extra["trainer"] = {"train_ratio": float(trainer_config.train_ratio)}
-    return extra
-
-
 def cmd_resume(args: argparse.Namespace) -> int:
     """Continue a snapshotted collection session byte-identically."""
     from repro.env import VectorEnv
@@ -309,16 +301,11 @@ def cmd_resume(args: argparse.Namespace) -> int:
     if not os.path.exists(args.snapshot):
         print(f"no such snapshot: {args.snapshot}", file=sys.stderr)
         return 2
-    if args.snapshot_every is not None and not args.snapshot_dir:
-        print("--snapshot-every needs --snapshot-dir", file=sys.stderr)
+    if _bad_snapshot_flags(args):
         return 2
-    if args.out and os.path.exists(args.out):
-        print(
-            f"refusing to overwrite existing replay DB {args.out!r}; "
-            f"a resumed session rebuilds its store from the snapshot — "
-            f"pick a new path or remove the old file first",
-            file=sys.stderr,
-        )
+    if _refuse_existing_db(
+        args.out, "a resumed session rebuilds its store from the snapshot"
+    ):
         return 2
     snap = SessionSnapshot.load(args.snapshot)
     session = snap.section("session")
@@ -330,6 +317,17 @@ def cmd_resume(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    trainer_config = None
+    if session["has_trainer"]:
+        knobs = session["trainer"]
+        try:
+            # Older snapshots still name a trainer backend.
+            trainer_config = TrainerConfig(
+                knobs.get("backend", "serial"), knobs["train_ratio"]
+            )
+        except ValueError as exc:
+            print(f"cannot resume {args.snapshot}: {exc}", file=sys.stderr)
+            return 2
     config = load_config(args.config)
     backend = session["backend"]
     if backend == "shards":
@@ -348,29 +346,11 @@ def cmd_resume(args: argparse.Namespace) -> int:
         tick_stride=int(session["tick_stride"]),
     )
     try:
-        agent = None
-        trainer_config = None
-        if session["has_trainer"]:
-            from repro.rl import DQNAgent
-            from repro.util.rng import derive_rng, ensure_rng
-
-            root = ensure_rng(config.seed)
-            agent = DQNAgent(
-                obs_dim=venv.obs_dim,
-                n_actions=venv.n_actions,
-                hp=venv.hp,
-                loss=config.loss,
-                rng=derive_rng(root, "agent"),
-            )
-            knobs = session["trainer"]
-            try:
-                # Older snapshots still name a trainer backend.
-                trainer_config = TrainerConfig(
-                    knobs.get("backend", "serial"), knobs["train_ratio"]
-                )
-            except ValueError as exc:
-                print(f"cannot resume {args.snapshot}: {exc}", file=sys.stderr)
-                return 2
+        agent, sampler_seed = (
+            _collect_agent(config, venv)
+            if session["has_trainer"]
+            else (None, None)
+        )
         print(
             f"resuming from tick {session['done_ticks']} of {total} "
             f"({backend} backend, {session['n_envs']} cluster(s))"
@@ -381,13 +361,10 @@ def cmd_resume(args: argparse.Namespace) -> int:
             chunk=session.get("chunk"),
             agent=agent,
             trainer_config=trainer_config,
+            sampler_seed=sampler_seed,
             snapshot_every=args.snapshot_every,
             snapshot_dir=args.snapshot_dir,
             resume_from=snap,
-            session_extra={
-                **{k: session.get(k) for k in ("chunk", "n_envs", "trainer")},
-                "vector_backend": backend,
-            },
         )
         venv.commit_replay()
         if outcome.rewards.shape[1]:
@@ -502,33 +479,6 @@ def _parse_seeds(text: str) -> List[int]:
     return seeds
 
 
-def _serve_geometry(config) -> tuple:
-    """``(frame_width, n_actions)`` implied by a conf's environment.
-
-    Mirrors :class:`~repro.env.tuning_env.StorageTuningEnv`'s frame
-    layout without building an environment — the daemon serves *remote*
-    clusters, so only the geometry matters here.
-    """
-    from repro.core.actions import ActionSpace, lustre_parameters
-    from repro.telemetry.indicators import frame_width as client_frame_width
-
-    env = config.env
-    width = client_frame_width(env.cluster.n_servers) * env.cluster.n_clients
-    if env.include_server_pis:
-        from repro.telemetry.server_monitor import server_frame_width
-
-        width += env.cluster.n_servers * server_frame_width()
-    if env.include_time_features:
-        from repro.telemetry.timefeat import time_feature_width
-
-        width += time_feature_width()
-    params = env.parameters or lustre_parameters(
-        window_default=env.cluster.max_rpcs_in_flight,
-        rate_default=env.cluster.io_rate_limit,
-    )
-    return width, ActionSpace(params).n_actions
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the control-plane daemon until SIGINT/SIGTERM (exit 0)."""
     # Eager flag validation: nothing below binds a socket, forks a
@@ -561,14 +511,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.out and os.path.exists(args.out):
-        # Same rule as collect: each serving session is one fresh store.
-        print(
-            f"refusing to overwrite existing replay DB {args.out!r}; "
-            f"each serving session is one fresh store — pick a new "
-            f"path or remove the old file first",
-            file=sys.stderr,
-        )
+    if _refuse_existing_db(args.out, "each serving session is one fresh store"):
         return 2
     if args.snapshot_every_s is not None and args.snapshot_every_s <= 0:
         print(
@@ -611,11 +554,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.replaydb import CACHE_ONLY
     from repro.serve import CapesServer, ServeConfig, run_server
 
-    frame_width, n_actions = _serve_geometry(config)
     try:
+        # The daemon serves *remote* clusters: only the conf's frame
+        # geometry matters here, no environment is built.
         serve_config = ServeConfig(
-            frame_width=frame_width,
-            n_actions=n_actions,
+            frame_width=config.env.frame_width,
+            n_actions=config.env.action_space.n_actions,
             host=args.host,
             port=args.port,
             stats_port=args.stats_port,

@@ -71,6 +71,41 @@ class EnvConfig:
     #: ``seed``, so scenario runs replay bit-identically.
     scenario: Optional[Scenario] = None
 
+    @property
+    def extra_frame_width(self) -> int:
+        """PI columns after the clients': server PIs, time features."""
+        width = 0
+        if self.include_server_pis:
+            from repro.telemetry.server_monitor import server_frame_width
+
+            width += self.cluster.n_servers * server_frame_width()
+        if self.include_time_features:
+            from repro.telemetry.timefeat import time_feature_width
+
+            width += time_feature_width()
+        return width
+
+    @property
+    def frame_width(self) -> int:
+        """Width of one cluster-wide PI frame: every client's PIs, then
+        :attr:`extra_frame_width`."""
+        return (
+            frame_width(self.cluster.n_servers) * self.cluster.n_clients
+            + self.extra_frame_width
+        )
+
+    @property
+    def action_space(self) -> ActionSpace:
+        """The discrete actions over ``parameters``, by default the
+        Lustre knobs at the cluster's configured values."""
+        return ActionSpace(
+            self.parameters
+            or lustre_parameters(
+                window_default=self.cluster.max_rpcs_in_flight,
+                rate_default=self.cluster.io_rate_limit,
+            )
+        )
+
 
 class StorageTuningEnv:
     """reset()/step() driver over the simulated target system."""
@@ -80,25 +115,11 @@ class StorageTuningEnv:
             raise ValueError("EnvConfig.workload_factory is required")
         self.config = config
         self.hp = config.hp
-        params = config.parameters or lustre_parameters(
-            window_default=config.cluster.max_rpcs_in_flight,
-            rate_default=config.cluster.io_rate_limit,
-        )
-        self.action_space = ActionSpace(params)
+        self.action_space = config.action_space
         self.checker = ActionChecker()
         self._client_fw = frame_width(config.cluster.n_servers)
-        self._extra_fw = 0
-        if config.include_server_pis:
-            from repro.telemetry.server_monitor import server_frame_width
-
-            self._extra_fw += config.cluster.n_servers * server_frame_width()
-        if config.include_time_features:
-            from repro.telemetry.timefeat import time_feature_width
-
-            self._extra_fw += time_feature_width()
-        self._cluster_fw = (
-            self._client_fw * config.cluster.n_clients + self._extra_fw
-        )
+        self._extra_fw = config.extra_frame_width
+        self._cluster_fw = config.frame_width
         # Populated by reset():
         self.sim: Optional[Simulator] = None
         self.cluster: Optional[Cluster] = None

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.actions import ActionEffect, ActionSpace, lustre_parameters
+from repro.core.actions import ActionEffect, ActionSpace
 from repro.core.checker import ActionChecker
 from repro.env.tuning_env import EnvConfig
 from repro.replaydb.records import PackedRecords, TickRecord
@@ -34,7 +34,6 @@ from repro.scenarios.scenario import ScenarioRuntime
 from repro.sim.vec.config import FleetConfig
 from repro.sim.vec.physics import tick_all
 from repro.sim.vec.state import FleetState, RecordView, as_selection
-from repro.telemetry.indicators import frame_width
 
 
 class FleetEnv:
@@ -51,11 +50,7 @@ class FleetEnv:
         self.config = config
         self.hp = config.hp
         self.fcfg = FleetConfig.from_env_config(config)
-        params = config.parameters or lustre_parameters(
-            window_default=config.cluster.max_rpcs_in_flight,
-            rate_default=config.cluster.io_rate_limit,
-        )
-        self.action_space = ActionSpace(params)
+        self.action_space = config.action_space
         self.checker = ActionChecker()
         self.n_envs = int(n_envs)
         if seeds is None:
@@ -69,9 +64,7 @@ class FleetEnv:
                 f"got {len(seeds)} seeds for {self.n_envs} envs"
             )
         self.seeds = [int(s) for s in seeds]
-        self._frame_dim = frame_width(config.cluster.n_servers) * int(
-            config.cluster.n_clients
-        )
+        self._frame_dim = config.frame_width
         self.state: Optional[FleetState] = None
         self._runtimes: List[Optional[ScenarioRuntime]] = []
         self._slots = [FleetSlot(self, i) for i in range(self.n_envs)]

@@ -1,18 +1,18 @@
-"""Resumable collection sessions: the snapshot-aware collect loop.
+"""Resumable collection sessions: the one collect loop.
 
-This is the orchestration layer behind ``repro collect
---snapshot-every``, ``repro resume`` and ``repro replay``: one loop
-that collects monitoring ticks (optionally with continuous training,
-mirroring :func:`repro.train.loop.train_collect`'s cadence exactly),
-maintains the chained rollout digest, and writes a full
-:class:`~repro.snapshot.core.SessionSnapshot` at every tick boundary —
-from which an identical loop in a *different interpreter* continues
-with a byte-identical remaining-ticks trajectory.
+:func:`run_collect_session` is the one loop behind ``repro collect``
+(plain, ``--train`` and ``--snapshot-every``), ``repro resume`` and
+:func:`repro.train.loop.train_collect`: it collects monitoring ticks in
+chunks (optionally with continuous training, one burst per chunk),
+maintains the chained rollout digest, and can write a full
+:class:`~repro.snapshot.core.SessionSnapshot` at tick boundaries —
+from which the same loop in a *different interpreter* continues with
+a byte-identical remaining-ticks trajectory.
 
 Determinism contract: a resumed session extends the uninterrupted
 run's rollout digest exactly.  For *training* state this additionally
 requires the resumed run to use the same ``chunk`` (the trainer
-bursts once per chunk) and the same step budget — the CLI persists
+bursts once per chunk) and the same step budget — the loop records
 both in the session section so ``repro resume`` cannot get them wrong.
 """
 
@@ -37,6 +37,7 @@ from repro.snapshot.layers import (
     restore_agent,
     restore_trainer,
 )
+from repro.util.validation import check_positive
 
 __all__ = [
     "CollectOutcome",
@@ -80,7 +81,6 @@ def build_session_snapshot(
     agent=None,
     loop=None,
     sampler=None,
-    session_extra: Optional[dict] = None,
 ) -> SessionSnapshot:
     """Compose every live layer into one artifact."""
     snap = SessionSnapshot()
@@ -93,9 +93,12 @@ def build_session_snapshot(
         "tick_stride": int(venv.tick_stride),
         "has_agent": agent is not None,
         "has_trainer": loop is not None,
+        "trainer": (
+            None
+            if loop is None
+            else {"train_ratio": float(loop.config.train_ratio)}
+        ),
     }
-    if session_extra:
-        session.update(session_extra)
     snap.put("session", meta=session)
     env = venv.snapshot()
     snap.put("env", meta=env["meta"], arrays=env["arrays"])
@@ -168,28 +171,25 @@ def run_collect_session(
     snapshot_every: Optional[int] = None,
     snapshot_dir: Optional[Union[str, Path]] = None,
     resume_from: Optional[SessionSnapshot] = None,
-    stop_at: Optional[int] = None,
-    session_extra: Optional[dict] = None,
 ) -> CollectOutcome:
-    """Collect ``n_ticks`` monitoring ticks, snapshotting at boundaries.
+    """Collect until tick ``n_ticks``, ``chunk`` ticks per collect call.
 
-    Without ``trainer_config`` this is ``venv.collect`` plus digest and
-    snapshots; with it, the loop mirrors
-    :func:`~repro.train.loop.train_collect` (listener attached before
-    reset, one burst per chunk, drain at the end).  With
-    ``resume_from`` the env/agent/trainer are restored first and
-    collection continues from the captured tick; ``stop_at`` ends the
-    session early at a boundary (the ``repro replay`` time-travel
-    path).
+    Without ``trainer_config`` this is ``venv.collect`` plus the
+    rollout digest; with it, ``agent`` trains against the shared
+    fan-in DB, one burst per chunk and a drain at the end.  With
+    ``snapshot_every`` a snapshot lands in ``snapshot_dir`` at every
+    multiple of it.  With ``resume_from`` the env/agent/trainer are
+    restored first and collection continues from the captured tick to
+    ``n_ticks``, the run's new total.
     """
-    if n_ticks < 1:
-        raise ValueError(f"n_ticks must be >= 1, got {n_ticks}")
+    check_positive("n_ticks", n_ticks)
     if chunk is None:
         chunk = n_ticks
-    if snapshot_every is not None and snapshot_every < 1:
-        raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
-    if snapshot_every is not None and snapshot_dir is None:
-        raise ValueError("snapshot_every needs a snapshot_dir")
+    check_positive("chunk", chunk)
+    if snapshot_every is not None:
+        check_positive("snapshot_every", snapshot_every)
+        if snapshot_dir is None:
+            raise ValueError("snapshot_every needs a snapshot_dir")
 
     loop = None
     sampler = None
@@ -198,56 +198,52 @@ def run_collect_session(
             raise ValueError("training a collect session needs an agent")
         if venv.shared_db is None:
             raise ValueError(
-                "training a collect session needs a shared fan-in DB"
+                "training a collect session needs a VectorEnv with a "
+                "shared fan-in DB (shared_db_path must not be None)"
             )
-        # Mirror train_collect exactly — one burst per chunk, same
-        # streams — so snapshotted and plain runs are comparable.
         from repro.train.loop import TrainerLoop
 
-        trainer_config = replace(trainer_config, interleave_ticks=chunk)
         sampler = venv.make_sampler(seed=sampler_seed)
-        loop = TrainerLoop(agent, trainer_config, sampler=sampler)
+        loop = TrainerLoop(
+            agent,
+            replace(trainer_config, interleave_ticks=chunk),
+            sampler=sampler,
+        )
 
     if resume_from is not None:
-        start, total, digest = restore_session_state(
+        start, _, digest = restore_session_state(
             resume_from,
             venv,
             agent=agent,
             loop=loop,
             sampler=sampler,
         )
-        total = max(total, n_ticks)
     else:
-        start, total, digest = 0, n_ticks, RolloutDigest()
-    target = total if stop_at is None else min(stop_at, total)
-    if target < start:
+        start, digest = 0, RolloutDigest()
+    if n_ticks < start:
         raise SnapshotError(
-            f"cannot run to tick {target}: snapshot is already at "
+            f"cannot run to tick {n_ticks}: snapshot is already at "
             f"tick {start} (pick an earlier snapshot)"
         )
-    rewards = np.empty((venv.n_envs, target - start))
+    rewards = np.empty((venv.n_envs, n_ticks - start))
     snapshots: List[Path] = []
 
     def write_snapshot(done: int) -> None:
         Path(snapshot_dir).mkdir(parents=True, exist_ok=True)
         snap = build_session_snapshot(
-            venv,
-            done,
-            total,
-            digest,
-            agent=agent,
-            loop=loop,
-            sampler=sampler,
-            session_extra=session_extra,
+            venv, done, n_ticks, digest, agent=agent, loop=loop, sampler=sampler
         )
+        # The resolved chunk is the trainer's burst cadence: a resumed
+        # run must reuse it to stay byte-identical.
+        snap.section("session")["chunk"] = int(chunk)
         snapshots.append(snap.save(snapshot_path(snapshot_dir, done)))
 
     try:
         if resume_from is None:
             venv.reset()
         done = start
-        while done < target:
-            upto = target
+        while done < n_ticks:
+            upto = n_ticks
             if snapshot_every is not None:
                 boundary = (done // snapshot_every + 1) * snapshot_every
                 upto = min(upto, boundary)
@@ -270,7 +266,7 @@ def run_collect_session(
         rewards=rewards,
         digest=digest,
         start_tick=start,
-        total_ticks=total,
+        total_ticks=n_ticks,
         snapshots=snapshots,
         trainer_stats=loop.stats if loop is not None else None,
     )

@@ -13,8 +13,9 @@ This package gives the reproduction that decoupling:
   on the session, the capes tuner and the conf) and the accounting;
 - :func:`~repro.train.loop.train_collect` — §3.3 "solely monitoring"
   over a :class:`~repro.env.vector.VectorEnv` *plus* continuous
-  training against the shared fan-in replay DB (``repro collect
-  --train``).
+  training against the shared fan-in replay DB, run by the one collect
+  loop :func:`~repro.snapshot.session.run_collect_session` that
+  ``repro collect --train`` and ``repro resume`` use too.
 
 :class:`~repro.core.session.CapesSession` delegates its training
 cadence here, one burst per action tick, golden-trace identical to the

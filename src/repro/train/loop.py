@@ -12,18 +12,16 @@ SGD steps (fractional ratios accumulate), so a run's total
 gradient-step budget depends only on its tick count — the interleave
 changes *when* the steps run, never *how many*.
 
-:func:`train_collect` drives the vectorized form — §3.3 monitoring
-plus continuous training over a :class:`~repro.env.vector.VectorEnv` —
-by round-robining ``VectorEnv.collect`` chunks with trainer
-notifications.
+:func:`train_collect` is the vectorized form — §3.3 monitoring plus
+continuous training over a :class:`~repro.env.vector.VectorEnv` — run
+by the one collect loop,
+:func:`~repro.snapshot.session.run_collect_session`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
-
-import numpy as np
 
 from repro.replaydb.records import PackedRecords
 from repro.replaydb.sampler import MinibatchSampler
@@ -163,32 +161,23 @@ def train_collect(
 
     Resets ``venv``, collects ``n_ticks`` monitoring-only ticks in
     chunks, and trains ``agent`` against the shared fan-in replay DB,
-    one training burst per collection chunk.  NULL-action monitoring
-    never consults the policy, so collection rewards do not depend on
-    the trainer at all.
+    one training burst per collection chunk — the one collect loop,
+    :func:`~repro.snapshot.session.run_collect_session`, without
+    snapshots.  NULL-action monitoring never consults the policy, so
+    collection rewards do not depend on the trainer at all.
 
     Returns ``(rewards, stats)``: per-env per-tick rewards of shape
     ``(n_envs, n_ticks)`` and the loop's :class:`TrainerStats`.
     """
-    check_positive("n_ticks", n_ticks)
-    if venv.shared_db is None:
-        raise ValueError(
-            "train_collect needs a VectorEnv with a shared fan-in DB "
-            "(shared_db_path must not be None)"
-        )
-    if chunk is None:
-        chunk = n_ticks
-    check_positive("chunk", chunk)
-    config = replace(config, interleave_ticks=chunk)
-    loop = TrainerLoop(agent, config, sampler=venv.make_sampler(seed=sampler_seed))
-    rewards = np.empty((venv.n_envs, n_ticks))
-    with loop:
-        venv.reset()
-        done = 0
-        while done < n_ticks:
-            k = min(chunk, n_ticks - done)
-            rewards[:, done : done + k] = venv.collect(k)
-            loop.notify_ticks(k)
-            done += k
-        loop.drain()
-    return rewards, loop.stats
+    # Function-local: repro.snapshot imports this module.
+    from repro.snapshot.session import run_collect_session
+
+    outcome = run_collect_session(
+        venv,
+        n_ticks,
+        chunk=chunk,
+        agent=agent,
+        trainer_config=config,
+        sampler_seed=sampler_seed,
+    )
+    return outcome.rewards, outcome.trainer_stats

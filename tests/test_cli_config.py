@@ -140,6 +140,31 @@ class TestCLI:
         assert rc == 0
         assert "not persisted" in capsys.readouterr().out
 
+    def test_collect_prints_one_digest_on_serial_and_fork(
+        self, conf_path, capsys
+    ):
+        """Every collect prints the rollout digest, and it does not
+        depend on where the clusters run."""
+        lines = []
+        for backend in ("serial", "fork"):
+            rc = main(
+                [
+                    "collect", "--config", conf_path, "--ticks", "6",
+                    "--n-envs", "2", "--chunk", "3",
+                    "--vector-backend", backend,
+                ]
+            )
+            assert rc == 0
+            lines.append(
+                [
+                    line
+                    for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("rollout digest: ")
+                ]
+            )
+        assert len(lines[0]) == 1
+        assert lines[0] == lines[1]
+
     def test_collect_rejects_bad_n_envs(self, conf_path, capsys):
         rc = main(["collect", "--config", conf_path, "--n-envs", "0"])
         assert rc == 2
@@ -416,6 +441,30 @@ class TestInputErrors:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert name in err
+
+    def test_resume_rejects_snapshot_every_zero(
+        self, conf_path, tmp_path, capsys
+    ):
+        snaps = tmp_path / "snaps"
+        rc = main(
+            [
+                "collect", "--config", conf_path, "--ticks", "2",
+                "--snapshot-dir", str(snaps),
+            ]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        rc = main(
+            [
+                "resume", str(snaps / "snapshot-00000002.npz"),
+                "--config", conf_path, "--snapshot-every", "0",
+                "--snapshot-dir", str(tmp_path / "more"),
+            ]
+        )
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["--snapshot-every must be >= 1, got 0"]
 
     @pytest.mark.parametrize(
         "command",

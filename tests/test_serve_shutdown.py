@@ -99,9 +99,9 @@ def test_signal_drains_and_exits_zero(conf_path, tmp_path, sig):
     try:
         # The client must present the same frame geometry the daemon
         # derived from the conf; derive it the same way.
-        from repro.cli import _serve_geometry, load_config
+        from repro.core.config import load_config
 
-        width, _ = _serve_geometry(load_config(conf_path))
+        width = load_config(conf_path).env.frame_width
         n_ticks = 10
         decisions = drive_ticks(port, n_ticks, width)
         assert decisions > 0

@@ -423,6 +423,17 @@ def test_snapshot_restore_snapshot_is_identity(backend, ticks):
         venv.close()
 
 
+@pytest.mark.parametrize("knob", ("n_ticks", "chunk"))
+def test_session_rejects_a_nonpositive_length(knob):
+    venv = make_venv("serial")
+    try:
+        kwargs = {"n_ticks": 4, "chunk": 2, knob: 0}
+        with pytest.raises(ValueError, match=f"{knob} must be > 0"):
+            run_collect_session(venv, **kwargs)
+    finally:
+        venv.close()
+
+
 def test_env_method_invalidates_oplog_snapshot():
     """Out-of-band worker mutation breaks op-log replayability; the
     snapshot must refuse rather than capture a lie."""
@@ -527,3 +538,34 @@ def test_cli_replay_time_travels_to_midpoint(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "restored snapshot at tick 20" in proc.stdout
     assert "tick 25" in proc.stdout
+
+
+def test_resume_runs_to_the_given_total(tmp_path, capsys):
+    """``repro resume --ticks N`` between the snapshot's tick and the
+    session's total stops at tick N: its digest is the one ``repro
+    replay --at N`` reconstructs, not the full run's."""
+    from repro.cli import main
+
+    conf = tmp_path / "conf.py"
+    conf.write_text(MINIMAL_CONF)
+    snaps = tmp_path / "snaps"
+    assert main([
+        "collect", "--config", str(conf), "--ticks", "20", "--chunk", "5",
+        "--snapshot-every", "10", "--snapshot-dir", str(snaps),
+    ]) == 0
+    full = digest_line(capsys.readouterr().out)
+    assert main([
+        "resume", str(snapshot_path(snaps, 10)), "--config", str(conf),
+        "--ticks", "15",
+    ]) == 0
+    resumed = capsys.readouterr().out
+    assert "resuming from tick 10 of 15" in resumed
+    assert main([
+        "replay", "--config", str(conf), "--at", "15",
+        "--snapshot-dir", str(snaps),
+    ]) == 0
+    replayed = capsys.readouterr().out
+    prefix = "rollout digest at tick 15: "
+    at_15 = [line for line in replayed.splitlines() if line.startswith(prefix)]
+    assert at_15 == [prefix + digest_line(resumed)]
+    assert digest_line(resumed) != full
