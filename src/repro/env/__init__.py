@@ -14,7 +14,7 @@ interface, not a class:
   clusters stepped in lockstep, fanning all experience into one shared
   Replay DB (the many-agents-one-engine topology); its ``fork`` backend
   runs each cluster in a forked worker over a pipe
-  (:mod:`repro.transport`), and its ``vec`` backend steps all N as rows
+  (:mod:`repro.transport.codec` payloads), and its ``vec`` backend steps all N as rows
   of one :class:`~repro.sim.vec.fleet_env.FleetEnv`.
 
 Backwards compatibility: the protocol is structural, so code that

@@ -25,12 +25,13 @@ In-process (``serial``, ``vec``)
     straight into the stacked buffer through ``out=``.
 Remote (``fork``)
     Each env lives in a forked worker running
-    :func:`~repro.env.worker.serve_env_session` over a
-    :class:`~repro.transport.pipe.PipeTransport`; commands and replies
-    cross as framed binary messages, one FIFO of in-flight commands per
-    channel, and a vanished worker is a :class:`WorkerCrashError`
-    naming the env and the command.  ``fork`` inherits memory, so
-    unpicklable workload factories work unchanged.
+    :func:`~repro.env.worker.serve_env_session` over its end of a
+    ``multiprocessing`` pipe; each command and each reply is one pipe
+    message holding a binary codec payload, one FIFO of in-flight
+    commands per channel, and a vanished worker is a
+    :class:`WorkerCrashError` naming the env and the command.
+    ``fork`` inherits memory, so unpicklable workload factories work
+    unchanged.
 
 The ``vec`` backend's envs are rows of one struct-of-arrays
 :class:`~repro.sim.vec.fleet_env.FleetEnv`: each channel holds a
@@ -50,7 +51,7 @@ records inline, packed as one
 :class:`~repro.replaydb.records.PackedRecords` array block rather than
 a pickled object list, and the master lands each batch with one
 :meth:`~repro.replaydb.db.ReplayDB.put_many`.  Worker commands and
-replies are framed binary messages (:mod:`repro.transport.codec`):
+replies are binary codec payloads (:mod:`repro.transport.codec`):
 observations, reward vectors and record columns cross the pipes as
 raw array buffers, not pickles.  Acting paths stay in
 per-tick lockstep (the policy needs every observation) but pay no
@@ -96,21 +97,14 @@ from repro.env.tuning_env import EnvConfig, StorageTuningEnv
 from repro.env.worker import (
     WorkerCrashError,
     exec_env_cmd,
+    reply_result,
     serve_env_session,
 )
 from repro.replaydb.db import CACHE_ONLY, ReplayDB
 from repro.replaydb.records import PackedRecords
 from repro.replaydb.spans import StridedMinibatchSampler, TickSpans
-from repro.transport.base import Transport, TransportClosedError
-from repro.transport.codec import (
-    MSG_CMD,
-    MSG_ERR,
-    decode_error,
-    decode_reply,
-    encode_command,
-)
+from repro.transport.codec import encode_command
 from repro.transport.framing import ProtocolError
-from repro.transport.pipe import PipeTransport
 from repro.util.rng import derive_rng, ensure_rng
 from repro.util.validation import check_positive
 
@@ -194,9 +188,7 @@ class _LocalChannel:
         """Nothing to release: the env closed on its ``close`` command."""
 
 
-def _env_worker(
-    factory: EnvFactoryFn, conn, master_ends: Sequence[Transport]
-) -> None:
+def _env_worker(factory: EnvFactoryFn, conn, master_ends: Sequence) -> None:
     """Forked worker main: serve one environment over its pipe."""
     # The fork copied the master's end of this pipe and of every pipe
     # forked before it; holding any copy would hide the master hanging
@@ -204,7 +196,7 @@ def _env_worker(
     for end in master_ends:
         end.close()
     try:
-        serve_env_session(factory(), PipeTransport(conn))
+        serve_env_session(factory(), conn)
     except KeyboardInterrupt:  # pragma: no cover - teardown
         pass
 
@@ -218,8 +210,8 @@ class _RemoteChannel:
     the env and the command — never as a bare ``EOFError``.
     """
 
-    def __init__(self, transport: Transport, proc: Any):
-        self.transport = transport
+    def __init__(self, conn: Any, proc: Any):
+        self.conn = conn
         self._proc = proc
         self._pending: Deque[Tuple[int, str]] = deque()
 
@@ -234,14 +226,13 @@ class _RemoteChannel:
         child drops its copies of this pipe's and ``siblings``' master
         ends."""
         parent, child = context.Pipe()
-        transport = PipeTransport(parent)
-        master_ends = [transport, *(s.transport for s in siblings)]
+        master_ends = [parent, *(s.conn for s in siblings)]
         proc = context.Process(
             target=_env_worker, args=(factory, child, master_ends), daemon=True
         )
         proc.start()
         child.close()
-        return cls(transport, proc)
+        return cls(parent, proc)
 
     def _crash(self, what: str, env_index: int, exc: Exception):
         return WorkerCrashError(
@@ -251,8 +242,8 @@ class _RemoteChannel:
 
     def submit(self, env_index: int, cmd: str, payload: Any = None) -> None:
         try:
-            self.transport.send(MSG_CMD, encode_command(cmd, 0, payload))
-        except TransportClosedError as exc:
+            self.conn.send_bytes(encode_command(cmd, 0, payload))
+        except OSError as exc:
             raise self._crash(
                 f"is gone; cannot submit {cmd!r}", env_index, exc
             ) from exc
@@ -263,25 +254,17 @@ class _RemoteChannel:
             self._pending.popleft() if self._pending else (-1, "?")
         )
         try:
-            msg_type, payload = self.transport.recv()
-        except (TransportClosedError, ProtocolError) as exc:
+            message = self.conn.recv_bytes()
+        except (EOFError, OSError) as exc:
             raise self._crash(
                 f"went away during {cmd!r}", env_index, exc
             ) from exc
-        if msg_type == MSG_ERR:
-            # The original exception crosses whole when it pickled;
-            # otherwise its text travels as a WorkerCrashError.
-            _env, text, exc = decode_error(payload)
-            if exc is not None:
-                raise exc
-            raise WorkerCrashError(text, env_index=env_index)
-        _cmd, result = decode_reply(payload)
-        return result
+        return reply_result(message, env_index)
 
     def close(self, timeout: float = 5.0) -> None:
         """Close the pipe and reap the worker: join with a timeout, then
         kill rather than hang the master (idempotent)."""
-        self.transport.close()
+        self.conn.close()
         self._proc.join(timeout=timeout)
         if self._proc.is_alive():  # pragma: no cover - hung worker
             self._proc.kill()
@@ -502,10 +485,33 @@ class VectorEnv:
     ) -> List[Any]:
         """``cmd`` to every env (``payload(i)`` each), all submitted
         before any result is collected, so remote envs run in
-        parallel; the results in env order."""
+        parallel; the results in env order.
+
+        A failure does not stop the others: every env gets the command
+        (an in-process one fails at submit) and every submitted
+        command's reply is read, so no stale reply is left in a pipe for
+        the next command; then the first failure is raised.  A failed
+        lockstep leaves the envs at no op-log point, so it ends the op
+        log.
+        """
+        errors: List[Exception] = []
+        submitted = []
         for i, ch in enumerate(self._channels):
-            ch.submit(i, cmd, payload(i))
-        return [ch.result() for ch in self._channels]
+            try:
+                ch.submit(i, cmd, payload(i))
+                submitted.append(ch)
+            except Exception as exc:
+                errors.append(exc)
+        results = []
+        for ch in submitted:
+            try:
+                results.append(ch.result())
+            except Exception as exc:
+                errors.append(exc)
+        if errors:
+            self._oplog = None
+            raise errors[0]
+        return results
 
     def _get_attr(self, i: int, name: str) -> Any:
         return self._call(i, "call", ("__getattribute__", (name,), {}))
@@ -898,7 +904,6 @@ class VectorEnv:
         if self._closed:
             return
         self._closed = True
-        # A lost transport is a TransportClosedError, itself an OSError.
         gone = (WorkerCrashError, ProtocolError, OSError)
         for i, ch in enumerate(self._channels):
             try:

@@ -1,11 +1,17 @@
-"""The worker side of vectorized collection, medium-agnostic.
+"""The worker side of vectorized collection.
 
-One environment command set, one executor, one serve loop — whatever
-carries the bytes.  :func:`exec_env_cmd` runs a single command against
-a single environment (the in-process ``serial`` backend calls it
-directly); :func:`serve_env_session` runs the framed request/response
-loop for one env over any :class:`~repro.transport.base.Transport` (a
-forked worker over its pipe).
+One environment command set, one executor, one serve loop.
+:func:`exec_env_cmd` runs a single command against a single environment
+(the in-process ``serial`` backend calls it directly);
+:func:`serve_env_session` runs the request/response loop for one env in
+a forked worker, over its end of a ``multiprocessing`` pipe.
+
+Wire format: the pipe already delivers whole messages, so there is no
+second framing.  A command is one pipe message holding the
+:func:`~repro.transport.codec.encode_command` payload; a reply is one
+pipe message holding a status byte (``MSG_OK`` or ``MSG_ERR``) followed
+by the :func:`~repro.transport.codec.encode_reply` or
+:func:`~repro.transport.codec.encode_error` payload.
 
 Error discipline: an exception inside a command crosses back whole
 when it pickles (the master re-raises it verbatim); otherwise its
@@ -23,16 +29,15 @@ import numpy as np
 
 from repro.env.protocol import Environment
 from repro.replaydb.records import PackedRecords
-from repro.transport.base import Transport, TransportClosedError
 from repro.transport.codec import (
-    MSG_CMD,
     MSG_ERR,
     MSG_OK,
     decode_command,
+    decode_error,
+    decode_reply,
     encode_error,
     encode_reply,
 )
-from repro.transport.framing import ProtocolError
 
 __all__ = [
     "WorkerCrashError",
@@ -135,29 +140,40 @@ def _error_text(exc: BaseException) -> str:
     )
 
 
-def serve_env_session(env: Environment, transport: Transport) -> None:
-    """Serve the worker command loop for ``env`` over ``transport``.
+def reply_result(message: bytes, env_index: int) -> Any:
+    """The result one worker reply message carries.
+
+    An ``MSG_ERR`` reply raises instead: the original exception when it
+    crossed whole, otherwise a :class:`WorkerCrashError` carrying its
+    text.
+    """
+    if message[0] == MSG_ERR:
+        _env, text, exc = decode_error(message[1:])
+        if exc is not None:
+            raise exc
+        raise WorkerCrashError(text, env_index=env_index)
+    _cmd, result = decode_reply(message[1:])
+    return result
+
+
+def serve_env_session(env: Environment, conn) -> None:
+    """Serve the worker command loop for ``env`` over the pipe ``conn``.
 
     Runs until the master closes the environment (the normal goodbye)
-    or the master's side of the transport goes away.  A command failure
-    is replied as an error frame and the loop keeps serving — one bad
-    ``env_method`` must not take down the worker.  On exit, the
-    environment is closed if it is still open and the transport is
-    drained then closed.
+    or hangs up its end of the pipe (``EOFError`` or ``OSError`` from
+    the pipe).  A command failure is replied as an ``MSG_ERR`` message
+    and the loop keeps serving — one bad ``env_method`` must not take
+    down the worker.  On exit, the environment is closed if it is still
+    open and ``conn`` is closed.
     """
     closed = False
     try:
         while not closed:
             try:
-                msg_type, payload = transport.recv()
-            except (TransportClosedError, ProtocolError):
-                return  # master vanished; finally reaps the env
+                payload = conn.recv_bytes()
+            except (EOFError, OSError):
+                return  # master hung up; finally reaps the env
             try:
-                if msg_type != MSG_CMD:
-                    raise ProtocolError(
-                        f"unexpected message type {msg_type} on the worker "
-                        f"command channel"
-                    )
                 cmd, _env, data = decode_command(payload)
                 if cmd == "close":
                     closed = True
@@ -165,21 +181,19 @@ def serve_env_session(env: Environment, transport: Transport) -> None:
                     result = None
                 else:
                     result = exec_env_cmd(env, cmd, data)
+                reply = bytes((MSG_OK,)) + encode_reply(cmd, result)
             except Exception as exc:  # surface remote failures
-                try:
-                    transport.send(
-                        MSG_ERR, encode_error(exc, _error_text(exc), 0)
-                    )
-                except TransportClosedError:  # pragma: no cover - race
-                    return
-            else:
-                transport.send(MSG_OK, encode_reply(cmd, result))
-    except TransportClosedError:  # pragma: no cover - master went away
-        pass
+                reply = bytes((MSG_ERR,)) + encode_error(
+                    exc, _error_text(exc), 0
+                )
+            try:
+                conn.send_bytes(reply)
+            except OSError:  # pragma: no cover - master hung up
+                return
     finally:
         if not closed:
             try:
                 env.close()
             except Exception:  # pragma: no cover - teardown
                 pass
-        transport.close()
+        conn.close()

@@ -116,10 +116,9 @@ class IdleDeadline:
 def pack_message(msg_type: int, payload: bytes = b"") -> bytes:
     """One wire-ready framed message.
 
-    Thin alias of :func:`repro.transport.framing.encode_frame` — the
-    control plane and the collection transports share one framing
-    implementation (prefix layout, :data:`MAX_PAYLOAD` cap,
-    :class:`ProtocolError` on oversize).
+    Thin alias of :func:`repro.transport.framing.encode_frame`, which
+    owns the prefix layout, the :data:`MAX_PAYLOAD` cap and the
+    :class:`ProtocolError` on oversize.
     """
     return encode_frame(msg_type, payload)
 

@@ -1,30 +1,17 @@
-"""Framed-message transport layer for forked collection workers.
+"""Wire formats: the worker codec and the serve framing.
 
-One framing format (:mod:`repro.transport.framing`), one message
-abstraction (:mod:`repro.transport.base`), two media:
-
-- :class:`PipeTransport` — ``multiprocessing`` pipes to forked
-  collection workers (the ``fork`` backend of
-  :class:`~repro.env.vector.VectorEnv`);
-- :class:`LoopbackTransport` — an in-process queue pair for tests.
-
-On top of the byte layer, :mod:`repro.transport.codec` defines the
-binary request/response vocabulary of the vectorized worker protocol
-(``reset`` / ``step`` / ``run_chunk`` / records fan-in), with NumPy
-payloads as raw buffers rather than pickles.
-The serve control-plane protocol (:mod:`repro.serve.protocol`) frames
-its messages through the same :mod:`~repro.transport.framing` module,
-so the length-prefix layout and the oversize cap live in exactly one
-place.
+- :mod:`repro.transport.codec` — the binary request/response vocabulary
+  of the vectorized worker protocol (``reset`` / ``step`` /
+  ``run_chunk`` / records fan-in), with NumPy payloads as raw buffers
+  rather than pickles.  A forked worker and its master exchange these
+  payloads as whole ``multiprocessing`` pipe messages (see
+  :mod:`repro.env.worker`).
+- :mod:`repro.transport.framing` — the length-prefixed framing the
+  serve control-plane protocol (:mod:`repro.serve.protocol`) reads from
+  and writes to its asyncio streams, with the oversize cap.
 """
 
-from repro.transport.base import (
-    StreamTransport,
-    Transport,
-    TransportClosedError,
-)
 from repro.transport.codec import (
-    MSG_CMD,
     MSG_ERR,
     MSG_OK,
     decode_command,
@@ -41,26 +28,16 @@ from repro.transport.codec import (
 # part of the indexed package surface.
 from repro.transport.framing import (
     MAX_PAYLOAD,
-    FrameDecoder,
     ProtocolError,
     encode_frame,
     read_frame_async,
 )
-from repro.transport.loopback import LoopbackTransport, loopback_pair
-from repro.transport.pipe import PipeTransport, pipe_pair
 
 __all__ = [
-    "FrameDecoder",
-    "LoopbackTransport",
     "MAX_PAYLOAD",
-    "MSG_CMD",
     "MSG_ERR",
     "MSG_OK",
-    "PipeTransport",
     "ProtocolError",
-    "StreamTransport",
-    "Transport",
-    "TransportClosedError",
     "decode_command",
     "decode_error",
     "decode_reply",
@@ -70,7 +47,5 @@ __all__ = [
     "encode_frame",
     "encode_reply",
     "encode_sections",
-    "loopback_pair",
-    "pipe_pair",
     "read_frame_async",
 ]

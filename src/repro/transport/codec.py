@@ -2,9 +2,10 @@
 
 The vectorized collection stack speaks a small request/response
 vocabulary — ``reset`` / ``step`` / ``run_chunk`` / ``records`` /
-``call`` / ``commit`` / ``close`` — over any
-:class:`~repro.transport.base.Transport`.  This module defines how
-each message becomes payload bytes:
+``call`` / ``commit`` / ``close`` — between the master and its forked
+workers, one ``multiprocessing`` pipe message per command or reply
+(see :mod:`repro.env.worker`).  This module defines how each message
+becomes payload bytes:
 
 - a little JSON header (command name, env index, scalar fields, array
   descriptors), then
@@ -13,12 +14,14 @@ each message becomes payload bytes:
 NumPy data — observations, reward vectors and every
 :class:`~repro.replaydb.records.PackedRecords` column — crosses the
 wire as raw C-contiguous buffers described by ``(name, dtype, shape)``
-descriptors, *not* pickles: byte-exact, allocation-light, and readable
-by a peer that shares nothing but this codec.  Only the cold paths
-keep a pickle escape hatch (``call`` replies can be arbitrary Python
-objects, and exceptions travel whole when they can); those blobs are
-flagged in the header and documented as trusted-peer-only, which the
-worker topology guarantees (every worker is forked by the master).
+descriptors, *not* pickles: byte-exact and allocation-light.  Only
+the cold paths keep a pickle escape hatch (``call`` arguments and
+replies, and step ``info`` dicts, can be arbitrary Python objects, and
+exceptions travel whole when they can); those blobs are flagged in the
+header and are trusted-peer-only, which the worker topology guarantees
+(every worker is forked by the master).  A value takes the JSON path
+only when JSON gives it back equal, so tuples and int dict keys come
+back as they went in.
 
 Wire layout of one payload::
 
@@ -38,7 +41,6 @@ from repro.replaydb.records import PackedRecords
 from repro.transport.framing import ProtocolError
 
 __all__ = [
-    "MSG_CMD",
     "MSG_OK",
     "MSG_ERR",
     "encode_sections",
@@ -51,9 +53,8 @@ __all__ = [
     "decode_error",
 ]
 
-#: Message types of the worker command channel (distinct from the
-#: serve-protocol range so a cross-wired connection fails loudly).
-MSG_CMD = 0x20
+#: The status byte that leads every worker reply: a result, or an
+#: error (distinct from the serve-protocol message types).
 MSG_OK = 0x21
 MSG_ERR = 0x22
 
@@ -164,9 +165,10 @@ def _take_packed(
 
 
 def _jsonable(obj: Any) -> bool:
+    """True when JSON gives ``obj`` back equal: no tuple turns into a
+    list and no int dict key into a string on the way."""
     try:
-        json.dumps(obj)
-        return True
+        return json.loads(json.dumps(obj)) == obj
     except (TypeError, ValueError):
         return False
 

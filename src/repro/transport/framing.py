@@ -1,37 +1,27 @@
-"""Length-prefixed message framing — the one framing implementation.
+"""Length-prefixed message framing for the serve control plane.
 
 Every framed message is a 5-byte prefix (``uint8`` message type +
 ``uint32`` payload length, little-endian) followed by the payload.
-This module is the single place that layout lives: the control-plane
-protocol (:mod:`repro.serve.protocol`) and every
-:class:`~repro.transport.base.Transport` backend (pipe, socket,
-loopback) frame their bytes through it, so a framing bug cannot exist
-in one path and not the others.
+:func:`encode_frame` writes one; :func:`read_frame_async` reads one
+from an :mod:`asyncio` stream, the serve daemon's (and client's) reader
+of network input, where bytes arrive in any split.  The forked
+collection workers need no framing of their own: their
+``multiprocessing`` pipe already delivers whole messages.
 
-Two consumption styles, one format:
-
-- :func:`encode_frame` + :class:`FrameDecoder` — synchronous,
-  incremental: feed whatever chunks the medium delivers (partial
-  frames, many coalesced frames, one byte at a time) and complete
-  ``(type, payload)`` messages pop out in order;
-- :func:`read_frame_async` — the :mod:`asyncio` stream form the serve
-  daemon uses.
-
-Both enforce :data:`MAX_PAYLOAD`: an oversized length prefix is a
+Both sides enforce :data:`MAX_PAYLOAD`: an oversized length prefix is a
 :class:`ProtocolError` (a desynchronised or malicious peer), raised
-*before* any attempt to buffer the claimed payload.
+*before* any attempt to read the claimed payload.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
+from typing import Tuple
 
 __all__ = [
     "MAX_PAYLOAD",
     "PREFIX",
     "ProtocolError",
-    "FrameDecoder",
     "encode_frame",
     "read_frame_async",
 ]
@@ -57,50 +47,6 @@ def encode_frame(
             f"payload of {len(payload)} bytes exceeds cap {max_payload}"
         )
     return PREFIX.pack(msg_type, len(payload)) + payload
-
-
-class FrameDecoder:
-    """Incremental frame parser over an arbitrary chunk stream.
-
-    The medium (pipe message, socket ``recv``, in-process queue) may
-    deliver bytes in any split: half a prefix, three frames at once, a
-    payload spread over many reads.  :meth:`feed` buffers what arrived
-    and returns every *complete* message, in order; an oversized length
-    prefix raises :class:`ProtocolError` as soon as the prefix itself
-    is readable.
-    """
-
-    def __init__(self, max_payload: int = MAX_PAYLOAD):
-        self.max_payload = int(max_payload)
-        self._buf = bytearray()
-
-    @property
-    def buffered(self) -> int:
-        """Bytes held waiting for the rest of an incomplete frame."""
-        return len(self._buf)
-
-    @property
-    def at_boundary(self) -> bool:
-        """True when no partial frame is pending (a clean EOF point)."""
-        return not self._buf
-
-    def feed(self, data: bytes) -> List[Tuple[int, bytes]]:
-        """Absorb ``data``; return all newly completed messages."""
-        self._buf.extend(data)
-        out: List[Tuple[int, bytes]] = []
-        while len(self._buf) >= PREFIX.size:
-            msg_type, length = PREFIX.unpack_from(self._buf, 0)
-            if length > self.max_payload:
-                raise ProtocolError(
-                    f"framed payload of {length} bytes exceeds cap "
-                    f"{self.max_payload}"
-                )
-            end = PREFIX.size + length
-            if len(self._buf) < end:
-                break
-            out.append((msg_type, bytes(self._buf[PREFIX.size : end])))
-            del self._buf[:end]
-        return out
 
 
 async def read_frame_async(

@@ -1,35 +1,42 @@
-"""The transport layer under a microscope (framing, media, codecs).
+"""The wire formats under a microscope (serve framing, worker codec).
 
-The collection stack's load-bearing property is that **both byte
-media behave identically**: a forked worker over a pipe and an
-in-process loopback pair must frame, reassemble, reject and close
-exactly the same way, because they share one
-:class:`~repro.transport.base.StreamTransport` /
-:class:`~repro.transport.framing.FrameDecoder` implementation.  The
-hypothesis properties here feed *arbitrary byte splits* — half a
-prefix, coalesced frames, one byte per chunk — through every medium
-and require identical message streams out.
+Two media, two kinds of test, one parameter: ``loopback`` keeps both
+ends in this process, ``pipe`` puts an OS pipe in between.
+
+- Framing: :func:`~repro.transport.framing.read_frame_async` is the
+  serve daemon's reader of network input, where bytes arrive in any
+  split.  The hypothesis properties feed *arbitrary byte splits* — half
+  a prefix, coalesced frames, one byte per chunk — into an
+  ``asyncio.StreamReader`` (``loopback``) or through an OS pipe the
+  event loop reads (``pipe``), and require the same message stream out.
+- The fork channel: a forked worker's commands and replies are whole
+  ``multiprocessing`` pipe messages holding codec payloads.  Its close
+  and crash paths run against the far end of the pipe held by the test
+  itself (``loopback``) or by a real forked worker (``pipe``).
 
 The hypothesis runs are derandomized so the tier-1 suite stays
 deterministic; bump ``max_examples`` locally when hunting.
 """
 
+import asyncio
+import multiprocessing
+import os
 import pickle
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.env.vector import _RemoteChannel
+from repro.env.worker import WorkerCrashError
 from repro.replaydb.records import PackedRecords
 from repro.transport import (
     MAX_PAYLOAD,
-    MSG_CMD,
-    FrameDecoder,
-    LoopbackTransport,
-    PipeTransport,
+    MSG_ERR,
+    MSG_OK,
     ProtocolError,
-    TransportClosedError,
     decode_command,
     decode_error,
     decode_reply,
@@ -39,26 +46,13 @@ from repro.transport import (
     encode_frame,
     encode_reply,
     encode_sections,
-    loopback_pair,
-    pipe_pair,
+    read_frame_async,
 )
 from repro.transport.framing import PREFIX
 
 SETTINGS = dict(max_examples=25, deadline=None, derandomize=True)
 
-TRANSPORTS = ["loopback", "pipe"]
-
-
-def make_pair(kind: str, max_payload: int = MAX_PAYLOAD):
-    """A connected (a, b) transport pair of the requested medium."""
-    if kind == "loopback":
-        return loopback_pair(max_payload=max_payload)
-    if kind == "pipe":
-        a, b = pipe_pair()
-        a._decoder.max_payload = max_payload
-        b._decoder.max_payload = max_payload
-        return a, b
-    raise AssertionError(kind)
+MEDIA = ["loopback", "pipe"]
 
 
 def chunked(data: bytes, cuts) -> list:
@@ -67,12 +61,69 @@ def chunked(data: bytes, cuts) -> list:
     return [
         data[lo:hi]
         for lo, hi in zip(points, points[1:])
-        if hi > lo  # empty chunks read as EOF on pipes/queues
+        if hi > lo  # an empty write would carry nothing
     ]
 
 
+async def _read_all(reader, max_payload):
+    """Every frame ``reader`` yields, and the error that ended it."""
+    frames = []
+    while True:
+        try:
+            frames.append(await read_frame_async(reader, max_payload))
+        except Exception as exc:
+            return frames, exc
+
+
+def read_stream(kind: str, chunks, max_payload: int = MAX_PAYLOAD):
+    """``(frames, error)`` read by :func:`read_frame_async` from
+    ``chunks`` written one at a time, then EOF, over medium ``kind``."""
+
+    async def main():
+        reader = asyncio.StreamReader()
+        pipe = None
+        if kind == "loopback":
+            write, eof = reader.feed_data, reader.feed_eof
+        else:
+            rfd, wfd = os.pipe()
+            pipe, _ = await asyncio.get_running_loop().connect_read_pipe(
+                lambda: asyncio.StreamReaderProtocol(reader),
+                os.fdopen(rfd, "rb", buffering=0),
+            )
+
+            def write(chunk):
+                os.write(wfd, chunk)
+
+            def eof():
+                os.close(wfd)
+
+        task = asyncio.ensure_future(_read_all(reader, max_payload))
+        try:
+            for chunk in chunks:
+                write(chunk)
+                await asyncio.sleep(0)  # the reader may see this chunk alone
+            eof()
+            return await task
+        finally:
+            if pipe is not None:
+                pipe.close()
+
+    return asyncio.run(main())
+
+
+def oracle(wire: bytes) -> list:
+    """Decode a whole byte string at once, prefix by prefix."""
+    out, offset = [], 0
+    while offset < len(wire):
+        msg_type, length = PREFIX.unpack_from(wire, offset)
+        offset += PREFIX.size
+        out.append((msg_type, wire[offset : offset + length]))
+        offset += length
+    return out
+
+
 # --------------------------------------------------------------------------
-# Framing properties: every medium, every byte split
+# Framing properties: the serve reader, every medium, every byte split
 # --------------------------------------------------------------------------
 
 frames_st = st.lists(
@@ -86,117 +137,149 @@ frames_st = st.lists(
 cuts_st = st.lists(st.integers(min_value=0, max_value=10_000), max_size=12)
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
+@pytest.mark.parametrize("kind", MEDIA)
 @settings(**SETTINGS)
 @given(frames=frames_st, cuts=cuts_st)
 def test_any_byte_split_reassembles_identically(kind, frames, cuts):
     """Frames survive arbitrary chunking on every medium, in order."""
     wire = b"".join(encode_frame(t, p) for t, p in frames)
-    a, b = make_pair(kind)
-    try:
-        for chunk in chunked(wire, cuts):
-            a._write_bytes(chunk)
-        got = [b.recv() for _ in frames]
-        assert got == frames
-    finally:
-        a.close()
-        b.close()
+    got, end = read_stream(kind, chunked(wire, cuts))
+    assert got == frames
+    assert isinstance(end, asyncio.IncompleteReadError) and not end.partial
 
 
 @settings(**SETTINGS)
 @given(frames=frames_st, cuts=cuts_st)
 def test_frame_decoder_matches_oracle(frames, cuts):
-    """The incremental decoder equals decode-everything-at-once."""
+    """The incremental reader equals decode-everything-at-once."""
     wire = b"".join(encode_frame(t, p) for t, p in frames)
-    decoder = FrameDecoder()
-    out = []
-    for chunk in chunked(wire, cuts):
-        out.extend(decoder.feed(chunk))
-    assert out == frames
-    assert decoder.at_boundary and decoder.buffered == 0
+    got, end = read_stream("loopback", chunked(wire, cuts))
+    assert got == oracle(wire) == frames
+    assert isinstance(end, asyncio.IncompleteReadError) and not end.partial
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
+@pytest.mark.parametrize("kind", MEDIA)
 def test_truncated_final_frame_is_a_protocol_error(kind):
-    """EOF mid-frame is corruption, not a clean goodbye."""
-    a, b = make_pair(kind)
+    """EOF mid-frame is a truncated frame, not a clean goodbye: the
+    reader raises with the partial payload in hand (serve drops that
+    peer) and never returns a short frame."""
     whole = encode_frame(7, b"payload bytes")
-    a._write_bytes(whole[: len(whole) - 3])
-    a.close()
-    with pytest.raises(ProtocolError, match="mid-frame"):
-        b.recv()
-    b.close()
+    got, end = read_stream(kind, [whole[: len(whole) - 3]])
+    assert got == []
+    assert isinstance(end, asyncio.IncompleteReadError)
+    assert end.partial == whole[PREFIX.size : len(whole) - 3]
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
+@pytest.mark.parametrize("kind", MEDIA)
 def test_clean_eof_between_frames_is_transport_closed(kind):
-    """EOF at a frame boundary delivers the frame, then a clean close."""
-    a, b = make_pair(kind)
-    a.send(3, b"last words")
-    a.close()
-    assert b.recv() == (3, b"last words")
-    with pytest.raises(TransportClosedError):
-        b.recv()
-    assert b.closed
-    b.close()
+    """EOF at a frame boundary delivers the frame, then a clean close:
+    end of stream with no partial bytes."""
+    got, end = read_stream(kind, [encode_frame(3, b"last words")])
+    assert got == [(3, b"last words")]
+    assert isinstance(end, asyncio.IncompleteReadError)
+    assert end.partial == b""
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
+@pytest.mark.parametrize("kind", MEDIA)
 def test_oversized_frame_rejected_before_buffering(kind):
     """A length prefix beyond the cap raises on every medium.
 
-    The bogus prefix claims a huge payload that is never sent — the
-    decoder must reject it from the prefix alone, not try to buffer.
+    The bogus prefix claims a payload that is never sent — the reader
+    must reject it from the prefix alone; reading on would end in
+    ``IncompleteReadError`` instead.
     """
     cap = 64
-    a, b = make_pair(kind, max_payload=cap)
-    a._write_bytes(PREFIX.pack(MSG_CMD, cap + 1))
-    with pytest.raises(ProtocolError, match="exceeds cap"):
-        b.recv()
+    got, end = read_stream(kind, [PREFIX.pack(0x20, cap + 1)], cap)
+    assert got == []
+    assert isinstance(end, ProtocolError) and "exceeds cap" in str(end)
     with pytest.raises(ProtocolError):
-        a.send(MSG_CMD, b"x" * (cap + 1))
-    a.close()
-    b.close()
+        encode_frame(0x20, b"x" * (cap + 1), cap)
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
+# --------------------------------------------------------------------------
+# The fork channel: close and crash paths
+# --------------------------------------------------------------------------
+
+
+class _Env:
+    """Minimal Environment for the worker end of a fork channel."""
+
+    def records_since_packed(self, since):
+        return _packed(n=6, frame_dim=3)
+
+    def explode(self):
+        raise ValueError("knob 3 out of range")
+
+    def hang(self):
+        time.sleep(60)
+
+    def close(self):
+        pass
+
+
+def make_channel(kind: str):
+    """A fork channel and the worker end of its pipe.
+
+    ``pipe``: a forked worker serves :func:`serve_env_session` on the
+    worker end (returned as ``None``).  ``loopback``: the test holds the
+    worker end itself, and the channel's process is a child that has
+    already exited.
+    """
+    context = multiprocessing.get_context("fork")
+    if kind == "pipe":
+        return _RemoteChannel.fork(_Env, context, []), None
+    master_end, worker_end = context.Pipe()
+    proc = context.Process(target=int, daemon=True)
+    proc.start()
+    proc.join()  # its copies of both ends are closed again
+    return _RemoteChannel(master_end, proc), worker_end
+
+
+@pytest.mark.parametrize("kind", MEDIA)
 def test_close_is_idempotent_and_fences_send(kind):
-    a, b = make_pair(kind)
-    a.close()
-    a.close()  # second close is a no-op
-    assert a.closed
-    with pytest.raises(TransportClosedError):
-        a.send(1, b"too late")
-    b.close()
-    b.close()
+    ch, worker_end = make_channel(kind)
+    ch.close()
+    ch.close()  # second close is a no-op
+    assert ch.conn.closed and ch._proc.exitcode is not None
+    with pytest.raises(WorkerCrashError, match="cannot submit 'reset'"):
+        ch.submit(0, "reset", True)
+    if worker_end is not None:
+        with pytest.raises(EOFError):  # the worker sees the hang-up
+            worker_end.recv_bytes()
+        worker_end.close()
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
+@pytest.mark.parametrize("kind", MEDIA)
 @pytest.mark.parametrize("how", ["recv_eof", "send_failure"])
 def test_close_releases_the_medium_after_the_peer_went_away(kind, how):
-    """Regression: once the peer was gone (EOF on recv, a failed write
-    on send), ``close()`` returned early and never released this
-    side's medium — one leaked descriptor per crashed peer."""
-    a, b = make_pair(kind)
-    released = []
-    release = a._close_medium
-    a._close_medium = lambda: (released.append(True), release())
-    b.close()
+    """Once the worker is gone (EOF on recv, a failed write on send),
+    the channel raises :class:`WorkerCrashError` naming the env and the
+    command, and ``close()`` still releases its pipe end and reaps the
+    process."""
+
+    def peer_goes_away():
+        if worker_end is not None:
+            worker_end.close()
+        else:
+            ch._proc.kill()
+            ch._proc.join(timeout=5)
+
+    ch, worker_end = make_channel(kind)
     if how == "recv_eof":
-        with pytest.raises(TransportClosedError):
-            a.recv()
+        ch.submit(2, "call", ("hang", (), {}))
+        if worker_end is not None:
+            worker_end.recv_bytes()  # the command arrived
+        peer_goes_away()
+        with pytest.raises(WorkerCrashError, match="env 2") as excinfo:
+            ch.result()
+        assert "went away during 'call'" in str(excinfo.value)
     else:
-
-        def broken_write(data):
-            raise BrokenPipeError("peer went away")
-
-        a._write_bytes = broken_write
-        with pytest.raises(TransportClosedError):
-            a.send(1, b"into the void")
-    assert a.closed
-    a.close()
-    a.close()
-    assert released == [True]  # exactly once, even after the peer left
+        peer_goes_away()
+        with pytest.raises(WorkerCrashError, match="cannot submit 'records'"):
+            ch.submit(2, "records", 0)
+    ch.close()
+    ch.close()
+    assert ch.conn.closed and ch._proc.exitcode is not None
 
 
 # --------------------------------------------------------------------------
@@ -385,23 +468,40 @@ def test_pickle_sanity_for_liar_helper():
 
 
 # --------------------------------------------------------------------------
-# Transports carry codec traffic end to end
+# Codec payloads cross a real pipe
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", TRANSPORTS)
+@pytest.mark.parametrize("kind", MEDIA)
 def test_codec_payloads_cross_every_medium(kind):
-    a, b = make_pair(kind)
+    """One command per pipe message; one reply per pipe message, a
+    status byte then the codec payload."""
+    ch, worker_end = make_channel(kind)
     try:
         packed = _packed(n=6, frame_dim=3)
-        a.send(MSG_CMD, encode_command("records", 1, 42))
-        msg_type, payload = b.recv()
-        assert msg_type == MSG_CMD
-        assert decode_command(payload) == ("records", 1, 42)
-        b.send(0x21, encode_reply("records", packed))
-        _t, payload = a.recv()
-        _cmd, got = decode_reply(payload)
+        ch.submit(1, "records", 42)
+        if worker_end is not None:
+            assert decode_command(worker_end.recv_bytes()) == (
+                "records",
+                0,
+                42,
+            )
+            worker_end.send_bytes(
+                bytes((MSG_OK,)) + encode_reply("records", packed)
+            )
+        got = ch.result()
         assert got.frames.tobytes() == packed.frames.tobytes()
+
+        ch.submit(1, "call", ("explode", (), {}))
+        if worker_end is not None:
+            worker_end.recv_bytes()
+            exc = ValueError("knob 3 out of range")
+            worker_end.send_bytes(
+                bytes((MSG_ERR,)) + encode_error(exc, "ValueError", 0)
+            )
+        with pytest.raises(ValueError, match="knob 3 out of range"):
+            ch.result()
     finally:
-        a.close()
-        b.close()
+        ch.close()
+        if worker_end is not None:
+            worker_end.close()

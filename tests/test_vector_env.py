@@ -9,6 +9,7 @@ Algorithm 1 windows never cross clusters.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.env import (
 from repro.exp import ExperimentSpec, RunBudget, WorkloadSpec, execute_spec
 from repro.replaydb.sampler import SamplerStarvedError
 from repro.rl import Hyperparameters
+from repro.snapshot.core import SnapshotError
 from repro.workloads import RandomReadWrite
 
 TINY_HP = Hyperparameters(
@@ -337,7 +339,7 @@ class TestWorkerCrash:
         )
         procs = [ch._proc for ch in venv._channels]
         try:
-            venv._channels[0].transport.close()
+            venv._channels[0].conn.close()
             procs[0].join(timeout=3)
             assert not procs[0].is_alive(), "worker 0 never saw EOF"
             assert all(p.is_alive() for p in procs[1:])
@@ -353,6 +355,104 @@ class TestWorkerCrash:
                 venv.env_method(0, "step", 0)  # stepping before reset
         finally:
             venv.close()
+
+
+class _StepEnv:
+    """Minimal Environment that names itself: ``whoami`` returns a
+    tuple, step ``info`` has an int key, and ``fail=True`` makes every
+    step raise."""
+
+    obs_dim = 2
+    n_actions = 2
+    frame_dim = 2
+    action_space = None
+    hp = None
+
+    def __init__(self, index, fail=False):
+        self.index, self.fail, self.tick = index, fail, 0
+
+    def reset(self):
+        self.tick = 0
+        return np.zeros(2)
+
+    def step(self, action, out=None):
+        if self.fail:
+            raise ValueError(f"env {self.index} cannot step")
+        self.tick += 1
+        obs = np.array([100.0 * self.index + self.tick, 0.0])
+        return obs, 1.0, {self.tick: ("tick", self.index)}
+
+    def whoami(self):
+        return ("env", self.index, "t", self.tick)
+
+    def current_observation(self, out=None):
+        return np.zeros(2)
+
+    def close(self):
+        pass
+
+
+def _step_fleet(backend, n=2, failing=()):
+    return VectorEnv(
+        [partial(_StepEnv, i, fail=i in failing) for i in range(n)],
+        backend=backend,
+        shared_db_path=None,
+    )
+
+
+class TestFailedLockstep:
+    @pytest.mark.parametrize("backend", ["serial", "fork"])
+    def test_failed_step_leaves_no_stale_reply(self, backend):
+        """Regression: a lockstep stopped at the first failed reply, so
+        on fork the other workers' replies stayed in their pipes and
+        the next command read a stale one."""
+        venv = _step_fleet(backend, failing=(0,))
+        try:
+            venv.reset()
+            with pytest.raises(ValueError, match="env 0 cannot step"):
+                venv.step([0, 0])
+            # The failed step was logged before it ran; it must not be
+            # replayable.
+            with pytest.raises(SnapshotError):
+                venv.snapshot()
+            # Every env got the step, on both backends.
+            assert venv.env_method(1, "whoami") == ("env", 1, "t", 1)
+        finally:
+            venv.close()
+
+    def test_env_method_and_step_info_keep_their_types(self):
+        """Regression: the fork codec sent tuples and int-keyed dicts
+        through JSON, returning lists and string keys."""
+        got = {}
+        for backend in ("serial", "fork"):
+            venv = _step_fleet(backend)
+            try:
+                venv.reset()
+                _obs, _rewards, infos = venv.step([0, 0])
+                got[backend] = (venv.env_method(1, "whoami"), infos)
+            finally:
+                venv.close()
+        assert got["fork"] == got["serial"]
+        whoami, infos = got["fork"]
+        assert type(whoami) is tuple
+        assert infos == [{1: ("tick", 0)}, {1: ("tick", 1)}]
+        assert all(type(key) is int for info in infos for key in info)
+
+
+class TestClose:
+    @pytest.mark.parametrize("kill", [False, True], ids=["normal", "killed"])
+    def test_close_releases_every_pipe_end_and_worker(self, kill):
+        """A leaked ``multiprocessing.Connection`` raises no
+        ``ResourceWarning``, so this checks the pipe ends and workers
+        directly: every master end closed, every worker reaped."""
+        venv = _step_fleet("fork", n=3)
+        channels = list(venv._channels)
+        if kill:
+            channels[1]._proc.kill()
+            channels[1]._proc.join(timeout=5)
+        venv.close()
+        assert all(ch.conn.closed for ch in channels)
+        assert all(ch._proc.exitcode is not None for ch in channels)
 
 
 class TestSharedDbModes:
