@@ -236,17 +236,14 @@ class CapesSession:
 
         The target system is not touched; this is the "training on
         demand" half of §3.3, and what a production deployment does
-        overnight with the day's monitoring data.
+        overnight with the day's monitoring data.  The steps run through
+        the session's trainer (:meth:`TrainerLoop.run
+        <repro.train.loop.TrainerLoop.run>`), the same sampler→SGD path
+        as :meth:`train`, and count in its stats.
         """
         check_positive("n_steps", n_steps)
         self.ensure_started()
-        assert self.sampler is not None
-        losses = []
-        for _ in range(n_steps):
-            loss = self.agent.train_from_sampler(self.sampler)
-            if loss is not None:
-                losses.append(loss)
-        return np.array(losses)
+        return np.array(self._ensure_trainer().run(n_steps))
 
     def measure_baseline(self, n_ticks: int) -> np.ndarray:
         """Per-tick objective with CAPES inactive (no actions at all)."""

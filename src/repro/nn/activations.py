@@ -35,7 +35,11 @@ class Tanh(Activation):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._y is None:
             raise RuntimeError("backward() before forward()")
-        return grad_out * (1.0 - self._y**2)
+        # grad_out · (1 − y²), in one buffer.
+        out = np.square(self._y)
+        np.subtract(1.0, out, out=out)
+        out *= grad_out
+        return out
 
 
 class ReLU(Activation):

@@ -108,7 +108,9 @@ class Dense(Layer):
                 f"got {x.shape}"
             )
         self._x = x
-        return x @ self.W.value + self.b.value
+        y = x @ self.W.value
+        y += self.b.value
+        return y
 
     def backward(
         self, grad_out: np.ndarray, input_grad: bool = True, accumulate: bool = True

@@ -230,9 +230,14 @@ class Adam(Optimizer):
         a *= 1.0 - self.beta2
         v *= self.beta2
         v += a
-        # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        np.divide(m, bc1, out=a)
-        a *= self.lr
+        # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps); once beta1**t
+        # is too small to change 1.0, bc1 is 1.0 exactly and m / bc1 is m
+        # bit for bit, so the divide is skipped.
+        if bc1 == 1.0:
+            np.multiply(m, self.lr, out=a)
+        else:
+            np.divide(m, bc1, out=a)
+            a *= self.lr
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
         b += self.eps

@@ -258,6 +258,28 @@ class ReplayCache:
                 valid[i] = True
         return frames, valid
 
+    def _locate(self, ticks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(slots, present)`` for an int64 array of ticks."""
+        slots = ticks % self.capacity
+        # No slot holds a tick above max_tick, and an empty ring holds
+        # only -1, so the slot test plus one lower bound (the ring
+        # horizon, or -1 for negative ticks) is the whole of has().
+        newest = -1 if self._max_tick is None else self._max_tick
+        present = (self._ticks[slots] == ticks) & (
+            ticks > max(newest - self.capacity, -1)
+        )
+        return slots, present
+
+    def screen(self, ticks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`gather` without the frames: ``(present, actions)``.
+
+        What Algorithm 1 needs to accept or reject a candidate window,
+        read from the tick and action columns only.
+        """
+        ticks = np.asarray(ticks, dtype=np.int64)
+        slots, present = self._locate(ticks)
+        return present, self._actions[slots]
+
     def gather(
         self, ticks: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -267,20 +289,13 @@ class ReplayCache:
         ``ticks`` (``frames`` with a trailing ``frame_width`` axis).
         ``present[i]`` is exactly ``has(ticks[i])``.  The value arrays
         are fancy-index copies, never views of the ring; what they hold
-        where ``present`` is False is unspecified.  The only reader that
-        knows the ring layout — Algorithm 1's batched path
-        (:meth:`~repro.replaydb.sampler.MinibatchSampler.transitions_at`)
-        goes through here.
+        where ``present`` is False is unspecified.  With :meth:`screen`,
+        the only reader that knows the ring layout — Algorithm 1's
+        batched paths (:class:`~repro.replaydb.sampler.MinibatchSampler`)
+        go through here.
         """
         ticks = np.asarray(ticks, dtype=np.int64)
-        slots = ticks % self.capacity
-        # No slot holds a tick above max_tick, and an empty ring holds
-        # only -1, so the slot test plus one lower bound (the ring
-        # horizon, or -1 for negative ticks) is the whole of has().
-        newest = -1 if self._max_tick is None else self._max_tick
-        present = (self._ticks[slots] == ticks) & (
-            ticks > max(newest - self.capacity, -1)
-        )
+        slots, present = self._locate(ticks)
         return (
             present,
             self._frames[slots],

@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.replaydb.records import Minibatch
 from repro.replaydb.sampler import MinibatchSampler, SamplerStarvedError
 from repro.util.validation import check_positive
 
@@ -105,7 +104,9 @@ class StridedMinibatchSampler(MinibatchSampler):
     subclass draws a uniform index over the concatenated candidate
     spans of every non-empty block instead, which stays uniform over
     all stored transitions even when one block has run ahead (e.g.
-    after a checkpoint measurement on the reference cluster).
+    after a checkpoint measurement on the reference cluster).  Only the
+    draw differs: :meth:`sample_minibatch` and :meth:`minibatches` are
+    the base class's.
 
     ``spans`` is the :class:`TickSpans` frontier the store's writer
     maintains — the sampler re-reads it on every draw, so records that
@@ -129,9 +130,8 @@ class StridedMinibatchSampler(MinibatchSampler):
         )
         self.spans = spans
 
-    def sample_minibatch(self, n: int, max_attempts: int = 200):
-        """ConstructMinibatch(n), uniform over all blocks' transitions."""
-        check_positive("n", n)
+    def _drawer(self):
+        """Uniform over the concatenation of every block's candidate span."""
         spans = self.spans.candidate_spans(self.obs_ticks)
         if not spans:
             raise SamplerStarvedError(
@@ -146,9 +146,7 @@ class StridedMinibatchSampler(MinibatchSampler):
         shift = firsts - (cum - lengths)
 
         def draw(needed: int) -> np.ndarray:
-            # Uniform over the concatenation of all candidate spans.
             flat = self.rng.integers(0, int(cum[-1]), size=needed)
             return flat + shift[np.searchsorted(cum, flat, side="right")]
 
-        _, *columns = self._fill(n, max_attempts, draw)
-        return Minibatch(*columns)
+        return draw

@@ -61,8 +61,7 @@ class DQNAgent:
             use_batchnorm=use_batchnorm,
             rng=self.rng,
         )
-        self.online = QNetwork(net, loss=loss)
-        self.target = QNetwork(net.clone(), loss=loss)
+        self._bind(QNetwork(net, loss=loss), QNetwork(net.clone(), loss=loss))
         self.optimizer = optimizer or Adam(lr=self.hp.adam_learning_rate)
         self.epsilon = EpsilonSchedule(
             initial=self.hp.epsilon_initial,
@@ -185,9 +184,19 @@ class DQNAgent:
         semantics: a restored model restarts its slow tracking copy).
         """
         loss = self.online.loss_name
-        self.online = QNetwork(net, loss=loss)
-        self.target = QNetwork(
-            target_net if target_net is not None else net.clone(), loss=loss
+        self._bind(
+            QNetwork(net, loss=loss),
+            QNetwork(
+                target_net if target_net is not None else net.clone(), loss=loss
+            ),
+        )
+
+    def _bind(self, online: QNetwork, target: QNetwork) -> None:
+        self.online, self.target = online, target
+        #: θ⁻ ← (1 − α)·θ⁻ + α·θ over exactly this pair of arenas (and its
+        #: block scratch), built once per pair rather than once per step.
+        self._blend = target_blend(
+            target.net, online.net, self.hp.target_network_update_rate
         )
 
     # -- training --------------------------------------------------------------
@@ -210,13 +219,12 @@ class DQNAgent:
         """One SGD update on one minibatch; returns the prediction error.
 
         The backward pass writes ∇ (nothing to zero first); one sweep
-        over the parameters then updates θ and blends it into θ⁻.
+        over the parameters then updates θ and blends it into θ⁻ (the
+        blend :meth:`adopt_network` bound to the current pair).
         """
         targets = self.bellman_targets(batch)
         loss = self.online.td_backward(batch.s_t, batch.actions, targets)
-        alpha = self.hp.target_network_update_rate
-        blend = target_blend(self.target.net, self.online.net, alpha)
-        self.optimizer.step(self.online.net.parameters(), after=blend)
+        self.optimizer.step(self.online.net.parameters(), after=self._blend)
         self.loss_history.append(loss)
         self.train_steps += 1
         return loss

@@ -21,6 +21,7 @@ def target_blend(target: MLP, online: MLP, alpha: float) -> Callable[[int, int],
     most ``BLOCK``) of the two parameter arenas — what ``Optimizer.step``
     takes as ``after``, so a block is blended while its update is still
     in cache.  The topologies are compared here, before anything moves.
+    The agent binds one per network pair, in ``adopt_network``.
     """
     check_in_range("alpha", alpha, 0.0, 1.0)
     t_params = target.parameters()

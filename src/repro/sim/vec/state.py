@@ -328,18 +328,31 @@ class RecordView:
                 valid[j] = True
         return frames, valid
 
-    def gather(self, ticks: np.ndarray):
-        """Batched ``has`` + ``get``; see :meth:`ReplayCache.gather
-        <repro.replaydb.cache.ReplayCache.gather>` for the contract."""
-        ticks = np.asarray(ticks, dtype=np.int64)
+    def _locate(self, ticks: np.ndarray):
+        """``(rows, present)`` for an int64 array of ticks."""
         st, e, n = self._state, self._e, self._n()
         found = np.searchsorted(st.rec_ticks[e, :n], ticks)
         # A tick past the newest record searches to row n, which is
         # spare capacity, not a record: ``found < n`` marks it absent
         # and the clip keeps the (then unspecified) value reads in range.
         rows = np.minimum(found, max(n - 1, 0))
+        return rows, (found < n) & (st.rec_ticks[e, rows] == ticks)
+
+    def screen(self, ticks: np.ndarray):
+        """Batched ``has`` plus the action column; see :meth:`ReplayCache.screen
+        <repro.replaydb.cache.ReplayCache.screen>` for the contract."""
+        ticks = np.asarray(ticks, dtype=np.int64)
+        rows, present = self._locate(ticks)
+        return present, self._state.rec_actions[self._e, rows]
+
+    def gather(self, ticks: np.ndarray):
+        """Batched ``has`` + ``get``; see :meth:`ReplayCache.gather
+        <repro.replaydb.cache.ReplayCache.gather>` for the contract."""
+        ticks = np.asarray(ticks, dtype=np.int64)
+        rows, present = self._locate(ticks)
+        st, e = self._state, self._e
         return (
-            (found < n) & (st.rec_ticks[e, rows] == ticks),
+            present,
             st.rec_frames[e, rows],
             st.rec_actions[e, rows],
             st.rec_rewards[e, rows],

@@ -122,12 +122,25 @@ class TrainerLoop:
         self._pending_ticks = 0.0
         n = int(self._debt)
         self._debt -= n
-        sampler = self._sampler_fn()
-        new: List[float] = []
-        for _ in range(n):
-            loss = self.agent.train_from_sampler(sampler)
-            if loss is not None:
-                new.append(float(loss))
+        return self.run(n)
+
+    def run(self, n: int) -> List[float]:
+        """Attempt ``n`` SGD steps now, outside the cadence.
+
+        The one sampler→SGD path: one
+        :meth:`~repro.replaydb.sampler.MinibatchSampler.minibatches`
+        pass feeds ``n`` ``train_step`` calls — equal to ``n``
+        ``train_from_sampler`` calls, a minibatch that would starve
+        skipping its step.  Returns the new prediction errors.
+        """
+        minibatches = self._sampler_fn().minibatches(
+            n, self.agent.hp.minibatch_size
+        )
+        new = [
+            float(self.agent.train_step(batch))
+            for batch in minibatches
+            if batch is not None
+        ]
         self.stats.steps_attempted += n
         self.stats.losses.extend(new)
         return new

@@ -33,7 +33,10 @@ from repro.nn import (
 from repro.nn.optimizers import BLOCK
 from repro.replaydb.records import Minibatch
 from repro.rl import DQNAgent, Hyperparameters, soft_update
+from repro.serve import protocol
+from repro.serve.client import ServeClient
 from repro.snapshot.layers import capture_agent, restore_agent
+from repro.transport.framing import PREFIX
 
 
 def assert_packed(net: MLP) -> None:
@@ -155,6 +158,27 @@ class TestLayout:
 
 
 # -- every way a network enters an agent ------------------------------------------
+def _load_checkpoint(agent, donor, tmp_path):
+    """``CapesSession.load``: a checkpoint file into the live agent."""
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, donor.online.net, optimizer=donor.optimizer)
+    net, _ = load_checkpoint(path, optimizer=agent.optimizer)
+    agent.adopt_network(net)
+
+
+def _serve_checkpoint(agent, donor, tmp_path):
+    """A served CHECKPOINT broadcast, adopted by the client's agent."""
+    client = ServeClient("localhost", 0, "c0", frame_width=1, agent=agent)
+    blob = checkpoint_to_bytes(donor.online.net)
+    client._apply_checkpoint(protocol.pack_checkpoint(0, 1, blob)[PREFIX.size :])
+    assert client.checkpoints_applied == 1
+
+
+def _restore_snapshot(agent, donor, tmp_path):
+    """A session snapshot's agent section."""
+    restore_agent(agent, *capture_agent(donor))
+
+
 class TestAdoption:
     def test_agent_networks_are_packed(self):
         agent = small_agent(use_batchnorm=True)
@@ -224,6 +248,35 @@ class TestAdoption:
         assert checkpoint_to_bytes(restored.target.net) == checkpoint_to_bytes(
             original.target.net
         )
+
+    @pytest.mark.parametrize(
+        "enter", [_load_checkpoint, _serve_checkpoint, _restore_snapshot]
+    )
+    def test_next_step_blends_into_the_adopted_target(self, enter, tmp_path):
+        """``train_step`` blends θ into θ⁻ through a blend bound to one
+        network pair, so every entry path must rebind it: the next step
+        moves the adopted target and never the abandoned networks."""
+        rng = np.random.default_rng(7)
+        agent, donor = small_agent(), DQNAgent(
+            9, 3, hp=Hyperparameters(hidden_layer_size=6), rng=11
+        )
+        for _ in range(2):
+            agent.train_step(make_batch(rng, 8, 9, 3))
+            donor.train_step(make_batch(rng, 8, 9, 3))
+        old_online, old_target = agent.online.net, agent.target.net
+        frozen = old_online.theta.copy(), old_target.theta.copy()
+        enter(agent, donor, tmp_path)
+        assert agent.online.net is not old_online
+        assert agent.target.net is not old_target
+        assert_packed(agent.target.net)
+        # The reference: the same step, then a separate soft update of a
+        # copy of the adopted target.
+        expected = agent.target.net.clone()
+        agent.train_step(make_batch(rng, 8, 9, 3))
+        soft_update(expected, agent.online.net, agent.hp.target_network_update_rate)
+        assert agent.target.net.theta.tobytes() == expected.theta.tobytes()
+        assert old_online.theta.tobytes() == frozen[0].tobytes()
+        assert old_target.theta.tobytes() == frozen[1].tobytes()
 
 
 # -- gradients: accumulate by default, write on request ---------------------------

@@ -11,6 +11,8 @@ The hypothesis runs are derandomized so the tier-1 suite stays
 deterministic; bump ``max_examples`` locally when hunting.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from repro.env.registry import _default_workload
 from repro.env.tuning_env import EnvConfig
 from repro.replaydb.cache import ReplayCache
 from repro.replaydb.db import ReplayDB
+from repro.replaydb import sampler as sampler_module
 from repro.replaydb.records import Minibatch, TickRecord
 from repro.replaydb.sampler import MinibatchSampler, SamplerStarvedError
 from repro.replaydb.spans import StridedMinibatchSampler, TickSpans
@@ -346,10 +349,49 @@ def _sample_both(sampler, twin, n, draw, max_attempts):
     return batch, reference
 
 
+def _assert_minibatches_are_calls(make, k, n, max_attempts, group):
+    """``list(minibatches(k, n))`` on one fresh sampler equals ``k``
+    ``sample_minibatch(n)`` calls on another, array for array to the
+    byte, with None where a call starves; both generators end equal.
+
+    The gather budget is cut to ``group`` minibatches, so ``k`` spans
+    several groups and need not be a multiple of one.
+    """
+    grouped, calls = make(), make()
+    S, W = grouped.obs_ticks, grouped.cache.frame_width
+    budget = group * n * (S + 1) * W * 8
+    with mock.patch.object(sampler_module, "GROUP_BYTES", budget):
+        got = list(grouped.minibatches(k, n, max_attempts))
+    assert len(got) == k
+    for batch in got:
+        try:
+            want = calls.sample_minibatch(n, max_attempts=max_attempts)
+        except SamplerStarvedError:
+            want = None
+        assert (batch is None) == (want is None)
+        if want is None:
+            continue
+        for mine, theirs in zip(
+            (batch.s_t, batch.s_next, batch.actions, batch.rewards),
+            (want.s_t, want.s_next, want.actions, want.rewards),
+        ):
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes()
+    assert grouped.rng.bit_generator.state == calls.rng.bit_generator.state
+
+
 DUCKS = pytest.mark.parametrize("duck", ["ring", "view"])
 WINDOWS = dict(
     obs_ticks=st.sampled_from([1, 3, 5, 10]),
     tolerance=st.sampled_from([0.0, 0.2, 1.0]),
+)
+#: A burst through :meth:`MinibatchSampler.minibatches`: ``k`` minibatches
+#: of ``n`` in groups of ``group``, starving after ``max_attempts`` rounds.
+BURSTS = dict(
+    k=st.integers(1, 11),
+    n=st.integers(1, 6),
+    group=st.integers(1, 4),
+    max_attempts=st.sampled_from([1, 3, 200]),
 )
 
 
@@ -437,11 +479,16 @@ class TestBatchedSamplersMatchReferenceLoop:
     property every RolloutDigest in the tree rests on."""
 
     @DUCKS
-    @given(rows=tick_rows(), capacity=st.integers(5, 40), **WINDOWS)
+    @given(rows=tick_rows(), capacity=st.integers(5, 40), **WINDOWS, **BURSTS)
     @settings(**SETTINGS)
-    def test_uniform_sampler(self, duck, rows, capacity, obs_ticks, tolerance):
+    def test_uniform_sampler(
+        self, duck, rows, capacity, obs_ticks, tolerance, k, n, group, max_attempts
+    ):
         cache, storage = _store(duck, rows, capacity)
         kw = dict(obs_ticks=obs_ticks, missing_tolerance=tolerance, seed=9)
+        _assert_minibatches_are_calls(
+            lambda: MinibatchSampler(cache, **kw), k, n, max_attempts, group
+        )
         sampler = MinibatchSampler(cache, **kw)
         twin = MinibatchSampler(cache, **kw)
         if sampler.eligible_range() is None:
@@ -466,10 +513,11 @@ class TestBatchedSamplersMatchReferenceLoop:
         ahead=st.integers(12, 30),
         dropped=st.sets(st.integers(0, 30), max_size=8),
         **WINDOWS,
+        **BURSTS,
     )
     @settings(**SETTINGS)
     def test_strided_sampler_with_one_block_run_ahead(
-        self, tops, ahead, dropped, obs_ticks, tolerance
+        self, tops, ahead, dropped, obs_ticks, tolerance, k, n, group, max_attempts
     ):
         stride = 32
         tops = tops + [ahead]  # e.g. the reference cluster after a checkpoint
@@ -488,6 +536,10 @@ class TestBatchedSamplersMatchReferenceLoop:
                 )
         kw = dict(obs_ticks=obs_ticks, missing_tolerance=tolerance, seed=4)
         spans = TickSpans.from_tops(stride, tops)
+        _assert_minibatches_are_calls(
+            lambda: StridedMinibatchSampler(cache, spans, **kw),
+            k, n, max_attempts, group,
+        )
         sampler = StridedMinibatchSampler(cache, spans, **kw)
         twin = StridedMinibatchSampler(cache, spans, **kw)
         candidate_spans = spans.candidate_spans(obs_ticks)

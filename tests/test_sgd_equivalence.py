@@ -221,6 +221,16 @@ def test_exact_zero_gradients_keep_their_sign(kind):
     assert taken[1] < 0.0 and not taken[[0, 2]].any()
 
 
+def test_adam_past_the_step_where_bias_correction_one_is_exact():
+    """From t = 356 on (beta1 = 0.9), ``1 - beta1**t`` is exactly 1.0 and
+    the sweep skips ``m / bc1``; the reference keeps dividing."""
+    agent, ref = make_pair("adam", 11, 4, 7)
+    assert 1.0 - agent.optimizer.beta1**356 == 1.0
+    assert 1.0 - agent.optimizer.beta1**355 != 1.0
+    rng = np.random.default_rng(25)
+    run_both(agent, ref, [make_batch(rng, 4, 11, 4) for _ in range(360)])
+
+
 def test_reference_is_not_vacuous():
     """The comparison can fail: one flipped low bit in one weight is seen."""
     agent, ref = make_pair("adam", 11, 4, 7)

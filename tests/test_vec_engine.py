@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig
+from repro.core import CapesSession
 from repro.core.actions import ActionEffect
 from repro.env import VectorEnv, make_env
 from repro.env.registry import _default_workload
 from repro.rl import Hyperparameters
 from repro.sim.vec import FleetEnv
+from repro.sim.vec.state import RecordView
+from repro.snapshot.core import RolloutDigest
 
 SEED = 17
 
@@ -208,6 +211,25 @@ def test_fleet_sampler_draws_minibatches():
         assert mb.s_next.shape == (4, fleet.obs_dim)
     finally:
         fleet.close()
+
+
+def test_session_trains_on_a_vec_slot():
+    """A ``CapesSession`` on one ``FleetSlot`` trains through the trainer
+    burst, its sampler reading the fleet's record columns through a
+    ``RecordView``.  Rewards and losses are pinned (digest cut at the
+    per-minibatch sampler the burst replaced)."""
+    env = _make_scalar("sim-lustre-vec")
+    try:
+        session = CapesSession(env, seed=5, train_steps_per_tick=2)
+        result = session.train(40)
+        assert isinstance(session.sampler.cache, RecordView)
+        assert session.trainer.stats.steps_attempted == 80
+        digest = RolloutDigest().update(result.rewards).update(result.losses)
+        assert digest.hexdigest == (
+            "1c0910daff44c982e9d3aaeb01ca058c81d18c2e36ac19baf5604aef7d2e7770"
+        )
+    finally:
+        env.close()
 
 
 # -- the fleet-wide action path (§3.7) ----------------------------------
