@@ -25,8 +25,8 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig, RequestTracer
 from repro.sim import Simulator
-from repro.util.units import MiB
-from repro.workloads import RandomReadWrite
+from repro.util.units import KiB, MiB
+from repro.workloads import FileServer, RandomReadWrite, SequentialWrite
 
 
 def _fingerprint(sim, cluster, tracer):
@@ -97,11 +97,42 @@ def client_churn():
     return _fingerprint(sim, cluster, tracer)
 
 
+def striped_writes():
+    """Write-heavy with 256 KiB stripes: 1 MiB sequential records split
+    into four chunks over both servers, fileserver create/delete/stat on
+    the metadata server, and a 2 MiB write cache behind a 400 RPC/s
+    limit, so writers block in cache reservations."""
+    sim = Simulator()
+    config = ClusterConfig(
+        n_servers=2,
+        n_clients=5,
+        stripe_size=256 * KiB,
+        max_dirty_bytes=2 * MiB,
+        io_rate_limit=400.0,
+    )
+    cluster = Cluster(sim, config)
+    tracer = RequestTracer(cluster).attach()
+    SequentialWrite(cluster, record_size=MiB, instances_per_client=2, seed=14).start()
+    FileServer(
+        cluster, file_size=MiB, io_size=512 * KiB, instances_per_client=2, seed=15
+    ).start()
+    oscs = [osc for c in cluster.clients for osc in c.oscs.values()]
+    full_caches = 0
+    for t in range(1, 13):
+        sim.run(until=float(t))
+        full_caches += sum(
+            osc.cache.dirty + config.stripe_size > osc.cache.max_dirty for osc in oscs
+        )
+    assert full_caches > 0, "no write cache ever filled: back-pressure untested"
+    return _fingerprint(sim, cluster, tracer)
+
+
 # (digest, records, events_processed, total_bytes) at the parent commit.
 GOLDEN = {
     knob_churn: ("facd116c0c4599a3fa8c88f5bd6274e6", 2604, 41429, 85327872.0),
     striped_reads: ("c3323b60e404e4c83a6c44b22dbba18e", 1015, 14222, 1064304640.0),
     client_churn: ("ae103128a253ef77565a9650aaf94fcd", 2268, 33119, 73433088.0),
+    striped_writes: ("9d050d743f2c565c1bb45352274213f1", 1993, 29714, 493981715.0),
 }
 
 
