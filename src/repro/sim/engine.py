@@ -42,14 +42,14 @@ class Event:
     registered after it has been processed run immediately.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed")
+    __slots__ = ("sim", "callbacks", "_value", "_ok")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
+        # ``None`` once the callbacks have run: that *is* "processed".
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = PENDING
         self._ok: Optional[bool] = None
-        self._processed = False
 
     # -- state ---------------------------------------------------------
     @property
@@ -60,7 +60,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once callbacks have run."""
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -85,7 +85,7 @@ class Event:
         self._ok = True
         # Simulator._schedule, inlined: this is the hottest push.
         sim = self.sim
-        heappush(sim._heap, (sim._now + delay, sim._seq, self))
+        heappush(sim._heap, (sim.now + delay, sim._seq, self))
         sim._seq += 1
         return self
 
@@ -102,14 +102,12 @@ class Event:
 
     # -- callbacks -----------------------------------------------------
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
-        if self._processed:
+        if self.callbacks is None:
             fn(self)
         else:
-            assert self.callbacks is not None
             self.callbacks.append(fn)
 
     def _run_callbacks(self) -> None:
-        self._processed = True
         callbacks, self.callbacks = self.callbacks, None
         if callbacks:
             for fn in callbacks:
@@ -137,11 +135,10 @@ class Timeout(Event):
         self.delay = delay = float(delay)
         self.sim = sim  # type: ignore[assignment]
         self.callbacks = []
-        self._processed = False
         if sim is not None:
             self._value = value
             self._ok = True
-            heappush(sim._heap, (sim._now + delay, sim._seq, self))
+            heappush(sim._heap, (sim.now + delay, sim._seq, self))
             sim._seq += 1
         else:
             # Unbound: _bind() completes initialisation.
@@ -155,23 +152,27 @@ class Timeout(Event):
         self.sim = sim
         self._value = self._pending_value
         self._ok = True
-        heappush(sim._heap, (sim._now + self.delay, sim._seq, self))
+        heappush(sim._heap, (sim.now + self.delay, sim._seq, self))
         sim._seq += 1
 
 
 class Simulator:
-    """Discrete-event simulator: an event heap plus the current time."""
+    """Discrete-event simulator: an event heap plus the current time.
+
+    ``now`` — the current simulated time in seconds — is a plain
+    attribute that :meth:`run` and :meth:`step` assign; model code reads
+    it on nearly every event, so it is not a property.  Treat it as
+    read-only.
+    """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        self.now = 0.0
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._event_count = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        # Fired and waiter-less: what _hop pushes.
+        self._inert = Event(self)
+        self._inert.callbacks = None
 
     @property
     def events_processed(self) -> int:
@@ -201,8 +202,17 @@ class Simulator:
         """
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heappush(self._heap, (self._now + delay, self._seq, event))
+        heappush(self._heap, (self.now + delay, self._seq, event))
         self._seq += 1
+
+    def _hop(self) -> None:
+        """Push an entry at ``now`` that fires nothing.
+
+        It stands in for a zero-delay event nobody waits on — the exit
+        of a process whose work a continuation now does — whose
+        sequence number still orders every later push at the same time.
+        """
+        self._schedule(self._inert)
 
     def call_at(self, t: float, fn: Callable[[], None]) -> Event:
         """Invoke ``fn()`` at absolute time ``t`` (>= now)."""
@@ -215,7 +225,7 @@ class Simulator:
         always been a timeout of ``t - now``, and when ``t > 2 * now`` the
         subtraction rounds, so the two can differ in the last bit.
         """
-        now = self._now
+        now = self.now
         if not t >= now:  # also rejects NaN
             raise SimulationError(f"call_at({t}) is in the past (now={now})")
         ev = Timeout(t - now, None, self)
@@ -228,7 +238,7 @@ class Simulator:
         if not self._heap:
             raise SimulationError("step() on empty event queue")
         t, _seq, event = heappop(self._heap)
-        self._now = t
+        self.now = t
         self._event_count += 1
         event._run_callbacks()
 
@@ -249,8 +259,8 @@ class Simulator:
         """
         if until is None:
             bound = float("inf")
-        elif not until >= self._now:  # also rejects NaN
-            raise SimulationError(f"run(until={until}) is in the past (now={self._now})")
+        elif not until >= self.now:  # also rejects NaN
+            raise SimulationError(f"run(until={until}) is in the past (now={self.now})")
         else:
             bound = until
         heap = self._heap
@@ -258,10 +268,9 @@ class Simulator:
         fired = 0
         try:
             while heap and heap[0][0] <= bound:
-                self._now, _seq, event = pop(heap)
+                self.now, _seq, event = pop(heap)
                 fired += 1
                 # Event._run_callbacks, inlined.
-                event._processed = True
                 callbacks = event.callbacks
                 event.callbacks = None
                 if callbacks:
@@ -271,7 +280,7 @@ class Simulator:
             # Exact even when a callback raises.
             self._event_count += fired
         if until is not None:
-            self._now = float(until)
+            self.now = float(until)
 
 
 # process.py imports this module, so the cycle engine -> process -> engine

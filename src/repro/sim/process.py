@@ -74,8 +74,9 @@ class Process(Event):
         One frame per wake-up: slots are read directly and nothing is
         delegated.  Do not cache the bound ``self._resume`` (or
         ``gen.send``) on the instance — the reference cycle keeps every
-        finished per-RPC process alive until the cyclic collector runs,
-        which costs more than the attribute lookups save.
+        finished short-lived process (a striped read's per-chunk process)
+        alive until the cyclic collector runs, which costs more than the
+        attribute lookups save.
         """
         if self._value is not PENDING:
             return
