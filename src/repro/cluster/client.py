@@ -32,7 +32,7 @@ from typing import Deque, Dict, Generator, Optional, Tuple
 from repro.cluster.metrics import Counter, MetricRegistry
 from repro.cluster.network import Fabric
 from repro.cluster.rpc import Reply, Request, RequestKind
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, Simulator, Timeout
 from repro.sim.resources import Resource, Store, TokenBucket
 from repro.util.ewma import EWMA
 from repro.util.units import MiB
@@ -158,37 +158,45 @@ class OSC:
 
     # -- flusher pipeline --------------------------------------------------
     def _flusher(self):
-        flush_name = f"{self.node_id}->s{self.server_id}.wr"
         while True:
             chunk = yield self._flush_queue.get()
             yield self.rate_bucket.acquire(1.0)
             yield self.window.acquire()
-            self.sim.spawn(self._flush_one(*chunk), name=flush_name)
+            # A flushed RPC is two continuations, not a process: this start
+            # hop (the Timeout(0) a spawned process would push) sends the
+            # request, and _write_done finishes it.
+            Timeout(0.0, chunk, self.sim).callbacks.append(self._start_write)
 
-    def _flush_one(self, obj_id: int, offset: int, size: int):
-        try:
-            reply = yield from self._rpc_exchange(
-                RequestKind.WRITE, obj_id, offset, size
-            )
-        finally:
-            self.window.release()
+    def _start_write(self, start: Event) -> None:
+        obj_id, offset, size = start._value
+        done = self._send_request(RequestKind.WRITE, obj_id, offset, size)
+        done.callbacks.append(self._write_done)
+
+    def _write_done(self, done: Event) -> None:
+        size = done._value.request.size
+        self.window.release()
         self.cache.commit(size)
         self.write_bytes_done.add(size)
         self._cluster_written.add(size)
         self._client_written.add(size)
-        return reply
+        # The exit event a per-RPC process pushed: nothing waits on it,
+        # but its sequence number orders every later same-time push.
+        self.sim._hop()
 
     # -- shared RPC plumbing -----------------------------------------------
     def _data_rpc(self, kind: RequestKind, obj_id: int, offset: int, size: int):
         yield self.rate_bucket.acquire(1.0)
         yield self.window.acquire()
         try:
-            reply = yield from self._rpc_exchange(kind, obj_id, offset, size)
+            reply = yield self._send_request(kind, obj_id, offset, size)
         finally:
             self.window.release()
         return reply
 
-    def _rpc_exchange(self, kind: RequestKind, obj_id: int, offset: int, size: int):
+    def _send_request(
+        self, kind: RequestKind, obj_id: int, offset: int, size: int
+    ) -> Event:
+        """Put one RPC on the wire; the returned event fires with its reply."""
         req = Request(
             kind=kind,
             obj_id=obj_id,
@@ -205,8 +213,7 @@ class OSC:
             self.node_id, self.server.node_id, req.wire_size, req
         )
         sent.callbacks.append(self._request_delivered)
-        reply: Reply = yield done
-        return reply
+        return done
 
     def _request_delivered(self, sent: Event) -> None:
         self.server.deliver(sent.value)
@@ -284,10 +291,7 @@ class ClientNode:
                 max_dirty_bytes=max_dirty_bytes,
             )
             self.oscs[server.server_id] = osc
-            server.register_client(client_id, self._on_reply)
-
-    def _on_reply(self, reply: Reply) -> None:
-        self.oscs[reply.request.server_id].on_reply(reply)
+            server.register_client(client_id, osc)
 
     # -- tunable parameters (the paper's two knobs) ------------------------
     @property

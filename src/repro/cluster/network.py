@@ -61,7 +61,8 @@ class Link:
 
     def reserve(self, size: int) -> float:
         """Book ``size`` bytes onto the wire; return the completion time."""
-        check_nonnegative("size", size)
+        if not size >= 0:  # validated only when it fails; also rejects NaN
+            check_nonnegative("size", size)
         now = self.sim.now
         start = self._busy_until
         if start < now:
@@ -138,16 +139,41 @@ class Fabric:
             raise KeyError(f"unregistered receiver {dst!r}")
         sim = self.sim
         delivered = Event(sim)
-
-        # Three events per message — end of egress serialisation plus
-        # propagation, end of ingress serialisation, delivery — and the
-        # last, zero-delay one is not overhead: it decides the order of
-        # messages whose wire times tie exactly.
-        def deliver(_ev: Event) -> None:
-            delivered.succeed(payload)
-
-        def at_receiver(_ev: Event) -> None:
-            sim._call_at(ingress.reserve(size), deliver)
-
-        sim._call_at(egress.reserve(size) + self.latency, at_receiver)
+        hop = _Transit(sim, ingress, size, payload, delivered)
+        sim._schedule(hop, egress.reserve(size) + self.latency - sim.now)
         return delivered
+
+
+class _Transit(Event):
+    """A message between its two links.
+
+    Three events per message — end of egress serialisation plus
+    propagation, end of ingress serialisation, delivery — and the last,
+    zero-delay one is not overhead: it decides the order of messages
+    whose wire times tie exactly.  This one object is pushed for both
+    timed hops (keys ``now + (t - now)``, as ``Simulator.call_at`` has
+    always made them) and then succeeds the public ``delivered`` event.
+    """
+
+    __slots__ = ("ingress", "size", "payload", "delivered")
+
+    def __init__(self, sim: Simulator, ingress: Link, size: int, payload: Any, delivered: Event):
+        self.sim = sim
+        self.callbacks = [_at_receiver]
+        self._value = None
+        self._ok = True
+        self.ingress = ingress
+        self.size = size
+        self.payload = payload
+        self.delivered = delivered
+
+
+def _at_receiver(hop: _Transit) -> None:
+    sim = hop.sim
+    t = hop.ingress.reserve(hop.size)
+    hop.callbacks = [_deliver]
+    sim._schedule(hop, t - sim.now)
+
+
+def _deliver(hop: _Transit) -> None:
+    hop.delivered.succeed(hop.payload)

@@ -27,11 +27,6 @@ from repro.sim.engine import Event, Simulator, Timeout
 from repro.sim.resources import Store
 from repro.util.validation import check_nonnegative, check_positive
 
-#: Signature for handing a reply to the destination client object once
-#: the fabric has delivered it.
-ReplySink = Callable[[Reply], None]
-
-
 class ServerNode:
     """A single OSS: inbound queue + elevator-scheduled disk worker."""
 
@@ -73,11 +68,16 @@ class ServerNode:
         sim.spawn(self._worker(), name=f"{self.node_id}.worker")
 
     # -- wiring ----------------------------------------------------------
-    def register_client(self, client_id: int, sink: ReplySink) -> None:
-        """Tell the server how to hand a delivered reply to a client."""
+    def register_client(self, client_id: int, osc) -> None:
+        """Tell the server which of the client's OSCs takes its replies.
+
+        ``osc.on_reply`` is looked up per reply, not bound here, so a
+        handler installed later (:class:`~repro.cluster.RequestTracer`)
+        sees every reply.
+        """
         self._reply_routes[client_id] = (
             f"client-{client_id}",
-            lambda delivered: sink(delivered.value),
+            lambda delivered: osc.on_reply(delivered._value),
         )
 
     # -- ingress -----------------------------------------------------------
@@ -99,32 +99,29 @@ class ServerNode:
 
     # -- service loop --------------------------------------------------------
     def _worker(self):
+        sim = self.sim
+        queue = self.queue
         while True:
-            first: Request = yield self.queue.get()
+            first: Request = yield queue.get()
             batch: List[Request] = [first]
-            while len(batch) < self.batch_max and len(self.queue) > 0:
-                more = yield self.queue.get()
+            while len(batch) < self.batch_max and len(queue) > 0:
+                more = yield queue.get()
                 batch.append(more)
             self._in_service = len(batch)
             plan = self.disk.plan_batch(batch)
             for req, dur in plan:
-                req.dequeue_time = self.sim.now
-                overhead = self._collapse_overhead()
-                yield Timeout(dur + overhead)
+                req.dequeue_time = start = sim.now
+                # Collapse overhead on the queue depth (queued + in batch).
+                excess = len(queue) + self._in_service - self.collapse_threshold
+                overhead = self.collapse_coeff * excess if excess > 0 else 0.0
+                yield Timeout(dur + overhead, None, sim)
                 self._in_service -= 1
-                pt = self.sim.now - req.dequeue_time
-                self._track_process_time(pt)
+                pt = sim.now - start
+                if pt > 0 and (
+                    self._min_process_time is None or pt < self._min_process_time
+                ):
+                    self._min_process_time = pt
                 self._complete(req, pt)
-
-    def _collapse_overhead(self) -> float:
-        excess = self.queue_depth - self.collapse_threshold
-        return self.collapse_coeff * excess if excess > 0 else 0.0
-
-    def _track_process_time(self, pt: float) -> None:
-        if pt <= 0:
-            return
-        if self._min_process_time is None or pt < self._min_process_time:
-            self._min_process_time = pt
 
     @property
     def min_process_time(self) -> Optional[float]:
