@@ -157,7 +157,9 @@ class _Transit(Event):
 
     __slots__ = ("ingress", "size", "payload", "delivered")
 
-    def __init__(self, sim: Simulator, ingress: Link, size: int, payload: Any, delivered: Event):
+    def __init__(
+        self, sim: Simulator, ingress: Link, size: int, payload: Any, delivered: Event
+    ):
         self.sim = sim
         self.callbacks = [_at_receiver]
         self._value = None

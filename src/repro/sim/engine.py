@@ -170,9 +170,9 @@ class Simulator:
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._event_count = 0
-        # Fired and waiter-less: what _hop pushes.
-        self._inert = Event(self)
-        self._inert.callbacks = None
+        # What _hop pushes: an event already fired, with no callbacks.
+        self._inert = inert = Event(self)
+        inert._value, inert._ok, inert.callbacks = None, True, None
 
     @property
     def events_processed(self) -> int:
@@ -215,11 +215,7 @@ class Simulator:
         self._schedule(self._inert)
 
     def call_at(self, t: float, fn: Callable[[], None]) -> Event:
-        """Invoke ``fn()`` at absolute time ``t`` (>= now)."""
-        return self._call_at(t, lambda _e: fn())
-
-    def _call_at(self, t: float, fn: Callable[[Event], None]) -> Event:
-        """:meth:`call_at` for a callback that takes the event argument.
+        """Invoke ``fn()`` at absolute time ``t`` (>= now).
 
         The heap key is ``now + (t - now)``, not ``t``: ``call_at`` has
         always been a timeout of ``t - now``, and when ``t > 2 * now`` the
@@ -229,7 +225,7 @@ class Simulator:
         if not t >= now:  # also rejects NaN
             raise SimulationError(f"call_at({t}) is in the past (now={now})")
         ev = Timeout(t - now, None, self)
-        ev.callbacks.append(fn)
+        ev.callbacks.append(lambda _e: fn())
         return ev
 
     # -- main loop -------------------------------------------------------
