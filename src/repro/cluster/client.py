@@ -70,11 +70,26 @@ class WriteCache:
             self._waiters.append((size, ev))
         return ev
 
+    def cancel(self, reservation: Event, size: int) -> None:
+        """Withdraw a ``reserve(size)`` whose writer gave up (interrupted).
+
+        A reservation still queued leaves the queue; one already granted
+        gives its bytes back.  Either way whoever now fits is served.
+        """
+        if reservation.triggered:
+            self.dirty -= size
+        else:
+            self._waiters = deque(w for w in self._waiters if w[1] is not reservation)
+        self._wake_waiters()
+
     def commit(self, size: int) -> None:
         """Mark ``size`` bytes clean (flushed to stable storage)."""
         if size > self.dirty:
             raise ValueError(f"commit({size}) exceeds dirty bytes {self.dirty}")
         self.dirty -= size
+        self._wake_waiters()
+
+    def _wake_waiters(self) -> None:
         while self._waiters and self.dirty + self._waiters[0][0] <= self.max_dirty:
             sz, ev = self._waiters.popleft()
             self.dirty += sz
@@ -141,7 +156,12 @@ class OSC:
 
     def write(self, obj_id: int, offset: int, size: int) -> Generator:
         """Write-back write; completes once the cache accepted the bytes."""
-        yield self.cache.reserve(size)
+        reservation = self.cache.reserve(size)
+        try:
+            yield reservation
+        except BaseException:
+            self.cache.cancel(reservation, size)
+            raise
         self._flush_queue.put((obj_id, offset, size))
         return None
 
@@ -185,8 +205,20 @@ class OSC:
 
     # -- shared RPC plumbing -----------------------------------------------
     def _data_rpc(self, kind: RequestKind, obj_id: int, offset: int, size: int):
-        yield self.rate_bucket.acquire(1.0)
-        yield self.window.acquire()
+        # An interrupt while queued must not leave the claim behind: a
+        # token or slot granted later would be held by nobody.
+        token = self.rate_bucket.acquire(1.0)
+        try:
+            yield token
+        except BaseException:
+            self.rate_bucket.cancel(token, 1.0)
+            raise
+        slot = self.window.acquire()
+        try:
+            yield slot
+        except BaseException:
+            self.window.cancel(slot)
+            raise
         try:
             reply = yield self._send_request(kind, obj_id, offset, size)
         finally:

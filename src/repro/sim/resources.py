@@ -66,6 +66,17 @@ class Resource:
             self._waiters.append(ev)
         return ev
 
+    def cancel(self, request: Event) -> None:
+        """Withdraw an :meth:`acquire` whose waiter gave up (interrupted).
+
+        A request still queued leaves the queue; one already granted —
+        its event triggered but not yet seen by the waiter — is released.
+        """
+        if request.triggered:
+            self.release()
+        else:
+            self._waiters.remove(request)
+
     def release(self) -> None:
         """Return one slot and hand it to the oldest waiter if any fits."""
         if self._in_use <= 0:
@@ -186,6 +197,20 @@ class TokenBucket:
             self._waiters.append((float(n), ev))
             self._pump()
         return ev
+
+    def cancel(self, request: Event, n: float = 1.0) -> None:
+        """Withdraw an ``acquire(n)`` whose waiter gave up (interrupted).
+
+        A request still queued leaves the queue; one already granted
+        gives its ``n`` tokens back.  Either way whoever now fits is
+        served.
+        """
+        if request.triggered:
+            self._refill()
+            self._tokens = min(self.capacity, self._tokens + n)
+        else:
+            self._waiters = deque(w for w in self._waiters if w[1] is not request)
+        self._pump()
 
     # -- internals -------------------------------------------------------
     def _refill(self) -> None:

@@ -1,5 +1,7 @@
 """Integration tests: OSC <-> server round trips, caches, tunables."""
 
+from collections import deque
+
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
@@ -50,6 +52,25 @@ class TestWriteCache:
         sim.spawn(committer())
         sim.run()
         assert log == [3.0]
+
+    def test_cancel_withdraws_a_queued_reservation(self):
+        sim = Simulator()
+        c = WriteCache(sim, max_dirty_bytes=10)
+        c.reserve(8)
+        queued = c.reserve(8)
+        behind = c.reserve(2)
+        c.cancel(queued, 8)
+        sim.run()
+        assert not queued.triggered and behind.processed and c.dirty == 10
+
+    def test_cancel_returns_granted_bytes(self):
+        sim = Simulator()
+        c = WriteCache(sim, max_dirty_bytes=10)
+        granted = c.reserve(8)
+        waiter = c.reserve(8)
+        c.cancel(granted, 8)
+        sim.run()
+        assert waiter.processed and c.dirty == 8
 
     def test_fifo_reservations(self):
         sim = Simulator()
@@ -272,3 +293,46 @@ class TestPings:
         idle = osc.ping_latency
         cluster.fabric.send("client-0", "server-0", 50 * MiB, None)
         assert osc.ping_latency > idle > 0
+
+
+class TestInterruptedIO:
+    """An application interrupted while it queues for a window slot, a
+    rate token or cache space must not leave that claim behind."""
+
+    def test_churn_then_stop_returns_every_slot_and_dirty_byte(self):
+        import numpy as np
+
+        from repro.workloads import RandomReadWrite
+
+        sim = Simulator()
+        # A low rate limit backs the flushers up until writers queue for
+        # cache space as well as for tokens and window slots.
+        cluster = Cluster(
+            sim,
+            ClusterConfig(
+                n_servers=2, n_clients=5, io_rate_limit=60.0, max_dirty_bytes=MiB
+            ),
+        )
+        wl = RandomReadWrite(cluster, instances_per_client=5, read_fraction=0.2, seed=13)
+        wl.start()
+        rng = np.random.default_rng(99)
+        oscs = [osc for c in cluster.clients for osc in c.oscs.values()]
+        cache_waiters = 0
+        t = 0.5
+        for _ in range(5):
+            sim.run(until=t)
+            cache_waiters += sum(len(osc.cache._waiters) for osc in oscs)
+            assert wl.pause_client(1) == 5
+            sim.run(until=t + 0.25)
+            wl.resume_client(1, rng)
+            t += 0.5
+        assert cache_waiters > 0, "no writer ever queued for cache space"
+        wl.stop()
+        sim.run(until=t + 30.0)
+        for osc in oscs:
+            assert osc._pending == {}
+            assert osc.window.in_use == 0, (osc.node_id, osc.server_id)
+            assert osc.window.queued == 0
+            assert osc.cache.dirty == 0, (osc.node_id, osc.server_id)
+        for client in cluster.clients:
+            assert client.rate_bucket._waiters == deque()

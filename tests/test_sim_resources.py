@@ -135,6 +135,28 @@ class TestResource:
         sim.run(until=1.0)
         assert res.queued == 1
 
+    def test_cancel_withdraws_a_queued_request(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        res.acquire()
+        queued = res.acquire()
+        behind = res.acquire()
+        res.cancel(queued)
+        assert res.queued == 1
+        res.release()
+        sim.run()
+        assert not queued.triggered and behind.processed
+        assert res.in_use == 1
+
+    def test_cancel_returns_a_granted_slot(self):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        granted = res.acquire()
+        waiter = res.acquire()
+        res.cancel(granted)  # triggered, never seen by its waiter
+        sim.run()
+        assert waiter.processed and res.in_use == 1
+
     def test_invalid_capacity(self):
         sim = Simulator()
         with pytest.raises(ValueError):
@@ -201,6 +223,26 @@ class TestStore:
 
 
 class TestTokenBucket:
+    def test_cancel_withdraws_a_queued_request(self):
+        sim = Simulator()
+        tb = TokenBucket(sim, rate=1.0, capacity=1.0)
+        tb.acquire(1.0)
+        queued = tb.acquire(1.0)
+        behind = tb.acquire(1.0)
+        tb.cancel(queued, 1.0)
+        sim.run(until=1.5)
+        assert not queued.triggered and behind.processed
+        assert tb.tokens == pytest.approx(0.5)
+
+    def test_cancel_returns_granted_tokens(self):
+        sim = Simulator()
+        tb = TokenBucket(sim, rate=1.0, capacity=1.0)
+        granted = tb.acquire(1.0)
+        waiter = tb.acquire(1.0)
+        tb.cancel(granted, 1.0)
+        sim.run(until=0.5)  # served at once, not at the 1 s refill
+        assert waiter.processed
+
     def test_initial_burst_is_free(self):
         sim = Simulator()
         tb = TokenBucket(sim, rate=10.0, capacity=5.0)
