@@ -23,7 +23,13 @@ import struct
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, RequestTracer
+from repro.cluster import (
+    Cluster,
+    ClusterConfig,
+    NoiseConfig,
+    NoiseTraffic,
+    RequestTracer,
+)
 from repro.sim import Simulator
 from repro.util.units import KiB, MiB
 from repro.workloads import FileServer, RandomReadWrite, SequentialWrite
@@ -127,6 +133,23 @@ def striped_writes():
     return _fingerprint(sim, cluster, tracer)
 
 
+def reads_with_noise():
+    """Read-heavy 9:1 at 32 KiB: every read is one stripe, a synchronous
+    RPC straight through the OSC's rate bucket and window, while an
+    interference source puts probes and bulk transfers on the fabric
+    that nobody waits on."""
+    sim, cluster, tracer, _wl = _build(seed=16, read_fraction=0.9, io_size=32 * KiB)
+    noise = NoiseTraffic(
+        cluster,
+        NoiseConfig(probe_rate=300.0, bulk_rate=3.0, bulk_bytes=MiB),
+        seed=17,
+    )
+    for t in range(1, 9):
+        sim.run(until=float(t))
+    assert noise.probes_sent > 1000 and noise.bulk_sent > 10
+    return _fingerprint(sim, cluster, tracer)
+
+
 # (digest, records, events_processed, total_bytes) at the parent commit.
 GOLDEN = {
     knob_churn: ("facd116c0c4599a3fa8c88f5bd6274e6", 2604, 41429, 85327872.0),
@@ -136,6 +159,9 @@ GOLDEN = {
     # not a kernel change).
     client_churn: ("df462fcb9b29aa36807869c5cbd9c1fe", 2203, 32207, 71368704.0),
     striped_writes: ("9d050d743f2c565c1bb45352274213f1", 1993, 29714, 493981715.0),
+    # Cut before single-stripe reads lost their filesystem generator and
+    # fabric messages their separate delivery event.
+    reads_with_noise: ("daf711ec8a2b1f0de255842b3d64e174", 2194, 35196, 71892992.0),
 }
 
 
