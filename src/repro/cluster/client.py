@@ -32,7 +32,7 @@ from typing import Deque, Dict, Generator, Optional, Tuple
 from repro.cluster.metrics import Counter, MetricRegistry
 from repro.cluster.network import Fabric
 from repro.cluster.rpc import Reply, Request, RequestKind
-from repro.sim.engine import Event, Simulator, Timeout
+from repro.sim.engine import Event, Simulator
 from repro.sim.resources import Resource, Store, TokenBucket
 from repro.util.ewma import EWMA
 from repro.util.units import MiB
@@ -62,12 +62,11 @@ class WriteCache:
                 f"single write of {size} B exceeds cache capacity "
                 f"{self.max_dirty} B; split it first"
             )
-        ev = Event(self.sim)
         if not self._waiters and self.dirty + size <= self.max_dirty:
             self.dirty += size
-            ev.succeed()
-        else:
-            self._waiters.append((size, ev))
+            return self.sim._succeeded()
+        ev = Event(self.sim)
+        self._waiters.append((size, ev))
         return ev
 
     def cancel(self, reservation: Event, size: int) -> None:
@@ -147,15 +146,17 @@ class OSC:
 
     # -- public I/O API (used by the striped filesystem) -----------------
     def read(self, obj_id: int, offset: int, size: int) -> Generator:
-        """Synchronous read; completes when the data has arrived."""
-        reply = yield from self._data_rpc(RequestKind.READ, obj_id, offset, size)
-        self.read_bytes_done.add(size)
-        self._cluster_read.add(size)
-        self._client_read.add(size)
-        return reply
+        """Synchronous read; completes when the data has arrived.
+
+        The generator's value is ``size``, like the filesystem's.
+        """
+        return self._data_rpc(RequestKind.READ, obj_id, offset, size)
 
     def write(self, obj_id: int, offset: int, size: int) -> Generator:
-        """Write-back write; completes once the cache accepted the bytes."""
+        """Write-back write; completes once the cache accepted the bytes.
+
+        The generator's value is ``size``, like the filesystem's.
+        """
         reservation = self.cache.reserve(size)
         try:
             yield reservation
@@ -163,13 +164,11 @@ class OSC:
             self.cache.cancel(reservation, size)
             raise
         self._flush_queue.put((obj_id, offset, size))
-        return None
+        return size
 
     def meta(self, obj_id: int) -> Generator:
         """Synchronous metadata operation (stat/create/delete)."""
-        reply = yield from self._data_rpc(RequestKind.META, obj_id, 0, 0)
-        self._client_meta.add(1)
-        return reply
+        return self._data_rpc(RequestKind.META, obj_id, 0, 0)
 
     def flush_barrier(self) -> Generator:
         """Wait until every currently dirty byte has been committed."""
@@ -185,7 +184,7 @@ class OSC:
             # A flushed RPC is two continuations, not a process: this start
             # hop (the Timeout(0) a spawned process would push) sends the
             # request, and _write_done finishes it.
-            Timeout(0.0, chunk, self.sim).callbacks.append(self._start_write)
+            self.sim._succeeded(chunk).callbacks.append(self._start_write)
 
     def _start_write(self, start: Event) -> None:
         obj_id, offset, size = start._value
@@ -205,6 +204,9 @@ class OSC:
 
     # -- shared RPC plumbing -----------------------------------------------
     def _data_rpc(self, kind: RequestKind, obj_id: int, offset: int, size: int):
+        """A synchronous RPC, the one generator :meth:`read` and :meth:`meta`
+        return: rate token, window slot, round trip, then the op's
+        completion counters.  A read's value is ``size``."""
         # An interrupt while queued must not leave the claim behind: a
         # token or slot granted later would be held by nobody.
         token = self.rate_bucket.acquire(1.0)
@@ -220,10 +222,16 @@ class OSC:
             self.window.cancel(slot)
             raise
         try:
-            reply = yield self._send_request(kind, obj_id, offset, size)
+            yield self._send_request(kind, obj_id, offset, size)
         finally:
             self.window.release()
-        return reply
+        if kind is RequestKind.READ:
+            self.read_bytes_done.add(size)
+            self._cluster_read.add(size)
+            self._client_read.add(size)
+            return size
+        self._client_meta.add(1)
+        return None
 
     def _send_request(
         self, kind: RequestKind, obj_id: int, offset: int, size: int
@@ -241,14 +249,17 @@ class OSC:
         self.rpcs_sent.add(1)
         done = Event(self.sim)
         self._pending[req.req_id] = done
-        sent = self.fabric.send(
-            self.node_id, self.server.node_id, req.wire_size, req
+        self.fabric.send(
+            self.node_id,
+            self.server.node_id,
+            req.wire_size,
+            req,
+            self._request_delivered,
         )
-        sent.callbacks.append(self._request_delivered)
         return done
 
     def _request_delivered(self, sent: Event) -> None:
-        self.server.deliver(sent.value)
+        self.server.deliver(sent._value)
 
     def on_reply(self, reply: Reply) -> None:
         """Fabric delivery callback: update PIs, wake the waiter."""

@@ -157,57 +157,99 @@ class HDDModel(DiskModel):
 
         Metadata/ping requests carry no extent; they are serviced first at
         fixed cost (they hit the journal, not the data area).
+
+        Runs once per server batch, so it prices in locals: ``lba_of``,
+        ``_seek_time``, ``_transfer_time`` and ``_account`` are spelled
+        out with the same float expressions in the same order, and the
+        counters accumulate request by request as ``_account`` would.
         """
+        META, PING, READ = RequestKind.META, RequestKind.PING, RequestKind.READ
+        capacity = self.capacity
+        stats = self.stats
+        ops, seeks, busy = stats.ops, stats.seeks, stats.busy_time
+        bytes_read, bytes_written = stats.bytes_read, stats.bytes_written
         data_reqs = []
         plan: List[PlannedOp] = []
+        append = plan.append
         for req in requests:
-            if req.kind in (RequestKind.META, RequestKind.PING):
-                dur = self.meta_time if req.kind is RequestKind.META else 0.0
-                plan.append((req, dur))
-                self._account(req, dur, seeked=False)
+            kind = req.kind
+            if kind is META or kind is PING:
+                dur = self.meta_time if kind is META else 0.0
+                append((req, dur))
+                ops += 1
+                busy += dur
             else:
                 data_reqs.append(req)
 
         # SCAN: serve in ascending LBA order starting from the head, then
         # wrap to the lowest remaining LBA (one directional sweep).
-        keyed = sorted(
-            ((self.lba_of(r.obj_id, r.offset), r) for r in data_reqs),
-            key=_BY_LBA,
-        )
-        ahead = [kr for kr in keyed if kr[0] >= self._head]
-        behind = [kr for kr in keyed if kr[0] < self._head]
+        keyed = [
+            (((r.obj_id * 2654435761) % capacity + r.offset) % capacity, r)
+            for r in data_reqs
+        ]
+        keyed.sort(key=_BY_LBA)
+        head = self._head
+        ahead = [kr for kr in keyed if kr[0] >= head]
+        behind = [kr for kr in keyed if kr[0] < head]
         sweep = ahead + behind
 
+        min_seek = self.min_seek
+        seek_span = self.max_seek - self.min_seek
+        rot_latency = self.rot_latency
+        read_bw, write_bw = self.read_bw, self.write_bw
+        sqrt = math.sqrt
+        n = len(sweep)
         i = 0
-        while i < len(sweep):
+        while i < n:
             lba, req = sweep[i]
-            distance = abs(lba - self._head)
-            seek = self._seek_time(distance)
-            rot = self.rot_latency if distance > 0 else 0.0
-            dur = seek + rot + self._transfer_time(req.kind, req.size)
-            plan.append((req, dur))
-            self._account(req, dur, seeked=distance > 0)
-            self._head = (lba + req.size) % self.capacity
+            kind, size = req.kind, req.size
+            distance = abs(lba - head)
+            if distance == 0:
+                seek = rot = 0.0
+            else:
+                frac = distance / capacity
+                seek = min_seek + seek_span * sqrt(frac if frac < 1.0 else 1.0)
+                rot = rot_latency
+            dur = seek + rot + size / (read_bw if kind is READ else write_bw)
+            append((req, dur))
+            ops += 1
+            busy += dur
+            if distance > 0:
+                seeks += 1
+            if kind is READ:
+                bytes_read += size
+            else:
+                bytes_written += size
+            head = (lba + size) % capacity
             # Merge the contiguous run that follows: same object, same
             # kind, extent starting exactly where this one ended.
             j = i + 1
             prev = req
-            while j < len(sweep):
+            while j < n:
                 nlba, nreq = sweep[j]
                 contiguous = (
                     nreq.obj_id == prev.obj_id
                     and nreq.kind == prev.kind
-                    and nreq.offset == prev.end_offset
+                    and nreq.offset == prev.offset + prev.size
                 )
                 if not contiguous:
                     break
-                ndur = self._transfer_time(nreq.kind, nreq.size)
-                plan.append((nreq, ndur))
-                self._account(nreq, ndur, seeked=False)
-                self._head = (nlba + nreq.size) % self.capacity
+                nkind, nsize = nreq.kind, nreq.size
+                ndur = nsize / (read_bw if nkind is READ else write_bw)
+                append((nreq, ndur))
+                ops += 1
+                busy += ndur
+                if nkind is READ:
+                    bytes_read += nsize
+                else:
+                    bytes_written += nsize
+                head = (nlba + nsize) % capacity
                 prev = nreq
                 j += 1
             i = j
+        self._head = head
+        stats.ops, stats.seeks, stats.busy_time = ops, seeks, busy
+        stats.bytes_read, stats.bytes_written = bytes_read, bytes_written
         return plan
 
 

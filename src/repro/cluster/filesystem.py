@@ -58,12 +58,14 @@ class FileLayout:
 class StripedFileSystem:
     """Per-client filesystem facade over the OSCs.
 
-    All methods are simulation generators: application processes drive
-    them with ``yield from``.  Reads fan chunks out to the involved OSCs
-    concurrently and wait for all; writes reserve cache space chunk by
-    chunk (back-pressure applies in offset order, like page-cache
-    dirtying); metadata operations go to the metadata server (server 0,
-    standing in for Lustre's MDS).
+    Every I/O method returns a simulation generator: application
+    processes drive it with ``yield from``.  Reads fan chunks out to the
+    involved OSCs concurrently and wait for all; writes reserve cache
+    space chunk by chunk (back-pressure applies in offset order, like
+    page-cache dirtying); metadata operations go to the metadata server
+    (server 0, standing in for Lustre's MDS).  An operation that touches
+    one stripe returns the OSC's own generator, so the process driving
+    it resumes through one frame fewer.
     """
 
     def __init__(self, client: ClientNode, layout: FileLayout):
@@ -75,41 +77,58 @@ class StripedFileSystem:
                 f"layout expects {layout.n_servers} servers; client has "
                 f"{len(server_ids)} OSCs"
             )
-        self._server_ids = server_ids  # index in layout -> server id
-
-    def _osc(self, server_index: int):
-        return self.client.oscs[self._server_ids[server_index]]
+        # Index in layout -> that server's OSC.
+        self._oscs = [client.oscs[sid] for sid in server_ids]
 
     # -- data ops -----------------------------------------------------------
     def read(self, obj_id: int, offset: int, size: int) -> Generator:
-        """Read an extent; completes when every chunk has arrived."""
-        chunks = self.layout.split(offset, size)
-        if len(chunks) == 1:
-            sidx, off, sz = chunks[0]
-            yield from self._osc(sidx).read(obj_id, off, sz)
-            return size
+        """Read an extent; completes when every chunk has arrived.
+
+        The generator's value is ``size``.
+        """
+        layout = self.layout
+        stripe = layout.stripe_size
+        if offset >= 0 and size > 0 and offset % stripe + size <= stripe:
+            # FileLayout.split's one-chunk case, without the list.
+            osc = self._oscs[(offset // stripe) % layout.n_servers]
+            return osc.read(obj_id, offset, size)
+        return self._read_chunks(obj_id, layout.split(offset, size), size)
+
+    def _read_chunks(self, obj_id: int, chunks: List[Chunk], size: int) -> Generator:
+        sim = self.client.sim
         procs = [
-            self.client.sim.spawn(
-                self._osc(sidx).read(obj_id, off, sz),
+            sim.spawn(
+                self._oscs[sidx].read(obj_id, off, sz),
                 name=f"read.{obj_id}.{off}",
             )
             for sidx, off, sz in chunks
         ]
-        yield AllOf(self.client.sim, procs)
+        yield AllOf(sim, procs)
         return size
 
     def write(self, obj_id: int, offset: int, size: int) -> Generator:
-        """Write an extent; completes once all chunks are cache-resident."""
-        for sidx, off, sz in self.layout.split(offset, size):
-            yield from self._osc(sidx).write(obj_id, off, sz)
+        """Write an extent; completes once all chunks are cache-resident.
+
+        The generator's value is ``size``.
+        """
+        layout = self.layout
+        stripe = layout.stripe_size
+        if offset >= 0 and size > 0 and offset % stripe + size <= stripe:
+            osc = self._oscs[(offset // stripe) % layout.n_servers]
+            return osc.write(obj_id, offset, size)
+        return self._write_chunks(obj_id, layout.split(offset, size), size)
+
+    def _write_chunks(self, obj_id: int, chunks: List[Chunk], size: int) -> Generator:
+        for sidx, off, sz in chunks:
+            yield from self._oscs[sidx].write(obj_id, off, sz)
         return size
 
     # -- metadata ops --------------------------------------------------------
     def create(self, obj_id: int) -> Generator:
-        yield from self._osc(0).meta(obj_id)
+        return self._oscs[0].meta(obj_id)
 
     def delete(self, obj_id: int) -> Generator:
-        yield from self._osc(0).meta(obj_id)
+        return self._oscs[0].meta(obj_id)
 
     def stat(self, obj_id: int) -> Generator:
-        yield from self._osc(0).meta(obj_id)
+        return self._oscs[0].meta(obj_id)

@@ -20,7 +20,8 @@ the Ack-EWMA performance indicator picks up as congestion builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.engine import Event, Simulator
@@ -81,8 +82,8 @@ class Fabric:
     """All NICs plus the propagation delay between any two nodes.
 
     ``register(node_id)`` creates the node's link pair; ``send`` moves a
-    message from one node to another and returns the delivery event whose
-    value is the payload.
+    message from one node to another and hands the payload to its
+    ``on_delivery`` callback on arrival.
     """
 
     def __init__(
@@ -126,10 +127,18 @@ class Fabric:
         ser = 4 * probe_bytes / self.nic_bw
         return out_q + in_q + back_out + back_in + 2 * self.latency + ser
 
-    def send(self, src: Any, dst: Any, size: int, payload: Any) -> Event:
+    def send(
+        self,
+        src: Any,
+        dst: Any,
+        size: int,
+        payload: Any,
+        on_delivery: Optional[Callable[[Event], None]] = None,
+    ) -> None:
         """Transmit ``size`` bytes of ``payload`` from ``src`` to ``dst``.
 
-        Returns an event that fires with ``payload`` on delivery.
+        On delivery ``on_delivery(event)`` runs, if given, with
+        ``event.value`` the payload.
         """
         egress = self._egress.get(src)
         if egress is None:
@@ -138,44 +147,54 @@ class Fabric:
         if ingress is None:
             raise KeyError(f"unregistered receiver {dst!r}")
         sim = self.sim
-        delivered = Event(sim)
-        hop = _Transit(sim, ingress, size, payload, delivered)
-        sim._schedule(hop, egress.reserve(size) + self.latency - sim.now)
-        return delivered
+        # The _Transit, built in this frame: one per message.
+        hop = _new_transit(_Transit)
+        hop.sim = sim
+        hop.callbacks = [_at_receiver]
+        hop._value = None
+        hop._ok = True
+        hop.ingress = ingress
+        hop.size = size
+        hop.payload = payload
+        hop.on_delivery = on_delivery
+        now = sim.now
+        t = egress.reserve(size) + self.latency
+        heappush(sim._heap, (now + (t - now), sim._seq, hop))
+        sim._seq += 1
 
 
 class _Transit(Event):
-    """A message between its two links.
+    """A message on the fabric: one object, pushed three times.
 
     Three events per message — end of egress serialisation plus
     propagation, end of ingress serialisation, delivery — and the last,
     zero-delay one is not overhead: it decides the order of messages
-    whose wire times tie exactly.  This one object is pushed for both
-    timed hops (keys ``now + (t - now)``, as ``Simulator.call_at`` has
-    always made them) and then succeeds the public ``delivered`` event.
+    whose wire times tie exactly.  The two timed pushes have keys
+    ``now + (t - now)``, as ``Simulator.call_at`` has always made them;
+    the delivery push is the one ``succeed(payload)`` makes, and carries
+    ``on_delivery`` as the hop's only callback.  Only :meth:`Fabric.send`
+    makes one.
     """
 
-    __slots__ = ("ingress", "size", "payload", "delivered")
+    __slots__ = ("ingress", "size", "payload", "on_delivery")
 
-    def __init__(
-        self, sim: Simulator, ingress: Link, size: int, payload: Any, delivered: Event
-    ):
-        self.sim = sim
-        self.callbacks = [_at_receiver]
-        self._value = None
-        self._ok = True
-        self.ingress = ingress
-        self.size = size
-        self.payload = payload
-        self.delivered = delivered
+
+_new_transit = object.__new__
 
 
 def _at_receiver(hop: _Transit) -> None:
     sim = hop.sim
+    now = sim.now
     t = hop.ingress.reserve(hop.size)
     hop.callbacks = [_deliver]
-    sim._schedule(hop, t - sim.now)
+    heappush(sim._heap, (now + (t - now), sim._seq, hop))
+    sim._seq += 1
 
 
 def _deliver(hop: _Transit) -> None:
-    hop.delivered.succeed(hop.payload)
+    on_delivery = hop.on_delivery
+    hop.callbacks = None if on_delivery is None else [on_delivery]
+    hop._value = hop.payload
+    sim = hop.sim
+    heappush(sim._heap, (sim.now, sim._seq, hop))
+    sim._seq += 1

@@ -101,10 +101,13 @@ class ServerNode:
     def _worker(self):
         sim = self.sim
         queue = self.queue
+        # The store's deque, read directly: its length is checked on
+        # every batch slot and every planned request.
+        queued = queue._items
         while True:
             first: Request = yield queue.get()
             batch: List[Request] = [first]
-            while len(batch) < self.batch_max and len(queue) > 0:
+            while len(batch) < self.batch_max and queued:
                 more = yield queue.get()
                 batch.append(more)
             self._in_service = len(batch)
@@ -112,7 +115,7 @@ class ServerNode:
             for req, dur in plan:
                 req.dequeue_time = start = sim.now
                 # Collapse overhead on the queue depth (queued + in batch).
-                excess = len(queue) + self._in_service - self.collapse_threshold
+                excess = len(queued) + self._in_service - self.collapse_threshold
                 overhead = self.collapse_coeff * excess if excess > 0 else 0.0
                 yield Timeout(dur + overhead, None, sim)
                 self._in_service -= 1
@@ -143,5 +146,4 @@ class ServerNode:
                 f"server {self.server_id} has no reply sink for client {cid}"
             )
         client_node, on_delivery = route
-        sent = self.fabric.send(self.node_id, client_node, reply.wire_size, reply)
-        sent.callbacks.append(on_delivery)
+        self.fabric.send(self.node_id, client_node, reply.wire_size, reply, on_delivery)

@@ -156,6 +156,9 @@ class Timeout(Event):
         sim._seq += 1
 
 
+_new_event = object.__new__
+
+
 class Simulator:
     """Discrete-event simulator: an event heap plus the current time.
 
@@ -212,7 +215,24 @@ class Simulator:
         of a process whose work a continuation now does — whose
         sequence number still orders every later push at the same time.
         """
-        self._schedule(self._inert)
+        heappush(self._heap, (self.now, self._seq, self._inert))
+        self._seq += 1
+
+    def _succeeded(self, value: Any = None) -> Event:
+        """An event already succeeded with ``value``, pushed at ``now``.
+
+        ``Event(sim).succeed(value)`` in one call: the immediate grant of
+        a resource that has room.  The push is the one ``succeed`` makes
+        (key ``now + 0.0``, which is ``now``; next sequence number).
+        """
+        ev = _new_event(Event)
+        ev.sim = self
+        ev.callbacks = []
+        ev._value = value
+        ev._ok = True
+        heappush(self._heap, (self.now, self._seq, ev))
+        self._seq += 1
+        return ev
 
     def call_at(self, t: float, fn: Callable[[], None]) -> Event:
         """Invoke ``fn()`` at absolute time ``t`` (>= now).

@@ -58,12 +58,11 @@ class Resource:
 
     def acquire(self) -> Event:
         """Request one slot; yield the returned event to wait for it."""
-        ev = Event(self.sim)
         if self._in_use < self._capacity and not self._waiters:
             self._in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
+            return self.sim._succeeded()
+        ev = Event(self.sim)
+        self._waiters.append(ev)
         return ev
 
     def cancel(self, request: Event) -> None:
@@ -114,11 +113,10 @@ class Store:
 
     def get(self) -> Event:
         """Yield the returned event to receive the oldest item."""
-        ev = Event(self.sim)
         if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
+            return self.sim._succeeded(self._items.popleft())
+        ev = Event(self.sim)
+        self._getters.append(ev)
         return ev
 
     def peek_all(self) -> Tuple[Any, ...]:
@@ -188,14 +186,13 @@ class TokenBucket:
                 f"cannot acquire {n} tokens from a bucket of capacity "
                 f"{self.capacity}"
             )
-        ev = Event(self.sim)
         self._refill()
         if not self._waiters and self._tokens >= n:
             self._tokens -= n
-            ev.succeed()
-        else:
-            self._waiters.append((float(n), ev))
-            self._pump()
+            return self.sim._succeeded()
+        ev = Event(self.sim)
+        self._waiters.append((float(n), ev))
+        self._pump()
         return ev
 
     def cancel(self, request: Event, n: float = 1.0) -> None:

@@ -62,8 +62,8 @@ class TestFabric:
     def test_delivery_time_includes_both_serializations(self):
         sim, fab = self.make()
         got = []
-        fab.send("a", "b", MiB, "payload").add_callback(
-            lambda e: got.append((sim.now, e.value))
+        fab.send(
+            "a", "b", MiB, "payload", lambda e: got.append((sim.now, e.value))
         )
         sim.run()
         # 0.01 egress + 0.001 latency + 0.01 ingress
@@ -77,8 +77,8 @@ class TestFabric:
         for n in ("a", "b", "dst"):
             fab.register(n)
         times = []
-        fab.send("a", "dst", MiB, 1).add_callback(lambda e: times.append(sim.now))
-        fab.send("b", "dst", MiB, 2).add_callback(lambda e: times.append(sim.now))
+        fab.send("a", "dst", MiB, 1, lambda e: times.append(sim.now))
+        fab.send("b", "dst", MiB, 2, lambda e: times.append(sim.now))
         sim.run()
         assert times[0] == pytest.approx(0.02)
         assert times[1] == pytest.approx(0.03)  # waited behind the first
@@ -89,8 +89,8 @@ class TestFabric:
         for n in ("a", "b1", "b2"):
             fab.register(n)
         times = []
-        fab.send("a", "b1", MiB, 1).add_callback(lambda e: times.append(sim.now))
-        fab.send("a", "b2", MiB, 2).add_callback(lambda e: times.append(sim.now))
+        fab.send("a", "b1", MiB, 1, lambda e: times.append(sim.now))
+        fab.send("a", "b2", MiB, 2, lambda e: times.append(sim.now))
         sim.run()
         # Egress serializes (0.01 each), ingress links are independent.
         assert times == [pytest.approx(0.02), pytest.approx(0.03)]
@@ -118,6 +118,6 @@ class TestFabric:
         sim, fab = self.make()
         got = []
         for i in range(5):
-            fab.send("a", "b", 1000, i).add_callback(lambda e: got.append(e.value))
+            fab.send("a", "b", 1000, i, lambda e: got.append(e.value))
         sim.run()
         assert got == [0, 1, 2, 3, 4]
