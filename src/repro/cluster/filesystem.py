@@ -86,13 +86,11 @@ class StripedFileSystem:
 
         The generator's value is ``size``.
         """
-        layout = self.layout
-        stripe = layout.stripe_size
-        if offset >= 0 and size > 0 and offset % stripe + size <= stripe:
-            # FileLayout.split's one-chunk case, without the list.
-            osc = self._oscs[(offset // stripe) % layout.n_servers]
-            return osc.read(obj_id, offset, size)
-        return self._read_chunks(obj_id, layout.split(offset, size), size)
+        chunks = self.layout.split(offset, size)
+        if len(chunks) == 1:
+            sidx, off, sz = chunks[0]
+            return self._oscs[sidx].read(obj_id, off, sz)
+        return self._read_chunks(obj_id, chunks, size)
 
     def _read_chunks(self, obj_id: int, chunks: List[Chunk], size: int) -> Generator:
         sim = self.client.sim
@@ -111,12 +109,11 @@ class StripedFileSystem:
 
         The generator's value is ``size``.
         """
-        layout = self.layout
-        stripe = layout.stripe_size
-        if offset >= 0 and size > 0 and offset % stripe + size <= stripe:
-            osc = self._oscs[(offset // stripe) % layout.n_servers]
-            return osc.write(obj_id, offset, size)
-        return self._write_chunks(obj_id, layout.split(offset, size), size)
+        chunks = self.layout.split(offset, size)
+        if len(chunks) == 1:
+            sidx, off, sz = chunks[0]
+            return self._oscs[sidx].write(obj_id, off, sz)
+        return self._write_chunks(obj_id, chunks, size)
 
     def _write_chunks(self, obj_id: int, chunks: List[Chunk], size: int) -> Generator:
         for sidx, off, sz in chunks:

@@ -147,16 +147,7 @@ class Fabric:
         if ingress is None:
             raise KeyError(f"unregistered receiver {dst!r}")
         sim = self.sim
-        # The _Transit, built in this frame: one per message.
-        hop = _new_transit(_Transit)
-        hop.sim = sim
-        hop.callbacks = [_at_receiver]
-        hop._value = None
-        hop._ok = True
-        hop.ingress = ingress
-        hop.size = size
-        hop.payload = payload
-        hop.on_delivery = on_delivery
+        hop = _Transit(sim, ingress, size, payload, on_delivery)
         now = sim.now
         t = egress.reserve(size) + self.latency
         heappush(sim._heap, (now + (t - now), sim._seq, hop))
@@ -172,14 +163,27 @@ class _Transit(Event):
     whose wire times tie exactly.  The two timed pushes have keys
     ``now + (t - now)``, as ``Simulator.call_at`` has always made them;
     the delivery push is the one ``succeed(payload)`` makes, and carries
-    ``on_delivery`` as the hop's only callback.  Only :meth:`Fabric.send`
-    makes one.
+    ``on_delivery`` as the hop's only callback.
     """
 
     __slots__ = ("ingress", "size", "payload", "on_delivery")
 
-
-_new_transit = object.__new__
+    def __init__(
+        self,
+        sim: Simulator,
+        ingress: Link,
+        size: int,
+        payload: Any,
+        on_delivery: Optional[Callable[[Event], None]],
+    ):
+        self.sim = sim
+        self.callbacks = [_at_receiver]
+        self._value = None
+        self._ok = True
+        self.ingress = ingress
+        self.size = size
+        self.payload = payload
+        self.on_delivery = on_delivery
 
 
 def _at_receiver(hop: _Transit) -> None:
