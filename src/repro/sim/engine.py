@@ -172,15 +172,19 @@ class Simulator:
         self.now = 0.0
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
-        self._event_count = 0
         # What _hop pushes: an event already fired, with no callbacks.
         self._inert = inert = Event(self)
         inert._value, inert._ok, inert.callbacks = None, True, None
 
     @property
     def events_processed(self) -> int:
-        """Total events processed so far (for engine benchmarks)."""
-        return self._event_count
+        """Total events processed so far (for engine benchmarks).
+
+        Every push takes a sequence number and only ``run`` and ``step``
+        pop, so this is pushes minus entries still queued: exact also
+        when a callback raises, and nothing to count per event.
+        """
+        return self._seq - len(self._heap)
 
     # -- construction helpers ------------------------------------------
     def event(self) -> Event:
@@ -255,7 +259,6 @@ class Simulator:
             raise SimulationError("step() on empty event queue")
         t, _seq, event = heappop(self._heap)
         self.now = t
-        self._event_count += 1
         event._run_callbacks()
 
     def peek(self) -> float:
@@ -281,20 +284,14 @@ class Simulator:
             bound = until
         heap = self._heap
         pop = heappop
-        fired = 0
-        try:
-            while heap and heap[0][0] <= bound:
-                self.now, _seq, event = pop(heap)
-                fired += 1
-                # Event._run_callbacks, inlined.
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    for fn in callbacks:
-                        fn(event)
-        finally:
-            # Exact even when a callback raises.
-            self._event_count += fired
+        while heap and heap[0][0] <= bound:
+            self.now, _seq, event = pop(heap)
+            # Event._run_callbacks, inlined.
+            callbacks = event.callbacks
+            event.callbacks = None
+            if callbacks:
+                for fn in callbacks:
+                    fn(event)
         if until is not None:
             self.now = float(until)
 
