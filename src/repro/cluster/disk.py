@@ -162,6 +162,8 @@ class HDDModel(DiskModel):
         ``_seek_time``, ``_transfer_time`` and ``_account`` are spelled
         out with the same float expressions in the same order, and the
         counters accumulate request by request as ``_account`` would.
+        Those methods stay the per-request reference form the tests hold
+        this one to, bit for bit.
         """
         META, PING, READ = RequestKind.META, RequestKind.PING, RequestKind.READ
         capacity = self.capacity

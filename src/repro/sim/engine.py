@@ -204,8 +204,9 @@ class Simulator:
         """Push ``event`` to fire ``delay`` seconds from now.
 
         The one definition of a push: key ``now + delay`` (so ``now`` for a
-        zero delay), next sequence number.  ``Event.succeed`` and
-        ``Timeout`` inline exactly this.
+        zero delay), next sequence number.  ``Event.succeed``,
+        ``Timeout``, :meth:`_hop`, :meth:`_succeeded` and the fabric's
+        message hops inline exactly this.
         """
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")

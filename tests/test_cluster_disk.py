@@ -138,6 +138,85 @@ class TestHDDPlanning:
         assert d.stats.busy_time > 0
 
 
+def _reference_plan(d, requests):
+    """``HDDModel.plan_batch`` one request at a time, through ``lba_of``,
+    ``_seek_time``, ``_transfer_time`` and ``_account``."""
+    plan, data = [], []
+    for req in requests:
+        if req.kind in (RequestKind.META, RequestKind.PING):
+            dur = d.meta_time if req.kind is RequestKind.META else 0.0
+            plan.append((req, dur))
+            d._account(req, dur, seeked=False)
+        else:
+            data.append(req)
+    keyed = sorted(
+        ((d.lba_of(r.obj_id, r.offset), r) for r in data), key=lambda kr: kr[0]
+    )
+    sweep = [kr for kr in keyed if kr[0] >= d._head] + [
+        kr for kr in keyed if kr[0] < d._head
+    ]
+    i = 0
+    while i < len(sweep):
+        lba, req = sweep[i]
+        distance = abs(lba - d._head)
+        rot = d.rot_latency if distance > 0 else 0.0
+        dur = d._seek_time(distance) + rot + d._transfer_time(req.kind, req.size)
+        plan.append((req, dur))
+        d._account(req, dur, seeked=distance > 0)
+        d._head = (lba + req.size) % d.capacity
+        j, prev = i + 1, req
+        while j < len(sweep):
+            nlba, nreq = sweep[j]
+            if not (
+                nreq.obj_id == prev.obj_id
+                and nreq.kind == prev.kind
+                and nreq.offset == prev.end_offset
+            ):
+                break
+            ndur = d._transfer_time(nreq.kind, nreq.size)
+            plan.append((nreq, ndur))
+            d._account(nreq, ndur, seeked=False)
+            d._head = (nlba + nreq.size) % d.capacity
+            prev, j = nreq, j + 1
+        i = j
+    return plan
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from(list(RequestKind)),
+                st.integers(0, 3),
+                st.integers(0, 8),
+                st.sampled_from([4 * KiB, 32 * KiB, MiB]),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_plan_batch_prices_as_the_per_request_reference(batches):
+    """Durations, order, head and every counter equal bit for bit, over
+    consecutive batches (so the head carries over and wraps)."""
+    fast, ref = HDDModel(), HDDModel()
+    for batch in batches:
+        reqs = [
+            make_req(kind=k, obj_id=obj, offset=slot * 32 * KiB, size=size)
+            for k, obj, slot, size in batch
+        ]
+        got = fast.plan_batch(reqs)
+        want = _reference_plan(ref, reqs)
+        assert [r for r, _ in got] == [r for r, _ in want]
+        assert [dur.hex() for _, dur in got] == [dur.hex() for _, dur in want]
+        assert fast._head == ref._head
+        assert fast.stats == ref.stats
+        assert fast.stats.busy_time.hex() == ref.stats.busy_time.hex()
+
+
 class TestSSD:
     def test_no_benefit_from_batching(self):
         rng = np.random.default_rng(3)
