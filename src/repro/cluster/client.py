@@ -221,10 +221,12 @@ class OSC:
         except BaseException:
             self.window.cancel(slot)
             raise
-        try:
-            yield self._send_request(kind, obj_id, offset, size)
-        finally:
-            self.window.release()
+        done = self._send_request(kind, obj_id, offset, size)
+        # The slot is the RPC's, not the waiter's: it is released when the
+        # reply arrives (just before the waiter resumes), also when the
+        # waiter was interrupted in the meantime.
+        done.callbacks.append(self._release_slot)
+        yield done
         if kind is RequestKind.READ:
             self.read_bytes_done.add(size)
             self._cluster_read.add(size)
@@ -232,6 +234,9 @@ class OSC:
             return size
         self._client_meta.add(1)
         return None
+
+    def _release_slot(self, _done: Event) -> None:
+        self.window.release()
 
     def _send_request(
         self, kind: RequestKind, obj_id: int, offset: int, size: int

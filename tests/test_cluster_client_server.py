@@ -336,3 +336,41 @@ class TestInterruptedIO:
             assert osc.cache.dirty == 0, (osc.node_id, osc.server_id)
         for client in cluster.clients:
             assert client.rate_bucket._waiters == deque()
+
+    def test_an_interrupted_rpc_holds_its_window_slot_until_the_reply(self):
+        """A synchronous RPC stays in flight after its waiter is stopped,
+        so its slot must stay taken until the reply arrives: otherwise
+        the window admits more than ``max_rpcs_in_flight``."""
+        from repro.workloads import RandomReadWrite
+
+        sim = Simulator()
+        cluster = Cluster(sim, ClusterConfig(n_servers=2, n_clients=5))
+        wl = RandomReadWrite(cluster, instances_per_client=5, read_fraction=0.9, seed=13)
+        wl.start()
+        oscs = [osc for c in cluster.clients for osc in c.oscs.values()]
+
+        def check_in_flight():
+            for osc in oscs:
+                assert len(osc._pending) <= osc.window.in_use, (
+                    osc.node_id,
+                    osc.server_id,
+                    len(osc._pending),
+                    osc.window.in_use,
+                )
+
+        sim.run(until=1.0)
+        check_in_flight()
+        sim.run(until=2.0)
+        check_in_flight()
+        wl.stop()
+        stopped_in_flight = sum(len(osc._pending) for osc in oscs)
+        assert stopped_in_flight > 0, "no RPC was in flight at the stop"
+        # The replies of the stopped reads arrive within milliseconds:
+        # check after every event until the next tick.
+        while sim.peek() <= 3.0:
+            sim.step()
+            check_in_flight()
+        sim.run(until=10.0)
+        for osc in oscs:
+            assert osc._pending == {}
+            assert osc.window.in_use == 0, (osc.node_id, osc.server_id)

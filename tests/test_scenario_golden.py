@@ -49,10 +49,14 @@ SCENARIO_KW = {
 #: 10-tick scripted rollout at seed 17 (see ``_rollout_digest``).
 GOLDEN_DIGESTS = {
     "sim-lustre-degraded": "fd8060876c3cae95ff87c4fbfde0e6f8",
-    "sim-lustre-bursty": "87a5f4f980088a10d604f160ea8c2647",
+    # Re-cut when an interrupted synchronous RPC kept its window slot
+    # until its reply arrived (a spike's end stops its instances).
+    "sim-lustre-bursty": "4b7019db6e954ab94a161053c4e6f554",
     # Re-cut when interrupted instances stopped leaking queued window
-    # slots, rate tokens and cache space (churn pauses them mid-queue).
-    "sim-lustre-churn": "fe294c1f7a47b250f7d5452ed5d42d9c",
+    # slots, rate tokens and cache space (churn pauses them mid-queue),
+    # and again when an interrupted synchronous RPC kept its slot until
+    # its reply arrived.
+    "sim-lustre-churn": "ac0fe68b473ec3e483adf790c5c84dfe",
 }
 
 

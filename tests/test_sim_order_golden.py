@@ -154,10 +154,11 @@ def reads_with_noise():
 GOLDEN = {
     knob_churn: ("facd116c0c4599a3fa8c88f5bd6274e6", 2604, 41429, 85327872.0),
     striped_reads: ("c3323b60e404e4c83a6c44b22dbba18e", 1015, 14222, 1064304640.0),
-    # Re-cut once, when an interrupted instance stopped leaking the window
-    # slot, rate token or cache space it had queued for (a model fix,
-    # not a kernel change).
-    client_churn: ("df462fcb9b29aa36807869c5cbd9c1fe", 2203, 32207, 71368704.0),
+    # Re-cut twice, for model fixes, not kernel changes: when an
+    # interrupted instance stopped leaking the window slot, rate token or
+    # cache space it had queued for, and when an interrupted synchronous
+    # RPC kept its window slot until its reply arrived.
+    client_churn: ("ff421d34cb6980b7c901201882863045", 2206, 32238, 71401472.0),
     striped_writes: ("9d050d743f2c565c1bb45352274213f1", 1993, 29714, 493981715.0),
     # Cut before single-stripe reads lost their filesystem generator and
     # fabric messages their separate delivery event.
