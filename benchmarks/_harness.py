@@ -124,6 +124,15 @@ def run_specs(specs: Sequence[ExperimentSpec]) -> ExperimentResults:
     Serial by default so figure regeneration stays deterministic on any
     box; set ``REPRO_BENCH_JOBS=N`` to fan independent sessions out
     over N worker processes (per-run results are identical either way).
+
+    With N > 1, also set ``OPENBLAS_NUM_THREADS=1`` (and
+    ``OMP_NUM_THREADS`` / ``MKL_NUM_THREADS``) in the environment
+    *before Python starts*.  BLAS sizes its thread pool once, when numpy
+    is first imported, and forked workers inherit the parent's pool: N
+    workers of a two-thread BLAS on two cores oversubscribe them, and
+    Fig. 2 at ``REPRO_BENCH_JOBS=2`` took 559 s that way against 176 s
+    with one BLAS thread (269 s serially).  Setting the variables from
+    here would be too late.
     """
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     return ExperimentRunner(jobs=jobs).run(specs)
