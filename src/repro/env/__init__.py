@@ -13,9 +13,9 @@ interface, not a class:
 - :class:`~repro.env.vector.VectorEnv` — N independently-seeded
   clusters stepped in lockstep, fanning all experience into one shared
   Replay DB (the many-agents-one-engine topology); its ``fork`` backend
-  runs each cluster in a forked worker over a pipe
-  (:mod:`repro.transport.codec` payloads), and its ``vec`` backend steps all N as rows
-  of one :class:`~repro.sim.vec.fleet_env.FleetEnv`.
+  runs each cluster in a forked worker over a pipe of pickled messages
+  (:mod:`repro.transport.codec`), and its ``vec`` backend steps all N
+  as rows of one :class:`~repro.sim.vec.fleet_env.FleetEnv`.
 
 Backwards compatibility: the protocol is structural, so code that
 constructs a bare :class:`~repro.env.tuning_env.StorageTuningEnv` from

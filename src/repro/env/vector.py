@@ -19,17 +19,18 @@ There are two kinds of channel.
 
 In-process (``serial``, ``vec``)
     Each env lives in the master and a command runs on the spot through
-    :func:`~repro.env.worker.exec_env_cmd` — no codec, no thread.  The
-    payoff is batched inference (one stacked forward pass per tick
+    :func:`~repro.env.worker.exec_env_cmd` — no pickling, no thread.
+    The payoff is batched inference (one stacked forward pass per tick
     instead of N), the shared replay stream, and observations written
     straight into the stacked buffer through ``out=``.
 Remote (``fork``)
     Each env lives in a forked worker running
     :func:`~repro.env.worker.serve_env_session` over its end of a
     ``multiprocessing`` pipe; each command and each reply is one pipe
-    message holding a binary codec payload, one FIFO of in-flight
-    commands per channel, and a vanished worker is a
-    :class:`WorkerCrashError` naming the env and the command.
+    message holding a pickled pair (:mod:`repro.transport.codec`), one
+    FIFO of in-flight commands per channel, and a vanished worker or an
+    unreadable reply is a :class:`WorkerCrashError` naming the env and
+    the command.
     ``fork`` inherits memory, so unpicklable workload factories work
     unchanged.
 
@@ -49,11 +50,10 @@ Fan-in transport
 Every reply that advances ticks carries the environment's new replay
 records inline, packed as one
 :class:`~repro.replaydb.records.PackedRecords` array block rather than
-a pickled object list, and the master lands each batch with one
-:meth:`~repro.replaydb.db.ReplayDB.put_many`.  Worker commands and
-replies are binary codec payloads (:mod:`repro.transport.codec`):
-observations, reward vectors and record columns cross the pipes as
-raw array buffers, not pickles.  Acting paths stay in
+a list of record objects, and the master lands each batch with one
+:meth:`~repro.replaydb.db.ReplayDB.put_many`.  On ``fork`` those
+arrays cross the pipe inside the pickled reply, which keeps their
+dtype, shape and bytes.  Acting paths stay in
 per-tick lockstep (the policy needs every observation) but pay no
 separate records round-trip; monitoring-only :meth:`VectorEnv.collect`
 and :meth:`VectorEnv.run_ticks` additionally run *chunked* — one
@@ -97,14 +97,12 @@ from repro.env.tuning_env import EnvConfig, StorageTuningEnv
 from repro.env.worker import (
     WorkerCrashError,
     exec_env_cmd,
-    reply_result,
     serve_env_session,
 )
 from repro.replaydb.db import CACHE_ONLY, ReplayDB
 from repro.replaydb.records import PackedRecords
 from repro.replaydb.spans import StridedMinibatchSampler, TickSpans
-from repro.transport.codec import encode_command
-from repro.transport.framing import ProtocolError
+from repro.transport.codec import decode_reply, encode_reply
 from repro.util.rng import derive_rng, ensure_rng
 from repro.util.validation import check_positive
 
@@ -154,31 +152,33 @@ def per_env_rngs(
 # Channels: the master's end of one sub-environment
 # --------------------------------------------------------------------------
 #
-# ``submit(env_index, cmd, payload)`` sends one worker command,
-# ``result()`` returns the oldest outstanding reply.  Results come back
-# in submission order, so submitting to every env before collecting any
-# steps remote envs in parallel.
+# ``submit(env_index, cmd, payload, out=None)`` sends one worker
+# command, ``result()`` returns the oldest outstanding reply.  Results
+# come back in submission order, so submitting to every env before
+# collecting any steps remote envs in parallel.
 
 
 class _LocalChannel:
     """One in-process sub-environment (``serial``, ``vec``).
 
-    Commands run at submit through :func:`exec_env_cmd` — no codec, no
-    thread.  Payload ``out=`` buffers therefore reach the env itself,
+    Commands run at submit through :func:`exec_env_cmd` — no pickling,
+    no thread.  The ``out=`` buffer therefore reaches the env itself,
     so observations land straight in the master's stacked buffer; a
-    remote channel's codec strips them instead.
+    remote channel never sends it.
     """
 
     def __init__(self, env: Environment):
         self.env = env
         self._result: Any = None
 
-    def submit(self, env_index: int, cmd: str, payload: Any = None) -> None:
-        if cmd == "close":
-            self.env.close()
-            self._result = None
-        else:
-            self._result = exec_env_cmd(self.env, cmd, payload)
+    def submit(
+        self,
+        env_index: int,
+        cmd: str,
+        payload: Any = None,
+        out: Optional[np.ndarray] = None,
+    ) -> None:
+        self._result = exec_env_cmd(self.env, cmd, payload, out=out)
 
     def result(self) -> Any:
         out, self._result = self._result, None
@@ -206,8 +206,9 @@ class _RemoteChannel:
 
     The worker serves commands strictly in arrival order, so a FIFO of
     in-flight ``(env_index, cmd)`` is the whole multiplexing state.  A
-    worker that vanishes surfaces as :class:`WorkerCrashError` naming
-    the env and the command — never as a bare ``EOFError``.
+    worker that vanishes or sends a reply that does not decode surfaces
+    as :class:`WorkerCrashError` naming the env and the command — never
+    as a bare ``EOFError``.
     """
 
     def __init__(self, conn: Any, proc: Any):
@@ -240,9 +241,16 @@ class _RemoteChannel:
             env_index=env_index,
         )
 
-    def submit(self, env_index: int, cmd: str, payload: Any = None) -> None:
+    def submit(
+        self,
+        env_index: int,
+        cmd: str,
+        payload: Any = None,
+        out: Optional[np.ndarray] = None,
+    ) -> None:
+        """Send ``(cmd, payload)``; ``out`` is for in-process envs only."""
         try:
-            self.conn.send_bytes(encode_command(cmd, 0, payload))
+            self.conn.send_bytes(encode_reply(cmd, payload))
         except OSError as exc:
             raise self._crash(
                 f"is gone; cannot submit {cmd!r}", env_index, exc
@@ -259,7 +267,17 @@ class _RemoteChannel:
             raise self._crash(
                 f"went away during {cmd!r}", env_index, exc
             ) from exc
-        return reply_result(message, env_index)
+        try:
+            status, result = decode_reply(message)
+        except Exception as exc:
+            raise self._crash(
+                f"sent an unreadable reply to {cmd!r}", env_index, exc
+            ) from exc
+        if status is not None:
+            return result
+        if isinstance(result, BaseException):
+            raise result
+        raise WorkerCrashError(result, env_index=env_index)
 
     def close(self, timeout: float = 5.0) -> None:
         """Close the pipe and reap the worker: join with a timeout, then
@@ -481,11 +499,15 @@ class VectorEnv:
         return ch.result()
 
     def _lockstep(
-        self, cmd: str, payload: Callable[[int], Any]
+        self,
+        cmd: str,
+        payload: Callable[[int], Any],
+        out: Optional[np.ndarray] = None,
     ) -> List[Any]:
-        """``cmd`` to every env (``payload(i)`` each), all submitted
-        before any result is collected, so remote envs run in
-        parallel; the results in env order.
+        """``cmd`` to every env (``payload(i)`` each, and row ``i`` of
+        ``out`` for in-process envs to write), all submitted before any
+        result is collected, so remote envs run in parallel; the results
+        in env order.
 
         A failure does not stop the others: every env gets the command
         (an in-process one fails at submit) and every submitted
@@ -498,7 +520,9 @@ class VectorEnv:
         submitted = []
         for i, ch in enumerate(self._channels):
             try:
-                ch.submit(i, cmd, payload(i))
+                ch.submit(
+                    i, cmd, payload(i), None if out is None else out[i]
+                )
                 submitted.append(ch)
             except Exception as exc:
                 errors.append(exc)
@@ -676,7 +700,8 @@ class VectorEnv:
             return self._obs_buf, self._reward_buf, infos
         replies = self._lockstep(
             "step",
-            lambda i: (int(actions[i]), self._obs_buf[i], self._since(i)),
+            lambda i: (int(actions[i]), self._since(i)),
+            out=self._obs_buf,
         )
         infos: List[dict] = []
         for i, (obs, reward, info, packed) in enumerate(replies):
@@ -721,7 +746,8 @@ class VectorEnv:
                 continue
             replies = self._lockstep(
                 "run_chunk",
-                lambda i: (action, k, self._since(i), self._obs_buf[i]),
+                lambda i: (action, k, self._since(i)),
+                out=self._obs_buf,
             )
             for i, (r, obs, packed) in enumerate(replies):
                 rewards[i, done : done + k] = r
@@ -904,21 +930,23 @@ class VectorEnv:
         if self._closed:
             return
         self._closed = True
-        gone = (WorkerCrashError, ProtocolError, OSError)
-        for i, ch in enumerate(self._channels):
-            try:
-                ch.submit(i, "close")
-            except gone:
-                pass  # this worker is already gone; keep reaping
-        for ch in self._channels:
-            try:
-                ch.result()
-            except gone:
-                pass
-        for ch in self._channels:
-            ch.close()
-        if self.shared_db is not None:
-            self.shared_db.close()
+        gone = (WorkerCrashError, OSError)
+        try:
+            for i, ch in enumerate(self._channels):
+                try:
+                    ch.submit(i, "close")
+                except gone:
+                    pass  # this worker is already gone; keep reaping
+            for ch in self._channels:
+                try:
+                    ch.result()
+                except gone:
+                    pass
+        finally:
+            for ch in self._channels:
+                ch.close()
+            if self.shared_db is not None:
+                self.shared_db.close()
 
     def __enter__(self) -> "VectorEnv":
         return self

@@ -7,37 +7,26 @@ One environment command set, one executor, one serve loop.
 a forked worker, over its end of a ``multiprocessing`` pipe.
 
 Wire format: the pipe already delivers whole messages, so there is no
-second framing.  A command is one pipe message holding the
-:func:`~repro.transport.codec.encode_command` payload; a reply is one
-pipe message holding a status byte (``MSG_OK`` or ``MSG_ERR``) followed
-by the :func:`~repro.transport.codec.encode_reply` or
-:func:`~repro.transport.codec.encode_error` payload.
+second framing.  A command is one pipe message holding the pickled
+``(cmd, payload)``, a reply one holding the pickled ``(cmd, result)``;
+both ends build and read them with :mod:`repro.transport.codec`.
 
 Error discipline: an exception inside a command crosses back whole
-when it pickles (the master re-raises it verbatim); otherwise its
-type, message and worker traceback travel as text and surface as a
-:class:`WorkerCrashError` — never as a bare ``EOFError`` from a pipe
-that died with the secret.
+when it survives a pickle round trip (the master re-raises it
+verbatim); otherwise its type, message and worker traceback travel as
+text and surface as a :class:`WorkerCrashError` — never as a bare
+``EOFError`` from a pipe that died with the secret.
 """
 
 from __future__ import annotations
 
-import traceback
 from typing import Any, Optional
 
 import numpy as np
 
 from repro.env.protocol import Environment
 from repro.replaydb.records import PackedRecords
-from repro.transport.codec import (
-    MSG_ERR,
-    MSG_OK,
-    decode_command,
-    decode_error,
-    decode_reply,
-    encode_error,
-    encode_reply,
-)
+from repro.transport.codec import decode_reply, encode_reply
 
 __all__ = [
     "WorkerCrashError",
@@ -94,14 +83,20 @@ def chunk_rewards(
     return rewards
 
 
-def exec_env_cmd(env: Environment, cmd: str, payload: Any) -> Any:
+def exec_env_cmd(
+    env: Environment,
+    cmd: str,
+    payload: Any,
+    out: Optional[np.ndarray] = None,
+) -> Any:
     """One worker command against one environment — every backend runs
     exactly this, so serial and fork stay behaviourally identical.
 
     Replies that advance ticks carry the new replay records inline
     (``since`` is the master's last-synced tick, or ``None`` when
     fan-in is off), collapsing the old step-then-fetch double
-    round-trip into one.
+    round-trip into one.  ``out`` is where ``step`` and ``run_chunk``
+    write the observation; only an in-process channel has one to give.
     """
     if cmd == "reset":
         want_records = payload
@@ -109,12 +104,12 @@ def exec_env_cmd(env: Environment, cmd: str, payload: Any) -> Any:
         packed = fetch_packed(env, -1) if want_records else None
         return obs, packed
     if cmd == "step":
-        action, out, since = payload
+        action, since = payload
         obs, reward, info = env.step(action, out=out)
         packed = fetch_packed(env, since) if since is not None else None
         return obs, reward, info, packed
     if cmd == "run_chunk":
-        action, k, since, out = payload
+        action, k, since = payload
         rewards = chunk_rewards(env, action, k)
         obs = env.current_observation(out=out)
         packed = fetch_packed(env, since) if since is not None else None
@@ -129,31 +124,10 @@ def exec_env_cmd(env: Environment, cmd: str, payload: Any) -> Any:
         if fn is not None:
             fn()
         return None
-    raise ValueError(f"unknown worker command {cmd!r}")  # pragma: no cover
-
-
-def _error_text(exc: BaseException) -> str:
-    """The text fallback an unpicklable exception travels as."""
-    return (
-        f"{type(exc).__name__}: {exc}\n"
-        f"[worker traceback]\n{traceback.format_exc()}"
-    )
-
-
-def reply_result(message: bytes, env_index: int) -> Any:
-    """The result one worker reply message carries.
-
-    An ``MSG_ERR`` reply raises instead: the original exception when it
-    crossed whole, otherwise a :class:`WorkerCrashError` carrying its
-    text.
-    """
-    if message[0] == MSG_ERR:
-        _env, text, exc = decode_error(message[1:])
-        if exc is not None:
-            raise exc
-        raise WorkerCrashError(text, env_index=env_index)
-    _cmd, result = decode_reply(message[1:])
-    return result
+    if cmd == "close":
+        env.close()
+        return None
+    raise ValueError(f"unknown worker command {cmd!r}")
 
 
 def serve_env_session(env: Environment, conn) -> None:
@@ -161,31 +135,24 @@ def serve_env_session(env: Environment, conn) -> None:
 
     Runs until the master closes the environment (the normal goodbye)
     or hangs up its end of the pipe (``EOFError`` or ``OSError`` from
-    the pipe).  A command failure is replied as an ``MSG_ERR`` message
-    and the loop keeps serving — one bad ``env_method`` must not take
-    down the worker.  On exit, the environment is closed if it is still
-    open and ``conn`` is closed.
+    the pipe).  A command failure is replied as an error reply and the
+    loop keeps serving — one bad ``env_method`` must not take down the
+    worker.  On exit, the environment is closed if it is still open and
+    ``conn`` is closed.
     """
     closed = False
     try:
         while not closed:
             try:
-                payload = conn.recv_bytes()
+                message = conn.recv_bytes()
             except (EOFError, OSError):
                 return  # master hung up; finally reaps the env
             try:
-                cmd, _env, data = decode_command(payload)
-                if cmd == "close":
-                    closed = True
-                    env.close()
-                    result = None
-                else:
-                    result = exec_env_cmd(env, cmd, data)
-                reply = bytes((MSG_OK,)) + encode_reply(cmd, result)
+                cmd, payload = decode_reply(message)
+                closed = cmd == "close"
+                reply = encode_reply(cmd, exec_env_cmd(env, cmd, payload))
             except Exception as exc:  # surface remote failures
-                reply = bytes((MSG_ERR,)) + encode_error(
-                    exc, _error_text(exc), 0
-                )
+                reply = encode_reply(None, exc)
             try:
                 conn.send_bytes(reply)
             except OSError:  # pragma: no cover - master hung up

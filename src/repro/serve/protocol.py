@@ -22,6 +22,10 @@ message        direction  payload
 ``ERROR``      s → c      JSON: ``error`` text; the connection closes next
 =============  =========  ==================================================
 
+Both sides enforce :data:`MAX_PAYLOAD`: an oversized length prefix is
+a :class:`ProtocolError` (a desynchronised or malicious peer), raised
+before any attempt to read the claimed payload.
+
 Every ``FRAME`` gets exactly one ``DECISION`` (or ``RESYNC``) reply, so
 a client has at most one frame in flight — the request/response shape
 that makes client-measured decision latency meaningful — while
@@ -35,15 +39,14 @@ import json
 import struct
 from typing import Optional, Tuple
 
-from repro.transport.framing import (
-    MAX_PAYLOAD,
-    PREFIX as _PREFIX,
-    ProtocolError,
-    encode_frame,
-    read_frame_async,
-)
-
 PROTO_VERSION = 1
+
+#: The frame prefix: message type, payload length (little-endian).
+PREFIX = struct.Struct("<BI")
+
+#: Hard cap on a single payload; anything larger is a framing error
+#: (a desynchronised or malicious peer), not a legitimate message.
+MAX_PAYLOAD = 64 * 1024 * 1024
 
 HELLO = 1
 WELCOME = 2
@@ -65,6 +68,11 @@ TYPE_NAMES = {
     BYE: "bye",
     ERROR: "error",
 }
+
+
+class ProtocolError(ValueError):
+    """The peer sent bytes that do not parse as a protocol message."""
+
 
 _FRAME_HEAD = struct.Struct("<qd")  # tick, reward
 _DECISION = struct.Struct("<qqB")  # tick, action, decided flag
@@ -113,24 +121,35 @@ class IdleDeadline:
             self._writer.transport.abort()
 
 
-def pack_message(msg_type: int, payload: bytes = b"") -> bytes:
-    """One wire-ready framed message.
+def pack_message(
+    msg_type: int, payload: bytes = b"", max_payload: int = MAX_PAYLOAD
+) -> bytes:
+    """One wire-ready framed message (prefix + payload); a payload over
+    ``max_payload`` bytes is a :class:`ProtocolError`."""
+    if len(payload) > max_payload:
+        raise ProtocolError(
+            f"payload of {len(payload)} bytes exceeds cap {max_payload}"
+        )
+    return PREFIX.pack(msg_type, len(payload)) + payload
 
-    Thin alias of :func:`repro.transport.framing.encode_frame`, which
-    owns the prefix layout, the :data:`MAX_PAYLOAD` cap and the
-    :class:`ProtocolError` on oversize.
-    """
-    return encode_frame(msg_type, payload)
 
+async def read_message(
+    reader: asyncio.StreamReader, max_payload: int = MAX_PAYLOAD
+) -> Tuple[int, bytes]:
+    """Read one framed message from an asyncio stream.
 
-async def read_message(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
-    """Read one framed message; raises on EOF or oversized frames.
-
-    Thin alias of :func:`repro.transport.framing.read_frame_async`.
     ``asyncio.IncompleteReadError`` propagates on a peer that vanished
-    mid-frame — callers treat it exactly like a disconnect.
+    mid-frame — callers treat it exactly like a disconnect.  A length
+    prefix over ``max_payload`` raises :class:`ProtocolError` before
+    the payload is read.
     """
-    return await read_frame_async(reader)
+    msg_type, length = PREFIX.unpack(await reader.readexactly(PREFIX.size))
+    if length > max_payload:
+        raise ProtocolError(
+            f"framed payload of {length} bytes exceeds cap {max_payload}"
+        )
+    payload = await reader.readexactly(length) if length else b""
+    return msg_type, payload
 
 
 def pack_json(msg_type: int, obj: dict) -> bytes:

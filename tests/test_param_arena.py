@@ -36,7 +36,7 @@ from repro.rl import DQNAgent, Hyperparameters, soft_update
 from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.snapshot.layers import capture_agent, restore_agent
-from repro.transport.framing import PREFIX
+from repro.serve.protocol import PREFIX
 
 
 def assert_packed(net: MLP) -> None:

@@ -1,18 +1,19 @@
-"""The wire formats under a microscope (serve framing, worker codec).
+"""The wire formats under a microscope (serve framing, the fork pipe).
 
 Two media, two kinds of test, one parameter: ``loopback`` keeps both
 ends in this process, ``pipe`` puts an OS pipe in between.
 
-- Framing: :func:`~repro.transport.framing.read_frame_async` is the
+- Framing: :func:`~repro.serve.protocol.read_message` is the
   serve daemon's reader of network input, where bytes arrive in any
   split.  The hypothesis properties feed *arbitrary byte splits* — half
   a prefix, coalesced frames, one byte per chunk — into an
   ``asyncio.StreamReader`` (``loopback``) or through an OS pipe the
   event loop reads (``pipe``), and require the same message stream out.
 - The fork channel: a forked worker's commands and replies are whole
-  ``multiprocessing`` pipe messages holding codec payloads.  Its close
-  and crash paths run against the far end of the pipe held by the test
-  itself (``loopback``) or by a real forked worker (``pipe``).
+  ``multiprocessing`` pipe messages, each a pickled pair built by
+  :mod:`repro.transport.codec`.  Its message form, close and crash
+  paths run against the far end of the pipe held by the test itself
+  (``loopback``) or by a real forked worker (``pipe``).
 
 The hypothesis runs are derandomized so the tier-1 suite stays
 deterministic; bump ``max_examples`` locally when hunting.
@@ -32,23 +33,14 @@ from hypothesis import strategies as st
 from repro.env.vector import _RemoteChannel
 from repro.env.worker import WorkerCrashError
 from repro.replaydb.records import PackedRecords
-from repro.transport import (
+from repro.serve.protocol import (
     MAX_PAYLOAD,
-    MSG_ERR,
-    MSG_OK,
+    PREFIX,
     ProtocolError,
-    decode_command,
-    decode_error,
-    decode_reply,
-    decode_sections,
-    encode_command,
-    encode_error,
-    encode_frame,
-    encode_reply,
-    encode_sections,
-    read_frame_async,
+    pack_message,
+    read_message,
 )
-from repro.transport.framing import PREFIX
+from repro.transport import decode_reply, encode_reply
 
 SETTINGS = dict(max_examples=25, deadline=None, derandomize=True)
 
@@ -70,13 +62,13 @@ async def _read_all(reader, max_payload):
     frames = []
     while True:
         try:
-            frames.append(await read_frame_async(reader, max_payload))
+            frames.append(await read_message(reader, max_payload))
         except Exception as exc:
             return frames, exc
 
 
 def read_stream(kind: str, chunks, max_payload: int = MAX_PAYLOAD):
-    """``(frames, error)`` read by :func:`read_frame_async` from
+    """``(frames, error)`` read by :func:`read_message` from
     ``chunks`` written one at a time, then EOF, over medium ``kind``."""
 
     async def main():
@@ -142,7 +134,7 @@ cuts_st = st.lists(st.integers(min_value=0, max_value=10_000), max_size=12)
 @given(frames=frames_st, cuts=cuts_st)
 def test_any_byte_split_reassembles_identically(kind, frames, cuts):
     """Frames survive arbitrary chunking on every medium, in order."""
-    wire = b"".join(encode_frame(t, p) for t, p in frames)
+    wire = b"".join(pack_message(t, p) for t, p in frames)
     got, end = read_stream(kind, chunked(wire, cuts))
     assert got == frames
     assert isinstance(end, asyncio.IncompleteReadError) and not end.partial
@@ -152,7 +144,7 @@ def test_any_byte_split_reassembles_identically(kind, frames, cuts):
 @given(frames=frames_st, cuts=cuts_st)
 def test_frame_decoder_matches_oracle(frames, cuts):
     """The incremental reader equals decode-everything-at-once."""
-    wire = b"".join(encode_frame(t, p) for t, p in frames)
+    wire = b"".join(pack_message(t, p) for t, p in frames)
     got, end = read_stream("loopback", chunked(wire, cuts))
     assert got == oracle(wire) == frames
     assert isinstance(end, asyncio.IncompleteReadError) and not end.partial
@@ -163,7 +155,7 @@ def test_truncated_final_frame_is_a_protocol_error(kind):
     """EOF mid-frame is a truncated frame, not a clean goodbye: the
     reader raises with the partial payload in hand (serve drops that
     peer) and never returns a short frame."""
-    whole = encode_frame(7, b"payload bytes")
+    whole = pack_message(7, b"payload bytes")
     got, end = read_stream(kind, [whole[: len(whole) - 3]])
     assert got == []
     assert isinstance(end, asyncio.IncompleteReadError)
@@ -174,7 +166,7 @@ def test_truncated_final_frame_is_a_protocol_error(kind):
 def test_clean_eof_between_frames_is_transport_closed(kind):
     """EOF at a frame boundary delivers the frame, then a clean close:
     end of stream with no partial bytes."""
-    got, end = read_stream(kind, [encode_frame(3, b"last words")])
+    got, end = read_stream(kind, [pack_message(3, b"last words")])
     assert got == [(3, b"last words")]
     assert isinstance(end, asyncio.IncompleteReadError)
     assert end.partial == b""
@@ -193,7 +185,7 @@ def test_oversized_frame_rejected_before_buffering(kind):
     assert got == []
     assert isinstance(end, ProtocolError) and "exceeds cap" in str(end)
     with pytest.raises(ProtocolError):
-        encode_frame(0x20, b"x" * (cap + 1), cap)
+        pack_message(0x20, b"x" * (cap + 1), cap)
 
 
 # --------------------------------------------------------------------------
@@ -283,82 +275,98 @@ def test_close_releases_the_medium_after_the_peer_went_away(kind, how):
 
 
 # --------------------------------------------------------------------------
-# Section codec: raw buffers, not pickles
+# Replies over the channel: arrays whole, garbage a worker crash
 # --------------------------------------------------------------------------
 
 
+def loopback_reply(payload: bytes):
+    """What a loopback channel's ``result()`` makes of one reply message
+    sent by the worker end, for a ``run_chunk`` submitted to env 3."""
+    ch, worker_end = make_channel("loopback")
+    try:
+        ch.submit(3, "run_chunk", (None, 5, None))
+        worker_end.recv_bytes()
+        worker_end.send_bytes(payload)
+        return ch.result()
+    finally:
+        ch.close()
+        worker_end.close()
+
+
 def test_sections_round_trip_arrays_byte_exact():
+    """Reply arrays keep dtype, shape and bytes across the channel,
+    whatever their layout on the worker side."""
     arrays = {
         "obs": np.linspace(-1.0, 1.0, 7),
         "ticks": np.arange(5, dtype=np.int64),
         "frames": np.arange(10, dtype=np.float64).reshape(5, 2),
+        "narrow": np.arange(6, dtype=np.float32).reshape(2, 3).T,
+        "flags": np.array([True, False]),
     }
-    payload = encode_sections(
-        {"cmd": "x", "k": 3}, arrays, blobs={"raw": b"\x00\xffblob"}
-    )
-    meta, got, blobs = decode_sections(payload)
-    assert meta == {"cmd": "x", "k": 3}
-    assert blobs == {"raw": b"\x00\xffblob"}
+    got = loopback_reply(encode_reply("call", arrays))
+    assert got.keys() == arrays.keys()
     for name, arr in arrays.items():
         assert got[name].dtype == arr.dtype
         assert got[name].shape == arr.shape
         assert got[name].tobytes() == arr.tobytes()
-        assert not got[name].flags.writeable  # zero-copy view
 
 
 @pytest.mark.parametrize(
     "mangle",
     [
-        lambda p: p[:3],  # shorter than the header-length word
-        lambda p: p[:6],  # header overruns payload
-        lambda p: p[:4] + b"\xff" + p[5:],  # header is not JSON
-        lambda p: p[: len(p) - 1],  # final array buffer truncated
+        lambda p: b"",  # an empty message
+        lambda p: p[: len(p) // 2],  # cut off mid-pickle
+        lambda p: b"\xff" + p[1:],  # not a pickle at all
+        lambda p: pickle.dumps(None),  # a pickle, but not a pair
     ],
 )
 def test_sections_reject_corruption(mangle):
-    payload = encode_sections({"a": 1}, {"x": np.arange(4.0)})
-    with pytest.raises(ProtocolError):
-        decode_sections(mangle(payload))
+    """A reply that does not decode is a :class:`WorkerCrashError`
+    naming the env and the command, never a bare decoding error."""
+    reply = encode_reply("run_chunk", (np.zeros(5), np.zeros(3), None))
+    with pytest.raises(WorkerCrashError) as excinfo:
+        loopback_reply(mangle(reply))
+    assert excinfo.value.env_index == 3
+    assert "unreadable reply to 'run_chunk'" in str(excinfo.value)
+    assert "env 3" in str(excinfo.value)
 
 
 # --------------------------------------------------------------------------
-# Command / reply / error codecs
+# The message form: commands, replies and errors as pickled pairs
 # --------------------------------------------------------------------------
 
 
 def test_command_round_trips_strip_master_only_pieces():
+    """The ``out=`` buffer is a keyword of ``submit``, never part of a
+    payload, so it cannot cross: the worker sees exactly the payload."""
     out_buffer = np.empty(3)  # must never cross the boundary
-    cmd, env, data = decode_command(
-        encode_command("step", 2, (np.int64(4), out_buffer, 17))
+    ch, worker_end = make_channel("loopback")
+    try:
+        sent = [
+            ("step", (4, 17)),
+            ("run_chunk", (None, 25, None)),
+            ("reset", True),
+            ("records", 99),
+            ("close", None),
+            ("commit", {"note": [11, 22]}),
+        ]
+        for cmd, payload in sent:
+            ch.submit(2, cmd, payload, out=out_buffer)
+            assert decode_reply(worker_end.recv_bytes()) == (cmd, payload)
+    finally:
+        ch.close()
+        worker_end.close()
+    assert decode_reply(encode_reply("step", (np.int64(4), 17))) == (
+        "step",
+        (4, 17),
     )
-    assert (cmd, env) == ("step", 2)
-    assert data == (4, None, 17)
-
-    cmd, env, data = decode_command(
-        encode_command("run_chunk", 0, (None, 25, None, out_buffer))
-    )
-    assert (cmd, env) == ("run_chunk", 0)
-    assert data == (None, 25, None, None)
-
-    assert decode_command(encode_command("reset", 1, True)) == (
-        "reset",
-        1,
-        True,
-    )
-    assert decode_command(encode_command("records", 3, 99)) == (
-        "records",
-        3,
-        99,
-    )
-    assert decode_command(encode_command("close", 5)) == ("close", 5, None)
-    assert decode_command(
-        encode_command("commit", 0, {"note": [11, 22]})
-    ) == ("commit", 0, {"note": [11, 22]})
 
 
 def test_call_command_json_fast_path_and_pickle_fallback():
-    cmd, _env, (name, args, kwargs) = decode_command(
-        encode_command("call", 0, ("env_method", ("a", 2), {"flag": True}))
+    """A ``call`` command's arguments come back as they went in: a tuple
+    stays a tuple, an array keeps its bytes."""
+    cmd, (name, args, kwargs) = decode_reply(
+        encode_reply("call", ("env_method", ("a", 2), {"flag": True}))
     )
     assert (cmd, name, args, kwargs) == (
         "call",
@@ -366,12 +374,12 @@ def test_call_command_json_fast_path_and_pickle_fallback():
         ("a", 2),
         {"flag": True},
     )
-    # Non-JSON arguments take the flagged trusted-peer pickle path.
+    assert type(args) is tuple
     arr = np.arange(3)
-    _cmd, _env, (_name, args, _kwargs) = decode_command(
-        encode_command("call", 0, ("env_method", (arr,), {}))
+    _cmd, (_name, args, _kwargs) = decode_reply(
+        encode_reply("call", ("env_method", (arr,), {}))
     )
-    assert np.array_equal(args[0], arr)
+    assert np.array_equal(args[0], arr) and args[0].dtype == arr.dtype
 
 
 def _packed(n: int = 4, frame_dim: int = 2) -> PackedRecords:
@@ -395,9 +403,9 @@ def test_reply_round_trips_packed_records_byte_exact():
     assert got_obs.tobytes() == obs.tobytes()
     assert reward == 0.125 and info == {"tick": 9}
     for name in ("ticks", "frames", "actions", "rewards"):
-        assert getattr(got, name).tobytes() == getattr(
-            packed, name
-        ).tobytes(), name
+        want = getattr(packed, name)
+        assert getattr(got, name).dtype == want.dtype, name
+        assert getattr(got, name).tobytes() == want.tobytes(), name
 
     cmd, got = decode_reply(encode_reply("records", packed))
     assert cmd == "records" and len(got) == len(packed)
@@ -414,21 +422,32 @@ def test_reply_round_trips_packed_records_byte_exact():
 
 
 def test_call_reply_kinds():
-    for value in ({"a": 1}, [1, 2], "text", None, 3.5):
-        assert decode_reply(encode_reply("call", value)) == ("call", value)
+    """Any picklable result comes back equal and of the same type: the
+    kinds JSON would bend (tuples, int and tuple dict keys) included."""
+    values = (
+        {"a": 1},
+        [1, 2],
+        "text",
+        None,
+        3.5,
+        ("env", 1),
+        {1: ("tick", 0)},
+        {("tuple", "key"): 1},
+    )
+    for value in values:
+        cmd, got = decode_reply(encode_reply("call", value))
+        assert cmd == "call" and got == value and type(got) is type(value)
     arr = np.arange(6.0).reshape(2, 3)
     _cmd, got = decode_reply(encode_reply("call", arr))
     assert got.tobytes() == arr.tobytes() and got.shape == arr.shape
-    obj = {("tuple", "key"): 1}  # not JSON-able -> pickle kind
-    assert decode_reply(encode_reply("call", obj)) == ("call", obj)
 
 
 def test_error_codec_carries_picklable_exceptions_whole():
     try:
         raise ValueError("knob 3 out of range")
     except ValueError as exc:
-        env, text, got = decode_error(encode_error(exc, "text form", 3))
-    assert env == 3 and text == "text form"
+        status, got = decode_reply(encode_reply(None, exc))
+    assert status is None
     assert isinstance(got, ValueError) and str(got) == "knob 3 out of range"
 
 
@@ -437,22 +456,25 @@ def test_error_codec_falls_back_to_text_for_unpicklable():
         def __reduce__(self):
             raise TypeError("not today")
 
-    env, text, got = decode_error(
-        encode_error(Hostage("boom"), "Hostage: boom\n[worker traceback]", 1)
-    )
-    assert got is None  # the blob was dropped, not sent broken
-    assert env == 1 and "Hostage: boom" in text
+    try:
+        raise Hostage("boom")
+    except Hostage as exc:
+        status, text = decode_reply(encode_reply(None, exc))
+    assert status is None
+    assert isinstance(text, str)  # the exception was dropped, not sent broken
+    assert text.startswith("Hostage: boom\n[worker traceback]\n")
+    assert "raise Hostage" in text  # the worker-side traceback
 
 
 def test_error_codec_rejects_lying_picklers():
     class Liar(Exception):
-        """Pickles fine, explodes on load — must not cross as a blob."""
+        """Pickles fine, explodes on load — must not cross whole."""
 
         def __reduce__(self):
             return (_raise_on_load, ())
 
-    env, _text, got = decode_error(encode_error(Liar("x"), "Liar: x", 0))
-    assert got is None and env == 0
+    status, got = decode_reply(encode_reply(None, Liar("x")))
+    assert status is None and got.startswith("Liar: x")
 
 
 def _raise_on_load():
@@ -468,27 +490,21 @@ def test_pickle_sanity_for_liar_helper():
 
 
 # --------------------------------------------------------------------------
-# Codec payloads cross a real pipe
+# Messages cross a real pipe
 # --------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kind", MEDIA)
 def test_codec_payloads_cross_every_medium(kind):
-    """One command per pipe message; one reply per pipe message, a
-    status byte then the codec payload."""
+    """One command per pipe message, one reply per pipe message; an
+    error reply re-raises the worker's exception in the master."""
     ch, worker_end = make_channel(kind)
     try:
         packed = _packed(n=6, frame_dim=3)
         ch.submit(1, "records", 42)
         if worker_end is not None:
-            assert decode_command(worker_end.recv_bytes()) == (
-                "records",
-                0,
-                42,
-            )
-            worker_end.send_bytes(
-                bytes((MSG_OK,)) + encode_reply("records", packed)
-            )
+            assert decode_reply(worker_end.recv_bytes()) == ("records", 42)
+            worker_end.send_bytes(encode_reply("records", packed))
         got = ch.result()
         assert got.frames.tobytes() == packed.frames.tobytes()
 
@@ -496,9 +512,7 @@ def test_codec_payloads_cross_every_medium(kind):
         if worker_end is not None:
             worker_end.recv_bytes()
             exc = ValueError("knob 3 out of range")
-            worker_end.send_bytes(
-                bytes((MSG_ERR,)) + encode_error(exc, "ValueError", 0)
-            )
+            worker_end.send_bytes(encode_reply(None, exc))
         with pytest.raises(ValueError, match="knob 3 out of range"):
             ch.result()
     finally:

@@ -8,6 +8,7 @@ every cluster's replay records in one shared DB, block-strided so
 Algorithm 1 windows never cross clusters.
 """
 
+import multiprocessing
 from dataclasses import replace
 from functools import partial
 
@@ -453,6 +454,29 @@ class TestClose:
         venv.close()
         assert all(ch.conn.closed for ch in channels)
         assert all(ch._proc.exitcode is not None for ch in channels)
+
+    def test_close_survives_an_unreadable_reply(self):
+        """Regression: an empty reply to ``close`` raised a bare
+        ``IndexError`` out of ``close()``, before any pipe end or the
+        shared DB was closed, and a second ``close()`` did nothing."""
+        venv = VectorEnv(
+            [partial(_StepEnv, i) for i in range(2)],
+            backend="fork",
+            shared_db_path=":memory:",
+        )
+        channels = list(venv._channels)
+        # Env 0's pipe now ends in this test, which answers ``close``
+        # with an empty message; its worker sees EOF and exits.
+        channels[0].conn.close()
+        channels[0].conn, worker_end = multiprocessing.Pipe()
+        try:
+            worker_end.send_bytes(b"")
+            venv.close()
+        finally:
+            worker_end.close()
+        assert all(ch.conn.closed for ch in channels)
+        assert all(ch._proc.exitcode is not None for ch in channels)
+        assert venv.shared_db._conn is None
 
 
 class TestSharedDbModes:
