@@ -68,7 +68,21 @@ from repro.train import TrainerConfig
 MBPS_PER_UNIT = 100.0
 
 
+class _UsageError(Exception):
+    """A rejected input: :func:`main` prints it as one stderr line and
+    exits 2."""
+
+
+def _at_least(flag: str, value, low, *, strict: bool = False) -> None:
+    """Reject ``value < low`` (``strict``: ``value <= low``); None passes."""
+    if value is not None and (value <= low if strict else value < low):
+        raise _UsageError(
+            f"{flag} must be {'>' if strict else '>='} {low}, got {value}"
+        )
+
+
 def _build(args: argparse.Namespace) -> CAPES:
+    _at_least("--ticks", args.ticks, 1)
     return CAPES(load_config(args.config))
 
 
@@ -117,56 +131,70 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _refuse_existing_db(path: Optional[str], reason: str) -> bool:
-    """Print one stderr line and return True when ``path`` exists.
-
-    A fresh session fences (clears) its replay DB, so collecting
-    "into" an existing store would destroy it.
-    """
-    if not (path and os.path.exists(path)):
-        return False
-    print(
-        f"refusing to overwrite existing replay DB {path!r}; {reason} — "
-        f"pick a new path or remove the old file first",
-        file=sys.stderr,
-    )
-    return True
-
-
-def _bad_snapshot_flags(args: argparse.Namespace) -> bool:
-    """Print one stderr line and return True on a bad ``--snapshot-every``."""
-    if args.snapshot_every is None:
-        return False
-    if args.snapshot_every < 1:
-        print(
-            f"--snapshot-every must be >= 1, got {args.snapshot_every}",
-            file=sys.stderr,
+def _refuse_existing_db(path: Optional[str], reason: str) -> None:
+    """Reject an existing ``path``: a fresh session fences (clears) its
+    replay DB, so collecting "into" an existing store would destroy it."""
+    if path and os.path.exists(path):
+        raise _UsageError(
+            f"refusing to overwrite existing replay DB {path!r}; {reason} — "
+            f"pick a new path or remove the old file first"
         )
-        return True
-    if not args.snapshot_dir:
-        print("--snapshot-every needs --snapshot-dir", file=sys.stderr)
-        return True
-    return False
 
 
-def _collect_agent(config, venv) -> tuple:
-    """``(agent, sampler_seed)`` for a trained collect session.
+def _check_snapshot_flags(args: argparse.Namespace) -> None:
+    """``--snapshot-every`` is >= 1 and comes with ``--snapshot-dir``."""
+    _at_least("--snapshot-every", args.snapshot_every, 1)
+    if args.snapshot_every is not None and not args.snapshot_dir:
+        raise _UsageError("--snapshot-every needs --snapshot-dir")
 
-    Both derive from the conf's seed, so ``repro resume`` rebuilds the
-    objects ``repro collect`` built before restoring their state.
+
+def _session_env(config, session: dict, db_path: Optional[str]):
+    """The fleet a snapshot's ``session`` section was collected on.
+
+    Sessions of the retired shards backend were byte-identical to
+    fork's, so they continue on fork.
     """
-    from repro.rl import DQNAgent
-    from repro.util.rng import derive_rng, ensure_rng
+    from repro.env import VectorEnv
+    from repro.replaydb import CACHE_ONLY
 
-    root = ensure_rng(config.seed)
-    agent = DQNAgent(
-        obs_dim=venv.obs_dim,
-        n_actions=venv.n_actions,
-        hp=venv.hp,
-        loss=config.loss,
-        rng=derive_rng(root, "agent"),
+    backend = session["backend"]
+    if backend == "shards":
+        print(
+            "session was collected on the retired shards backend; "
+            "resuming it on fork"
+        )
+        backend = "fork"
+    return VectorEnv.from_config(
+        config.env,
+        int(session["n_envs"]),
+        backend=backend,
+        shared_db_path=db_path or CACHE_ONLY,
+        tick_stride=int(session["tick_stride"]),
     )
-    return agent, int(derive_rng(root, "sampler").integers(2**31))
+
+
+def _report_session(outcome, label: str, snapshot_dir, resumed: bool):
+    """The lines ``collect`` and ``resume`` both print."""
+    if outcome.rewards.shape[1]:
+        _summarize(label, outcome.rewards.mean(axis=0))
+    stats = outcome.trainer_stats
+    if stats is not None and resumed:
+        print(f"trained {stats.steps_attempted} SGD steps total")
+    elif stats is not None:
+        losses = np.asarray(stats.losses)
+        summary = (
+            f"first {losses[0]:.5f} -> last-100 mean "
+            f"{np.mean(losses[-100:]):.5f}"
+            if len(losses)
+            else "replay too sparse, no minibatch completed"
+        )
+        print(
+            f"trained {stats.steps_attempted} SGD steps; "
+            f"prediction error: {summary}"
+        )
+    print(f"rollout digest: {outcome.digest.hexdigest}")
+    if snapshot_dir:
+        print(f"{len(outcome.snapshots)} snapshot(s) -> {snapshot_dir}")
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
@@ -174,31 +202,18 @@ def cmd_collect(args: argparse.Namespace) -> int:
     optionally with the decoupled trainer running against it."""
     from repro.env import VectorEnv
     from repro.replaydb import CACHE_ONLY
+    from repro.rl import seeded_agent
     from repro.snapshot import run_collect_session
 
-    if args.n_envs < 1:
-        print(f"--n-envs must be >= 1, got {args.n_envs}", file=sys.stderr)
-        return 2
-    if args.ticks < 1:
-        print(f"--ticks must be >= 1, got {args.ticks}", file=sys.stderr)
-        return 2
-    if args.chunk is not None and args.chunk < 1:
-        print(f"--chunk must be >= 1, got {args.chunk}", file=sys.stderr)
-        return 2
-    if _refuse_existing_db(
-        args.out, "each collection session is one fresh store"
-    ):
-        return 2
+    _at_least("--n-envs", args.n_envs, 1)
+    _at_least("--ticks", args.ticks, 1)
+    _at_least("--chunk", args.chunk, 1)
+    _refuse_existing_db(args.out, "each collection session is one fresh store")
     if not args.train:
         for flag in ("checkpoint", "train_ratio"):
             if getattr(args, flag) is not None:
-                print(
-                    f"--{flag.replace('_', '-')} needs --train",
-                    file=sys.stderr,
-                )
-                return 2
-    if _bad_snapshot_flags(args):
-        return 2
+                raise _UsageError(f"--{flag.replace('_', '-')} needs --train")
+    _check_snapshot_flags(args)
     config = load_config(args.config)
     trainer_config = None
     if args.train:
@@ -207,8 +222,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
                 train_ratio=float(_steps_per_tick(args, config))
             )
         except ValueError as exc:
-            print(f"--train-ratio: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"--train-ratio: {exc}")
     venv = VectorEnv.from_config(
         config.env,
         args.n_envs,
@@ -219,7 +233,9 @@ def cmd_collect(args: argparse.Namespace) -> int:
     )
     try:
         agent, sampler_seed = (
-            _collect_agent(config, venv) if args.train else (None, None)
+            seeded_agent(venv, config.seed, config.loss)
+            if args.train
+            else (None, None)
         )
         outcome = run_collect_session(
             venv,
@@ -237,39 +253,23 @@ def cmd_collect(args: argparse.Namespace) -> int:
             snapshot_dir=args.snapshot_dir,
         )
         venv.commit_replay()
-        _summarize(
+        _report_session(
+            outcome,
             f"monitored throughput ({args.n_envs} cluster(s), "
             f"{args.ticks} ticks)",
-            outcome.rewards.mean(axis=0),
+            args.snapshot_dir,
+            resumed=False,
         )
-        stats = outcome.trainer_stats
-        if stats is not None:
-            losses = np.asarray(stats.losses)
-            summary = (
-                f"first {losses[0]:.5f} -> last-100 mean "
-                f"{np.mean(losses[-100:]):.5f}"
-                if len(losses)
-                else "replay too sparse, no minibatch completed"
-            )
-            print(
-                f"trained {stats.steps_attempted} SGD steps; "
-                f"prediction error: {summary}"
-            )
-            if args.checkpoint:
-                from repro.nn.checkpoint import save_checkpoint
+        if args.checkpoint:
+            from repro.nn.checkpoint import save_checkpoint
 
-                save_checkpoint(
-                    args.checkpoint,
-                    agent.online.net,
-                    optimizer=agent.optimizer,
-                    extra={"train_steps": agent.train_steps},
-                )
-                print(f"model saved to {args.checkpoint}")
-        print(f"rollout digest: {outcome.digest.hexdigest}")
-        if args.snapshot_dir:
-            print(
-                f"{len(outcome.snapshots)} snapshot(s) -> {args.snapshot_dir}"
+            save_checkpoint(
+                args.checkpoint,
+                agent.online.net,
+                optimizer=agent.optimizer,
+                extra={"train_steps": agent.train_steps},
             )
+            print(f"model saved to {args.checkpoint}")
         stored = len(venv.shared_db)
         if args.out:
             print(
@@ -294,29 +294,23 @@ def _steps_per_tick(args: argparse.Namespace, config):
 
 def cmd_resume(args: argparse.Namespace) -> int:
     """Continue a snapshotted collection session byte-identically."""
-    from repro.env import VectorEnv
-    from repro.replaydb import CACHE_ONLY
+    from repro.rl import seeded_agent
     from repro.snapshot import SessionSnapshot, run_collect_session
 
     if not os.path.exists(args.snapshot):
-        print(f"no such snapshot: {args.snapshot}", file=sys.stderr)
-        return 2
-    if _bad_snapshot_flags(args):
-        return 2
-    if _refuse_existing_db(
+        raise _UsageError(f"no such snapshot: {args.snapshot}")
+    _check_snapshot_flags(args)
+    _refuse_existing_db(
         args.out, "a resumed session rebuilds its store from the snapshot"
-    ):
-        return 2
+    )
     snap = SessionSnapshot.load(args.snapshot)
     session = snap.section("session")
     total = args.ticks if args.ticks is not None else session["total_ticks"]
     if total < session["done_ticks"]:
-        print(
+        raise _UsageError(
             f"--ticks {total} is before the snapshot's tick "
-            f"{session['done_ticks']}; use `repro replay` for time travel",
-            file=sys.stderr,
+            f"{session['done_ticks']}; use `repro replay` for time travel"
         )
-        return 2
     trainer_config = None
     if session["has_trainer"]:
         knobs = session["trainer"]
@@ -326,34 +320,18 @@ def cmd_resume(args: argparse.Namespace) -> int:
                 knobs.get("backend", "serial"), knobs["train_ratio"]
             )
         except ValueError as exc:
-            print(f"cannot resume {args.snapshot}: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"cannot resume {args.snapshot}: {exc}")
     config = load_config(args.config)
-    backend = session["backend"]
-    if backend == "shards":
-        # Sharded collection is gone.  Its trajectories were
-        # byte-identical to fork's, so its sessions resume on fork.
-        print(
-            "session was collected on the retired shards backend; "
-            "resuming it on fork"
-        )
-        backend = "fork"
-    venv = VectorEnv.from_config(
-        config.env,
-        int(session["n_envs"]),
-        backend=backend,
-        shared_db_path=args.out if args.out else CACHE_ONLY,
-        tick_stride=int(session["tick_stride"]),
-    )
+    venv = _session_env(config, session, args.out)
     try:
         agent, sampler_seed = (
-            _collect_agent(config, venv)
+            seeded_agent(venv, config.seed, config.loss)
             if session["has_trainer"]
             else (None, None)
         )
         print(
             f"resuming from tick {session['done_ticks']} of {total} "
-            f"({backend} backend, {session['n_envs']} cluster(s))"
+            f"({venv.backend} backend, {session['n_envs']} cluster(s))"
         )
         outcome = run_collect_session(
             venv,
@@ -367,21 +345,13 @@ def cmd_resume(args: argparse.Namespace) -> int:
             resume_from=snap,
         )
         venv.commit_replay()
-        if outcome.rewards.shape[1]:
-            _summarize(
-                f"resumed throughput (ticks "
-                f"{outcome.start_tick}..{outcome.total_ticks})",
-                outcome.rewards.mean(axis=0),
-            )
-        if outcome.trainer_stats is not None:
-            stats = outcome.trainer_stats
-            print(f"trained {stats.steps_attempted} SGD steps total")
-        print(f"rollout digest: {outcome.digest.hexdigest}")
-        if outcome.snapshots:
-            print(
-                f"{len(outcome.snapshots)} snapshot(s) -> "
-                f"{args.snapshot_dir}"
-            )
+        _report_session(
+            outcome,
+            f"resumed throughput (ticks "
+            f"{outcome.start_tick}..{outcome.total_ticks})",
+            args.snapshot_dir,
+            resumed=True,
+        )
     finally:
         venv.close()
     return 0
@@ -390,20 +360,12 @@ def cmd_resume(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     """Time-travel: restore the nearest snapshot at or before ``--at``
     and step forward deterministically to the target tick."""
-    from repro.env import VectorEnv
-    from repro.replaydb import CACHE_ONLY
     from repro.snapshot import RolloutDigest, SessionSnapshot
 
-    if args.at < 0:
-        print(f"--at must be >= 0, got {args.at}", file=sys.stderr)
-        return 2
+    _at_least("--at", args.at, 0)
     candidates = sorted(Path(args.snapshot_dir).glob("snapshot-*.npz"))
     if not candidates:
-        print(
-            f"no snapshot-*.npz artifacts in {args.snapshot_dir}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _UsageError(f"no snapshot-*.npz artifacts in {args.snapshot_dir}")
     best = None
     best_session = None
     for path in candidates:
@@ -413,25 +375,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
             best, best_session = snap, snap.section("session")
     if best is None:
         earliest = SessionSnapshot.load(candidates[0]).section("session")
-        print(
+        raise _UsageError(
             f"no snapshot at or before tick {args.at} (earliest is "
-            f"{earliest['done_ticks']})",
-            file=sys.stderr,
+            f"{earliest['done_ticks']})"
         )
-        return 2
-    config = load_config(args.config)
-    # A session of the retired shards backend replays identically on
-    # local serial workers.
-    backend = best_session["backend"]
-    if backend == "shards":
-        backend = "serial"
-    venv = VectorEnv.from_config(
-        config.env,
-        int(best_session["n_envs"]),
-        backend=backend,
-        shared_db_path=CACHE_ONLY,
-        tick_stride=int(best_session["tick_stride"]),
-    )
+    venv = _session_env(load_config(args.config), best_session, None)
     try:
         # Env-only restore: collection is NULL-action monitoring, so
         # the trajectory to the target tick never consults the policy —
@@ -476,6 +424,8 @@ def _parse_seeds(text: str) -> List[int]:
             seeds.append(int(part))
     if not seeds:
         raise ValueError(f"no seeds in {text!r}")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
     return seeds
 
 
@@ -488,40 +438,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ("--stats-port", args.stats_port),
     ):
         if value is not None and not 0 <= value <= 65535:
-            print(
-                f"{label} must be in [0, 65535], got {value}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.max_clients < 1:
-        print(
-            f"--max-clients must be >= 1, got {args.max_clients}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.read_timeout <= 0:
-        print(
-            f"--read-timeout must be > 0, got {args.read_timeout}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.tick_stride < 1:
-        print(
-            f"--tick-stride must be >= 1, got {args.tick_stride}",
-            file=sys.stderr,
-        )
-        return 2
-    if _refuse_existing_db(args.out, "each serving session is one fresh store"):
-        return 2
-    if args.snapshot_every_s is not None and args.snapshot_every_s <= 0:
-        print(
-            f"--snapshot-every-s must be > 0, got {args.snapshot_every_s}",
-            file=sys.stderr,
-        )
-        return 2
+            raise _UsageError(f"{label} must be in [0, 65535], got {value}")
+    _at_least("--max-clients", args.max_clients, 1)
+    _at_least("--read-timeout", args.read_timeout, 0, strict=True)
+    _at_least("--tick-stride", args.tick_stride, 1)
+    _refuse_existing_db(args.out, "each serving session is one fresh store")
+    _at_least("--snapshot-every-s", args.snapshot_every_s, 0, strict=True)
     if args.snapshot_every_s is not None and not args.snapshot_dir:
-        print("--snapshot-every-s needs --snapshot-dir", file=sys.stderr)
-        return 2
+        raise _UsageError("--snapshot-every-s needs --snapshot-dir")
     resume_path = None
     if args.resume is not None:
         from repro.serve import SERVE_SNAPSHOT_NAME
@@ -533,24 +457,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 args.snapshot_dir, SERVE_SNAPSHOT_NAME
             )
         else:
-            print(
-                "--resume without a path needs --snapshot-dir",
-                file=sys.stderr,
-            )
-            return 2
+            raise _UsageError("--resume without a path needs --snapshot-dir")
         if not os.path.exists(resume_path):
-            print(f"no such snapshot: {resume_path}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"no such snapshot: {resume_path}")
     config = load_config(args.config)
     if args.trainer_backend == "none":
         for flag in ("train_ratio", "sync_every"):
             if getattr(args, flag) is not None:
-                print(
+                raise _UsageError(
                     f"--{flag.replace('_', '-')} needs a trainer "
-                    f"backend, but --trainer-backend is 'none'",
-                    file=sys.stderr,
+                    f"backend, but --trainer-backend is 'none'"
                 )
-                return 2
     from repro.replaydb import CACHE_ONLY
     from repro.serve import CapesServer, ServeConfig, run_server
 
@@ -586,8 +503,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             loss=config.loss,
         )
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc))
     server = CapesServer(serve_config)
     if resume_path is not None:
         from repro.snapshot import SessionSnapshot, SnapshotError
@@ -595,8 +511,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         try:
             server.restore_state(SessionSnapshot.load(resume_path))
         except SnapshotError as exc:
-            print(f"cannot resume from {resume_path}: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"cannot resume from {resume_path}: {exc}")
         print(
             f"resumed from {resume_path}: "
             f"{len(server.stats.clusters)} cluster(s), "
@@ -628,35 +543,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tuners = [t.strip() for t in args.tuners.split(",") if t.strip()]
     unknown = sorted(set(tuners) - set(tuner_names()))
     if unknown:
-        print(
-            f"unknown tuners {unknown}; registered: {tuner_names()}",
-            file=sys.stderr,
+        raise _UsageError(
+            f"unknown tuners {unknown}; registered: {tuner_names()}"
         )
-        return 2
     try:
         seeds = _parse_seeds(args.seeds)
     except ValueError as exc:
-        print(f"bad --seeds value: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"bad --seeds value: {exc}")
+    _at_least("--n-envs", args.n_envs, 1)
+    _at_least("--jobs", args.jobs, 1)
     if args.n_envs > 1 and set(tuners) != {"capes"}:
-        print(
+        raise _UsageError(
             "--n-envs > 1 (vectorized collection) currently supports the "
-            "'capes' tuner only",
-            file=sys.stderr,
+            "'capes' tuner only"
         )
-        return 2
     # Session knobs from the conf.py apply to the DQN tuner only; the
     # workers re-load the conf themselves via spec.conf_path.  Loading
     # also runs any register_env() calls the conf makes, so the --env
     # check below must come after it.
     cfg = load_config(args.config)
     if args.train_ratio is not None and set(tuners) != {"capes"}:
-        print(
+        raise _UsageError(
             "--train-ratio sets the DQN's SGD steps per tick; it applies "
-            "to the 'capes' tuner only",
-            file=sys.stderr,
+            "to the 'capes' tuner only"
         )
-        return 2
     steps = _steps_per_tick(args, cfg)
     try:
         TrainerConfig(train_ratio=float(steps))  # fail before any work
@@ -666,74 +576,59 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             epoch_ticks=args.epoch_ticks,
         )
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise _UsageError(str(exc))
     from repro.env import env_names
-    from repro.scenarios import has_scenario
+    from repro.scenarios import has_scenario, make_scenario, scenario_names
 
     # Resolver-backed scenario names (fuzz-<seed>-<index>) are env keys
     # too but unbounded, so they resolve via has_scenario rather than
     # appearing in the env_names() enumeration.
     if args.env not in env_names() and not has_scenario(args.env):
-        print(
-            f"unknown environment {args.env!r}; registered: {env_names()}",
-            file=sys.stderr,
+        raise _UsageError(
+            f"unknown environment {args.env!r}; registered: {env_names()}"
         )
-        return 2
-    from repro.scenarios import scenario_names
-
     scenario_kwargs = {}
     if args.scenario_kwargs:
         try:
             scenario_kwargs = json.loads(args.scenario_kwargs)
         except json.JSONDecodeError as exc:
-            print(f"bad --scenario-kwargs JSON: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"bad --scenario-kwargs JSON: {exc}")
         if not isinstance(scenario_kwargs, dict):
-            print(
+            raise _UsageError(
                 f"bad --scenario-kwargs: expected a JSON object, got "
-                f"{type(scenario_kwargs).__name__}",
-                file=sys.stderr,
+                f"{type(scenario_kwargs).__name__}"
             )
-            return 2
     # The timeline may be named either way: --scenario NAME, or a
     # scenario-named --env (spec.build_env reroutes the latter).
     if args.scenario is not None and has_scenario(args.scenario):
         effective_scenario = args.scenario
         if args.env not in ("sim-lustre", args.scenario):
-            print(
+            raise _UsageError(
                 f"--scenario {args.scenario!r} attaches through the "
                 f"sim-lustre backend; it cannot combine with "
-                f"--env {args.env!r}",
-                file=sys.stderr,
+                f"--env {args.env!r}"
             )
-            return 2
     elif has_scenario(args.env):
         effective_scenario = args.env
     else:
         effective_scenario = None
     if effective_scenario is not None:
-        from repro.scenarios import make_scenario
-
         try:
             # Fail fast on factory-kwarg typos and bad values here, not
             # per-run deep inside the worker pool.
             make_scenario(effective_scenario, **scenario_kwargs)
         except (TypeError, ValueError) as exc:
-            print(f"bad --scenario-kwargs: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"bad --scenario-kwargs: {exc}")
         print(
             f"scenario {effective_scenario!r}: perturbation timeline "
             f"attached to every run"
         )
     elif scenario_kwargs:
-        print(
+        raise _UsageError(
             f"--scenario-kwargs needs a registered scenario, but "
             f"{args.scenario!r} is only a label; registered: "
-            f"{scenario_names()}",
-            file=sys.stderr,
+            f"{scenario_names()}"
         )
-        return 2
     base = ExperimentSpec(
         conf_path=args.config,
         scenario=args.scenario,
@@ -777,30 +672,19 @@ def cmd_fuzz_scenarios(args: argparse.Namespace) -> int:
     )
 
     for knob in ("budget", "top", "jobs"):
-        if getattr(args, knob) < 1:
-            print(f"--{knob} must be >= 1", file=sys.stderr)
-            return 2
-    if args.score is not None and args.score_events is not None:
-        print(
-            "--score and --score-events are exclusive single-candidate "
-            "modes; pass one",
-            file=sys.stderr,
-        )
-        return 2
+        _at_least(f"--{knob}", getattr(args, knob), 1)
     fuzzer = ScenarioFuzzer(args.seed, jobs=args.jobs)
     if args.score is not None or args.score_events is not None:
         # Single-candidate re-run mode: this is the exact command every
         # frontier entry prints as its repro line.
         if args.score is not None:
             if not has_scenario(args.score):
-                print(
+                raise _UsageError(
                     f"unknown scenario {args.score!r}; --score takes a "
                     f"name-derivable fuzzed scenario "
                     f"(fuzz-<root_seed>-<index> or "
-                    f"{SEEDED_BURSTY_NAME!r})",
-                    file=sys.stderr,
+                    f"{SEEDED_BURSTY_NAME!r})"
                 )
-                return 2
             scenario = make_scenario(args.score)
             derivable = bool(
                 FUZZ_NAME_RE.match(args.score)
@@ -825,8 +709,7 @@ def cmd_fuzz_scenarios(args: argparse.Namespace) -> int:
                     events=payload["events"],
                 )
             except (json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
-                print(f"bad --score-events JSON: {exc}", file=sys.stderr)
-                return 2
+                raise _UsageError(f"bad --score-events JSON: {exc}")
             cand = Candidate(
                 name=scenario.name,
                 events=scenario.events,
@@ -858,12 +741,19 @@ def cmd_fuzz_scenarios(args: argparse.Namespace) -> int:
 
 
 def cmd_window_sweep(args: argparse.Namespace) -> int:
-    windows = [int(w) for w in args.window.split(",")]
+    from repro.env import make_env
+
+    try:
+        windows = [int(w) for w in args.window.split(",")]
+    except ValueError as exc:
+        raise _UsageError(f"bad --window value: {exc}")
+    for w in windows:
+        _at_least("--window", w, 1)
+    _at_least("--ticks", args.ticks, 1)
+    _at_least("--settle", args.settle, 0)
     config = load_config(args.config)
     rows = []
     for w in windows:
-        from repro.env import make_env
-
         env = make_env("sim-lustre", config=config.env)
         env.reset()
         env.set_params({"max_rpcs_in_flight": w})
@@ -1168,7 +1058,8 @@ def make_parser() -> argparse.ArgumentParser:
         help="merge the fuzzed_frontier section into this JSON file "
         "read-update-write (e.g. BENCH_scenarios.json)",
     )
-    p.add_argument(
+    score = p.add_mutually_exclusive_group()
+    score.add_argument(
         "--score",
         default=None,
         metavar="NAME",
@@ -1176,7 +1067,7 @@ def make_parser() -> argparse.ArgumentParser:
         "(fuzz-<root_seed>-<index>) and print its row instead of "
         "searching",
     )
-    p.add_argument(
+    score.add_argument(
         "--score-events",
         default=None,
         metavar="JSON",
@@ -1285,6 +1176,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -28,9 +28,8 @@ import numpy as np
 from repro.env.protocol import Environment
 from repro.nn.checkpoint import load_checkpoint, save_checkpoint
 from repro.replaydb.sampler import MinibatchSampler
-from repro.rl.agent import DQNAgent
+from repro.rl.agent import seeded_agent
 from repro.train.loop import TrainerConfig, TrainerLoop
-from repro.util.rng import derive_rng, ensure_rng
 from repro.util.validation import check_positive
 from repro.workloads.schedule import WorkloadSchedule
 
@@ -80,15 +79,7 @@ class CapesSession:
         self.trainer_config = TrainerConfig(
             train_ratio=float(train_steps_per_tick)
         )
-        root = ensure_rng(seed)
-        self.agent = DQNAgent(
-            obs_dim=env.obs_dim,
-            n_actions=env.n_actions,
-            hp=env.hp,
-            loss=loss,
-            rng=derive_rng(root, "agent"),
-        )
-        self._sampler_seed = int(derive_rng(root, "sampler").integers(2**31))
+        self.agent, self._sampler_seed = seeded_agent(env, seed, loss)
         self.sampler: Optional[MinibatchSampler] = None
         self.trainer: Optional[TrainerLoop] = None
         self._obs: Optional[np.ndarray] = None
@@ -109,12 +100,12 @@ class CapesSession:
     def _ensure_trainer(self) -> TrainerLoop:
         """Build (once) the trainer loop this session delegates SGD to.
 
-        It shares the session's live sampler (rebuilt on environment
-        restarts, hence the callable).
+        It trains from the session's live sampler; an environment
+        restart discards the loop before it rebuilds the sampler.
         """
         if self.trainer is None:
             self.trainer = TrainerLoop(
-                self.agent, self.trainer_config, sampler=lambda: self.sampler
+                self.agent, self.trainer_config, sampler=self.sampler
             )
         return self.trainer
 

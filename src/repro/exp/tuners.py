@@ -33,11 +33,10 @@ from repro.core.session import CapesSession
 from repro.env.protocol import Environment
 from repro.env.vector import VectorEnv, per_env_rngs
 from repro.exp.spec import RunBudget
-from repro.rl.agent import DQNAgent
+from repro.rl.agent import seeded_agent
 from repro.stats import compare_measurements
 from repro.train.loop import TrainerConfig, TrainerLoop
 from repro.stats.summary import Comparison
-from repro.util.rng import derive_rng, ensure_rng
 
 
 @dataclass
@@ -233,15 +232,7 @@ class CapesTuner:
         actions do not depend on the fleet size.  Checkpoints measure
         baseline/tuned on cluster 0, the reference system.
         """
-        root = ensure_rng(self.seed)
-        agent = DQNAgent(
-            obs_dim=venv.obs_dim,
-            n_actions=venv.n_actions,
-            hp=venv.hp,
-            loss=self.loss,
-            rng=derive_rng(root, "agent"),
-        )
-        sampler_seed = int(derive_rng(root, "sampler").integers(2**31))
+        agent, sampler_seed = seeded_agent(venv, self.seed, self.loss)
         trainer = TrainerLoop(
             agent,
             self._trainer_config,

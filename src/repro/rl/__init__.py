@@ -12,7 +12,7 @@
   history that Figure 5 plots.
 """
 
-from repro.rl.agent import DQNAgent
+from repro.rl.agent import DQNAgent, seeded_agent
 from repro.rl.epsilon import EpsilonSchedule
 from repro.rl.hyperparams import Hyperparameters
 from repro.rl.interpret import (
@@ -30,6 +30,7 @@ __all__ = [
     "format_policy_table",
     "q_sensitivity",
     "DQNAgent",
+    "seeded_agent",
     "EpsilonSchedule",
     "Hyperparameters",
     "QNetwork",

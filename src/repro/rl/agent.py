@@ -27,7 +27,7 @@ from repro.rl.epsilon import EpsilonSchedule
 from repro.rl.hyperparams import Hyperparameters
 from repro.rl.qnetwork import QNetwork
 from repro.rl.target import target_blend
-from repro.util.rng import ensure_rng
+from repro.util.rng import derive_rng, ensure_rng
 
 
 class DQNAgent:
@@ -236,3 +236,21 @@ class DQNAgent:
         except SamplerStarvedError:
             return None
         return self.train_step(batch)
+
+
+def seeded_agent(env, seed, loss: str = "mse") -> tuple:
+    """``(agent, sampler_seed)`` for ``env``, both derived from ``seed``.
+
+    The agent's stream is drawn first and the sampler seed second, so a
+    session, a fleet tuner and ``repro resume`` each rebuild the same
+    objects from the same seed before restoring any captured state.
+    """
+    root = ensure_rng(seed)
+    agent = DQNAgent(
+        obs_dim=env.obs_dim,
+        n_actions=env.n_actions,
+        hp=env.hp,
+        loss=loss,
+        rng=derive_rng(root, "agent"),
+    )
+    return agent, int(derive_rng(root, "sampler").integers(2**31))

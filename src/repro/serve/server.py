@@ -259,20 +259,17 @@ class CapesServer:
             )
         )
         self._trainer: Optional[TrainerLoop] = None
-        #: The serial sampler, kept for snapshot capture of its RNG.
-        self._sampler: Optional[StridedMinibatchSampler] = None
         if config.trainer_backend == "serial":
-            self._sampler = StridedMinibatchSampler(
-                self.db.cache,
-                self.spans,
-                obs_ticks=config.obs_ticks,
-                missing_tolerance=config.hp.missing_entry_tolerance,
-                seed=sampler_seed,
-            )
             self._trainer = TrainerLoop(
                 self.agent,
                 TrainerConfig(train_ratio=config.train_ratio),
-                sampler=self._sampler,
+                sampler=StridedMinibatchSampler(
+                    self.db.cache,
+                    self.spans,
+                    obs_ticks=config.obs_ticks,
+                    missing_tolerance=config.hp.missing_entry_tolerance,
+                    seed=sampler_seed,
+                ),
             )
         # Last weight state broadcast to clients (PR-5 fence identity).
         self._weight_epoch = 0
@@ -706,35 +703,17 @@ class CapesServer:
         """
         cfg = self.config
         snap = SessionSnapshot()
-        clusters = []
-        rings: Dict[str, np.ndarray] = {}
-        for cluster in self._clusters.values():
-            row = cluster.row
-            clusters.append(
-                {
-                    "name": cluster.name,
-                    "slot": int(cluster.slot),
-                    "last_tick": int(cluster.last_tick),
-                    "connects": int(row.connects),
-                    "frames": int(row.frames),
-                    "ticks_landed": int(row.ticks_landed),
-                    "decisions": int(row.decisions),
-                    "row_last_tick": int(row.last_tick),
-                    "last_action": row.last_action,
-                    "reward_ewma": {
-                        "mean": row.reward_ewma._mean,
-                        "count": int(row.reward_ewma._count),
-                    },
-                    "wire": {
-                        "messages": int(row.wire.messages),
-                        "raw_bytes": int(row.wire.raw_bytes),
-                        "compressed_bytes": int(row.wire.compressed_bytes),
-                        "entries_sent": int(row.wire.entries_sent),
-                    },
-                }
-            )
-            rings[f"ring{cluster.slot}"] = cluster.ring.view()
-        st = self.stats
+        live = self._clusters.values()
+        clusters = [
+            {
+                "name": c.name,
+                "slot": int(c.slot),
+                "last_tick": int(c.last_tick),
+                **c.row.state(),
+            }
+            for c in live
+        ]
+        rings = {f"ring{c.slot}": c.ring.view() for c in live}
         meta = {
             "frame_width": int(cfg.frame_width),
             "n_actions": int(cfg.n_actions),
@@ -746,16 +725,7 @@ class CapesServer:
             "weight_epoch": int(self._weight_epoch),
             "weight_version": int(self._weight_version),
             "counters": {
-                "connections_total": int(st.connections_total),
-                "disconnects": int(st.disconnects),
-                "evictions": int(st.evictions),
-                "resyncs": int(st.resyncs),
-                "timeouts": int(st.timeouts),
-                "protocol_errors": int(st.protocol_errors),
-                "frames_total": int(st.frames_total),
-                "decisions_total": int(st.decisions_total),
-                "checkpoints_broadcast": int(st.checkpoints_broadcast),
-                "broadcasts_skipped": int(st.broadcasts_skipped),
+                k: int(getattr(self.stats, k)) for k in ServeStats.COUNTERS
             },
             "clusters": clusters,
             "act_rngs": [rng_state(g) for g in self._act_rngs],
@@ -765,8 +735,6 @@ class CapesServer:
         snap.put("agent", meta=agent_meta, arrays=agent_arrays)
         if self._trainer is not None:
             t_meta, t_arrays = capture_trainer(self._trainer)
-            if self._sampler is not None:
-                t_meta["sampler_rng"] = rng_state(self._sampler.rng)
             snap.put("trainer", meta=t_meta, arrays=t_arrays)
         r_meta, r_arrays = capture_replay(self.db, self.spans)
         snap.put("replay", meta=r_meta, arrays=r_arrays)
@@ -814,14 +782,11 @@ class CapesServer:
         for gen, state in zip(self._act_rngs, states):
             set_rng_state(gen, state)
         if self._trainer is not None and snap.has_section("trainer"):
-            t_meta = snap.section("trainer")
             restore_trainer(
                 self._trainer,
-                t_meta,
+                snap.section("trainer"),
                 snap.section_arrays("trainer"),
             )
-            if self._sampler is not None and "sampler_rng" in t_meta:
-                set_rng_state(self._sampler.rng, t_meta["sampler_rng"])
         restore_replay(
             self.db,
             self.spans,
@@ -844,32 +809,10 @@ class CapesServer:
             ring = rings.get(f"ring{slot}")
             if ring is not None and len(ring):
                 cluster.ring.extend(ring)
-            row = cluster.row
-            row.connects = int(spec["connects"])
-            row.frames = int(spec["frames"])
-            row.ticks_landed = int(spec["ticks_landed"])
-            row.decisions = int(spec["decisions"])
-            row.last_tick = int(spec["row_last_tick"])
-            row.last_action = (
-                None
-                if spec["last_action"] is None
-                else int(spec["last_action"])
-            )
-            ewma = spec["reward_ewma"]
-            row.reward_ewma._mean = (
-                None if ewma["mean"] is None else float(ewma["mean"])
-            )
-            row.reward_ewma._count = int(ewma["count"])
-            wire = spec["wire"]
-            row.wire.messages = int(wire["messages"])
-            row.wire.raw_bytes = int(wire["raw_bytes"])
-            row.wire.compressed_bytes = int(wire["compressed_bytes"])
-            row.wire.entries_sent = int(wire["entries_sent"])
+            cluster.row.load_state(spec)
             self._clusters[spec["name"]] = cluster
-        counters = meta["counters"]
-        st = self.stats
-        for key, value in counters.items():
-            setattr(st, key, int(value))
+        for key in ServeStats.COUNTERS:
+            setattr(self.stats, key, int(meta["counters"][key]))
         self._weight_epoch = int(meta["weight_epoch"])
         self._weight_version = int(meta["weight_version"])
 

@@ -53,8 +53,22 @@ class LatencyWindow:
         return [float(np.quantile(arr, q)) for q in qs]
 
 
+#: The additive :class:`~repro.telemetry.wire.WireStats` counters.
+WIRE_COUNTERS = ("messages", "raw_bytes", "compressed_bytes", "entries_sent")
+
+
 class ClusterStats:
     """One registered cluster's live counters."""
+
+    #: Snapshot key -> attribute of each integer counter a serve
+    #: snapshot persists (:meth:`state` / :meth:`load_state`).
+    COUNTERS = {
+        "connects": "connects",
+        "frames": "frames",
+        "ticks_landed": "ticks_landed",
+        "decisions": "decisions",
+        "row_last_tick": "last_tick",
+    }
 
     def __init__(self, name: str, slot: int):
         self.name = name
@@ -76,24 +90,45 @@ class ClusterStats:
         """Accumulate a (dying) decoder's wire stats into this cluster."""
         if stats is None:
             return
-        self.wire.messages += stats.messages
-        self.wire.raw_bytes += stats.raw_bytes
-        self.wire.compressed_bytes += stats.compressed_bytes
-        self.wire.entries_sent += stats.entries_sent
+        for key in WIRE_COUNTERS:
+            total = getattr(self.wire, key) + getattr(stats, key)
+            setattr(self.wire, key, total)
+
+    def state(self) -> dict:
+        """The persisted counters, JSON-able (one serve snapshot row)."""
+        wire = self.wire
+        return {
+            **{k: int(getattr(self, a)) for k, a in self.COUNTERS.items()},
+            "last_action": self.last_action,
+            "reward_ewma": {
+                "mean": self.reward_ewma._mean,
+                "count": int(self.reward_ewma._count),
+            },
+            "wire": {k: int(getattr(wire, k)) for k in WIRE_COUNTERS},
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Set every persisted counter back from a :meth:`state` row."""
+        for key, attr in self.COUNTERS.items():
+            setattr(self, attr, int(state[key]))
+        action, ewma = state["last_action"], state["reward_ewma"]
+        self.last_action = None if action is None else int(action)
+        self.reward_ewma._mean = (
+            None if ewma["mean"] is None else float(ewma["mean"])
+        )
+        self.reward_ewma._count = int(ewma["count"])
+        for key in WIRE_COUNTERS:
+            setattr(self.wire, key, int(state["wire"][key]))
 
     def snapshot(self, live_wire: Optional[WireStats] = None) -> dict:
         """JSON-able view, merging the live decoder's wire tail."""
+        tail = live_wire or WireStats()
         wire = WireStats(
-            messages=self.wire.messages,
-            raw_bytes=self.wire.raw_bytes,
-            compressed_bytes=self.wire.compressed_bytes,
-            entries_sent=self.wire.entries_sent,
+            **{
+                k: getattr(self.wire, k) + getattr(tail, k)
+                for k in WIRE_COUNTERS
+            }
         )
-        if live_wire is not None:
-            wire.messages += live_wire.messages
-            wire.raw_bytes += live_wire.raw_bytes
-            wire.compressed_bytes += live_wire.compressed_bytes
-            wire.entries_sent += live_wire.entries_sent
         p50, p99 = self.latency.quantiles()
         return {
             "name": self.name,
@@ -111,10 +146,7 @@ class ClusterStats:
             "decision_latency_p50_ms": p50 * 1e3,
             "decision_latency_p99_ms": p99 * 1e3,
             "wire": {
-                "messages": wire.messages,
-                "raw_bytes": wire.raw_bytes,
-                "compressed_bytes": wire.compressed_bytes,
-                "entries_sent": wire.entries_sent,
+                **{key: getattr(wire, key) for key in WIRE_COUNTERS},
                 "mean_message_size": wire.mean_message_size,
                 "compression_ratio": wire.compression_ratio,
             },
@@ -123,6 +155,20 @@ class ClusterStats:
 
 class ServeStats:
     """The daemon's aggregate counters and per-cluster breakdowns."""
+
+    #: The aggregate counters a serve snapshot persists.
+    COUNTERS = (
+        "connections_total",
+        "disconnects",
+        "evictions",
+        "resyncs",
+        "timeouts",
+        "protocol_errors",
+        "frames_total",
+        "decisions_total",
+        "checkpoints_broadcast",
+        "broadcasts_skipped",
+    )
 
     def __init__(self):
         self.started_at = time.monotonic()

@@ -96,13 +96,15 @@ def capture_trainer(loop) -> Tuple[dict, Dict[str, np.ndarray]]:
     Agent weights/optimizer ride in the agent section; this captures
     the *cadence* — fractional training debt, pending ticks, and the
     stats counters — so a resumed run fires its next SGD step at the
-    same tick the uninterrupted run would have.
+    same tick the uninterrupted run would have, plus the loop's
+    sampler stream, so that step draws the same minibatch.
     """
     stats = loop.stats
     meta = {
         "pending_ticks": float(loop._pending_ticks),
         "debt": float(loop._debt),
         "steps_attempted": int(stats.steps_attempted),
+        "sampler_rng": rng_state(loop.sampler.rng),
     }
     arrays = {"losses": np.asarray(stats.losses, dtype=np.float64)}
     return meta, arrays
@@ -125,6 +127,8 @@ def restore_trainer(loop, meta: dict, arrays: Dict[str, np.ndarray]) -> None:
     stats = loop.stats
     stats.steps_attempted = int(meta["steps_attempted"])
     stats.losses[:] = [float(x) for x in arrays["losses"]]
+    if "sampler_rng" in meta:
+        set_rng_state(loop.sampler.rng, meta["sampler_rng"])
 
 
 # -- replay frontier + cache rows ----------------------------------------------

@@ -24,13 +24,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.snapshot.core import (
-    RolloutDigest,
-    SessionSnapshot,
-    SnapshotError,
-    rng_state,
-    set_rng_state,
-)
+from repro.snapshot.core import RolloutDigest, SessionSnapshot, SnapshotError
 from repro.snapshot.layers import (
     capture_agent,
     capture_trainer,
@@ -80,7 +74,6 @@ def build_session_snapshot(
     *,
     agent=None,
     loop=None,
-    sampler=None,
 ) -> SessionSnapshot:
     """Compose every live layer into one artifact."""
     snap = SessionSnapshot()
@@ -107,8 +100,6 @@ def build_session_snapshot(
         snap.put("agent", meta=meta, arrays=arrays)
     if loop is not None:
         meta, arrays = capture_trainer(loop)
-        if sampler is not None:
-            meta["sampler_rng"] = rng_state(sampler.rng)
         snap.put("trainer", meta=meta, arrays=arrays)
     return snap
 
@@ -119,7 +110,6 @@ def restore_session_state(
     *,
     agent=None,
     loop=None,
-    sampler=None,
 ) -> tuple:
     """Apply a session artifact onto freshly built objects.
 
@@ -144,12 +134,9 @@ def restore_session_state(
     if agent is not None and session["has_agent"]:
         restore_agent(agent, snap.section("agent"), snap.section_arrays("agent"))
     if loop is not None and session["has_trainer"]:
-        meta = snap.section("trainer")
         restore_trainer(
-            loop, meta, snap.section_arrays("trainer")
+            loop, snap.section("trainer"), snap.section_arrays("trainer")
         )
-        if sampler is not None and "sampler_rng" in meta:
-            set_rng_state(sampler.rng, meta["sampler_rng"])
     venv.restore(
         {"meta": snap.section("env"), "arrays": snap.section_arrays("env")}
     )
@@ -192,7 +179,6 @@ def run_collect_session(
             raise ValueError("snapshot_every needs a snapshot_dir")
 
     loop = None
-    sampler = None
     if trainer_config is not None:
         if agent is None:
             raise ValueError("training a collect session needs an agent")
@@ -203,20 +189,15 @@ def run_collect_session(
             )
         from repro.train.loop import TrainerLoop
 
-        sampler = venv.make_sampler(seed=sampler_seed)
         loop = TrainerLoop(
             agent,
             replace(trainer_config, interleave_ticks=chunk),
-            sampler=sampler,
+            sampler=venv.make_sampler(seed=sampler_seed),
         )
 
     if resume_from is not None:
         start, _, digest = restore_session_state(
-            resume_from,
-            venv,
-            agent=agent,
-            loop=loop,
-            sampler=sampler,
+            resume_from, venv, agent=agent, loop=loop
         )
     else:
         start, digest = 0, RolloutDigest()
@@ -231,7 +212,7 @@ def run_collect_session(
     def write_snapshot(done: int) -> None:
         Path(snapshot_dir).mkdir(parents=True, exist_ok=True)
         snap = build_session_snapshot(
-            venv, done, n_ticks, digest, agent=agent, loop=loop, sampler=sampler
+            venv, done, n_ticks, digest, agent=agent, loop=loop
         )
         # The resolved chunk is the trainer's burst cadence: a resumed
         # run must reuse it to stay byte-identical.

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.replaydb.records import PackedRecords
-from repro.replaydb.sampler import MinibatchSampler
 from repro.util.validation import check_positive
 
 #: Accepted spellings of :attr:`TrainerConfig.backend`; both name the
@@ -73,10 +72,9 @@ class TrainerLoop:
     """One DRL engine consuming one replay stream.
 
     Drivers push collection progress through :meth:`notify_ticks`; the
-    loop decides when gradients actually happen.  ``sampler`` may be a
-    live :class:`~repro.replaydb.sampler.MinibatchSampler` or a
-    zero-argument callable returning one (sessions rebuild samplers on
-    environment restarts).
+    loop decides when gradients actually happen.  It owns its
+    :class:`~repro.replaydb.sampler.MinibatchSampler` as ``sampler``,
+    whose stream a snapshot captures with the loop's cadence.
     """
 
     def __init__(
@@ -92,11 +90,7 @@ class TrainerLoop:
         self._debt = 0.0
         if sampler is None:
             raise ValueError("the trainer needs a sampler")
-        self._sampler_fn = (
-            sampler
-            if callable(sampler) and not isinstance(sampler, MinibatchSampler)
-            else (lambda: sampler)
-        )
+        self.sampler = sampler
 
     # -- notifications ---------------------------------------------------
     def ingest(self, packed: PackedRecords) -> None:
@@ -133,7 +127,7 @@ class TrainerLoop:
         ``train_from_sampler`` calls, a minibatch that would starve
         skipping its step.  Returns the new prediction errors.
         """
-        minibatches = self._sampler_fn().minibatches(
+        minibatches = self.sampler.minibatches(
             n, self.agent.hp.minibatch_size
         )
         new = [

@@ -403,6 +403,8 @@ class TestCLI:
             _parse_seeds("9-5")
         with pytest.raises(ValueError):
             _parse_seeds(",")
+        with pytest.raises(ValueError, match="seeds must be >= 0, got -3"):
+            _parse_seeds("-3")
 
 
 class TestInputErrors:
@@ -425,6 +427,53 @@ class TestInputErrors:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "train_ratio must be >= 0, got -1.0" in err
+
+    @pytest.mark.parametrize(
+        "command, extra, line",
+        [
+            ("train", ["--ticks", "0"], "--ticks must be >= 1, got 0"),
+            ("evaluate", ["--ticks", "0"], "--ticks must be >= 1, got 0"),
+            ("baseline", ["--ticks", "0"], "--ticks must be >= 1, got 0"),
+            ("window-sweep", ["--ticks", "0"], "--ticks must be >= 1, got 0"),
+            (
+                "window-sweep",
+                ["--window", "4,x"],
+                "bad --window value: invalid literal for int() with base "
+                "10: 'x'",
+            ),
+            (
+                "window-sweep",
+                ["--window", "4,0"],
+                "--window must be >= 1, got 0",
+            ),
+            ("sweep", ["--n-envs", "0"], "--n-envs must be >= 1, got 0"),
+            ("sweep", ["--jobs", "0"], "--jobs must be >= 1, got 0"),
+            (
+                "sweep",
+                ["--seeds=-3"],
+                "bad --seeds value: seeds must be >= 0, got -3",
+            ),
+        ],
+        ids=[
+            "train-ticks",
+            "evaluate-ticks",
+            "baseline-ticks",
+            "window-sweep-ticks",
+            "window-sweep-window-text",
+            "window-sweep-window-zero",
+            "sweep-n-envs",
+            "sweep-jobs",
+            "sweep-seeds",
+        ],
+    )
+    def test_bad_value_is_one_line(
+        self, conf_path, capsys, command, extra, line
+    ):
+        rc = main([command, "--config", conf_path, *extra])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [line]
 
     @pytest.mark.parametrize(
         "flag, name",

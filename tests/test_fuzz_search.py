@@ -231,13 +231,6 @@ class TestCliValidation:
             ["fuzz-scenarios", "--score", "not-a-fuzz-name"],
             ["fuzz-scenarios", "--score-events", "not json"],
             ["fuzz-scenarios", "--score-events", '{"no_events": 1}'],
-            [
-                "fuzz-scenarios",
-                "--score",
-                "fuzz-1-1",
-                "--score-events",
-                "[]",
-            ],
         ],
     )
     def test_bad_flags_exit_2(self, argv, capsys):
@@ -245,6 +238,24 @@ class TestCliValidation:
 
         assert main(argv) == 2
         assert capsys.readouterr().err.strip()
+
+    def test_score_modes_are_exclusive(self, capsys):
+        """``--score`` and ``--score-events`` are one argparse group:
+        passing both is a usage error, exit 2."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "fuzz-scenarios",
+                    "--score",
+                    "fuzz-1-1",
+                    "--score-events",
+                    "[]",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "not allowed with argument --score" in capsys.readouterr().err
 
 
 def test_cli_fuzz_scenarios_end_to_end(tmp_path, capsys):

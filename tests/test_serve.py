@@ -20,6 +20,7 @@ signal-driven lifecycle), talking to it over real TCP sockets:
 """
 
 import asyncio
+import dataclasses
 import json
 import urllib.error
 import urllib.request
@@ -671,6 +672,29 @@ class TestServeCLIValidation:
 # -- crash recovery ----------------------------------------------------------
 
 
+def persisted_counters(server) -> dict:
+    """Every ``ServeStats`` / ``ClusterStats`` field except the uptime
+    clock, the latency windows and the trainer view."""
+    st = server.stats
+    rows = {
+        name: {
+            **{
+                k: v
+                for k, v in vars(row).items()
+                if k not in ("latency", "reward_ewma", "wire")
+            },
+            "reward_ewma": (row.reward_ewma._mean, row.reward_ewma._count),
+            "wire": dataclasses.asdict(row.wire),
+        }
+        for name, row in st.clusters.items()
+    }
+    skip = ("started_at", "latency", "trainer", "clusters")
+    return {
+        "rows": rows,
+        **{k: v for k, v in vars(st).items() if k not in skip},
+    }
+
+
 def test_shutdown_writes_snapshot_and_resume_restores_state(tmp_path):
     """The serve tentpole golden: kill the daemon, resume a fresh one.
 
@@ -716,6 +740,9 @@ def test_shutdown_writes_snapshot_and_resume_restores_state(tmp_path):
 
     server2 = CapesServer(make_config(**{**config.__dict__}))
     server2.restore_state(snap)
+    # Every counter comes back, not a sample: the aggregate ones and
+    # each cluster row's (the live latency windows are not persisted).
+    assert persisted_counters(server2) == persisted_counters(server1)
     # The replay store and the acting weights survive byte-identically.
     assert len(server2.db) == 12
     assert server2.agent.snapshot_weights(

@@ -13,7 +13,7 @@ Sessions of the retired ``shards`` backend (collection spread over
 TCP shard hosts) left snapshot artifacts behind.  Their trajectories
 were byte-identical to fork's, so the last tests pin that such an
 artifact still restores onto serial and fork, and that ``repro
-resume`` continues it on fork with the fork digest.
+resume`` and ``repro replay`` continue it on fork with the fork digest.
 """
 
 import functools
@@ -333,9 +333,13 @@ def _digest_line(out: str) -> str:
     raise AssertionError(f"no digest line in: {out}")
 
 
-def test_cli_resumes_a_sharded_session_on_fork(tmp_path, capsys):
-    """``repro resume`` on a shards-backend session snapshot says it
-    resumes on fork, then prints the uninterrupted fork run's digest."""
+def sharded_session(tmp_path, capsys):
+    """A 20-tick fork collect rewritten as a shards-backend session.
+
+    Returns ``(conf, artifact, fork_digest)``: the tick-10 snapshot as
+    the retired backend wrote it, and the uninterrupted fork run's
+    rollout digest at tick 20.
+    """
     from repro.cli import main
 
     conf = tmp_path / "conf.py"
@@ -356,10 +360,34 @@ def test_cli_resumes_a_sharded_session_on_fork(tmp_path, capsys):
         shards=["127.0.0.1:9401", "127.0.0.1:9402"],
     )
     snap.section("env").update(as_sharded(snap.section("env"), [1, 1]))
-    old = snap.save(tmp_path / "sharded.npz")
+    (tmp_path / "sharded").mkdir()
+    old = snap.save(tmp_path / "sharded" / "snapshot-00000010.npz")
+    return conf, old, fork_digest
 
+
+def test_cli_resumes_a_sharded_session_on_fork(tmp_path, capsys):
+    """``repro resume`` on a shards-backend session snapshot says it
+    resumes on fork, then prints the uninterrupted fork run's digest."""
+    from repro.cli import main
+
+    conf, old, fork_digest = sharded_session(tmp_path, capsys)
     assert main(["resume", str(old), "--config", str(conf)]) == 0
     out = capsys.readouterr().out
     assert "resuming it on fork" in out
     assert "(fork backend, 2 cluster(s))" in out
     assert _digest_line(out) == fork_digest
+
+
+def test_cli_replays_a_sharded_session_on_fork(tmp_path, capsys):
+    """``repro replay --at 20`` from a shards-backend snapshot at tick
+    10 rebuilds the fleet on fork and prints the fork run's digest."""
+    from repro.cli import main
+
+    conf, old, fork_digest = sharded_session(tmp_path, capsys)
+    assert main([
+        "replay", "--config", str(conf), "--at", "20",
+        "--snapshot-dir", str(old.parent),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "resuming it on fork" in out
+    assert f"rollout digest at tick 20: {fork_digest}" in out.splitlines()
