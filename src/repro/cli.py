@@ -148,6 +148,14 @@ def _check_snapshot_flags(args: argparse.Namespace) -> None:
         raise _UsageError("--snapshot-every needs --snapshot-dir")
 
 
+def _snapshot_every(args: argparse.Namespace, total: int) -> Optional[int]:
+    """The snapshot cadence: ``--snapshot-every``, or with
+    ``--snapshot-dir`` alone one snapshot at completion (tick ``total``)."""
+    if not args.snapshot_dir:
+        return None
+    return args.snapshot_every or total
+
+
 def _session_env(config, session: dict, db_path: Optional[str]):
     """The fleet a snapshot's ``session`` section was collected on.
 
@@ -244,12 +252,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
             agent=agent,
             trainer_config=trainer_config,
             sampler_seed=sampler_seed,
-            # --snapshot-dir alone: one snapshot at completion.
-            snapshot_every=(
-                (args.snapshot_every or args.ticks)
-                if args.snapshot_dir
-                else None
-            ),
+            snapshot_every=_snapshot_every(args, args.ticks),
             snapshot_dir=args.snapshot_dir,
         )
         venv.commit_replay()
@@ -340,7 +343,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
             agent=agent,
             trainer_config=trainer_config,
             sampler_seed=sampler_seed,
-            snapshot_every=args.snapshot_every,
+            snapshot_every=_snapshot_every(args, total),
             snapshot_dir=args.snapshot_dir,
             resume_from=snap,
         )

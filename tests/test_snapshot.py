@@ -569,3 +569,33 @@ def test_resume_runs_to_the_given_total(tmp_path, capsys):
     at_15 = [line for line in replayed.splitlines() if line.startswith(prefix)]
     assert at_15 == [prefix + digest_line(resumed)]
     assert digest_line(resumed) != full
+
+
+def test_resume_with_snapshot_dir_alone_writes_one_at_completion(
+    tmp_path, capsys
+):
+    """``--snapshot-dir`` without ``--snapshot-every`` writes one
+    snapshot at completion, on ``resume`` as on ``collect``."""
+    from repro.cli import main
+
+    conf = tmp_path / "conf.py"
+    conf.write_text(MINIMAL_CONF)
+    snaps, more = tmp_path / "snaps", tmp_path / "more"
+    assert main([
+        "collect", "--config", str(conf), "--ticks", "20", "--chunk", "5",
+        "--snapshot-every", "10", "--snapshot-dir", str(snaps),
+    ]) == 0
+    full = digest_line(capsys.readouterr().out)
+    assert main([
+        "resume", str(snapshot_path(snaps, 10)), "--config", str(conf),
+        "--snapshot-dir", str(more),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert f"1 snapshot(s) -> {more}" in out
+    assert sorted(p.name for p in more.iterdir()) == [
+        snapshot_path(more, 20).name
+    ]
+    assert SessionSnapshot.load(snapshot_path(more, 20)).digest() == (
+        SessionSnapshot.load(snapshot_path(snaps, 20)).digest()
+    )
+    assert digest_line(out) == full
