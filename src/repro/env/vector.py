@@ -47,8 +47,8 @@ reproducible, fleet-size independent, and chunk-invariant.
 
 Fan-in transport
 ----------------
-Every reply that advances ticks carries the environment's new replay
-records inline, packed as one
+On ``serial`` and ``fork``, every reply that advances ticks carries the
+environment's new replay records inline, packed as one
 :class:`~repro.replaydb.records.PackedRecords` array block rather than
 a list of record objects, and the master lands each batch with one
 :meth:`~repro.replaydb.db.ReplayDB.put_many`.  On ``fork`` those
@@ -58,9 +58,13 @@ per-tick lockstep (the policy needs every observation) but pay no
 separate records round-trip; monitoring-only :meth:`VectorEnv.collect`
 and :meth:`VectorEnv.run_ticks` additionally run *chunked* — one
 ``run_chunk`` round-trip advances many ticks — which is pure
-transport: chunked and per-tick stepping are byte-identical.  The
-``vec`` backend has no replies to unpack: it lands the whole fleet's
-new rows as *one* env-major batch per step or chunk.
+transport: chunked and per-tick stepping are byte-identical.
+
+The ``vec`` backend copies nothing: its shared store reads the fleet's
+record columns in place (below), so fan-in only advances the sampling
+frontier.  Rows are packed — the whole fleet's new rows as *one*
+env-major batch per step or chunk — only for a durable SQLite layer
+(``shared_db_path`` naming one) or an ingest listener.
 
 Determinism contract
 --------------------
@@ -72,14 +76,20 @@ with the same derived seeds and fed the same actions — and the
 
 Shared-DB layout
 ----------------
-The replay cache is tick-indexed, so each sub-environment owns a block
-of the shared tick space: env ``i`` writes its local tick ``t`` at
-``i * tick_stride + t``.  Blocks keep observation windows contiguous
-within one cluster (the Algorithm 1 sampler never stacks frames across
-clusters); :class:`StridedMinibatchSampler` draws candidates block-aware
-so sampling stays O(1) regardless of stride.  A session must stay under
-``tick_stride`` ticks per environment — exceeding it raises rather than
-silently aliasing another cluster's block.
+The shared store is tick-indexed, so each sub-environment owns a block
+of the shared tick space: env ``i``'s local tick ``t`` is global tick
+``i * tick_stride + t``.  On ``serial`` and ``fork`` the store is a
+:class:`~repro.replaydb.cache.ReplayCache` ring of ``n_envs *
+tick_stride`` rows that the fan-in copies each record into.  On
+``vec`` it is a :class:`~repro.sim.vec.state.RecordView` of the
+fleet's record columns in that same global-tick space, and the columns
+are the only copy of a record.  Blocks keep observation windows
+contiguous within one cluster (the Algorithm 1 sampler never stacks
+frames across clusters); :class:`StridedMinibatchSampler` draws
+candidates block-aware so sampling stays O(1) regardless of stride.  A
+session must stay under ``tick_stride`` ticks per environment —
+exceeding it raises rather than silently aliasing another cluster's
+block.
 """
 
 from __future__ import annotations
@@ -312,9 +322,10 @@ class VectorEnv:
     shared_db_path:
         Where the shared fan-in :class:`ReplayDB` lives.  The default,
         :data:`~repro.replaydb.db.CACHE_ONLY`, keeps the fan-in store
-        in the NumPy cache alone — an in-memory SQLite layer under it
-        buys no durability, only per-write overhead on the collection
-        hot path.  Pass a filesystem path (or ``":memory:"``) for a
+        in memory alone (the ring, or on ``vec`` the fleet's record
+        columns) — an in-memory SQLite layer under it buys no
+        durability, only per-write overhead on the collection hot
+        path.  Pass a filesystem path (or ``":memory:"``) for a
         SQLite-backed store, or ``None`` to disable fan-in entirely.
     tick_stride:
         Tick-space block size per environment in the shared DB; an
@@ -383,10 +394,18 @@ class VectorEnv:
         self.hp = self._get_attr(0, "hp")
         self.shared_db: Optional[ReplayDB] = None
         if shared_db_path is not None:
+            if self._fleet is not None:
+                from repro.sim.vec.state import RecordView
+
+                # The fleet's record columns are the store: the DB reads
+                # through a view of them and keeps only a durable layer.
+                store: dict = dict(
+                    cache=RecordView(self._fleet, stride=self.tick_stride)
+                )
+            else:
+                store = dict(cache_capacity=self.n_envs * self.tick_stride)
             self.shared_db = ReplayDB(
-                self.frame_dim,
-                path=shared_db_path,
-                cache_capacity=self.n_envs * self.tick_stride,
+                self.frame_dim, path=shared_db_path, **store
             )
         #: Per-env fan-in frontier: which local tick each cluster's
         #: records are synced through.  Shared with the strided sampler
@@ -584,42 +603,69 @@ class VectorEnv:
         """Detach a listener added by :meth:`add_ingest_listener`."""
         self._ingest_listeners.remove(fn)
 
+    def _packs(self) -> bool:
+        """Whether new rows travel as :class:`PackedRecords` batches.
+
+        Always off ``vec``: the ring stores a copy of each.  On ``vec``
+        the shared store *is* the fleet's record columns, so rows are
+        packed only for a durable layer or an ingest listener.
+        """
+        return (
+            self._fleet is None
+            or self.shared_db.path is not None
+            or bool(self._ingest_listeners)
+        )
+
     def _ingest(self, i: int, packed: Optional[PackedRecords]) -> None:
         """Batch-write env ``i``'s new records into the shared DB."""
         if self.shared_db is not None and packed is not None:
             self._land(np.full(len(packed), i), packed)
 
     def _ingest_fleet(self) -> None:
-        """Fan in every fleet row's new records as one batch (vec).
+        """Fan in every fleet row's new records (vec).
 
-        No worker round-trips: the rows come straight off the fleet's
-        record columns.  Envs need not be in lockstep — each
-        contributes its rows after its own :meth:`_since`.
+        No worker round-trips and no copy: the store reads the fleet's
+        record columns, so only the frontier moves, unless rows are
+        packed (:meth:`_packs`) — then they land as one batch, each env
+        contributing its rows after its own :meth:`_since`.  Envs need
+        not be in lockstep.
         """
-        if self.shared_db is not None:
+        if self.shared_db is None:
+            return
+        st = self._fleet.state
+        if self._packs():
             self._land(
-                *self._fleet.state.packed_since_all(
+                *st.packed_since_all(
                     [self._since(i) for i in range(self.n_envs)]
                 )
             )
+            return
+        envs = np.flatnonzero(st.rec_len)
+        self._advance(envs, st.rec_ticks[envs, st.rec_len[envs] - 1])
+
+    def _advance(self, envs: np.ndarray, tops: np.ndarray) -> None:
+        """Raise env ``envs[j]``'s frontier to local tick ``tops[j]``,
+        refusing a tick that would spill into the next env's block."""
+        if len(tops) and tops.max() >= self.tick_stride:
+            worst = tops.argmax()
+            raise RuntimeError(
+                f"env {envs[worst]} reached tick {tops[worst]} >= "
+                f"tick_stride {self.tick_stride}; raise tick_stride to "
+                f"run longer vectorized sessions"
+            )
+        for i, top in zip(envs.tolist(), tops.tolist()):
+            self.spans.observe_top(i, top)
 
     def _land(self, envs: np.ndarray, packed: PackedRecords) -> None:
         """Land local-tick rows, env-major (``envs`` names each row's
-        env), as one batch: one ``put_many``, the frontier updates, one
+        env), as one batch: the frontier updates, one ``put_many``, one
         call per listener.  Global ticks ascend strictly, so the batch
         takes ``put_many``'s vectorised path."""
         if len(packed) == 0:
             return
         # Each env's newest row closes its run.
         last = np.flatnonzero(np.diff(envs, append=self.n_envs))
-        tops = packed.ticks[last]
-        worst = tops.argmax()
-        if tops[worst] >= self.tick_stride:
-            raise RuntimeError(
-                f"env {envs[last[worst]]} reached tick {tops[worst]} >= "
-                f"tick_stride {self.tick_stride}; raise tick_stride to "
-                f"run longer vectorized sessions"
-            )
+        self._advance(envs[last], packed.ticks[last])
         global_batch = PackedRecords(
             ticks=packed.ticks + envs * self.tick_stride,
             frames=packed.frames,
@@ -632,20 +678,22 @@ class VectorEnv:
             global_batch.rewards,
             global_batch.actions,
         )
-        for i, top in zip(envs[last].tolist(), tops.tolist()):
-            self.spans.observe_top(i, top)
         for fn in self._ingest_listeners:
             fn(global_batch)
 
     def _sync_env(self, i: int) -> None:
-        """Pull-and-ingest env ``i``'s new records (one worker round-trip).
+        """Pull-and-ingest env ``i``'s new records (one worker round-trip;
+        on ``vec`` without packing, just the frontier).
 
         Only needed after :meth:`env_method` — every lockstep path folds
         the records into the stepping reply instead.
         """
         if self.shared_db is None:
             return
-        self._ingest(i, self._call(i, "records", self._since(i)))
+        if self._packs():
+            self._ingest(i, self._call(i, "records", self._since(i)))
+        else:
+            self._ingest_fleet()
 
     # -- lockstep lifecycle ----------------------------------------------
     def reset(self) -> np.ndarray:
@@ -660,11 +708,13 @@ class VectorEnv:
         if self.shared_db is not None:
             self.shared_db.clear()
         self.spans.reset()
-        want_records = self.shared_db is not None
+        want_records = self.shared_db is not None and self._packs()
         replies = self._lockstep("reset", lambda i: want_records)
         for i, (obs, packed) in enumerate(replies):
             self._obs_buf[i] = obs
             self._ingest(i, packed)
+        if self._fleet is not None and not want_records:
+            self._ingest_fleet()
         # The fleet snapshots its arrays wholesale; every other backend
         # logs lockstep ops from here.
         self._oplog = [] if self._fleet is None else None

@@ -16,6 +16,11 @@ how Figure 4's multi-session experiment reloads its history.  Pass
 entirely and run on the cache alone — an in-memory SQLite database
 buys no durability over the cache, only per-write overhead, so the
 vectorized fan-in store defaults to this mode.
+
+A store can also be handed its read cache (``cache=``): a view of
+records that live elsewhere, such as the vec fleet's record columns.
+It then reads through that view and writes only its durable layer, so
+the rows exist once in memory.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ class ReplayDB:
         frame_width: int,
         path: Optional[str] = ":memory:",
         cache_capacity: int = 250_000,
+        cache=None,
     ):
         self.frame_width = int(frame_width)
         if path is None or path == CACHE_ONLY:
@@ -71,8 +77,14 @@ class ReplayDB:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.executescript(_SCHEMA)
-        self.cache = ReplayCache(frame_width, capacity=cache_capacity)
-        if self._conn is not None:
+        #: Whether the cache is this store's own.  A borrowed one (a
+        #: view) is read-only here: :meth:`put_many` and :meth:`clear`
+        #: reach the durable layer alone, and nothing is loaded into it.
+        self._owns_cache = cache is None
+        if cache is None:
+            cache = ReplayCache(frame_width, capacity=cache_capacity)
+        self.cache = cache
+        if self._conn is not None and self._owns_cache:
             self._load_existing()
 
     # -- persistence ------------------------------------------------------
@@ -166,7 +178,8 @@ class ReplayDB:
                     ],
                 )
             self._conn.commit()
-        self.cache.put_many(ticks, frames, rewards, actions)
+        if self._owns_cache:
+            self.cache.put_many(ticks, frames, rewards, actions)
 
     def set_reward(self, tick: int, reward: float) -> None:
         """Attach the objective measured over ``tick``."""
@@ -189,7 +202,8 @@ class ReplayDB:
             self._conn.execute("DELETE FROM observations")
             self._conn.execute("DELETE FROM actions")
             self._conn.commit()
-        self.cache.clear()
+        if self._owns_cache:
+            self.cache.clear()
 
     def commit(self) -> None:
         """Flush the durable layer (no-op for cache-only stores)."""

@@ -469,7 +469,7 @@ class FleetEnv:
         """Algorithm 1 sampler over one env's record columns (live view)."""
         self._require_reset()
         return MinibatchSampler(
-            RecordView(self.state, env_index),
+            RecordView(self, env=env_index),
             obs_ticks=self.fcfg.obs_ticks,
             missing_tolerance=self.hp.missing_entry_tolerance,
             seed=seed,

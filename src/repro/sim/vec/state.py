@@ -15,11 +15,14 @@ materialising per-tick objects, the stacked observation is their newest
 ``obs_ticks`` rows, and :class:`RecordView` adapts them to
 the :class:`~repro.replaydb.cache.ReplayCache` duck interface so
 Algorithm 1's :class:`~repro.replaydb.sampler.MinibatchSampler` can
-draw minibatches straight off the fleet arrays.
+draw minibatches straight off the fleet arrays — one env in its own
+tick space, or the whole fleet in the block-strided global tick space
+that :class:`~repro.env.vector.VectorEnv` samples as its shared store.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -262,98 +265,204 @@ def _nominal_service_time(cfg: FleetConfig) -> float:
 
 
 class RecordView:
-    """One env's record columns behind the ReplayCache duck interface.
+    """Fleet record columns behind the ReplayCache duck interface.
 
-    A *live* view — :class:`~repro.replaydb.sampler.MinibatchSampler`
-    built over it sees records appended after construction, matching
-    the semantics of sampling a reference env's replay cache.
+    With ``stride``, the whole fleet in global-tick space: env ``e``'s
+    local tick ``t`` reads at ``e * stride + t``, the block-strided
+    layout of a shared fan-in store.  With ``env``, that one env in its
+    own tick space.  ``fleet`` (a
+    :class:`~repro.sim.vec.fleet_env.FleetEnv`) is read through its
+    ``state`` on every call, so the view follows resets and restores,
+    and a sampler over it sees records appended after construction.
+
+    Lookups are O(1) per tick through an index from global tick to flat
+    record position.  A state's rows are only ever appended, so each
+    read extends the index by the rows added since the last one; a new
+    state, or columns regrown to a new capacity, rebuilds it.
     """
 
-    def __init__(self, state: FleetState, e: int):
-        self._state = state
-        self._e = int(e)
+    def __init__(self, fleet, stride: Optional[int] = None, env: Optional[int] = None):
+        if (stride is None) == (env is None):
+            raise ValueError("give a stride (whole fleet) or one env")
+        self._fleet = fleet
+        self._stride = None if stride is None else int(stride)
+        first = 0 if env is None else int(env)
+        self._n_blocks = fleet.n_envs if env is None else 1
+        self._envs = slice(first, first + self._n_blocks)
+        # Which state (held weakly: a reset frees the old one) and which
+        # column capacity the index describes.
+        self._indexed_state = lambda: None
+        self._indexed_cap = 0
+        self._index = np.zeros(2, dtype=np.intp)
+        self._indexed = np.zeros(self._n_blocks, dtype=np.int64)
+        self._n_indexed = 0
 
     @property
     def frame_width(self) -> int:
-        return self._state.frame_dim
+        return self._fleet.frame_dim
 
-    def _n(self) -> int:
-        return int(self._state.rec_len[self._e])
+    def _rows_index(self) -> np.ndarray:
+        """The index, brought up to date with the columns.
+
+        Entry ``g + 1`` holds ``1 +`` the flat position (``env *
+        capacity + row``) of global tick ``g``'s record, 0 when it is
+        not stored; the first and last entries are always-empty guards
+        for ticks below and past the indexed range.
+        """
+        st = self._fleet.state
+        if st is None:
+            return np.zeros(2, dtype=np.intp)
+        cap = st.rec_ticks.shape[1]
+        if self._indexed_state() is not st or self._indexed_cap != cap:
+            self._indexed_state, self._indexed_cap = weakref.ref(st), cap
+            size = self._n_blocks * (self._stride or _REC_CAP0)
+            self._index = np.zeros(size + 2, dtype=np.intp)
+            self._indexed[:] = 0
+            self._n_indexed = 0
+        hi = st.rec_len[self._envs]
+        total = int(hi.sum())
+        if total == self._n_indexed:  # rows are only appended
+            return self._index
+        lo = self._indexed
+        cols = np.arange(int(lo.min()), int(hi.max()))
+        blocks, at = np.nonzero((cols >= lo[:, None]) & (cols < hi[:, None]))
+        envs, rows = blocks + self._envs.start, cols[at]
+        ticks = st.rec_ticks[envs, rows]
+        if self._stride:
+            # A tick past its block would alias the next env's: never
+            # stored (the fan-in refuses it), so never indexed.
+            fits = ticks < self._stride
+            ticks = ticks[fits] + blocks[fits] * self._stride
+            envs, rows = envs[fits], rows[fits]
+        size = len(self._index) - 2
+        if len(ticks) and int(ticks.max()) >= size:  # one env: unbounded
+            while size <= int(ticks.max()):
+                size *= 2
+            grown = np.zeros(size + 2, dtype=np.intp)
+            grown[: len(self._index) - 1] = self._index[:-1]
+            self._index = grown
+        self._index[ticks + 1] = envs * cap + rows + 1
+        self._indexed = hi.copy()
+        self._n_indexed = total
+        return self._index
+
+    def _ends(self, column: int) -> Optional[int]:
+        """The smallest first tick (``column=0``) or the largest last
+        tick (``column=-1``) over the non-empty blocks, global."""
+        st = self._fleet.state
+        if st is None:
+            return None
+        n = st.rec_len[self._envs]
+        blocks = np.flatnonzero(n)
+        if blocks.size == 0:
+            return None
+        rows = 0 if column == 0 else n[blocks] - 1
+        ticks = st.rec_ticks[self._envs][blocks, rows]
+        ticks = ticks + blocks * (self._stride or 0)
+        return int(ticks.min() if column == 0 else ticks.max())
 
     @property
     def min_tick(self) -> Optional[int]:
-        n = self._n()
-        return int(self._state.rec_ticks[self._e, 0]) if n else None
+        return self._ends(0)
 
     @property
     def max_tick(self) -> Optional[int]:
-        n = self._n()
-        return int(self._state.rec_ticks[self._e, n - 1]) if n else None
+        return self._ends(-1)
 
     def __len__(self) -> int:
-        return self._n()
+        st = self._fleet.state
+        return 0 if st is None else int(st.rec_len[self._envs].sum())
 
-    def _row(self, tick: int) -> Optional[int]:
-        n = self._n()
-        ticks = self._state.rec_ticks[self._e, :n]
-        i = int(np.searchsorted(ticks, tick))
-        if i < n and int(ticks[i]) == int(tick):
-            return i
-        return None
+    def _locate(self, ticks: np.ndarray):
+        """``(flat, present)`` for an int64 array of global ticks: each
+        tick's flat record position, and whether it is stored.  Where
+        it is not, ``flat`` is -1, which still indexes a cell (the last
+        one), of unspecified value."""
+        index = self._rows_index()
+        flat = index[np.clip(ticks, -1, len(index) - 2) + 1] - 1
+        return flat, flat >= 0
+
+    def screen(self, ticks: np.ndarray):
+        """Batched ``has`` plus the action column; see :meth:`ReplayCache.screen
+        <repro.replaydb.cache.ReplayCache.screen>` for the contract."""
+        present, _, actions, _ = self._read(ticks, frames=False)
+        return present, actions
+
+    def gather(self, ticks: np.ndarray):
+        """Batched ``has`` + ``get``; see :meth:`ReplayCache.gather
+        <repro.replaydb.cache.ReplayCache.gather>` for the contract."""
+        return self._read(ticks, frames=True)
+
+    def _read(self, ticks, frames: bool):
+        """:meth:`gather`, its frames (and rewards) left out as None
+        unless ``frames``."""
+        flat, present = self._locate(np.asarray(ticks, dtype=np.int64))
+        st = self._fleet.state
+        if st is None:  # never reset: nothing is stored
+            shape = present.shape
+            return (
+                present,
+                np.zeros(shape + (self.frame_width,)) if frames else None,
+                np.full(shape, -1, dtype=np.int64),
+                np.zeros(shape) if frames else None,
+            )
+        if not frames:
+            return present, None, st.rec_actions.ravel().take(flat), None
+        return (
+            present,
+            st.rec_frames.reshape(-1, st.frame_dim).take(flat, axis=0),
+            st.rec_actions.ravel().take(flat),
+            st.rec_rewards.ravel().take(flat),
+        )
 
     def has(self, tick: int) -> bool:
-        return self._row(tick) is not None
+        return bool(self._locate(np.array([tick], dtype=np.int64))[1][0])
 
     def get(self, tick: int) -> TickRecord:
-        i = self._row(tick)
-        if i is None:
+        present, frames, actions, rewards = self.gather(
+            np.array([tick], dtype=np.int64)
+        )
+        if not present[0]:
             raise KeyError(f"tick {tick} not in records")
-        st, e = self._state, self._e
         return TickRecord(
             tick=int(tick),
-            frame=st.rec_frames[e, i].copy(),
-            action=int(st.rec_actions[e, i]),
-            reward=float(st.rec_rewards[e, i]),
+            frame=frames[0],
+            action=int(actions[0]),
+            reward=float(rewards[0]),
         )
 
     def window(self, first_tick: int, n_ticks: int):
         if n_ticks <= 0:
             raise ValueError(f"n_ticks must be > 0, got {n_ticks}")
-        frames = np.zeros((n_ticks, self.frame_width))
-        valid = np.zeros(n_ticks, dtype=bool)
-        for j, tick in enumerate(range(first_tick, first_tick + n_ticks)):
-            i = self._row(tick)
-            if i is not None:
-                frames[j] = self._state.rec_frames[self._e, i]
-                valid[j] = True
-        return frames, valid
+        present, frames, _, _ = self.gather(
+            np.arange(first_tick, first_tick + n_ticks, dtype=np.int64)
+        )
+        frames[~present] = 0.0
+        return frames, present
 
-    def _locate(self, ticks: np.ndarray):
-        """``(rows, present)`` for an int64 array of ticks."""
-        st, e, n = self._state, self._e, self._n()
-        found = np.searchsorted(st.rec_ticks[e, :n], ticks)
-        # A tick past the newest record searches to row n, which is
-        # spare capacity, not a record: ``found < n`` marks it absent
-        # and the clip keeps the (then unspecified) value reads in range.
-        rows = np.minimum(found, max(n - 1, 0))
-        return rows, (found < n) & (st.rec_ticks[e, rows] == ticks)
+    def records_between(self, first_tick: int, last_tick: int) -> PackedRecords:
+        """Stored records with ``first_tick <= tick <= last_tick``, packed
+        in ascending global ticks (copies)."""
+        index = self._rows_index()
+        ticks = np.arange(max(first_tick, 0), min(last_tick, len(index) - 3) + 1)
+        flat, present = self._locate(ticks)
+        if not present.any():
+            return PackedRecords.empty(self.frame_width)
+        st, flat = self._fleet.state, flat[present]
+        return PackedRecords(
+            ticks=ticks[present],
+            frames=st.rec_frames.reshape(-1, st.frame_dim).take(flat, axis=0),
+            actions=st.rec_actions.ravel().take(flat),
+            rewards=st.rec_rewards.ravel().take(flat),
+        )
 
-    def screen(self, ticks: np.ndarray):
-        """Batched ``has`` plus the action column; see :meth:`ReplayCache.screen
-        <repro.replaydb.cache.ReplayCache.screen>` for the contract."""
-        ticks = np.asarray(ticks, dtype=np.int64)
-        rows, present = self._locate(ticks)
-        return present, self._state.rec_actions[self._e, rows]
-
-    def gather(self, ticks: np.ndarray):
-        """Batched ``has`` + ``get``; see :meth:`ReplayCache.gather
-        <repro.replaydb.cache.ReplayCache.gather>` for the contract."""
-        ticks = np.asarray(ticks, dtype=np.int64)
-        rows, present = self._locate(ticks)
-        st, e = self._state, self._e
-        return (
-            present,
-            st.rec_frames[e, rows],
-            st.rec_actions[e, rows],
-            st.rec_rewards[e, rows],
+    def nbytes(self) -> int:
+        """Resident memory of the record columns the view reads (Table
+        2's in-memory size); the tick index beside them is not counted."""
+        st = self._fleet.state
+        if st is None:
+            return 0
+        return sum(
+            getattr(st, name)[self._envs].nbytes
+            for name in ("rec_ticks", "rec_frames", "rec_actions", "rec_rewards")
         )

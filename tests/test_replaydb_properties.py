@@ -278,6 +278,15 @@ _FLEET_CONFIG = FleetConfig.from_env_config(
 )
 
 
+class _Fleet:
+    """The record columns' owner, as :class:`RecordView` reads it."""
+
+    def __init__(self, state: FleetState):
+        self.state = state
+        self.n_envs = state.n_envs
+        self.frame_dim = state.frame_dim
+
+
 def _view(rows) -> RecordView:
     """The same rows through the fleet engine's record columns."""
     state = FleetState(_FLEET_CONFIG, seeds=[0, 1], frame_dim=WIDTH)
@@ -287,7 +296,7 @@ def _view(rows) -> RecordView:
         state.append_records(e, _frame(tick)[None, :], np.array([tick / 8.0]))
         if action >= 0:
             assert state.set_action(1, tick, action)
-    return RecordView(state, 1)
+    return RecordView(_Fleet(state), env=1)
 
 
 def _store(duck: str, rows, capacity: int):
@@ -296,7 +305,7 @@ def _store(duck: str, rows, capacity: int):
         cache = _ring(rows, capacity)
         return cache, cache._frames
     view = _view(rows)
-    return view, view._state.rec_frames
+    return view, view._fleet.state.rec_frames
 
 
 def _reference_minibatch(sampler, n, draw, max_attempts=200):
@@ -593,3 +602,132 @@ class TestBatchedSamplersMatchReferenceLoop:
         after = (batch.s_t, batch.s_next, batch.actions, batch.rewards)
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
+
+
+# -- the fleet-wide view against the ring it replaced ---------------------------
+#
+# On the vec backend the shared fan-in store is a :class:`RecordView` of
+# the fleet's record columns in global-tick space.  It replaced a
+# ``ReplayCache`` ring that the fan-in filled by copying
+# (``packed_since_all`` + ``put_many``, re-landing each env's newest row
+# so a late action reaches it).  At every landing point the two must
+# answer every read alike.
+
+STRIDE = 64
+
+
+@st.composite
+def fleet_rounds(draw):
+    """Per round, per env: ``None`` (the env sits the round out, so envs
+    drift out of lockstep) or ``(ticks, dropped, action)`` — the env
+    advances ``ticks`` ticks, losing those in ``dropped`` on the
+    monitoring network, after setting ``action`` (``-1`` = none) on its
+    newest row, which has already landed."""
+    n_envs = draw(st.integers(1, 4))
+    n_rounds = draw(st.integers(1, 6))
+    env_round = st.one_of(
+        st.none(),
+        st.tuples(
+            st.integers(1, 8),
+            st.sets(st.integers(0, 7), max_size=3),
+            st.integers(-1, 2),
+        ),
+    )
+    return n_envs, draw(
+        st.lists(
+            st.lists(env_round, min_size=n_envs, max_size=n_envs),
+            min_size=n_rounds,
+            max_size=n_rounds,
+        )
+    )
+
+
+def _land_the_old_way(state, ring, spans):
+    """The ring fan-in: every env's rows after its synced top minus one,
+    as one env-major ``put_many`` at global ticks."""
+    envs, packed = state.packed_since_all([top - 1 for top in spans.tops()])
+    ring.put_many(
+        packed.ticks + envs * STRIDE, packed.frames, packed.rewards,
+        packed.actions,
+    )
+    for e in np.unique(envs):
+        spans.observe_top(int(e), int(packed.ticks[envs == e].max()))
+
+
+def _assert_view_reads_like_ring(view, ring, n_envs):
+    assert len(view) == len(ring)
+    assert (view.min_tick, view.max_tick) == (ring.min_tick, ring.max_tick)
+    ticks = np.arange(-3, n_envs * STRIDE + 3)
+    mine, theirs = view.gather(ticks), ring.gather(ticks)
+    present = theirs[0]
+    np.testing.assert_array_equal(mine[0], present)
+    for a, b in zip(mine[1:], theirs[1:]):
+        np.testing.assert_array_equal(a[present], b[present])
+    screened = view.screen(ticks)
+    np.testing.assert_array_equal(screened[0], present)
+    np.testing.assert_array_equal(screened[1][present], theirs[2][present])
+    for t in ticks[:: 7]:
+        assert view.has(int(t)) == ring.has(int(t))
+    for t in ticks[present]:
+        a, b = view.get(int(t)), ring.get(int(t))
+        assert (a.tick, a.action, a.reward) == (b.tick, b.action, b.reward)
+        assert a.frame.tobytes() == b.frame.tobytes()
+    for first in range(-2, n_envs * STRIDE, 13):
+        for a, b in zip(view.window(first, 5), ring.window(first, 5)):
+            assert a.tobytes() == b.tobytes()
+    for lo, hi in [(0, n_envs * STRIDE - 1), (-5, 3 * STRIDE // 2), (70, 69)]:
+        a, b = view.records_between(lo, hi), ring.records_between(lo, hi)
+        for column in ("ticks", "frames", "actions", "rewards"):
+            x, y = getattr(a, column), getattr(b, column)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestFleetViewMatchesRing:
+    @given(
+        rounds=fleet_rounds(),
+        obs_ticks=st.sampled_from([1, 3, 5]),
+        tolerance=st.sampled_from([0.0, 0.2, 1.0]),
+        k=st.integers(1, 9),
+        n=st.integers(1, 6),
+    )
+    @settings(**SETTINGS)
+    def test_view_reads_and_samples_like_the_ring(
+        self, rounds, obs_ticks, tolerance, k, n
+    ):
+        n_envs, plan = rounds
+        state = FleetState(_FLEET_CONFIG, seeds=list(range(n_envs)),
+                           frame_dim=WIDTH)
+        view = RecordView(_Fleet(state), stride=STRIDE)
+        ring = ReplayCache(WIDTH, capacity=n_envs * STRIDE)
+        spans = TickSpans(n_envs, STRIDE)
+        for moves in plan:
+            for e, move in enumerate(moves):
+                if move is None:
+                    continue
+                ticks, dropped, action = move
+                if action >= 0:
+                    state.set_actions(np.array([e]), np.array([action]))
+                idx = np.array([e])
+                state.reserve_records(ticks)
+                for j in range(ticks):
+                    state.tick[idx] += 1
+                    t = int(state.tick[e])
+                    if j not in dropped and t < STRIDE:
+                        state.append_records(
+                            idx, _frame(e * STRIDE + t)[None, :],
+                            np.array([t / 8.0]),
+                        )
+            _land_the_old_way(state, ring, spans)
+            _assert_view_reads_like_ring(view, ring, n_envs)
+        kw = dict(obs_ticks=obs_ticks, missing_tolerance=tolerance, seed=3)
+        mine = StridedMinibatchSampler(view, spans, **kw)
+        theirs = StridedMinibatchSampler(ring, spans, **kw)
+        for a, b in zip(mine.minibatches(k, n), theirs.minibatches(k, n)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                for x, y in zip(
+                    (a.s_t, a.s_next, a.actions, a.rewards),
+                    (b.s_t, b.s_next, b.actions, b.rewards),
+                ):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert mine.rng.bit_generator.state == theirs.rng.bit_generator.state

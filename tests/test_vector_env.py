@@ -495,6 +495,70 @@ class TestSharedDbModes:
         finally:
             venv.close()
 
+    def test_vec_store_is_the_fleet_columns(self):
+        """On ``vec`` the default store copies nothing: no
+        ``ReplayCache`` is built, the DB reads the fleet's record
+        columns, and its in-memory size is theirs."""
+        from unittest import mock
+
+        from repro.replaydb.cache import ReplayCache
+        from repro.sim.vec.state import RecordView
+
+        with mock.patch.object(
+            ReplayCache, "__init__", side_effect=AssertionError("a ring")
+        ):
+            venv = VectorEnv.from_config(
+                tiny_config(), 3, backend="vec", tick_stride=64
+            )
+            try:
+                venv.reset()
+                venv.collect(6, chunk=4)
+                venv.step([1, 2, 0])
+                venv.make_sampler(seed=0).sample_minibatch(8)
+                assert isinstance(venv.shared_db.cache, RecordView)
+                st = venv._fleet.state
+                columns = (
+                    st.rec_ticks, st.rec_frames, st.rec_actions,
+                    st.rec_rewards,
+                )
+                assert venv.shared_db.in_memory_bytes() == sum(
+                    c.nbytes for c in columns
+                )
+            finally:
+                venv.close()
+
+    def test_vec_store_follows_a_reset(self):
+        """A reset rebuilds the fleet's columns under the same store:
+        with ticks dropped, the new episode's rows sit at other rows
+        than the old one's, and the store serves only the new ones."""
+        config = replace(tiny_config(seed=3), drop_probability=0.2)
+        venv = VectorEnv.from_config(config, 2, backend="vec", tick_stride=64)
+        try:
+            cache = venv.shared_db.cache
+            for ticks in (40, 5):
+                venv.reset()
+                venv.collect(ticks)
+                want = [
+                    venv._fleet.records_since_packed(-1, env_index=i)
+                    for i in range(2)
+                ]
+                assert len(cache) == sum(len(p) for p in want)
+                present = cache.gather(np.arange(128))[0]
+                stored = np.zeros(128, dtype=bool)
+                for i, p in enumerate(want):
+                    stored[p.ticks + 64 * i] = True
+                np.testing.assert_array_equal(present, stored)
+                got = cache.records_between(0, 127)
+                np.testing.assert_array_equal(
+                    got.ticks, np.concatenate([w.ticks + 64 * i
+                                               for i, w in enumerate(want)])
+                )
+                np.testing.assert_array_equal(
+                    got.frames, np.concatenate([w.frames for w in want])
+                )
+        finally:
+            venv.close()
+
     def test_commit_replay_broadcast(self, tmp_path):
         venv = VectorEnv.from_config(
             tiny_config(),
