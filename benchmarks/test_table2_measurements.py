@@ -89,16 +89,10 @@ def test_table2_training_step_duration(capes_session):
     assert np.isfinite(agent.loss_history[-1])
 
 
-def test_table2_training_step_duration_paper_shape():
-    """Row 1 at the paper's shape: Table 1 verbatim (600 hidden units,
-    minibatch 32) on this repo's 4x5 observation (2200 floats).  The one
-    command that regenerates the ms/step ROADMAP quotes; it asserts only
-    exact things — the time is printed, not judged."""
-    hp = Hyperparameters.paper_values()
-    obs_dim, n_actions = 2200, 5
+def _paper_step(hp, obs_dim, n_actions, repeats):
+    """``(agent, best seconds per train_step)`` on one fixed random
+    minibatch, after three warm-up steps."""
     agent = DQNAgent(obs_dim, n_actions, hp=hp, rng=0)
-    assert agent.online.net.layer_dims == [2200, 600, 600, 5]
-    assert agent.online.net.num_parameters() == 1_684_205
     rng = np.random.default_rng(0)
     batch = Minibatch(
         s_t=rng.normal(size=(hp.minibatch_size, obs_dim)),
@@ -108,7 +102,24 @@ def test_table2_training_step_duration_paper_shape():
     )
     for _ in range(3):  # warm-up
         agent.train_step(batch)
-    step = best_of(lambda: agent.train_step(batch), 30)
+    return agent, best_of(lambda: agent.train_step(batch), repeats)
+
+
+def test_table2_training_step_duration_paper_shape():
+    """Row 1 at the paper's shape on this repo's 4x5 observation (2200
+    floats), at both widths the paper gives: Table 1's 600 hidden units
+    (``Hyperparameters.paper_values()``), and §3.4's hidden layer as
+    wide as the input (the default ``Hyperparameters()``).  The one
+    command that regenerates the ms/step ROADMAP quotes, with one BLAS
+    thread: ``OPENBLAS_NUM_THREADS=1 python -m pytest
+    benchmarks/test_table2_measurements.py -q -s -k paper_shape``.  It
+    asserts only exact things — the times are printed, not judged."""
+    obs_dim, n_actions = 2200, 5
+    agent, step = _paper_step(
+        Hyperparameters.paper_values(), obs_dim, n_actions, 30
+    )
+    assert agent.online.net.layer_dims == [2200, 600, 600, 5]
+    assert agent.online.net.num_parameters() == 1_684_205
     loss = agent.loss_history[-1]
     print(f"\npaper-shape training step: {step * 1e3:.1f} ms best of 30 "
           f"(paper: ~{PAPER['train_step_cpu_s'] * 1e3:.0f} ms CPU, "
@@ -118,6 +129,12 @@ def test_table2_training_step_duration_paper_shape():
           f"{PAPER['observation_size']})")
     assert np.isfinite(loss)
     assert agent.train_steps == 33 and len(agent.loss_history) == 33
+    wide, wide_step = _paper_step(Hyperparameters(), obs_dim, n_actions, 5)
+    assert wide.online.net.layer_dims == [2200, 2200, 2200, 5]
+    assert wide.online.net.num_parameters() == 9_695_405
+    print(f"input-width training step: {wide_step * 1e3:.1f} ms best of 5 "
+          f"({wide.online.net.num_parameters():,} parameters)")
+    assert np.isfinite(wide.loss_history[-1])
 
 
 def test_table2_batched_vs_naive_speedup(capes_session):
