@@ -399,14 +399,17 @@ class VectorEnv:
 
                 # The fleet's record columns are the store: the DB reads
                 # through a view of them and keeps only a durable layer.
-                store: dict = dict(
-                    cache=RecordView(self._fleet, stride=self.tick_stride)
+                self.shared_db = ReplayDB(
+                    self.frame_dim,
+                    path=shared_db_path,
+                    cache=RecordView(self._fleet, stride=self.tick_stride),
                 )
             else:
-                store = dict(cache_capacity=self.n_envs * self.tick_stride)
-            self.shared_db = ReplayDB(
-                self.frame_dim, path=shared_db_path, **store
-            )
+                self.shared_db = ReplayDB(
+                    self.frame_dim,
+                    path=shared_db_path,
+                    cache_capacity=self.n_envs * self.tick_stride,
+                )
         #: Per-env fan-in frontier: which local tick each cluster's
         #: records are synced through.  Shared with the strided sampler
         #: (candidate spans) and re-read on every draw.
@@ -606,9 +609,10 @@ class VectorEnv:
     def _packs(self) -> bool:
         """Whether new rows travel as :class:`PackedRecords` batches.
 
-        Always off ``vec``: the ring stores a copy of each.  On ``vec``
-        the shared store *is* the fleet's record columns, so rows are
-        packed only for a durable layer or an ingest listener.
+        Always on ``serial`` and ``fork``: the ring stores a copy of
+        each.  On ``vec`` the shared store *is* the fleet's record
+        columns, so rows are packed only for a durable layer or an
+        ingest listener.
         """
         return (
             self._fleet is None
