@@ -606,20 +606,6 @@ class VectorEnv:
         """Detach a listener added by :meth:`add_ingest_listener`."""
         self._ingest_listeners.remove(fn)
 
-    def _packs(self) -> bool:
-        """Whether new rows travel as :class:`PackedRecords` batches.
-
-        Always on ``serial`` and ``fork``: the ring stores a copy of
-        each.  On ``vec`` the shared store *is* the fleet's record
-        columns, so rows are packed only for a durable layer or an
-        ingest listener.
-        """
-        return (
-            self._fleet is None
-            or self.shared_db.path is not None
-            or bool(self._ingest_listeners)
-        )
-
     def _ingest(self, i: int, packed: Optional[PackedRecords]) -> None:
         """Batch-write env ``i``'s new records into the shared DB."""
         if self.shared_db is not None and packed is not None:
@@ -629,23 +615,21 @@ class VectorEnv:
         """Fan in every fleet row's new records (vec).
 
         No worker round-trips and no copy: the store reads the fleet's
-        record columns, so only the frontier moves, unless rows are
-        packed (:meth:`_packs`) — then they land as one batch, each env
-        contributing its rows after its own :meth:`_since`.  Envs need
-        not be in lockstep.
+        record columns, so only the frontier moves — unless a durable
+        layer or an ingest listener wants the rows.  Then they land as
+        one batch, each env contributing its rows after its own
+        :meth:`_since`.  Envs need not be in lockstep.
         """
         if self.shared_db is None:
             return
         st = self._fleet.state
-        if self._packs():
-            self._land(
-                *st.packed_since_all(
-                    [self._since(i) for i in range(self.n_envs)]
-                )
-            )
+        if self.shared_db.path is None and not self._ingest_listeners:
+            envs = np.flatnonzero(st.rec_len)
+            self._advance(envs, st.rec_ticks[envs, st.rec_len[envs] - 1])
             return
-        envs = np.flatnonzero(st.rec_len)
-        self._advance(envs, st.rec_ticks[envs, st.rec_len[envs] - 1])
+        self._land(
+            *st.packed_since_all([self._since(i) for i in range(self.n_envs)])
+        )
 
     def _advance(self, envs: np.ndarray, tops: np.ndarray) -> None:
         """Raise env ``envs[j]``'s frontier to local tick ``tops[j]``,
@@ -686,18 +670,18 @@ class VectorEnv:
             fn(global_batch)
 
     def _sync_env(self, i: int) -> None:
-        """Pull-and-ingest env ``i``'s new records (one worker round-trip;
-        on ``vec`` without packing, just the frontier).
+        """Pull-and-ingest env ``i``'s new records (one worker
+        round-trip; on ``vec``, :meth:`_ingest_fleet`).
 
         Only needed after :meth:`env_method` — every lockstep path folds
         the records into the stepping reply instead.
         """
         if self.shared_db is None:
             return
-        if self._packs():
-            self._ingest(i, self._call(i, "records", self._since(i)))
-        else:
+        if self._fleet is not None:
             self._ingest_fleet()
+        else:
+            self._ingest(i, self._call(i, "records", self._since(i)))
 
     # -- lockstep lifecycle ----------------------------------------------
     def reset(self) -> np.ndarray:
@@ -712,12 +696,12 @@ class VectorEnv:
         if self.shared_db is not None:
             self.shared_db.clear()
         self.spans.reset()
-        want_records = self.shared_db is not None and self._packs()
+        want_records = self.shared_db is not None and self._fleet is None
         replies = self._lockstep("reset", lambda i: want_records)
         for i, (obs, packed) in enumerate(replies):
             self._obs_buf[i] = obs
             self._ingest(i, packed)
-        if self._fleet is not None and not want_records:
+        if self._fleet is not None:
             self._ingest_fleet()
         # The fleet snapshots its arrays wholesale; every other backend
         # logs lockstep ops from here.
