@@ -445,15 +445,10 @@ class RecordView:
         in ascending global ticks (copies)."""
         index = self._rows_index()
         ticks = np.arange(max(first_tick, 0), min(last_tick, len(index) - 3) + 1)
-        flat, present = self._locate(ticks)
-        if not present.any():
-            return PackedRecords.empty(self.frame_width)
-        st, flat = self._fleet.state, flat[present]
+        ticks = ticks[self._locate(ticks)[1]]
+        _, frames, actions, rewards = self.gather(ticks)
         return PackedRecords(
-            ticks=ticks[present],
-            frames=st.rec_frames.reshape(-1, st.frame_dim).take(flat, axis=0),
-            actions=st.rec_actions.ravel().take(flat),
-            rewards=st.rec_rewards.ravel().take(flat),
+            ticks=ticks, frames=frames, actions=actions, rewards=rewards
         )
 
     def nbytes(self) -> int:
